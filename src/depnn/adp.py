@@ -248,33 +248,6 @@ def shortest_path(graph: DependencyGraph, a: int, b: int) -> list[PathStep]:
     return steps
 
 
-class PathElementKind(Enum):
-    START = "start"
-    END = "end"
-    WORD = "word"
-    RELATION = "relation"
-
-
-@dataclass(frozen=True)
-class PathElement:
-    kind: PathElementKind
-    token: int | None = None
-    relation: str | None = None   # directed label for RELATION elements
-
-
-def path_elements(steps) -> list[PathElement]:
-    """Alternating relation/word view of a path, bounded by sentinels."""
-    elements = [PathElement(PathElementKind.START)]
-    for i, step in enumerate(steps):
-        if i > 0:
-            elements.append(PathElement(
-                PathElementKind.RELATION,
-                relation=directed_label(step.relation, step.direction)))
-        elements.append(PathElement(PathElementKind.WORD, token=step.token))
-    elements.append(PathElement(PathElementKind.END))
-    return elements
-
-
 @dataclass(frozen=True)
 class AugmentedDependencyPath:
     """The shortest path between two entity heads plus, per path word, the
@@ -286,15 +259,8 @@ class AugmentedDependencyPath:
     def path_tokens(self) -> tuple[int, ...]:
         return tuple(step.token for step in self.steps)
 
-    @property
-    def elements(self) -> list[PathElement]:
-        return path_elements(self.steps)
-
     def subtree_tokens(self, word: int) -> set[int]:
         return {arc.dependent for arc in self.subtrees[word]}
-
-    def all_subtree_tokens(self) -> set[int]:
-        return {arc.dependent for arcs in self.subtrees.values() for arc in arcs}
 
 
 def attach_subtrees(graph: DependencyGraph, steps) -> AugmentedDependencyPath:
@@ -315,10 +281,6 @@ def attach_subtrees(graph: DependencyGraph, steps) -> AugmentedDependencyPath:
                 stack.append(arc.dependent)
         subtrees[word] = tuple(collected)
     return AugmentedDependencyPath(steps, subtrees)
-
-
-def build_adp(graph: DependencyGraph, e1: EntityMention, e2: EntityMention) -> AugmentedDependencyPath:
-    return attach_subtrees(graph, shortest_path(graph, e1.head_index, e2.head_index))
 
 
 def render_path(graph: DependencyGraph, steps) -> str:

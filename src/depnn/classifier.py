@@ -13,7 +13,7 @@ from .adp import (AugmentedDependencyPath, Disconnected, InvalidSpan,
 from .corpus import LABELS, Instance, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, NonFiniteLoss, ParameterStore,
-                       init_uniform, load_store, matvec, save_store, softmax)
+                       init_uniform, load_store, save_store, softmax)
 from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, conv_backward,
                        conv_forward, window_width)
 from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, REL_EMB, WORD_EMB,
@@ -29,6 +29,11 @@ _DIM_DEFAULTS = {50: (25, 200), 200: (100, 400)}
 
 class EmptyPath(ValueError):
     pass
+
+
+class ModelFileMismatch(ValueError):
+    """A model file whose tensors do not fit the configuration and
+    vocabulary stored with it."""
 
 
 @dataclass
@@ -88,13 +93,16 @@ class TrainReport:
     val_f1: list[float | None] = field(default_factory=list)
 
     def lines(self) -> list[str]:
-        out = []
-        for i, loss in enumerate(self.epoch_losses):
-            line = f"epoch={i + 1} mean_loss={loss:.6f}"
-            if self.val_f1[i] is not None:
-                line += f" val_macro_f1={self.val_f1[i]:.4f}"
-            out.append(line)
-        return out
+        return [epoch_line(i + 1, loss, val_f1) for i, (loss, val_f1)
+                in enumerate(zip(self.epoch_losses, self.val_f1))]
+
+
+def epoch_line(epoch: int, mean_loss: float, val_f1: float | None) -> str:
+    """The progress line of one training epoch."""
+    line = f"epoch={epoch} mean_loss={mean_loss:.6f}"
+    if val_f1 is not None:
+        line += f" val_macro_f1={val_f1:.4f}"
+    return line
 
 
 def cross_entropy(distribution: np.ndarray, gold_idx: int) -> float:
@@ -105,12 +113,37 @@ def cross_entropy(distribution: np.ndarray, gold_idx: int) -> float:
 
 @dataclass
 class _ForwardCache:
-    adp: AugmentedDependencyPath
     word_caches: list[NodeCache]
     conv: ConvCache
     lex_rows: list[tuple[str, int]]   # (embedding table name, row)
     combined: np.ndarray              # path representation + lexical features
     distribution: np.ndarray
+
+
+def parameter_layout(config: TrainConfig, vocab: Vocabulary) -> dict[str, tuple]:
+    """Name -> (shape, kind) of every tensor of a model with this
+    configuration and vocabulary."""
+    dim, dim_c = config.dim, config.dim_c
+    layout = {
+        WORD_EMB: ((len(vocab.words), dim), EMBEDDING),
+        REL_EMB: ((len(vocab.relations), dim), EMBEDDING),
+        COMP_BIAS: ((dim_c,), BIAS),
+        LEAF_VEC: ((dim_c,), BIAS),
+        PAD_WORD: ((dim + dim_c,), EMBEDDING),
+        CONV_W: ((config.hidden, window_width(config.window, dim, dim_c)), WEIGHT),
+        CONV_B: ((config.hidden,), BIAS),
+    }
+    for relation in vocab.comp_relations:
+        layout[f"comp/{relation}"] = ((dim_c, dim + dim_c), WEIGHT)
+    lex_width = 0
+    if config.use_ner:
+        layout[NER_EMB] = ((len(vocab.ner_tags), config.lex_dim), EMBEDDING)
+        lex_width += 2 * config.lex_dim
+    if config.use_wordnet:
+        layout[WN_EMB] = ((len(vocab.wn_tags), config.lex_dim), EMBEDDING)
+        lex_width += 2 * config.lex_dim
+    layout[OUT_W] = ((len(LABELS), config.hidden + lex_width), WEIGHT)
+    return layout
 
 
 class Model:
@@ -131,26 +164,8 @@ class Model:
             raise corpus.DimensionMismatch(
                 f"embeddings are {embeddings.dim}-d but the model wants {config.dim}-d")
         store = ParameterStore()
-        store.register(WORD_EMB, (len(vocab.words), config.dim), EMBEDDING)
-        store.register(REL_EMB, (len(vocab.relations), config.dim), EMBEDDING)
-        for relation in vocab.comp_relations:
-            store.register(f"comp/{relation}",
-                           (config.dim_c, config.dim + config.dim_c), WEIGHT)
-        store.register(COMP_BIAS, (config.dim_c,), BIAS)
-        store.register(LEAF_VEC, (config.dim_c,), BIAS)
-        store.register(PAD_WORD, (config.dim + config.dim_c,), EMBEDDING)
-        store.register(CONV_W, (config.hidden,
-                                window_width(config.window, config.dim, config.dim_c)),
-                       WEIGHT)
-        store.register(CONV_B, (config.hidden,), BIAS)
-        lex_width = 0
-        if config.use_ner:
-            store.register(NER_EMB, (len(vocab.ner_tags), config.lex_dim), EMBEDDING)
-            lex_width += 2 * config.lex_dim
-        if config.use_wordnet:
-            store.register(WN_EMB, (len(vocab.wn_tags), config.lex_dim), EMBEDDING)
-            lex_width += 2 * config.lex_dim
-        store.register(OUT_W, (len(LABELS), config.hidden + lex_width), WEIGHT)
+        for name, (shape, kind) in parameter_layout(config, vocab).items():
+            store.register(name, shape, kind)
         init_uniform(store, config.seed)
         if embeddings is not None:
             table = store.value(WORD_EMB)
@@ -193,10 +208,10 @@ class Model:
         lex_rows = self._lex_rows(instance)
         pieces = [conv.pooled] + [self.store.value(name)[row] for name, row in lex_rows]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
-        distribution = softmax(matvec(self.store.value(OUT_W), combined))
+        distribution = softmax(self.store.value(OUT_W) @ combined)
         prediction = Prediction(LABELS[int(np.argmax(distribution))],
                                 distribution, conv.pooled.copy())
-        return prediction, _ForwardCache(adp, word_caches, conv, lex_rows,
+        return prediction, _ForwardCache(word_caches, conv, lex_rows,
                                          combined, distribution)
 
     def predict(self, instance: Instance) -> Prediction:
@@ -275,11 +290,6 @@ class Model:
                 progress(epoch + 1, mean_loss, val_f1)
         return report
 
-    def accuracy(self, instances) -> float:
-        hits = sum(1 for inst in instances
-                   if self.predict(inst).label == inst.gold)
-        return hits / len(instances)
-
     # --- persistence ---------------------------------------------------------
 
     def save(self, path, precision: str = "f8") -> None:
@@ -296,21 +306,16 @@ class Model:
     def load(cls, path) -> "Model":
         store, meta = load_store(path)
         if meta.get("format") != "depnn-model":
-            raise ValueError(f"{path}: not a classifier model file")
+            raise ModelFileMismatch(f"{path}: not a classifier model file")
         if tuple(meta["labels"]) != LABELS:
-            raise ValueError(f"{path}: label set does not match this build")
-        return cls(TrainConfig.from_dict(meta["config"]),
-                   Vocabulary.from_dict(meta["vocab"]), store)
-
-
-def cross_validation_folds(n_items: int, n_folds: int = 5, seed: int = 0):
-    """Disjoint (train_indices, val_indices) splits covering all items."""
-    if not 2 <= n_folds <= n_items:
-        raise ValueError(f"cannot split {n_items} items into {n_folds} folds")
-    order = np.random.default_rng(seed).permutation(n_items)
-    chunks = np.array_split(order, n_folds)
-    folds = []
-    for i, chunk in enumerate(chunks):
-        train = np.concatenate([c for j, c in enumerate(chunks) if j != i])
-        folds.append((sorted(int(x) for x in train), sorted(int(x) for x in chunk)))
-    return folds
+            raise ModelFileMismatch(f"{path}: label set does not match this build")
+        config = TrainConfig.from_dict(meta["config"])
+        vocab = Vocabulary.from_dict(meta["vocab"])
+        layout = parameter_layout(config, vocab)
+        for name in sorted(layout.keys() | set(store.names())):
+            found = (store.value(name).shape, store.kind(name)) if name in store else None
+            if found != layout.get(name):
+                raise ModelFileMismatch(
+                    f"{path}: tensor {name!r} should be (shape, kind) "
+                    f"{layout.get(name, 'absent')}, found {found or 'none'}")
+        return cls(config, vocab, store)

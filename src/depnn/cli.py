@@ -19,6 +19,7 @@ from . import adp, classifier, corpus, evaluation, numerics, synth
 _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
                 corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
                 adp.InvalidSpan, adp.Disconnected, classifier.EmptyPath,
+                classifier.ModelFileMismatch,
                 evaluation.LengthMismatch, FileNotFoundError, ValueError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
@@ -145,14 +146,8 @@ def cmd_train(args) -> int:
 
     vocab = corpus.Vocabulary.build(instances)
     model = classifier.Model.build(config, vocab, embeddings)
-
-    def progress(epoch, mean_loss, val_f1):
-        line = f"epoch={epoch} mean_loss={mean_loss:.6f}"
-        if val_f1 is not None:
-            line += f" val_macro_f1={val_f1:.4f}"
-        print(line)
-
-    model.train(instances, validation=validation, progress=progress)
+    model.train(instances, validation=validation,
+                progress=lambda *epoch: print(classifier.epoch_line(*epoch)))
     model.save(args.out, precision=args.precision)
     print(f"model written to {args.out}")
     return 0

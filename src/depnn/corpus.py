@@ -119,7 +119,6 @@ class RawRecord:
     e2_span: tuple[int, int]
     label: str | None = None
     comment: str | None = None
-    marked_text: str = ""
 
 
 def _strip_markers(marked: str, line_no: int) -> tuple[str, tuple[int, int], tuple[int, int]]:
@@ -175,8 +174,7 @@ def read_semeval_raw(path) -> list[RawRecord]:
             i += 1
         if i < n and lines[i].strip():
             raise FormatError("expected blank separator after instance block", i + 1)
-        records.append(RawRecord(rec_id, text, e1_span, e2_span, label, comment,
-                                 marked_text=match.group(2)))
+        records.append(RawRecord(rec_id, text, e1_span, e2_span, label, comment))
     return records
 
 

@@ -82,12 +82,6 @@ def score(gold_labels, predicted_labels) -> EvaluationReport:
     return EvaluationReport(confusion, per_type, macro, accuracy, len(gold_labels))
 
 
-def per_relation_delta(report_a: EvaluationReport, report_b: EvaluationReport) -> dict[str, float]:
-    """Type-aligned F1 differences, report_a minus report_b."""
-    return {t: report_a.per_type[t].f1 - report_b.per_type[t].f1
-            for t in RELATION_TYPES}
-
-
 def render_report(report: EvaluationReport) -> str:
     width = max(len(t) for t in RELATION_TYPES)
     lines = [f"{'relation':<{width}}  {'P':>7} {'R':>7} {'F1':>7} {'gold':>5} {'pred':>5}"]

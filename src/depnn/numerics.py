@@ -32,21 +32,6 @@ class NonFiniteLoss(ArithmeticError):
     pass
 
 
-def matvec(m, v):
-    """Matrix-vector product with explicit shape checking."""
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ShapeMismatch(f"matvec needs a matrix and a vector, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ShapeMismatch(f"inner dimensions disagree: {m.shape} vs {v.shape}")
-    return m @ v
-
-
-def tanh_forward(v):
-    return np.tanh(v)
-
-
 def tanh_backward(y, upstream):
     """Gradient through tanh, expressed in terms of the tanh output y."""
     return upstream * (1.0 - y * y)
@@ -124,9 +109,6 @@ class ParameterStore:
     def sgd_step(self, learning_rate: float) -> None:
         for param in self._params.values():
             param.value -= learning_rate * param.grad
-
-    def n_entries(self) -> int:
-        return sum(p.value.size for p in self._params.values())
 
     def validate_finite(self) -> None:
         for name, param in self._params.items():

@@ -18,16 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PATH_END, PATH_START
-from .numerics import ParameterStore, ShapeMismatch, matvec, tanh_backward
+from .numerics import ParameterStore, ShapeMismatch, tanh_backward
 from .subtree import PAD_WORD, REL_EMB
 
 CONV_W = "conv_w"
 CONV_B = "conv_b"
-
-WORD_SLOT = "word"
-REL_SLOT = "rel"
-START = "start"
-END = "end"
 
 
 class InvalidWindowSize(ValueError):
@@ -39,15 +34,17 @@ def check_window_size(k: int) -> None:
         raise InvalidWindowSize(f"window size must be odd and >= 3, got {k}")
 
 
-def words_per_window(k: int) -> int:
-    """Number of word slots in one window.
-
-    Word slots sit at even offsets from the (word) center, so the count is
-    the number of even integers in [-(k-1)/2, (k-1)/2]: 1 for k=3, 3 for
-    k=5 and k=7, 5 for k=9, ...
-    """
+def word_slots(k: int) -> np.ndarray:
+    """Boolean mask over a window's k columns, True at the word slots: the
+    even offsets from the center."""
     check_window_size(k)
-    return 2 * ((k - 1) // 4) + 1
+    return (np.arange(k) - (k - 1) // 2) % 2 == 0
+
+
+def words_per_window(k: int) -> int:
+    """Number of word slots in one window: 1 for k=3, 3 for k=5 and k=7,
+    5 for k=9, ..."""
+    return int(word_slots(k).sum())
 
 
 def window_width(k: int, dim: int, dim_c: int) -> int:
@@ -56,31 +53,21 @@ def window_width(k: int, dim: int, dim_c: int) -> int:
     return dim * k + dim_c * words_per_window(k)
 
 
-def build_windows(n_words: int, k: int) -> list[list[tuple]]:
-    """One window per path word. Slots are (kind, ref) pairs: word slots
-    reference a 0-based path-word position (None = pad), relation slots a
-    0-based inner-relation position or a sentinel marker."""
+def build_windows(n_words: int, k: int) -> np.ndarray:
+    """One window per path word, as an (n_words, k) integer array.
+
+    A word slot indexes [pad, p_0 .. p_{n-1}] and a relation slot indexes
+    [start, r_0 .. r_{n-2}, end], where r_i joins p_i to p_{i+1}.
+    """
     check_window_size(k)
     if n_words < 1:
         raise ValueError("a path has at least one word")
-    windows = []
     half = (k - 1) // 2
-    for word_pos in range(n_words):
-        center = 2 * word_pos + 1      # word w_j sits at sequence index 2j+1
-        window = []
-        for offset in range(-half, half + 1):
-            idx = center + offset
-            if idx % 2 == 1:           # odd sequence indices are words
-                word = (idx - 1) // 2
-                window.append((WORD_SLOT, word if 0 <= word < n_words else None))
-            elif idx <= 0:
-                window.append((REL_SLOT, START))
-            elif idx >= 2 * n_words:
-                window.append((REL_SLOT, END))
-            else:
-                window.append((REL_SLOT, idx // 2 - 1))
-        windows.append(window)
-    return windows
+    # offset o of window w holds item w + 1 + floor(o / 2) of its list; words
+    # past either end are the pad (0), relations clamp to the sentinels
+    index = np.arange(n_words)[:, None] + np.arange(2 - half, half + 3) // 2
+    clamped = np.minimum(np.maximum(index, 0), n_words)
+    return np.where(word_slots(k) & (index > n_words), 0, clamped)
 
 
 def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +79,11 @@ def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ConvCache:
-    windows: list[list[tuple]]
-    slot_rows: list[list[int | None]]   # relation-embedding row per slot (None for words/pad)
-    inputs: list[np.ndarray]            # concatenated window vectors
-    feature_map: np.ndarray             # post-activation, one row per window
+    windows: np.ndarray       # build_windows' index array
+    rel_rows: np.ndarray      # relation-embedding row of start, r_0 .. r_{n-2}, end
+    word_cols: np.ndarray     # mask of the window-vector entries from word slots
+    inputs: np.ndarray        # concatenated window vectors, one row per window
+    feature_map: np.ndarray   # post-activation, one row per window
     pooled: np.ndarray
     argmax: np.ndarray
     use_tanh: bool
@@ -110,78 +98,52 @@ def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
     than words).
     """
     conv_w = store.value(CONV_W)
-    conv_b = store.value(CONV_B)
     rel_emb = store.value(REL_EMB)
     pad = store.value(PAD_WORD)
-    start_row = vocab.relation_row(PATH_START)
-    end_row = vocab.relation_row(PATH_END)
-    label_rows = [vocab.relation_row(label) for label in rel_labels]
+    is_word = word_slots(windows.shape[1])
+    word_cols = np.repeat(is_word, np.where(is_word, pad.size, rel_emb.shape[1]))
+    if word_cols.size != conv_w.shape[1]:
+        raise ShapeMismatch(
+            f"window vector has length {word_cols.size}, filter expects {conv_w.shape[1]}")
+    rel_rows = np.array([vocab.relation_row(PATH_START)]
+                        + [vocab.relation_row(label) for label in rel_labels]
+                        + [vocab.relation_row(PATH_END)])
 
-    inputs = []
-    slot_rows: list[list[int | None]] = []
-    feature_rows = []
-    for window in windows:
-        pieces = []
-        rows: list[int | None] = []
-        for kind, ref in window:
-            if kind == WORD_SLOT:
-                pieces.append(pad if ref is None else word_vecs[ref])
-                rows.append(None)
-            else:
-                row = start_row if ref == START else end_row if ref == END else label_rows[ref]
-                pieces.append(rel_emb[row])
-                rows.append(row)
-        x = np.concatenate(pieces)
-        if x.size != conv_w.shape[1]:
-            raise ShapeMismatch(
-                f"window vector has length {x.size}, filter expects {conv_w.shape[1]}")
-        pre = matvec(conv_w, x) + conv_b
-        feature_rows.append(np.tanh(pre) if use_tanh else pre)
-        inputs.append(x)
-        slot_rows.append(rows)
-
-    feature_map = np.stack(feature_rows)
+    n_windows = len(windows)
+    inputs = np.empty((n_windows, word_cols.size))
+    words = np.vstack([pad, *word_vecs])
+    inputs[:, word_cols] = words[windows[:, is_word]].reshape(n_windows, -1)
+    inputs[:, ~word_cols] = rel_emb[rel_rows[windows[:, ~is_word]]].reshape(n_windows, -1)
+    pre = inputs @ conv_w.T + store.value(CONV_B)
+    feature_map = np.tanh(pre) if use_tanh else pre
     pooled, argmax = max_over_time(feature_map)
-    return ConvCache(list(windows), slot_rows, inputs, feature_map, pooled,
+    return ConvCache(windows, rel_rows, word_cols, inputs, feature_map, pooled,
                      argmax, use_tanh)
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray,
-                  store: ParameterStore, vocab) -> list[np.ndarray]:
+                  store: ParameterStore, vocab) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
     through the filter into relation embeddings, the pad vector, and the
-    path-word vectors (returned, in path order)."""
-    conv_w = store.value(CONV_W)
-    n_windows = len(cache.inputs)
-
+    path-word vectors (returned, one row per path word in path order)."""
+    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+    # max-pooling routes each hidden unit to exactly one window; scaling the
+    # gathered rows in place keeps to one hidden x width temporary
+    d_conv_w = cache.inputs[cache.argmax]
+    d_conv_w *= d_pre[:, None]
+    store.grad(CONV_W)[...] += d_conv_w
+    store.grad(CONV_B)[...] += d_pre
     d_features = np.zeros_like(cache.feature_map)
-    for coord, win in enumerate(cache.argmax):
-        d_features[win, coord] += upstream[coord]
+    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
+    d_inputs = d_features @ store.value(CONV_W)
 
-    word_dim = store.value(PAD_WORD).size
-    rel_dim = store.value(REL_EMB).shape[1]
-    d_words: dict[int, np.ndarray] = {}
-    for i in range(n_windows):
-        d_out = d_features[i]
-        if not d_out.any():
-            continue
-        d_pre = tanh_backward(cache.feature_map[i], d_out) if cache.use_tanh else d_out
-        store.grad(CONV_W)[...] += np.outer(d_pre, cache.inputs[i])
-        store.grad(CONV_B)[...] += d_pre
-        d_x = conv_w.T @ d_pre
-        offset = 0
-        for (kind, ref), row in zip(cache.windows[i], cache.slot_rows[i]):
-            if kind == WORD_SLOT:
-                segment = d_x[offset:offset + word_dim]
-                if ref is None:
-                    store.grad(PAD_WORD)[...] += segment
-                else:
-                    d_words.setdefault(ref, np.zeros(word_dim))
-                    d_words[ref] += segment
-                offset += word_dim
-            else:
-                store.grad(REL_EMB)[row] += d_x[offset:offset + rel_dim]
-                offset += rel_dim
-
-    total_words = len(cache.windows)
-    return [d_words.get(i, np.zeros(word_dim)) for i in range(total_words)]
+    windows, word_cols = cache.windows, cache.word_cols
+    is_word = word_slots(windows.shape[1])
+    n_windows, word_dim = len(windows), store.value(PAD_WORD).size
+    d_words = np.zeros((n_windows + 1, word_dim))
+    np.add.at(d_words, windows[:, is_word],
+              d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
+    np.add.at(store.grad(REL_EMB), cache.rel_rows[windows[:, ~is_word]],
+              d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
+    store.grad(PAD_WORD)[...] += d_words[0]
+    return d_words[1:]

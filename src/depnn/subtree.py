@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterStore, matvec, tanh_backward
+from .numerics import ParameterStore, tanh_backward
 
 WORD_EMB = "word_emb"
 REL_EMB = "rel_emb"
@@ -47,35 +47,33 @@ def encode_word(graph, adp, word: int, store: ParameterStore, vocab,
     in ascending token order; the sum is order-independent up to float
     reassociation, so the canonical order just pins the bit pattern.
     """
-    word_emb = store.value(WORD_EMB)
-    comp_bias = store.value(COMP_BIAS)
-    leaf = store.value(LEAF_VEC)
-
     children_of: dict[int, list] = {}
     if include_subtree:
         for arc in adp.subtrees[word]:
             children_of.setdefault(arc.head, []).append(arc)
+    return _encode(word, graph, children_of, store, vocab)
 
-    def encode(node: int) -> NodeCache:
-        try:
-            row = vocab.word_row(graph.token(node).form)
-        except LookupError as exc:
-            raise MissingEmbedding(str(exc)) from None
-        x = word_emb[row]
-        arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
-        if not arcs:
-            c = leaf
-            cache = NodeCache(node, row, np.concatenate([x, c]), c, True, [])
-        else:
-            kids = [(arc.relation, encode(arc.dependent)) for arc in arcs]
-            pre = comp_bias.copy()
-            for relation, kid in kids:
-                pre += matvec(store.value(vocab.comp_name(relation)), kid.p)
-            c = np.tanh(pre)
-            cache = NodeCache(node, row, np.concatenate([x, c]), c, False, kids)
-        return cache
 
-    return encode(word)
+# The recursions are module-level functions rather than closures: a closure
+# that calls itself is a reference cycle, which would keep the store alive
+# until the cyclic garbage collector runs.
+def _encode(node: int, graph, children_of, store: ParameterStore, vocab) -> NodeCache:
+    try:
+        row = vocab.word_row(graph.token(node).form)
+    except LookupError as exc:
+        raise MissingEmbedding(str(exc)) from None
+    x = store.value(WORD_EMB)[row]
+    arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
+    if not arcs:
+        c = store.value(LEAF_VEC)
+        return NodeCache(node, row, np.concatenate([x, c]), c, True, [])
+    kids = [(arc.relation, _encode(arc.dependent, graph, children_of, store, vocab))
+            for arc in arcs]
+    pre = store.value(COMP_BIAS).copy()
+    for relation, kid in kids:
+        pre += store.value(vocab.comp_name(relation)) @ kid.p
+    c = np.tanh(pre)
+    return NodeCache(node, row, np.concatenate([x, c]), c, False, kids)
 
 
 def encode_backward(cache: NodeCache, upstream: np.ndarray,
@@ -83,19 +81,19 @@ def encode_backward(cache: NodeCache, upstream: np.ndarray,
     """Propagate a gradient on p_w back through the subtree recursion,
     accumulating into word embeddings, composition matrices, the
     composition bias, and the leaf vector."""
-    dim = cache.p.size - cache.c.size
+    _backward(cache, upstream, cache.p.size - cache.c.size, store, vocab)
 
-    def backward(node: NodeCache, d_p: np.ndarray) -> None:
-        store.grad(WORD_EMB)[node.word_row] += d_p[:dim]
-        d_c = d_p[dim:]
-        if node.is_leaf:
-            store.grad(LEAF_VEC)[...] += d_c
-            return
-        d_pre = tanh_backward(node.c, d_c)
-        store.grad(COMP_BIAS)[...] += d_pre
-        for relation, kid in node.children:
-            name = vocab.comp_name(relation)
-            store.grad(name)[...] += np.outer(d_pre, kid.p)
-            backward(kid, store.value(name).T @ d_pre)
 
-    backward(cache, upstream)
+def _backward(node: NodeCache, d_p: np.ndarray, dim: int,
+              store: ParameterStore, vocab) -> None:
+    store.grad(WORD_EMB)[node.word_row] += d_p[:dim]
+    d_c = d_p[dim:]
+    if node.is_leaf:
+        store.grad(LEAF_VEC)[...] += d_c
+        return
+    d_pre = tanh_backward(node.c, d_c)
+    store.grad(COMP_BIAS)[...] += d_pre
+    for relation, kid in node.children:
+        name = vocab.comp_name(relation)
+        store.grad(name)[...] += np.outer(d_pre, kid.p)
+        _backward(kid, store.value(name).T @ d_pre, dim, store, vocab)

@@ -1,10 +1,10 @@
 import pytest
 
 from depnn.adp import (Arc, DependencyGraph, Direction, InvalidSpan,
-                       PathElementKind, PathStep, Token, TreeViolation,
-                       attach_subtrees, collapse_prepositions, directed_label,
-                       find_entity_head, path_elements, render_path,
-                       shortest_path)
+                       PathStep, Token, TreeViolation, attach_subtrees,
+                       collapse_prepositions, directed_label, find_entity_head,
+                       render_path, shortest_path)
+from depnn.path_cnn import build_windows, word_slots
 
 from conftest import enumerate_tree_path, graph_of, offpath_descendants, random_tree
 
@@ -155,25 +155,35 @@ class TestAttachSubtrees:
                 seen |= tokens
 
     def test_elements_alternate_with_sentinels(self, rng):
+        # reading each window's center word and the relation before it, plus
+        # the last window's closing relation, spells the alternating sequence
+        # start p_0 r_0 p_1 ... p_{n-1} end: relation slots index
+        # [start, r_0 .. r_{n-2}, end], word slots [pad, p_0 .. p_{n-1}]
         for _ in range(50):
             g = random_tree(rng)
-            n = len(g.tokens)
-            a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
-            elements = attach_subtrees(g, shortest_path(g, a, b)).elements
-            assert elements[0].kind is PathElementKind.START
-            assert elements[-1].kind is PathElementKind.END
-            inner = elements[1:-1]
-            assert inner[0].kind is PathElementKind.WORD
-            for left, right in zip(inner, inner[1:]):
-                assert {left.kind, right.kind} == {PathElementKind.WORD,
-                                                   PathElementKind.RELATION}
+            n_tokens = len(g.tokens)
+            a, b = 1 + int(rng.integers(n_tokens)), 1 + int(rng.integers(n_tokens))
+            n = len(attach_subtrees(g, shortest_path(g, a, b)).path_tokens)
+            for k in (3, 5, 7, 9):
+                windows = build_windows(n, k)
+                half = (k - 1) // 2
+                sequence = []
+                for window in windows:
+                    sequence += [("rel", window[half - 1]), ("word", window[half])]
+                sequence.append(("rel", windows[-1][half + 1]))
+                assert sequence == [("word", (i + 1) // 2) if i % 2 else ("rel", i // 2)
+                                    for i in range(2 * n + 1)]
 
     def test_single_word_path_elements(self):
         g = graph_of(2, [(0, 1, "root"), (1, 2, "det")])
-        elements = path_elements(shortest_path(g, 1, 1))
-        assert [e.kind for e in elements] == [PathElementKind.START,
-                                              PathElementKind.WORD,
-                                              PathElementKind.END]
+        n = len(shortest_path(g, 1, 1))
+        for k in (3, 5, 7, 9):
+            [window] = build_windows(n, k).tolist()
+            half = (k - 1) // 2
+            # the word between the start and end sentinels, padded outside
+            expected = [int(i == half) if is_word else int(i > half)
+                        for i, is_word in enumerate(word_slots(k))]
+            assert window == expected
 
 
 class TestCollapsePrepositions:

@@ -1,20 +1,29 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.classifier import (EmptyPath, Model, OUT_W, TrainConfig,
-                              cross_entropy, cross_validation_folds)
+from depnn.classifier import (EmptyPath, Model, ModelFileMismatch, OUT_W,
+                              TrainConfig, cross_entropy)
 from depnn.corpus import LABELS, Instance, entity_mention
+from depnn.evaluation import score
 from depnn.numerics import NonFiniteLoss, gradient_check
+from depnn.path_cnn import CONV_B
 
-from conftest import graph_of, tiny_model
+from conftest import graph_of, rewrite_model_file, tiny_model
 
 
 def one_instance():
     return synth.make_separable_corpus(1)[0]
+
+
+def accuracy(model, instances):
+    return score([inst.gold for inst in instances],
+                 [model.predict(inst).label for inst in instances]).accuracy
 
 
 class TestConfig:
@@ -156,9 +165,9 @@ class TestTraining:
                            learning_rate=0.05)
         for _ in range(100):
             model.train(instances, epochs=1)
-            if model.accuracy(instances) >= 0.99:
+            if accuracy(model, instances) >= 0.99:
                 break
-        assert model.accuracy(instances) >= 0.99
+        assert accuracy(model, instances) >= 0.99
 
     def test_validation_f1_reported(self):
         instances = synth.make_separable_corpus(12)
@@ -167,6 +176,23 @@ class TestTraining:
         assert len(report.val_f1) == 2
         assert all(f is not None for f in report.val_f1)
 
+    def test_store_freed_without_cycle_collection(self):
+        # a model dropped after training or predicting must not wait for the
+        # cyclic garbage collector to release its parameters
+        instances = synth.make_gradcheck_instances(3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = tiny_model(instances)
+            model.train_step(instances[0])
+            model.predict(instances[1])
+            store = weakref.ref(model.store)
+            del model
+            assert store() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_loss_aborts(self):
         inst = one_instance()
@@ -174,16 +200,6 @@ class TestTraining:
         model.store.value(OUT_W)[...] = np.inf
         with pytest.raises(NonFiniteLoss):
             model.train_step(inst)
-
-    def test_fold_splits_partition(self):
-        for n, k in ((50, 5), (23, 4)):
-            folds = cross_validation_folds(n, k, seed=3)
-            assert len(folds) == k
-            all_val = [i for _, val in folds for i in val]
-            assert sorted(all_val) == list(range(n))
-            for train, val in folds:
-                assert set(train) | set(val) == set(range(n))
-                assert not set(train) & set(val)
 
 
 class TestAblation:
@@ -246,6 +262,15 @@ class TestPersistence:
                                   loaded.predict(inst).distribution)
         assert loaded.config == model.config
         assert loaded.vocab.words == model.vocab.words
+
+    @pytest.mark.parametrize("drop, narrow", [(CONV_B, None), (None, OUT_W)])
+    def test_load_rejects_tensors_that_do_not_fit_config(self, tmp_path, drop, narrow):
+        instances = synth.make_separable_corpus(5)
+        path = tmp_path / "m.model"
+        tiny_model(instances).save(path)
+        rewrite_model_file(path, drop=drop, narrow=narrow)
+        with pytest.raises(ModelFileMismatch, match=f"m.model: tensor '{drop or narrow}'"):
+            Model.load(path)
 
     def test_single_precision_round_trip_close(self, tmp_path):
         instances = synth.make_separable_corpus(5)

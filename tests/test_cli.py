@@ -7,6 +7,8 @@ from depnn.cli import main
 from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary,
                           read_parsed_instances, write_parsed_instances)
 
+from conftest import rewrite_model_file, tiny_model
+
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
 Comment: tool use
@@ -65,6 +67,18 @@ class TestExitCodes:
 
     def test_failed_tolerance_is_numeric_failure(self, capsys):
         assert main(["gradcheck", "--n", "1", "--tolerance", "1e-14"]) == 3
+
+    @pytest.mark.parametrize("drop, narrow", [("conv_b", None), (None, "out_w")])
+    def test_model_file_not_fitting_config_is_data_error(self, tmp_path, corpus_file,
+                                                         capsys, drop, narrow):
+        model_path = tmp_path / "m.model"
+        tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+        rewrite_model_file(model_path, drop=drop, narrow=narrow)
+        assert main(["predict", "--model", str(model_path),
+                     "--instances", str(corpus_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: tensor '{drop or narrow}'")
+        assert "Traceback" not in err
 
 
 class TestConvert:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from depnn.path_cnn import (CONV_W, END, REL_SLOT, START, WORD_SLOT,
-                            InvalidWindowSize, build_windows, conv_backward,
-                            conv_forward, max_over_time, window_width,
-                            words_per_window)
+from depnn import synth
+from depnn.adp import attach_subtrees, directed_label, shortest_path
+from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows,
+                            conv_backward, conv_forward, max_over_time,
+                            window_width, word_slots, words_per_window)
 from depnn.numerics import ShapeMismatch
-from depnn.subtree import PAD_WORD, REL_EMB
+from depnn.subtree import PAD_WORD, REL_EMB, encode_word
 
-from conftest import graph_of, tiny_model
+from conftest import (enumerate_windows, graph_of, oracle_conv_backward,
+                      oracle_conv_forward, tiny_model)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -34,25 +36,20 @@ def run_conv(model, n_words, k, word_vecs=None, rel_labels=None, use_tanh=True):
 
 
 class TestWindows:
+    # word slots index [pad, p_0 .. p_{n-1}], relation slots
+    # [start, r_0 .. r_{n-2}, end]
     def test_three_word_path_k3(self):
-        assert build_windows(3, 3) == [
-            [(REL_SLOT, START), (WORD_SLOT, 0), (REL_SLOT, 0)],
-            [(REL_SLOT, 0), (WORD_SLOT, 1), (REL_SLOT, 1)],
-            [(REL_SLOT, 1), (WORD_SLOT, 2), (REL_SLOT, END)],
-        ]
+        # (start p_0 r_0) (r_0 p_1 r_1) (r_1 p_2 end)
+        assert build_windows(3, 3).tolist() == [[0, 1, 1], [1, 2, 2], [2, 3, 3]]
 
     def test_one_word_path_k3(self):
-        assert build_windows(1, 3) == [
-            [(REL_SLOT, START), (WORD_SLOT, 0), (REL_SLOT, END)],
-        ]
+        # (start p_0 end)
+        assert build_windows(1, 3).tolist() == [[0, 1, 1]]
 
     def test_two_word_path_k5_hand_enumerated(self):
-        assert build_windows(2, 5) == [
-            [(WORD_SLOT, None), (REL_SLOT, START), (WORD_SLOT, 0),
-             (REL_SLOT, 0), (WORD_SLOT, 1)],
-            [(WORD_SLOT, 0), (REL_SLOT, 0), (WORD_SLOT, 1),
-             (REL_SLOT, END), (WORD_SLOT, None)],
-        ]
+        # (pad start p_0 r_0 p_1) (p_0 r_0 p_1 end pad)
+        assert build_windows(2, 5).tolist() == [[0, 0, 1, 1, 2], [1, 1, 2, 2, 0]]
+        assert word_slots(5).tolist() == [True, False, True, False, True]
 
     def test_invalid_window_sizes(self):
         for k in (1, 2, 4, 0, -3):
@@ -71,13 +68,21 @@ class TestWindows:
         assert words_per_window(9) == 5
 
     def test_every_window_has_declared_slot_counts(self):
+        # slot by slot against the (kind, ref) windows of the conftest oracle
+        def oracle_index(ref, n):
+            if ref is None or ref == "start":
+                return 0
+            return n if ref == "end" else ref + 1
+
         for k in (3, 5, 7, 9):
-            n_w = words_per_window(k)
             for n in range(1, 5):
-                for window in build_windows(n, k):
-                    words = sum(1 for kind, _ in window if kind == WORD_SLOT)
-                    assert words == n_w
-                    assert len(window) == k
+                windows = build_windows(n, k)
+                assert windows.shape == (n, k)
+                for window, slots in zip(windows.tolist(), enumerate_windows(n, k)):
+                    kinds = [kind == "word" for kind, _ in slots]
+                    assert kinds == word_slots(k).tolist()
+                    assert sum(kinds) == words_per_window(k)
+                    assert window == [oracle_index(ref, n) for _, ref in slots]
 
     def test_window_width_matches_filter_and_slots(self):
         dim, dim_c = 7, 3
@@ -134,7 +139,7 @@ class TestConvForward:
         vecs = [np.full(width, 0.1 * (i + 1)) for i in range(3)]
         labels = ["r1", "r2"]
         direct = conv_forward(windows, vecs, labels, model.store, model.vocab)
-        permuted = conv_forward([windows[2], windows[0], windows[1]], vecs,
+        permuted = conv_forward(windows[[2, 0, 1]], vecs,
                                 labels, model.store, model.vocab)
         assert np.allclose(direct.pooled, permuted.pooled, atol=0)
 
@@ -178,3 +183,41 @@ class TestConvBackward:
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
+
+
+class TestOracleEquivalence:
+    """The vectorized conv against the per-window, per-slot oracle in
+    conftest, on random subtree-encoded paths."""
+
+    @pytest.mark.parametrize("use_tanh", [True, False])
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_matches_per_window_oracle(self, k, use_tanh, rng):
+        instances = synth.make_gradcheck_instances(12, seed=100 + k)
+        model = tiny_model(instances, window=k, conv_tanh=use_tanh)
+        store = model.store
+        for inst in instances:
+            adp = attach_subtrees(inst.graph, shortest_path(
+                inst.graph, inst.e1.head_index, inst.e2.head_index))
+            vecs = [encode_word(inst.graph, adp, w, store, model.vocab).p
+                    for w in adp.path_tokens]
+            labels = [directed_label(s.relation, s.direction) for s in adp.steps[1:]]
+            n = len(vecs)
+            new = conv_forward(build_windows(n, k), vecs, labels, store,
+                               model.vocab, use_tanh=use_tanh)
+            old = oracle_conv_forward(n, k, vecs, labels, store, model.vocab,
+                                      use_tanh=use_tanh)
+            assert np.array_equal(new.argmax, old.argmax)
+            assert np.abs(new.pooled - old.pooled).max() <= 1e-12
+
+            upstream = rng.normal(size=model.config.hidden)
+            store.zero_grads()
+            d_new = conv_backward(new, upstream, store, model.vocab)
+            grads_new = {name: store.grad(name).copy() for name in store.names()}
+            store.zero_grads()
+            d_old = oracle_conv_backward(old, upstream, store)
+            for name in store.names():
+                assert np.abs(grads_new[name] - store.grad(name)).max() <= 1e-12, name
+            assert len(d_new) == len(d_old) == n
+            for a, b in zip(d_new, d_old):
+                assert np.abs(a - b).max() <= 1e-12
+            store.zero_grads()
