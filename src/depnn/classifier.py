@@ -238,7 +238,7 @@ class Model:
         offset = hidden
         for name, row in cache.lex_rows:
             width = self.store.value(name).shape[1]
-            self.store.grad(name)[row] += d_combined[offset:offset + width]
+            self.store.add_rows(name, row, d_combined[offset:offset + width])
             offset += width
 
         d_words = conv_backward(cache.conv, d_pooled, self.store, self.vocab)
@@ -257,10 +257,9 @@ class Model:
         return loss
 
     def train_step(self, instance: Instance) -> float:
-        """One SGD update on one instance; gradients are cleared afterward."""
+        """One SGD update on one instance; the update clears the gradients."""
         loss = self.accumulate_gradients(instance)
         self.store.sgd_step(self.config.learning_rate)
-        self.store.zero_grads()
         return loss
 
     def train(self, instances, validation=None, progress=None,

@@ -19,7 +19,7 @@ from . import adp, classifier, corpus, evaluation, numerics, synth
 _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
                 corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
                 adp.InvalidSpan, adp.Disconnected, classifier.EmptyPath,
-                classifier.ModelFileMismatch,
+                classifier.ModelFileMismatch, numerics.ModelFormatError,
                 evaluation.LengthMismatch, FileNotFoundError, ValueError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)

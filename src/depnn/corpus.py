@@ -199,18 +199,57 @@ def _instance_to_record(instance: Instance) -> dict:
     }
 
 
-def _instance_from_record(record: dict, line_no: int) -> Instance:
+_TEXT = (str, type(None))
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _check_record(record, line_no: int) -> None:
+    """Raise FormatError unless the record has the fields, and the field
+    types, that _instance_to_record writes; token rows are checked as they
+    are read."""
+    if not isinstance(record, dict):
+        raise FormatError("record must be a JSON object", line_no)
+    for key in ("id", "tokens", "e1", "e2"):
+        if key not in record:
+            raise FormatError(f"record has no {key!r} field", line_no)
+    if not _is_int(record["id"]):
+        raise FormatError("'id' must be an integer", line_no)
+    if not isinstance(record["tokens"], list):
+        raise FormatError("'tokens' must be a list of token rows", line_no)
+    for key in ("e1", "e2"):
+        span = record[key]
+        if not isinstance(span, list) or len(span) != 2 or not all(map(_is_int, span)):
+            raise FormatError(f"{key!r} must be a [start, end] pair of integers", line_no)
+    if type(record.get("label")) not in _TEXT:
+        raise FormatError("'label' must be a string or null", line_no)
+
+
+def _instance_from_record(record, line_no: int) -> Instance:
+    _check_record(record, line_no)
     rec_id = record["id"]
     tokens = []
     arcs = []
     inactive = []
+    # exact type tests: this loop runs once per token of every record read
     for pos, row in enumerate(record["tokens"], start=1):
+        if type(row) is not list or len(row) != 6:
+            raise FormatError(f"token {pos}: expected a row of 6 columns "
+                              "[form, lemma, head, relation, ner, wordnet]", line_no)
         form, lemma, head, rel, ner, wn = row
+        if (type(form) is not str or type(head) is not int or type(lemma) not in _TEXT
+                or type(rel) not in _TEXT or type(ner) not in _TEXT or type(wn) not in _TEXT):
+            raise FormatError(f"token {pos}: form must be a string, head an integer, "
+                              "and lemma, relation, ner and wordnet strings or null", line_no)
         tokens.append(Token(pos, form, lemma, ner, wn))
         if head == -1:
             inactive.append(pos)
         elif head == 0:
             arcs.append(Arc(0, pos, rel or "root"))
+        elif rel is None:
+            raise FormatError(f"token {pos}: an arc from head {head} needs a relation", line_no)
         else:
             arcs.append(Arc(head, pos, rel))
     try:

@@ -32,6 +32,10 @@ class NonFiniteLoss(ArithmeticError):
     pass
 
 
+class ModelFormatError(ValueError):
+    """A model file that is not a well-formed DEPNN1 file."""
+
+
 def tanh_backward(y, upstream):
     """Gradient through tanh, expressed in terms of the tanh output y."""
     return upstream * (1.0 - y * y)
@@ -50,16 +54,26 @@ def assert_finite(arr, name="tensor"):
 
 
 class _Param:
-    __slots__ = ("value", "grad", "kind")
+    __slots__ = ("value", "grad", "kind", "rows")
 
     def __init__(self, value: np.ndarray, kind: str):
         self.value = value
         self.grad = np.zeros_like(value)
         self.kind = kind
+        self.rows: set[int] = set()     # rows written through add_rows
 
 
 class ParameterStore:
     """Named dense tensors, each paired with a same-shape gradient buffer.
+
+    Gradient reaches a buffer either through grad(), as a dense write, or
+    through add_rows(), which also records the rows it wrote. sgd_step
+    applies every buffer and clears what it applied: a tensor with a row
+    record is updated and cleared on those rows only, every other tensor in
+    full, so the update costs what the step wrote and not the vocabulary
+    size. Once a tensor has a row record, its gradient must go through
+    add_rows until the next sgd_step or zero_grads: a dense write outside
+    the recorded rows would be neither applied nor cleared.
 
     Single-writer: forward passes against a frozen store are safe from any
     number of threads, but gradient accumulation and updates must be
@@ -102,13 +116,38 @@ class ParameterStore:
             raise ShapeMismatch(f"{name}: cannot assign shape {array.shape} to {param.value.shape}")
         param.value[...] = array
 
+    def add_rows(self, name: str, rows, delta) -> None:
+        """grad[rows] += delta, and record the rows for sgd_step. A repeated
+        row accumulates each of its deltas, in order."""
+        param = self._params[name]
+        if isinstance(rows, (int, np.integer)):
+            param.grad[rows] += delta
+            param.rows.add(int(rows))
+        else:
+            np.add.at(param.grad, rows, delta)
+            param.rows.update(np.ravel(rows).tolist())
+
     def zero_grads(self) -> None:
         for param in self._params.values():
             param.grad.fill(0.0)
+            param.rows.clear()
 
     def sgd_step(self, learning_rate: float) -> None:
+        """value -= learning_rate * grad on every tensor, then clear the
+        gradient that was applied. Entries off the row record hold a zero
+        gradient, so skipping them leaves the result bit for bit as a full
+        update."""
         for param in self._params.values():
-            param.value -= learning_rate * param.grad
+            if param.rows:
+                rows = np.fromiter(param.rows, dtype=np.intp, count=len(param.rows))
+                param.value[rows] -= learning_rate * param.grad[rows]
+                param.grad[rows] = 0.0
+                param.rows.clear()
+            else:
+                grad = param.grad
+                grad *= learning_rate
+                param.value -= grad
+                grad.fill(0.0)
 
     def validate_finite(self) -> None:
         for name, param in self._params.items():
@@ -210,33 +249,76 @@ def save_store(path, store: ParameterStore, meta: dict | None = None,
         fh.write(bytes(payload))
 
 
+def _read_manifest(path, lines: list[str], payload_size: int) -> list[tuple]:
+    """(name, shape, dtype, offset) per manifest line, each checked to be
+    well-formed, unique, and to lie inside the payload without overlap."""
+    entries = []
+    for line in lines:
+        fields = line.split("\t")
+        name = fields[0]
+        if len(fields) != 4:
+            raise ModelFormatError(f"{path}: manifest line for {name!r} has "
+                                   f"{len(fields)} fields, expected 4")
+        _, shape_csv, dtype, offset = fields
+        if dtype not in _DTYPE_CODES:
+            raise ModelFormatError(f"{path}: unknown dtype {dtype!r} for {name!r}")
+        try:
+            shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
+            offset = int(offset)
+        except ValueError:
+            raise ModelFormatError(f"{path}: bad shape or offset for {name!r}") from None
+        if offset < 0 or any(s < 0 for s in shape):
+            raise ModelFormatError(f"{path}: negative shape or offset for {name!r}")
+        entries.append((name, shape, dtype, offset))
+
+    names = set()
+    end = 0
+    for name, shape, dtype, offset in sorted(entries, key=lambda e: e[3]):
+        if name in names:
+            raise ModelFormatError(f"{path}: tensor {name!r} is listed twice")
+        names.add(name)
+        nbytes = int(np.prod(shape)) * np.dtype(_DTYPE_CODES[dtype]).itemsize
+        if offset < end:
+            raise ModelFormatError(f"{path}: tensor {name!r} overlaps the tensor before it")
+        end = offset + nbytes
+        if end > payload_size:
+            raise ModelFormatError(
+                f"{path}: tensor {name!r} needs payload bytes {offset}..{end}, "
+                f"but the file holds {payload_size} (truncated?)")
+    return entries
+
+
 def load_store(path) -> tuple[ParameterStore, dict]:
     """Read a DEPNN1 model file back into a float64 store; returns
-    (store, user metadata)."""
+    (store, user metadata). A malformed file raises ModelFormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     header_end = data.find(b"\n\n")
     if header_end < 0:
-        raise ValueError(f"{path}: missing manifest terminator")
-    lines = data[:header_end].decode("ascii").split("\n")
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a {MODEL_MAGIC} model file")
+        raise ModelFormatError(f"{path}: missing manifest terminator")
+    try:
+        lines = data[:header_end].decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: manifest is not ASCII") from None
+    if lines[0] != MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} model file")
     payload = data[header_end + 2:]
 
     tensors: dict[str, np.ndarray] = {}
-    for line in lines[1:]:
-        name, shape_csv, dtype, offset = line.split("\t")
-        if dtype not in _DTYPE_CODES:
-            raise ValueError(f"{path}: unknown dtype {dtype!r} for {name!r}")
-        shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
-        count = int(np.prod(shape)) if shape else 1
-        array = np.frombuffer(payload, dtype=_DTYPE_CODES[dtype],
-                              count=count, offset=int(offset)).reshape(shape)
-        tensors[name] = array
+    for name, shape, dtype, offset in _read_manifest(path, lines[1:], len(payload)):
+        count = int(np.prod(shape))
+        tensors[name] = np.frombuffer(payload, dtype=_DTYPE_CODES[dtype],
+                                      count=count, offset=offset).reshape(shape)
 
     if META_NAME not in tensors:
-        raise ValueError(f"{path}: missing {META_NAME} entry")
-    blob = json.loads(tensors.pop(META_NAME).tobytes().decode("utf-8"))
+        raise ModelFormatError(f"{path}: missing {META_NAME} entry")
+    try:
+        blob = json.loads(tensors.pop(META_NAME).tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ModelFormatError(f"{path}: {META_NAME} is not JSON") from None
+    if not (isinstance(blob, dict) and isinstance(blob.get("kinds"), dict)
+            and isinstance(blob.get("user"), dict)):
+        raise ModelFormatError(f"{path}: {META_NAME} lacks 'kinds' or 'user'")
     kinds = blob["kinds"]
     store = ParameterStore()
     for name, array in tensors.items():

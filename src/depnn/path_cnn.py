@@ -143,7 +143,7 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray,
     d_words = np.zeros((n_windows + 1, word_dim))
     np.add.at(d_words, windows[:, is_word],
               d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
-    np.add.at(store.grad(REL_EMB), cache.rel_rows[windows[:, ~is_word]],
-              d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
+    store.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+                   d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
     store.grad(PAD_WORD)[...] += d_words[0]
     return d_words[1:]

@@ -86,7 +86,7 @@ def encode_backward(cache: NodeCache, upstream: np.ndarray,
 
 def _backward(node: NodeCache, d_p: np.ndarray, dim: int,
               store: ParameterStore, vocab) -> None:
-    store.grad(WORD_EMB)[node.word_row] += d_p[:dim]
+    store.add_rows(WORD_EMB, node.word_row, d_p[:dim])
     d_c = d_p[dim:]
     if node.is_leaf:
         store.grad(LEAF_VEC)[...] += d_c

@@ -7,7 +7,7 @@ import pytest
 
 from depnn.adp import Arc, DependencyGraph, Direction, PathStep, Token
 from depnn.classifier import Model, TrainConfig
-from depnn.corpus import PATH_END, PATH_START, Vocabulary
+from depnn.corpus import INSTANCE_FORMAT_HEADER, PATH_END, PATH_START, Vocabulary
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
 from depnn.path_cnn import CONV_B, CONV_W
 from depnn.subtree import PAD_WORD, REL_EMB
@@ -181,6 +181,42 @@ def oracle_conv_backward(cache, upstream, store):
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
 
 
+def dense_sgd_oracle(store, learning_rate):
+    """What a full-table update makes of every tensor: value - lr * grad,
+    computed on copies, per tensor name."""
+    return {name: store.value(name) - learning_rate * store.grad(name)
+            for name in store.names()}
+
+
+VALID_RECORD = ('{"id": 1, "tokens": [["a", null, 0, "root", null, null], '
+                '["b", null, 1, "x", null, null]], "e1": [1, 1], "e2": [2, 2], '
+                '"label": "Other"}')
+
+# one malformed DEPNN-INST record per shape rule, each with a phrase of the
+# error it must raise
+MALFORMED_RECORDS = {
+    "not-an-object": ("[1, 2]", "JSON object"),
+    "missing-id": (VALID_RECORD.replace('"id": 1, ', ""), "'id'"),
+    "string-id": (VALID_RECORD.replace('"id": 1', '"id": "1"'), "'id'"),
+    "tokens-not-a-list": (VALID_RECORD.replace('"tokens": [[', '"tokens": {"t": [[')
+                          .replace('null]], "e1"', 'null]]}, "e1"'), "'tokens'"),
+    "five-column-row": (VALID_RECORD.replace('["b", null, 1, "x", null, null]',
+                                             '["b", null, 1, "x", null]'), "6 columns"),
+    "head-not-int": (VALID_RECORD.replace('["b", null, 1,', '["b", null, "1",'),
+                     "head an integer"),
+    "relation-missing": (VALID_RECORD.replace('1, "x"', '1, null'), "needs a relation"),
+    "span-of-three": (VALID_RECORD.replace('"e2": [2, 2]', '"e2": [2, 2, 2]'), "'e2'"),
+    "span-not-int": (VALID_RECORD.replace('"e1": [1, 1]', '"e1": [1, "1"]'), "'e1'"),
+    "label-not-string": (VALID_RECORD.replace('"Other"', '7'), "'label'"),
+}
+
+
+def write_instance_file(path, *records):
+    path.write_text("\n".join((INSTANCE_FORMAT_HEADER,) + records) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 TINY_CONFIG = dict(dim=6, dim_c=4, hidden=5, window=3, lex_dim=3, seed=11)
 
 
@@ -203,6 +239,24 @@ def rewrite_model_file(path, drop=None, narrow=None):
         store.register(name, value.shape, source.kind(name))
         store.set_value(name, value)
     save_store(path, store, meta)
+
+
+def truncate_model_file(path, n_bytes):
+    """Cut the last n_bytes off a saved model file."""
+    data = path.read_bytes()
+    path.write_bytes(data[:-n_bytes])
+
+
+def edit_manifest(path, edit):
+    """Rewrite the manifest of a saved model file: `edit` takes and returns
+    the list of manifest lines after the magic line, each split into its
+    TAB-separated fields. The payload is kept."""
+    data = path.read_bytes()
+    header_end = data.index(b"\n\n")
+    magic, *lines = data[:header_end].decode("ascii").split("\n")
+    fields = edit([line.split("\t") for line in lines])
+    manifest = "\n".join([magic] + ["\t".join(f) for f in fields])
+    path.write_bytes(manifest.encode("ascii") + data[header_end:])
 
 
 @pytest.fixture

@@ -150,6 +150,18 @@ class TestTraining:
                                 model.store)
         assert max(errors.values()) < 1e-5
 
+    @pytest.mark.parametrize("use_subtrees", [True, False])
+    @pytest.mark.parametrize("lexical", [True, False])
+    @pytest.mark.parametrize("conv_tanh", [True, False])
+    def test_train_step_leaves_every_gradient_zero(self, use_subtrees, lexical, conv_tanh):
+        instances = synth.make_gradcheck_instances(4, seed=6)
+        model = tiny_model(instances, use_subtrees=use_subtrees, use_ner=lexical,
+                           use_wordnet=lexical, conv_tanh=conv_tanh)
+        for inst in instances:
+            model.train_step(inst)
+            for name in model.store.names():
+                assert not model.store.grad(name).any(), name
+
     def test_zero_epochs_leave_store_untouched(self):
         instances = synth.make_separable_corpus(6)
         model = tiny_model(instances, epochs=0)

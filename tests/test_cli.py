@@ -7,7 +7,8 @@ from depnn.cli import main
 from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary,
                           read_parsed_instances, write_parsed_instances)
 
-from conftest import rewrite_model_file, tiny_model
+from conftest import (MALFORMED_RECORDS, VALID_RECORD, rewrite_model_file,
+                      tiny_model, truncate_model_file, write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -67,6 +68,25 @@ class TestExitCodes:
 
     def test_failed_tolerance_is_numeric_failure(self, capsys):
         assert main(["gradcheck", "--n", "1", "--tolerance", "1e-14"]) == 3
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_malformed_instance_record_is_data_error(self, tmp_path, capsys, case):
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
+                                   MALFORMED_RECORDS[case][0])
+        assert main(["stats", "--instances", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
+        assert "Traceback" not in err
+
+    def test_truncated_model_file_is_data_error(self, tmp_path, corpus_file, capsys):
+        model_path = tmp_path / "m.model"
+        tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+        truncate_model_file(model_path, 1)
+        assert main(["predict", "--model", str(model_path),
+                     "--instances", str(corpus_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: tensor 'word_emb' needs payload bytes")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("drop, narrow", [("conv_b", None), (None, "out_w")])
     def test_model_file_not_fitting_config_is_data_error(self, tmp_path, corpus_file,

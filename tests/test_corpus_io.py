@@ -12,6 +12,8 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 
+from conftest import MALFORMED_RECORDS, VALID_RECORD, write_instance_file
+
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
 Comment: tool use
@@ -119,6 +121,14 @@ class TestParsedInstances:
         path.write_text(INSTANCE_FORMAT_HEADER + "\n" + record + "\n", encoding="utf-8")
         with pytest.raises(SpanError, match="instance 9"):
             read_parsed_instances(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_malformed_record_is_format_error_with_line(self, tmp_path, case):
+        record, phrase = MALFORMED_RECORDS[case]
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD, "", record)
+        with pytest.raises(FormatError, match=phrase) as err:
+            read_parsed_instances(path)
+        assert err.value.line == 4
 
     def test_figure_sentence_record_through_pipeline(self, tmp_path):
         # hand-written 7-token record with a collapsed (inactive) preposition

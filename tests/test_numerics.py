@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from depnn.numerics import (BIAS, EMBEDDING, WEIGHT, NonFiniteLoss,
-                            ParameterStore, ShapeMismatch, assert_finite,
+from depnn import synth
+
+from depnn.numerics import (BIAS, EMBEDDING, WEIGHT, ModelFormatError,
+                            NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
                             NonFiniteValue, gradient_check, init_uniform,
                             load_store, save_store, softmax, tanh_backward)
+
+from conftest import (dense_sgd_oracle, edit_manifest, tiny_model,
+                      truncate_model_file)
 
 
 class TestKernels:
@@ -73,6 +78,78 @@ class TestParameterStore:
         assert np.allclose(store.value("w"), [0.95, 2.05])
         store.zero_grads()
         assert not store.grad("w").any()
+
+
+def assert_bit_identical(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestRowRecordedUpdate:
+    def build(self, rng):
+        store = ParameterStore()
+        store.register("table", (30, 4), EMBEDDING)
+        store.register("lex", (6, 3), EMBEDDING)
+        store.register("pad_word", (5,), EMBEDDING)
+        store.register("w", (3, 4), WEIGHT)
+        store.register("b", (3,), BIAS)
+        init_uniform(store, seed=3)
+        store.set_value("b", rng.normal(size=3))
+        return store
+
+    def write(self, store, rng):
+        """Duplicate rows through both add_rows forms, dense writes through
+        grad(), and one tensor left without gradient."""
+        store.add_rows("table", np.array([[4, 9], [4, 4]]), rng.normal(size=(2, 2, 4)))
+        store.add_rows("table", 9, rng.normal(size=4))
+        store.add_rows("table", np.array([27, 0, 27]), rng.normal(size=(3, 4)))
+        store.add_rows("lex", 2, rng.normal(size=3))
+        store.add_rows("lex", 2, rng.normal(size=3))
+        store.grad("pad_word")[...] += rng.normal(size=5)
+        store.grad("w")[...] += rng.normal(size=(3, 4))
+
+    def test_matches_dense_oracle_bit_for_bit(self, rng):
+        store = self.build(rng)
+        for lr in (0.05, 0.3, 1.0):
+            self.write(store, rng)
+            expected = dense_sgd_oracle(store, lr)
+            store.sgd_step(lr)
+            for name in store.names():
+                assert_bit_identical(store.value(name), expected[name])
+                assert not store.grad(name).any(), name
+
+    def test_add_rows_accumulates_duplicates_in_order(self, rng):
+        store = self.build(rng)
+        deltas = rng.normal(size=(3, 4))
+        store.add_rows("table", np.array([7, 7, 7]), deltas)
+        expected = np.zeros(4)
+        for delta in deltas:
+            expected += delta
+        assert_bit_identical(store.grad("table")[7], expected)
+        assert not np.delete(store.grad("table"), 7, axis=0).any()
+
+    def test_zero_grads_clears_the_row_record(self, rng):
+        store = self.build(rng)
+        store.add_rows("table", 5, np.ones(4))
+        store.zero_grads()
+        store.grad("table")[11] += 1.0      # a dense write is applied in full
+        expected = dense_sgd_oracle(store, 0.5)
+        store.sgd_step(0.5)
+        assert_bit_identical(store.value("table"), expected["table"])
+        assert not store.grad("table").any()
+
+    def test_accumulated_model_gradients_match_dense_oracle(self):
+        instances = synth.make_gradcheck_instances(6, seed=8)
+        model = tiny_model(instances, use_ner=True, use_wordnet=True)
+        for i, inst in enumerate(instances):
+            model.accumulate_gradients(inst)
+            if i % 2 == 0:
+                continue                    # each update sums two instances
+            expected = dense_sgd_oracle(model.store, model.config.learning_rate)
+            model.store.sgd_step(model.config.learning_rate)
+            for name in model.store.names():
+                assert_bit_identical(model.store.value(name), expected[name])
+                assert not model.store.grad(name).any(), name
 
 
 class TestInitUniform:
@@ -196,6 +273,48 @@ class TestSerialization:
         save_store(p1, self.build_store(), {"k": [1, 2]})
         save_store(p2, self.build_store(), {"k": [1, 2]})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_file_names_path_and_tensor(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_store(path, self.build_store(), {})
+        truncate_model_file(path, 8)
+        with pytest.raises(ModelFormatError, match=f"{path}: tensor 'table'.*truncated"):
+            load_store(path)
+
+    def saved(self, tmp_path, edit=None):
+        path = tmp_path / "m.model"
+        save_store(path, self.build_store(), {})
+        if edit is not None:
+            edit_manifest(path, edit)
+        return path
+
+    # manifest lines in file order: __meta__, alpha, beta, table
+    def test_duplicated_manifest_line_names_path_and_tensor(self, tmp_path):
+        path = self.saved(tmp_path, lambda lines: lines + [lines[2]])
+        with pytest.raises(ModelFormatError, match=f"{path}: tensor 'beta' is listed twice"):
+            load_store(path)
+
+    @pytest.mark.parametrize("edit_beta, phrase", [
+        (lambda f: f[:2] + ["f2"] + f[3:], "unknown dtype 'f2' for 'beta'"),
+        (lambda f: f[:1] + ["four"] + f[2:], "bad shape or offset for 'beta'"),
+        (lambda f: f[:3] + ["-8"], "negative shape or offset for 'beta'"),
+        (lambda f: f + ["0"], "manifest line for 'beta' has 5 fields"),
+    ])
+    def test_malformed_manifest_line(self, tmp_path, edit_beta, phrase):
+        def edit(lines):
+            lines[2] = edit_beta(lines[2])
+            return lines
+        path = self.saved(tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=f"{path}: {phrase}"):
+            load_store(path)
+
+    def test_overlapping_tensors_rejected(self, tmp_path):
+        def edit(lines):
+            lines[3][3] = lines[2][3]       # table starts where beta does
+            return lines
+        path = self.saved(tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=f"{path}: tensor '(beta|table)' overlaps"):
+            load_store(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk"
