@@ -3,7 +3,7 @@ loss, and the per-instance SGD training loop."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -146,6 +146,40 @@ def parameter_layout(config: TrainConfig, vocab: Vocabulary) -> dict[str, tuple]
     return layout
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (description, check) of a model file's metadata values, per field
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_STRINGS = ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+_TYPE_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+_META_CHECKS = {"format": ("a string", lambda v: isinstance(v, str)),
+                "labels": _STRINGS, "config": _OBJECT, "vocab": _OBJECT}
+_CONFIG_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(TrainConfig)}
+_VOCAB_CHECKS = {f.name: _STRINGS for f in fields(Vocabulary)}
+
+
+def _check_fields(path, data: dict, checks: dict, prefix: str = "") -> None:
+    """Raise ModelFileMismatch naming the first field of `data` that is
+    unknown, missing or fails its check."""
+    for key in sorted(data.keys() | checks.keys()):
+        field_name = prefix + key
+        if key not in checks:
+            raise ModelFileMismatch(f"{path}: metadata field {field_name!r} is unknown")
+        if key not in data:
+            raise ModelFileMismatch(f"{path}: metadata field {field_name!r} is missing")
+        description, check = checks[key]
+        if not check(data[key]):
+            raise ModelFileMismatch(
+                f"{path}: metadata field {field_name!r} should be {description}")
+
+
 class Model:
     """A parameter store plus the vocabulary and configuration needed to run
     and train the classifier. Inference against a frozen model is safe from
@@ -227,7 +261,8 @@ class Model:
 
     # --- backward ------------------------------------------------------------
 
-    def _backward(self, cache: _ForwardCache, gold_idx: int) -> None:
+    def _backward(self, cache: _ForwardCache, gold_idx: int,
+                  learning_rate: float | None) -> None:
         d_logits = cache.distribution.copy()
         d_logits[gold_idx] -= 1.0
         self.store.grad(OUT_W)[...] += np.outer(d_logits, cache.combined)
@@ -241,24 +276,30 @@ class Model:
             self.store.add_rows(name, row, d_combined[offset:offset + width])
             offset += width
 
-        d_words = conv_backward(cache.conv, d_pooled, self.store, self.vocab)
+        d_words = conv_backward(cache.conv, d_pooled, self.store, self.vocab,
+                                learning_rate)
         for node_cache, d_p in zip(cache.word_caches, d_words):
             encode_backward(node_cache, d_p, self.store, self.vocab)
 
-    def accumulate_gradients(self, instance: Instance) -> float:
-        """Forward + backward without touching the parameters; returns the
-        loss. Gradients add onto whatever is already in the buffers."""
+    def _forward_backward(self, instance: Instance, learning_rate: float | None) -> float:
         prediction, cache = self._forward(instance)
         gold_idx = label_index(instance.gold)
         loss = cross_entropy(prediction.distribution, gold_idx)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"instance {instance.id}: loss is {loss}")
-        self._backward(cache, gold_idx)
+        self._backward(cache, gold_idx, learning_rate)
         return loss
 
+    def accumulate_gradients(self, instance: Instance) -> float:
+        """Forward + backward without touching the parameters; returns the
+        loss. Gradients add onto whatever is already in the buffers."""
+        return self._forward_backward(instance, None)
+
     def train_step(self, instance: Instance) -> float:
-        """One SGD update on one instance; the update clears the gradients."""
-        loss = self.accumulate_gradients(instance)
+        """One SGD update on one instance; the update clears the gradients.
+        conv_w takes its step inside the backward pass, every other tensor
+        in sgd_step."""
+        loss = self._forward_backward(instance, self.config.learning_rate)
         self.store.sgd_step(self.config.learning_rate)
         return loss
 
@@ -306,9 +347,15 @@ class Model:
         store, meta = load_store(path)
         if meta.get("format") != "depnn-model":
             raise ModelFileMismatch(f"{path}: not a classifier model file")
+        _check_fields(path, meta, _META_CHECKS)
+        _check_fields(path, meta["config"], _CONFIG_CHECKS, "config.")
+        _check_fields(path, meta["vocab"], _VOCAB_CHECKS, "vocab.")
         if tuple(meta["labels"]) != LABELS:
             raise ModelFileMismatch(f"{path}: label set does not match this build")
-        config = TrainConfig.from_dict(meta["config"])
+        try:
+            config = TrainConfig.from_dict(meta["config"])
+        except ValueError as exc:
+            raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
         vocab = Vocabulary.from_dict(meta["vocab"])
         layout = parameter_layout(config, vocab)
         for name in sorted(layout.keys() | set(store.names())):

@@ -51,7 +51,11 @@ def _read_config_file(path) -> dict:
                     raise corpus.FormatError(f"bad boolean {raw!r} for {key}", line_no)
                 values[key] = raw.lower() in ("true", "on", "1")
             else:
-                values[key] = typ(raw)
+                try:
+                    values[key] = typ(raw)
+                except ValueError:
+                    raise corpus.FormatError(
+                        f"bad {typ.__name__} {raw!r} for {key}", line_no) from None
     return values
 
 

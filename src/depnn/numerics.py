@@ -54,13 +54,14 @@ def assert_finite(arr, name="tensor"):
 
 
 class _Param:
-    __slots__ = ("value", "grad", "kind", "rows")
+    __slots__ = ("value", "grad", "kind", "rows", "handed_out")
 
     def __init__(self, value: np.ndarray, kind: str):
         self.value = value
         self.grad = np.zeros_like(value)
         self.kind = kind
         self.rows: set[int] = set()     # rows written through add_rows
+        self.handed_out = False         # grad() returned the buffer since the last clear
 
 
 class ParameterStore:
@@ -68,12 +69,20 @@ class ParameterStore:
 
     Gradient reaches a buffer either through grad(), as a dense write, or
     through add_rows(), which also records the rows it wrote. sgd_step
-    applies every buffer and clears what it applied: a tensor with a row
-    record is updated and cleared on those rows only, every other tensor in
-    full, so the update costs what the step wrote and not the vocabulary
-    size. Once a tensor has a row record, its gradient must go through
-    add_rows until the next sgd_step or zero_grads: a dense write outside
-    the recorded rows would be neither applied nor cleared.
+    applies what was written and clears what it applied: a tensor with a
+    row record is updated and cleared on those rows only, a tensor whose
+    buffer grad() handed out since the last clear in full, and any other
+    tensor not at all, since its buffer is still zero. The update so costs
+    what the step wrote and not the vocabulary size. Once a tensor has a
+    row record, its gradient must go through add_rows until the next
+    sgd_step or zero_grads, and a dense write must go through a buffer
+    fetched from grad() after the last clear: any other write would be
+    neither applied nor cleared.
+
+    The training step applies conv_w's update in place inside the path
+    CNN's backward pass (path_cnn.conv_backward with a learning rate) and
+    never fetches its buffer, so sgd_step does not sweep it. The buffers
+    stay full-size for gradient accumulation and gradient_check.
 
     Single-writer: forward passes against a frozen store are safe from any
     number of threads, but gradient accumulation and updates must be
@@ -104,7 +113,9 @@ class ParameterStore:
         return self._params[name].value
 
     def grad(self, name: str) -> np.ndarray:
-        return self._params[name].grad
+        param = self._params[name]
+        param.handed_out = True
+        return param.grad
 
     def kind(self, name: str) -> str:
         return self._params[name].kind
@@ -131,23 +142,25 @@ class ParameterStore:
         for param in self._params.values():
             param.grad.fill(0.0)
             param.rows.clear()
+            param.handed_out = False
 
     def sgd_step(self, learning_rate: float) -> None:
         """value -= learning_rate * grad on every tensor, then clear the
-        gradient that was applied. Entries off the row record hold a zero
-        gradient, so skipping them leaves the result bit for bit as a full
-        update."""
+        gradient that was applied. Entries off the row record and buffers
+        not handed out hold a zero gradient, and x - 0.0 is x, so skipping
+        them leaves the result bit for bit as a full update."""
         for param in self._params.values():
             if param.rows:
                 rows = np.fromiter(param.rows, dtype=np.intp, count=len(param.rows))
                 param.value[rows] -= learning_rate * param.grad[rows]
                 param.grad[rows] = 0.0
                 param.rows.clear()
-            else:
+            elif param.handed_out:
                 grad = param.grad
                 grad *= learning_rate
                 param.value -= grad
                 grad.fill(0.0)
+            param.handed_out = False
 
     def validate_finite(self) -> None:
         for name, param in self._params.items():

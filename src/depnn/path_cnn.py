@@ -24,6 +24,12 @@ from .subtree import PAD_WORD, REL_EMB
 CONV_W = "conv_w"
 CONV_B = "conv_b"
 
+# filter rows per block of conv_backward's gather-scale-update: 32 rows of a
+# 200-d filter (width 1300) are 330 KB, so each block's temporary stays in
+# cache while it is scaled and applied, instead of a hidden x width array
+# streaming through memory once per operation
+CONV_W_BLOCK = 32
+
 
 class InvalidWindowSize(ValueError):
     pass
@@ -121,21 +127,35 @@ def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
                      argmax, use_tanh)
 
 
-def conv_backward(cache: ConvCache, upstream: np.ndarray,
-                  store: ParameterStore, vocab) -> np.ndarray:
+def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
+                  vocab, learning_rate: float | None = None) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
     through the filter into relation embeddings, the pad vector, and the
-    path-word vectors (returned, one row per path word in path order)."""
+    path-word vectors (returned, one row per path word in path order).
+
+    With a learning rate the filter takes its SGD step here, in place, and
+    its gradient buffer is left alone; without one its gradient adds onto
+    the buffer."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
-    # max-pooling routes each hidden unit to exactly one window; scaling the
-    # gathered rows in place keeps to one hidden x width temporary
-    d_conv_w = cache.inputs[cache.argmax]
-    d_conv_w *= d_pre[:, None]
-    store.grad(CONV_W)[...] += d_conv_w
-    store.grad(CONV_B)[...] += d_pre
+    conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
-    d_inputs = d_features @ store.value(CONV_W)
+    d_inputs = d_features @ conv_w      # before the filter's update below
+    store.grad(CONV_B)[...] += d_pre
+    # max-pooling routes each hidden unit to exactly one window, so a row of
+    # the filter gradient is a gathered window scaled by its unit's gradient;
+    # the same operations as grad += d; grad *= lr; value -= grad, so the
+    # update is bit for bit the buffered one
+    grad = store.grad(CONV_W) if learning_rate is None else None
+    for start in range(0, d_pre.size, CONV_W_BLOCK):
+        block = slice(start, start + CONV_W_BLOCK)
+        step = cache.inputs[cache.argmax[block]]
+        step *= d_pre[block, None]
+        if grad is not None:
+            grad[block] += step
+        else:
+            step *= learning_rate
+            conv_w[block] -= step
 
     windows, word_cols = cache.windows, cache.word_cols
     is_word = word_slots(windows.shape[1])

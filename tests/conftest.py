@@ -181,6 +181,11 @@ def oracle_conv_backward(cache, upstream, store):
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
 
 
+def assert_bit_identical(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 def dense_sgd_oracle(store, learning_rate):
     """What a full-table update makes of every tensor: value - lr * grad,
     computed on copies, per tensor name."""
@@ -239,6 +244,53 @@ def rewrite_model_file(path, drop=None, narrow=None):
         store.register(name, value.shape, source.kind(name))
         store.set_value(name, value)
     save_store(path, store, meta)
+
+
+def rewrite_model_meta(path, edit):
+    """Rewrite the user metadata of a saved model file: `edit` takes the
+    metadata dict and returns the one to store. The tensors are kept."""
+    store, meta = load_store(path)
+    save_store(path, store, edit(meta))
+
+
+def _edited(**changes):
+    """A metadata edit that sets each given field, or drops it for None;
+    a name like config__dim reaches field dim of object config."""
+    def edit(meta):
+        for name, value in changes.items():
+            *parents, key = name.split("__")
+            target = meta
+            for parent in parents:
+                target = target[parent]
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        return meta
+    return edit
+
+
+# one bad piece of model-file metadata per rule, each with a phrase of the
+# ModelFileMismatch it must raise
+BAD_MODEL_META = {
+    "format-only": (lambda meta: {"format": "depnn-model"}, "'config' is missing"),
+    "labels-missing": (_edited(labels=None), "'labels' is missing"),
+    "labels-not-a-list": (_edited(labels="Other"), "'labels' should be a list of strings"),
+    "unknown-field": (_edited(extra=1), "'extra' is unknown"),
+    "config-not-an-object": (_edited(config=[]), "'config' should be an object"),
+    "config-unknown-key": (_edited(config__momentum=0.9), "'config.momentum' is unknown"),
+    "config-key-missing": (_edited(config__conv_tanh=None), "'config.conv_tanh' is missing"),
+    "config-dim-a-string": (_edited(config__dim="6"), "'config.dim' should be an integer"),
+    "config-hidden-a-bool": (_edited(config__hidden=True), "'config.hidden' should be an integer"),
+    "config-rate-a-string": (_edited(config__learning_rate="0.05"),
+                             "'config.learning_rate' should be a number"),
+    "config-tanh-an-int": (_edited(config__conv_tanh=1), "'config.conv_tanh' should be a boolean"),
+    "config-even-window": (_edited(config__window=4), "'config': window size must be odd"),
+    "vocab-missing": (_edited(vocab=None), "'vocab' is missing"),
+    "vocab-list-missing": (_edited(vocab__wn_tags=None), "'vocab.wn_tags' is missing"),
+    "vocab-words-not-strings": (_edited(vocab__words=[1, 2]),
+                                "'vocab.words' should be a list of strings"),
+}
 
 
 def truncate_model_file(path, n_bytes):

@@ -14,7 +14,8 @@ from depnn.evaluation import score
 from depnn.numerics import NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B
 
-from conftest import graph_of, rewrite_model_file, tiny_model
+from conftest import (BAD_MODEL_META, graph_of, rewrite_model_file,
+                      rewrite_model_meta, tiny_model)
 
 
 def one_instance():
@@ -282,6 +283,15 @@ class TestPersistence:
         tiny_model(instances).save(path)
         rewrite_model_file(path, drop=drop, narrow=narrow)
         with pytest.raises(ModelFileMismatch, match=f"m.model: tensor '{drop or narrow}'"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_META))
+    def test_load_rejects_bad_metadata(self, tmp_path, case):
+        edit, phrase = BAD_MODEL_META[case]
+        path = tmp_path / "m.model"
+        tiny_model(synth.make_separable_corpus(5)).save(path)
+        rewrite_model_meta(path, edit)
+        with pytest.raises(ModelFileMismatch, match=f"m.model: metadata field {phrase}"):
             Model.load(path)
 
     def test_single_precision_round_trip_close(self, tmp_path):

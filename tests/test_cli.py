@@ -7,7 +7,8 @@ from depnn.cli import main
 from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary,
                           read_parsed_instances, write_parsed_instances)
 
-from conftest import (MALFORMED_RECORDS, VALID_RECORD, rewrite_model_file,
+from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD,
+                      rewrite_model_file, rewrite_model_meta,
                       tiny_model, truncate_model_file, write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
@@ -100,6 +101,17 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: tensor '{drop or narrow}'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_META))
+    def test_bad_model_metadata_is_data_error(self, tmp_path, corpus_file, capsys, case):
+        model_path = tmp_path / "m.model"
+        tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+        rewrite_model_meta(model_path, BAD_MODEL_META[case][0])
+        assert main(["predict", "--model", str(model_path),
+                     "--instances", str(corpus_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: metadata field {BAD_MODEL_META[case][1]}")
+        assert "Traceback" not in err
+
 
 class TestConvert:
     def test_empty_inputs(self, tmp_path, capsys):
@@ -164,6 +176,16 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "k=3 lambda=0.01" in out
         assert "epochs=1" in out
+
+    @pytest.mark.parametrize("key, raw, kind", [("hidden", "abc", "int"),
+                                                ("learning_rate", "fast", "float")])
+    def test_non_numeric_config_value_names_its_line(self, tmp_path, corpus_file,
+                                                     capsys, key, raw, kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=1\n{key} = {raw}\n", encoding="utf-8")
+        assert main(["train", "--instances", str(corpus_file),
+                     "--out", str(tmp_path / "m.model"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: bad {kind} {raw!r} for {key}\n"
 
     def test_zero_epochs_model_equals_initialization(self, tmp_path, corpus_file, capsys):
         model_path = tmp_path / "m.model"

@@ -10,8 +10,8 @@ from depnn.numerics import (BIAS, EMBEDDING, WEIGHT, ModelFormatError,
                             NonFiniteValue, gradient_check, init_uniform,
                             load_store, save_store, softmax, tanh_backward)
 
-from conftest import (dense_sgd_oracle, edit_manifest, tiny_model,
-                      truncate_model_file)
+from conftest import (assert_bit_identical, dense_sgd_oracle, edit_manifest,
+                      tiny_model, truncate_model_file)
 
 
 class TestKernels:
@@ -80,11 +80,6 @@ class TestParameterStore:
         assert not store.grad("w").any()
 
 
-def assert_bit_identical(actual, expected):
-    assert actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
-
-
 class TestRowRecordedUpdate:
     def build(self, rng):
         store = ParameterStore()
@@ -150,6 +145,42 @@ class TestRowRecordedUpdate:
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])
                 assert not model.store.grad(name).any(), name
+
+
+class TestHandedOutBuffers:
+    """sgd_step sweeps a dense buffer only if grad() handed it out since the
+    last clear; any other buffer is known to hold zero."""
+
+    def build(self):
+        store = ParameterStore()
+        store.register("w", (3, 4), WEIGHT)
+        store.register("b", (3,), BIAS)
+        init_uniform(store, seed=5)
+        return store
+
+    @pytest.mark.parametrize("clear", [lambda store: store.sgd_step(0.5),
+                                       ParameterStore.zero_grads],
+                             ids=["sgd_step", "zero_grads"])
+    def test_buffer_not_handed_out_since_the_clear_is_not_applied(self, clear):
+        store = self.build()
+        stale = store.grad("w")
+        clear(store)
+        before = store.value("w").copy()
+        stale[...] = 1.0        # written through a buffer fetched before the clear
+        store.sgd_step(0.5)
+        assert_bit_identical(store.value("w"), before)
+
+    def test_buffer_written_through_grad_is_applied_and_cleared(self, rng):
+        store = self.build()
+        store.sgd_step(0.5)
+        delta = rng.normal(size=3)
+        store.grad("b")[...] += delta
+        untouched = store.value("w").copy()
+        expected = store.value("b") - 0.5 * delta
+        store.sgd_step(0.5)
+        assert_bit_identical(store.value("b"), expected)
+        assert_bit_identical(store.value("w"), untouched)
+        assert not store.grad("b").any()
 
 
 class TestInitUniform:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from depnn import synth
+from depnn import path_cnn, synth
 from depnn.adp import attach_subtrees, directed_label, shortest_path
-from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows,
+from depnn.path_cnn import (CONV_W, CONV_W_BLOCK, InvalidWindowSize, build_windows,
                             conv_backward, conv_forward, max_over_time,
                             window_width, word_slots, words_per_window)
 from depnn.numerics import ShapeMismatch
 from depnn.subtree import PAD_WORD, REL_EMB, encode_word
 
-from conftest import (enumerate_windows, graph_of, oracle_conv_backward,
-                      oracle_conv_forward, tiny_model)
+from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
+                      graph_of, oracle_conv_backward, oracle_conv_forward, tiny_model)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -221,3 +221,33 @@ class TestOracleEquivalence:
             for a, b in zip(d_new, d_old):
                 assert np.abs(a - b).max() <= 1e-12
             store.zero_grads()
+
+
+class TestFusedFilterUpdate:
+    """train_step applies conv_w's update inside conv_backward, block by
+    block, without its gradient buffer; the result must be what the
+    gradient formed in one block and a dense update give, bit for bit."""
+
+    @pytest.mark.parametrize("use_subtrees", [True, False])
+    @pytest.mark.parametrize("conv_tanh", [True, False])
+    @pytest.mark.parametrize("hidden", [7, CONV_W_BLOCK, CONV_W_BLOCK + 1, 200])
+    def test_train_step_matches_buffered_update(self, monkeypatch, hidden, conv_tanh,
+                                                use_subtrees):
+        instances = synth.make_gradcheck_instances(4, seed=hidden)
+        settings = dict(hidden=hidden, conv_tanh=conv_tanh,
+                        use_subtrees=use_subtrees, learning_rate=0.3)
+        fused = tiny_model(instances, **settings)
+        buffered = tiny_model(instances, **settings)
+        learning_rate = fused.config.learning_rate
+        for inst in instances:
+            with monkeypatch.context() as patch:
+                # the reference gradient is one hidden x width block
+                patch.setattr(path_cnn, "CONV_W_BLOCK", hidden)
+                buffered.accumulate_gradients(inst)
+            expected = dense_sgd_oracle(buffered.store, learning_rate)
+            fused.train_step(inst)
+            assert not fused.store.grad(CONV_W).any()
+            for name, value in expected.items():
+                assert_bit_identical(fused.store.value(name), value)
+                buffered.store.set_value(name, value)
+            buffered.store.zero_grads()
