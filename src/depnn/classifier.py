@@ -3,6 +3,7 @@ loss, and the per-instance SGD training loop."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,9 +58,13 @@ class TrainConfig:
             raise ValueError("all dimensions must be positive")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window size must be odd and >= 3, got {self.window}")
-        # zero is allowed so a no-op step stays expressible for diagnostics
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+        # zero is allowed so a no-op step stays expressible for diagnostics;
+        # nan < 0 is false, so a NaN rate needs the finiteness test
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
 

@@ -7,6 +7,8 @@ values are widened back to float64 on load.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -167,22 +169,35 @@ class ParameterStore:
             assert_finite(param.value, name)
 
 
+# elements drawn per generator call in init_uniform: 256 KB of float64
+INIT_BLOCK = 32768
+
+
 def init_uniform(store: ParameterStore, seed: int) -> None:
     """Fill a store deterministically: Xavier-uniform weight matrices,
-    zero biases, and small uniform embeddings in +/-0.01."""
+    zero biases, and small uniform embeddings in +/-0.01.
+
+    Each tensor is drawn in row-major blocks of INIT_BLOCK elements
+    straight into its buffer. The generator yields one double per element
+    in sequence, so the blocks equal one full-size draw bit for bit, without
+    its full-size temporary."""
     rng = np.random.default_rng(seed)
     for name in store.names():
         param = store._params[name]
         if param.kind == BIAS:
             param.value.fill(0.0)
-        elif param.kind == EMBEDDING:
-            param.value[...] = rng.uniform(-0.01, 0.01, param.value.shape)
+            continue
+        if param.kind == EMBEDDING:
+            bound = 0.01
         else:
             if param.value.ndim != 2:
                 raise ShapeMismatch(f"weight {name!r} must be 2-D, got shape {param.value.shape}")
             fan_out, fan_in = param.value.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            param.value[...] = rng.uniform(-bound, bound, param.value.shape)
+        flat = param.value.reshape(-1)
+        for start in range(0, flat.size, INIT_BLOCK):
+            block = flat[start:start + INIT_BLOCK]
+            block[...] = rng.uniform(-bound, bound, block.size)
 
 
 def gradient_check(loss_fn, store: ParameterStore, epsilon: float = 1e-5, *,
@@ -238,6 +253,9 @@ def save_store(path, store: ParameterStore, meta: dict | None = None,
     (name TAB shape TAB dtype TAB byte offset), a blank line, then the raw
     little-endian row-major payload. Registration kinds and caller metadata
     travel in a reserved JSON byte tensor so the file is self-contained.
+    The manifest is written first and each tensor's bytes after it in
+    turn, so no copy of the whole payload is built; an f8 tensor is
+    written from its buffer, an f4 one through a copy of that tensor alone.
     """
     if precision not in ("f8", "f4"):
         raise ValueError(f"precision must be 'f8' or 'f4', not {precision!r}")
@@ -245,21 +263,20 @@ def save_store(path, store: ParameterStore, meta: dict | None = None,
         "kinds": {name: store.kind(name) for name in store.names()},
         "user": meta or {},
     }
-    meta_bytes = np.frombuffer(
-        json.dumps(blob, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    entries: list[tuple[str, np.ndarray, str]] = [(META_NAME, meta_bytes, "u1")]
+    meta_bytes = json.dumps(blob, sort_keys=True).encode("utf-8")
+    itemsize = np.dtype(_DTYPE_CODES[precision]).itemsize
+    manifest_lines = [MODEL_MAGIC, f"{META_NAME}\t{len(meta_bytes)}\tu1\t0"]
+    offset = len(meta_bytes)
     for name in store.names():
-        entries.append((name, store.value(name), precision))
-
-    manifest_lines = [MODEL_MAGIC]
-    payload = bytearray()
-    for name, array, dtype in entries:
-        raw = array.astype(_DTYPE_CODES[dtype]).tobytes(order="C")
-        manifest_lines.append(f"{name}\t{_shape_csv(array.shape)}\t{dtype}\t{len(payload)}")
-        payload.extend(raw)
+        array = store.value(name)
+        manifest_lines.append(f"{name}\t{_shape_csv(array.shape)}\t{precision}\t{offset}")
+        offset += array.size * itemsize
     with open(path, "wb") as fh:
         fh.write(("\n".join(manifest_lines) + "\n\n").encode("ascii"))
-        fh.write(bytes(payload))
+        fh.write(meta_bytes)
+        for name in store.names():
+            array = store.value(name).astype(_DTYPE_CODES[precision], copy=False)
+            fh.write(array.reshape(-1).view(np.uint8))
 
 
 def _read_manifest(path, lines: list[str], payload_size: int) -> list[tuple]:
@@ -290,10 +307,9 @@ def _read_manifest(path, lines: list[str], payload_size: int) -> list[tuple]:
         if name in names:
             raise ModelFormatError(f"{path}: tensor {name!r} is listed twice")
         names.add(name)
-        nbytes = int(np.prod(shape)) * np.dtype(_DTYPE_CODES[dtype]).itemsize
         if offset < end:
             raise ModelFormatError(f"{path}: tensor {name!r} overlaps the tensor before it")
-        end = offset + nbytes
+        end = offset + _nbytes(shape, dtype)
         if end > payload_size:
             raise ModelFormatError(
                 f"{path}: tensor {name!r} needs payload bytes {offset}..{end}, "
@@ -301,40 +317,82 @@ def _read_manifest(path, lines: list[str], payload_size: int) -> list[tuple]:
     return entries
 
 
+def _nbytes(shape, dtype: str) -> int:
+    # math.prod on Python ints: a product of huge dimensions cannot wrap
+    return math.prod(shape) * np.dtype(_DTYPE_CODES[dtype]).itemsize
+
+
+def _read_manifest_lines(path, fh) -> list[str]:
+    """The manifest lines after the magic line, read up to the blank line
+    that ends them; fh is left at the first payload byte."""
+    if fh.readline(len(MODEL_MAGIC) + 1) != MODEL_MAGIC.encode("ascii") + b"\n":
+        raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} model file")
+    lines = []
+    while (line := fh.readline()) != b"\n":
+        if not line.endswith(b"\n"):
+            raise ModelFormatError(f"{path}: missing manifest terminator")
+        try:
+            lines.append(line[:-1].decode("ascii"))
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: manifest is not ASCII") from None
+    return lines
+
+
+def _read_exactly(path, fh, name: str, array: np.ndarray) -> None:
+    """Fill a contiguous array's bytes from fh, or raise ModelFormatError."""
+    view = array.reshape(-1).view(np.uint8)
+    got = fh.readinto(view)
+    if got != view.size:
+        raise ModelFormatError(f"{path}: tensor {name!r} is cut short: "
+                               f"read {got} of {view.size} bytes")
+
+
 def load_store(path) -> tuple[ParameterStore, dict]:
     """Read a DEPNN1 model file back into a float64 store; returns
-    (store, user metadata). A malformed file raises ModelFormatError."""
+    (store, user metadata). A malformed file raises ModelFormatError.
+
+    The file is streamed: the manifest is checked against the payload size
+    taken from the file's size, __meta__ is read for the tensor kinds, and
+    then each tensor in manifest order is registered and its bytes read
+    straight into the new float64 buffer. A tensor stored in another dtype
+    or byte order is read alone and converted into the buffer. So the
+    largest allocation beyond the store is one converted tensor's bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    header_end = data.find(b"\n\n")
-    if header_end < 0:
-        raise ModelFormatError(f"{path}: missing manifest terminator")
-    try:
-        lines = data[:header_end].decode("ascii").split("\n")
-    except UnicodeDecodeError:
-        raise ModelFormatError(f"{path}: manifest is not ASCII") from None
-    if lines[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} model file")
-    payload = data[header_end + 2:]
+        lines = _read_manifest_lines(path, fh)
+        payload_start = fh.tell()
+        payload_size = os.fstat(fh.fileno()).st_size - payload_start
+        entries = _read_manifest(path, lines, payload_size)
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, dtype, offset in _read_manifest(path, lines[1:], len(payload)):
-        count = int(np.prod(shape))
-        tensors[name] = np.frombuffer(payload, dtype=_DTYPE_CODES[dtype],
-                                      count=count, offset=offset).reshape(shape)
+        meta = [e for e in entries if e[0] == META_NAME]
+        if not meta:
+            raise ModelFormatError(f"{path}: missing {META_NAME} entry")
+        _, shape, dtype, offset = meta[0]
+        raw = np.empty(_nbytes(shape, dtype), dtype=np.uint8)
+        fh.seek(payload_start + offset)
+        _read_exactly(path, fh, META_NAME, raw)
+        try:
+            blob = json.loads(raw.tobytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise ModelFormatError(f"{path}: {META_NAME} is not JSON") from None
+        if not (isinstance(blob, dict) and isinstance(blob.get("kinds"), dict)
+                and isinstance(blob.get("user"), dict)):
+            raise ModelFormatError(f"{path}: {META_NAME} lacks 'kinds' or 'user'")
+        kinds = blob["kinds"]
 
-    if META_NAME not in tensors:
-        raise ModelFormatError(f"{path}: missing {META_NAME} entry")
-    try:
-        blob = json.loads(tensors.pop(META_NAME).tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ModelFormatError(f"{path}: {META_NAME} is not JSON") from None
-    if not (isinstance(blob, dict) and isinstance(blob.get("kinds"), dict)
-            and isinstance(blob.get("user"), dict)):
-        raise ModelFormatError(f"{path}: {META_NAME} lacks 'kinds' or 'user'")
-    kinds = blob["kinds"]
-    store = ParameterStore()
-    for name, array in tensors.items():
-        store.register(name, array.shape, kinds.get(name, WEIGHT))
-        store.set_value(name, array.astype(np.float64))
+        store = ParameterStore()
+        for name, shape, dtype, offset in entries:
+            if name == META_NAME:
+                continue
+            try:
+                value = store.register(name, shape, kinds.get(name, WEIGHT))
+            except ValueError as exc:       # an unknown kind, or too many dimensions
+                raise ModelFormatError(f"{path}: tensor {name!r}: {exc}") from None
+            fh.seek(payload_start + offset)
+            stored = np.dtype(_DTYPE_CODES[dtype])
+            if stored == value.dtype:
+                _read_exactly(path, fh, name, value)
+            else:
+                raw = np.empty(shape, dtype=stored)
+                _read_exactly(path, fh, name, raw)
+                value[...] = raw
     return store, blob["user"]

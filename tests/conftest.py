@@ -286,6 +286,9 @@ BAD_MODEL_META = {
                              "'config.learning_rate' should be a number"),
     "config-tanh-an-int": (_edited(config__conv_tanh=1), "'config.conv_tanh' should be a boolean"),
     "config-even-window": (_edited(config__window=4), "'config': window size must be odd"),
+    "config-rate-nan": (_edited(config__learning_rate=float("nan")),
+                        "'config': learning rate must be finite"),
+    "config-negative-seed": (_edited(config__seed=-11), "'config': seed must be non-negative"),
     "vocab-missing": (_edited(vocab=None), "'vocab' is missing"),
     "vocab-list-missing": (_edited(vocab__wn_tags=None), "'vocab.wn_tags' is missing"),
     "vocab-words-not-strings": (_edited(vocab__words=[1, 2]),

@@ -45,6 +45,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(dim=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            TrainConfig(learning_rate=rate)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
+
     def test_round_trip_dict(self):
         cfg = TrainConfig(dim=10, use_ner=True)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg

@@ -187,6 +187,20 @@ class TestTrain:
                      "--out", str(tmp_path / "m.model"), "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: line 2: bad {kind} {raw!r} for {key}\n"
 
+    @pytest.mark.parametrize("config_line, flags", [("learning_rate = nan", []),
+                                                    ("", ["--lr", "inf"])])
+    def test_non_finite_learning_rate_fails_before_training(self, tmp_path, corpus_file,
+                                                            capsys, config_line, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=1\n{config_line}\n", encoding="utf-8")
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
+                     "--config", str(cfg)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: learning rate must be finite")
+        assert "epoch=" not in captured.out
+        assert not out.exists()
+
     def test_zero_epochs_model_equals_initialization(self, tmp_path, corpus_file, capsys):
         model_path = tmp_path / "m.model"
         assert main(["train", "--instances", str(corpus_file),

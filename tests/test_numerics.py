@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depnn import synth
+from depnn import numerics, synth
 
-from depnn.numerics import (BIAS, EMBEDDING, WEIGHT, ModelFormatError,
+from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, ModelFormatError,
                             NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
                             NonFiniteValue, gradient_check, init_uniform,
                             load_store, save_store, softmax, tanh_backward)
@@ -222,6 +224,18 @@ class TestInitUniform:
         with pytest.raises(ShapeMismatch):
             init_uniform(store, seed=1)
 
+    @pytest.mark.parametrize("shape, kind, bound", [
+        ((INIT_BLOCK // 7 + 3, 7), EMBEDDING, 0.01),
+        ((9, INIT_BLOCK // 4 + 5), WEIGHT, math.sqrt(6 / (9 + INIT_BLOCK // 4 + 5))),
+        ((2 * INIT_BLOCK,), EMBEDDING, 0.01),
+    ])
+    def test_block_fill_equals_one_full_draw(self, shape, kind, bound):
+        store = ParameterStore()
+        store.register("t", shape, kind)
+        init_uniform(store, seed=31)
+        expected = np.random.default_rng(31).uniform(-bound, bound, shape)
+        assert_bit_identical(store.value("t"), expected)
+
 
 class TestGradientCheck:
     def linear_setup(self):
@@ -352,3 +366,127 @@ class TestSerialization:
         path.write_bytes(b"NOTAMODEL\nxx\n\n")
         with pytest.raises(ValueError):
             load_store(path)
+
+    @pytest.mark.parametrize("precision", ["f8", "f4"])
+    def test_zero_size_tensor_round_trips(self, tmp_path, precision):
+        store = self.build_store()
+        store.register("empty", (0, 3), EMBEDDING)
+        path = tmp_path / "m.model"
+        save_store(path, store, {}, precision=precision)
+        loaded, _ = load_store(path)
+        assert loaded.value("empty").shape == (0, 3)
+        assert np.allclose(loaded.value("table"), store.value("table"), atol=1e-6)
+
+    def test_single_precision_equals_float32_rounding(self, tmp_path):
+        store = self.build_store()
+        path = tmp_path / "m.model"
+        save_store(path, store, {}, precision="f4")
+        loaded, _ = load_store(path)
+        for name in store.names():
+            rounded = store.value(name).astype(np.float32).astype(np.float64)
+            assert_bit_identical(loaded.value(name), rounded)
+
+    def test_short_read_names_path_and_tensor(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken
+        path = tmp_path / "m.model"
+        save_store(path, self.build_store(), {})
+        full_size = path.stat().st_size
+        truncate_model_file(path, 8)
+        monkeypatch.setattr(numerics.os, "fstat", lambda fd: SimpleNamespace(st_size=full_size))
+        with pytest.raises(ModelFormatError,
+                           match=f"{path}: tensor 'table' is cut short: read 112 of 120"):
+            load_store(path)
+
+    @pytest.mark.parametrize("kind", ["bias-ish", ["bias"]])
+    def test_unknown_kind_names_path_and_tensor(self, tmp_path, kind):
+        path = tmp_path / "m.model"
+        store = self.build_store()
+        store._params["beta"].kind = kind       # register would refuse it
+        save_store(path, store, {})
+        with pytest.raises(ModelFormatError,
+                           match=f"{path}: tensor 'beta': unknown parameter kind"):
+            load_store(path)
+
+    def test_too_many_dimensions_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_store(path, self.build_store(), {})
+
+        def edit(lines):
+            lines[2][1] = ",".join(["1"] * 70)     # beta: 70 dimensions of one entry
+            return lines
+        edit_manifest(path, edit)
+        with pytest.raises(ModelFormatError, match=f"{path}: tensor 'beta': maximum supported"):
+            load_store(path)
+
+
+def traced_peak(fn):
+    """(result of fn(), peak bytes numpy and Python allocated during the
+    call above what was allocated before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """Loading, initializing and saving a store hold each parameter's bytes
+    once: the value and gradient buffers, plus at most one block or one
+    tensor's bytes beyond them."""
+    SLACK = 256 * 1024      # Python objects and numpy's casting buffers
+
+    def build(self):
+        store = ParameterStore()
+        store.register("emb", (20000, 50), EMBEDDING)
+        store.register("w", (100, 300), WEIGHT)
+        store.register("b", (100,), BIAS)
+        return store
+
+    @staticmethod
+    def value_bytes(store):
+        return sum(store.value(name).nbytes for name in store.names())
+
+    def test_init_uniform_holds_no_full_size_draw(self):
+        init_uniform(self.build(), seed=1)      # first use imports generator internals
+        layout = self.build()
+        stored = 2 * self.value_bytes(layout)   # values plus gradient buffers
+
+        def build_and_init():
+            store = self.build()
+            init_uniform(store, seed=2)
+            return store
+        _, peak = traced_peak(build_and_init)
+        assert peak <= stored + INIT_BLOCK * 8 + self.SLACK
+
+    @pytest.mark.parametrize("precision", ["f8", "f4"])
+    def test_load_store_holds_each_tensor_once(self, tmp_path, precision):
+        store = self.build()
+        init_uniform(store, seed=3)
+        path = tmp_path / "m.model"
+        save_store(path, store, {"note": "x"}, precision=precision)
+        load_store(path)
+        loaded, peak = traced_peak(lambda: load_store(path)[0])
+        if precision == "f8":
+            assert peak <= 2.1 * self.value_bytes(store)
+            for name in store.names():
+                assert_bit_identical(loaded.value(name), store.value(name))
+        else:
+            # one tensor at a time is read in float32 and widened
+            largest = max(store.value(name).nbytes for name in store.names()) // 2
+            assert peak <= 2 * self.value_bytes(store) + largest + self.SLACK
+
+    @pytest.mark.parametrize("precision", ["f8", "f4"])
+    def test_save_store_copies_at_most_one_tensor(self, tmp_path, precision):
+        store = self.build()
+        init_uniform(store, seed=4)
+        path = tmp_path / "m.model"
+        save_store(path, store, {})
+        _, peak = traced_peak(lambda: save_store(path, store, {}, precision=precision))
+        largest = max(store.value(name).nbytes for name in store.names())
+        assert peak <= largest + self.SLACK
+        if precision == "f8":
+            # nothing is converted: the payload goes out of the buffers
+            assert peak <= self.SLACK
