@@ -259,9 +259,6 @@ class AugmentedDependencyPath:
     def path_tokens(self) -> tuple[int, ...]:
         return tuple(step.token for step in self.steps)
 
-    def subtree_tokens(self, word: int) -> set[int]:
-        return {arc.dependent for arc in self.subtrees[word]}
-
 
 def attach_subtrees(graph: DependencyGraph, steps) -> AugmentedDependencyPath:
     """Collect, for each path word, every descendant arc reachable without
@@ -292,40 +289,3 @@ def render_path(graph: DependencyGraph, steps) -> str:
         parts.append(graph.token(step.token).form)
     return " ".join(parts)
 
-
-def collapse_prepositions(graph: DependencyGraph) -> DependencyGraph:
-    """Fold prep -> pobj chains into single prep_<form> arcs.
-
-    Each matched preposition token is dropped from arc participation (kept
-    in the token list, flagged inactive); its remaining dependents, if any,
-    are re-headed onto the preposition's object. Unmatched prep arcs are
-    left intact, and already-collapsed graphs pass through unchanged.
-    """
-    arcs = list(graph.arcs)
-    inactive = set(graph.inactive)
-    while True:
-        children: dict[int, list[Arc]] = {}
-        for arc in arcs:
-            children.setdefault(arc.head, []).append(arc)
-        match = None
-        for arc in sorted(arcs, key=lambda a: (a.head, a.dependent)):
-            if arc.relation != "prep" or arc.head == 0:
-                continue
-            objects = [c for c in children.get(arc.dependent, ())
-                       if c.relation == "pobj"]
-            if objects:
-                match = (arc, min(objects, key=lambda c: c.dependent))
-                break
-        if match is None:
-            break
-        prep_arc, obj_arc = match
-        prep = prep_arc.dependent
-        label = "prep_" + graph.token(prep).form.lower()
-        rebuilt = [a for a in arcs if a not in (prep_arc, obj_arc) and a.head != prep]
-        rebuilt.append(Arc(prep_arc.head, obj_arc.dependent, label))
-        for orphan in children.get(prep, ()):
-            if orphan is not obj_arc:
-                rebuilt.append(Arc(obj_arc.dependent, orphan.dependent, orphan.relation))
-        arcs = rebuilt
-        inactive.add(prep)
-    return DependencyGraph(graph.tokens, arcs, inactive)

@@ -13,8 +13,8 @@ from .adp import (AugmentedDependencyPath, Disconnected, InvalidSpan,
                   attach_subtrees, directed_label, shortest_path)
 from .corpus import LABELS, Instance, Vocabulary, label_index
 from .evaluation import score
-from .numerics import (BIAS, EMBEDDING, WEIGHT, NonFiniteLoss, ParameterStore,
-                       init_uniform, load_store, save_store, softmax)
+from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
+                       ParameterStore, init_uniform, load_store, save_store, softmax)
 from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, conv_backward,
                        conv_forward, window_width)
 from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, REL_EMB, WORD_EMB,
@@ -266,11 +266,11 @@ class Model:
 
     # --- backward ------------------------------------------------------------
 
-    def _backward(self, cache: _ForwardCache, gold_idx: int,
+    def _backward(self, cache: _ForwardCache, gold_idx: int, gradient: Gradient,
                   learning_rate: float | None) -> None:
         d_logits = cache.distribution.copy()
         d_logits[gold_idx] -= 1.0
-        self.store.grad(OUT_W)[...] += np.outer(d_logits, cache.combined)
+        gradient[OUT_W] += np.outer(d_logits, cache.combined)
         d_combined = self.store.value(OUT_W).T @ d_logits
 
         hidden = cache.conv.pooled.size
@@ -278,34 +278,35 @@ class Model:
         offset = hidden
         for name, row in cache.lex_rows:
             width = self.store.value(name).shape[1]
-            self.store.add_rows(name, row, d_combined[offset:offset + width])
+            gradient.add_rows(name, row, d_combined[offset:offset + width])
             offset += width
 
-        d_words = conv_backward(cache.conv, d_pooled, self.store, self.vocab,
+        d_words = conv_backward(cache.conv, d_pooled, self.store, gradient, self.vocab,
                                 learning_rate)
         for node_cache, d_p in zip(cache.word_caches, d_words):
-            encode_backward(node_cache, d_p, self.store, self.vocab)
+            encode_backward(node_cache, d_p, self.store, gradient, self.vocab)
 
-    def _forward_backward(self, instance: Instance, learning_rate: float | None) -> float:
+    def _forward_backward(self, instance: Instance, gradient: Gradient,
+                          learning_rate: float | None) -> float:
         prediction, cache = self._forward(instance)
         gold_idx = label_index(instance.gold)
         loss = cross_entropy(prediction.distribution, gold_idx)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"instance {instance.id}: loss is {loss}")
-        self._backward(cache, gold_idx, learning_rate)
+        self._backward(cache, gold_idx, gradient, learning_rate)
         return loss
 
-    def accumulate_gradients(self, instance: Instance) -> float:
+    def accumulate_gradients(self, instance: Instance, gradient: Gradient) -> float:
         """Forward + backward without touching the parameters; returns the
-        loss. Gradients add onto whatever is already in the buffers."""
-        return self._forward_backward(instance, None)
+        loss. The instance's gradient adds onto what `gradient` holds."""
+        return self._forward_backward(instance, gradient, None)
 
     def train_step(self, instance: Instance) -> float:
-        """One SGD update on one instance; the update clears the gradients.
-        conv_w takes its step inside the backward pass, every other tensor
-        in sgd_step."""
-        loss = self._forward_backward(instance, self.config.learning_rate)
-        self.store.sgd_step(self.config.learning_rate)
+        """One SGD update on one instance. conv_w takes its step inside the
+        backward pass, every other tensor from the step's Gradient."""
+        gradient = Gradient(self.store)
+        loss = self._forward_backward(instance, gradient, self.config.learning_rate)
+        gradient.apply(self.config.learning_rate)
         return loss
 
     def train(self, instances, validation=None, progress=None,

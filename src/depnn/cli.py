@@ -20,7 +20,7 @@ _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
                 corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
                 adp.InvalidSpan, adp.Disconnected, classifier.EmptyPath,
                 classifier.ModelFileMismatch, numerics.ModelFormatError,
-                evaluation.LengthMismatch, FileNotFoundError, ValueError)
+                evaluation.LengthMismatch, OSError, ValueError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
 
@@ -200,13 +200,12 @@ def cmd_gradcheck(args) -> int:
 
     worst: dict[str, float] = {name: 0.0 for name in model.store.names()}
     for inst in instances:
-        model.store.zero_grads()
-        model.accumulate_gradients(inst)
-        errors = numerics.gradient_check(lambda: model.evaluate_loss(inst),
-                                         model.store, epsilon=args.epsilon)
+        gradient = numerics.Gradient(model.store)
+        model.accumulate_gradients(inst, gradient)
+        errors = numerics.gradient_check(lambda: model.evaluate_loss(inst), model.store,
+                                         gradient, epsilon=args.epsilon)
         for name, err in errors.items():
             worst[name] = max(worst[name], err)
-    model.store.zero_grads()
 
     print("tensor\tmax_rel_err")
     for name in sorted(worst):

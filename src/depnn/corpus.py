@@ -11,8 +11,8 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .adp import (Arc, DependencyGraph, EntityMention, InvalidSpan, Token,
-                  TreeViolation, entity_mention)
+from .adp import (INVERSE_SUFFIX, Arc, DependencyGraph, EntityMention, InvalidSpan,
+                  Token, TreeViolation, entity_mention)
 
 RELATION_TYPES = (
     "Cause-Effect",
@@ -396,9 +396,6 @@ class EmbeddingTable:
             hit = self.vectors.get(word.lower())
         return self.unk if hit is None else hit
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     """Read 'word v1 .. vd' lines; a leading 'count dim' header is skipped.
@@ -467,7 +464,7 @@ class Vocabulary:
             for arc in instance.graph.arcs:
                 if arc.head != 0:
                     base_relations.add(arc.relation)
-        directed = sorted(base_relations | {r + "_inv" for r in base_relations})
+        directed = sorted(base_relations | {r + INVERSE_SUFFIX for r in base_relations})
         return cls(
             words=(UNK,) + tuple(sorted(forms)),
             relations=(UNK, PATH_START, PATH_END) + tuple(directed),

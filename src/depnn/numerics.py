@@ -1,4 +1,5 @@
-"""Dense numeric kernels, a named-parameter registry, and a gradient checker.
+"""Dense numeric kernels, a named-parameter registry, the per-step gradient
+that updates it, and a gradient checker.
 
 All arithmetic runs in float64. Model files may be written in float32;
 values are widened back to float64 on load.
@@ -55,118 +56,107 @@ def assert_finite(arr, name="tensor"):
         raise NonFiniteValue(f"{name} contains non-finite values")
 
 
-class _Param:
-    __slots__ = ("value", "grad", "kind", "rows", "handed_out")
-
-    def __init__(self, value: np.ndarray, kind: str):
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.kind = kind
-        self.rows: set[int] = set()     # rows written through add_rows
-        self.handed_out = False         # grad() returned the buffer since the last clear
-
-
 class ParameterStore:
-    """Named dense tensors, each paired with a same-shape gradient buffer.
+    """Named float64 tensors, each with a kind: weight, bias or embedding.
 
-    Gradient reaches a buffer either through grad(), as a dense write, or
-    through add_rows(), which also records the rows it wrote. sgd_step
-    applies what was written and clears what it applied: a tensor with a
-    row record is updated and cleared on those rows only, a tensor whose
-    buffer grad() handed out since the last clear in full, and any other
-    tensor not at all, since its buffer is still zero. The update so costs
-    what the step wrote and not the vocabulary size. Once a tensor has a
-    row record, its gradient must go through add_rows until the next
-    sgd_step or zero_grads, and a dense write must go through a buffer
-    fetched from grad() after the last clear: any other write would be
-    neither applied nor cleared.
+    The store holds values only. A step's gradient lives in a Gradient made
+    for that step and applied to the store at its end.
 
-    The training step applies conv_w's update in place inside the path
-    CNN's backward pass (path_cnn.conv_backward with a learning rate) and
-    never fetches its buffer, so sgd_step does not sweep it. The buffers
-    stay full-size for gradient accumulation and gradient_check.
-
-    Single-writer: forward passes against a frozen store are safe from any
-    number of threads, but gradient accumulation and updates must be
-    serialized externally.
+    Single-writer: forward passes are safe from any number of threads, but
+    updates must be serialized externally.
     """
 
     def __init__(self):
-        self._params: dict[str, _Param] = {}
+        self._values: dict[str, np.ndarray] = {}
+        self._kinds: dict[str, str] = {}
 
     def register(self, name: str, shape, kind: str = WEIGHT) -> np.ndarray:
-        if name in self._params:
+        if name in self._values:
             raise ValueError(f"parameter {name!r} already registered")
         if "\t" in name or "\n" in name:
             raise ValueError(f"parameter name {name!r} contains manifest separators")
         if kind not in (WEIGHT, BIAS, EMBEDDING):
             raise ValueError(f"unknown parameter kind {kind!r}")
-        value = np.zeros(shape, dtype=np.float64)
-        self._params[name] = _Param(value, kind)
+        value = self._values[name] = np.zeros(shape, dtype=np.float64)
+        self._kinds[name] = kind
         return value
 
     def __contains__(self, name: str) -> bool:
-        return name in self._params
+        return name in self._values
 
     def names(self) -> list[str]:
-        return sorted(self._params)
+        return sorted(self._values)
 
     def value(self, name: str) -> np.ndarray:
-        return self._params[name].value
-
-    def grad(self, name: str) -> np.ndarray:
-        param = self._params[name]
-        param.handed_out = True
-        return param.grad
+        return self._values[name]
 
     def kind(self, name: str) -> str:
-        return self._params[name].kind
-
-    def set_value(self, name: str, array) -> None:
-        param = self._params[name]
-        array = np.asarray(array, dtype=np.float64)
-        if array.shape != param.value.shape:
-            raise ShapeMismatch(f"{name}: cannot assign shape {array.shape} to {param.value.shape}")
-        param.value[...] = array
-
-    def add_rows(self, name: str, rows, delta) -> None:
-        """grad[rows] += delta, and record the rows for sgd_step. A repeated
-        row accumulates each of its deltas, in order."""
-        param = self._params[name]
-        if isinstance(rows, (int, np.integer)):
-            param.grad[rows] += delta
-            param.rows.add(int(rows))
-        else:
-            np.add.at(param.grad, rows, delta)
-            param.rows.update(np.ravel(rows).tolist())
-
-    def zero_grads(self) -> None:
-        for param in self._params.values():
-            param.grad.fill(0.0)
-            param.rows.clear()
-            param.handed_out = False
-
-    def sgd_step(self, learning_rate: float) -> None:
-        """value -= learning_rate * grad on every tensor, then clear the
-        gradient that was applied. Entries off the row record and buffers
-        not handed out hold a zero gradient, and x - 0.0 is x, so skipping
-        them leaves the result bit for bit as a full update."""
-        for param in self._params.values():
-            if param.rows:
-                rows = np.fromiter(param.rows, dtype=np.intp, count=len(param.rows))
-                param.value[rows] -= learning_rate * param.grad[rows]
-                param.grad[rows] = 0.0
-                param.rows.clear()
-            elif param.handed_out:
-                grad = param.grad
-                grad *= learning_rate
-                param.value -= grad
-                grad.fill(0.0)
-            param.handed_out = False
+        return self._kinds[name]
 
     def validate_finite(self) -> None:
-        for name, param in self._params.items():
-            assert_finite(param.value, name)
+        for name, value in self._values.items():
+            assert_finite(value, name)
+
+
+class Gradient(dict):
+    """The gradient one step wrote into a store's tensors, held only where
+    it was written.
+
+    gradient[name] is a dense buffer for the tensor, allocated at zero on
+    first use, for writes such as gradient[name] += delta. add_rows keeps,
+    per row, the sum of that row's deltas in call order, so a step that
+    touches a few rows of a large embedding table holds only those rows.
+    """
+
+    __slots__ = ("_store", "_rows")
+
+    def __init__(self, store: ParameterStore):
+        super().__init__()
+        self._store = store
+        self._rows: dict[str, dict[int, np.ndarray]] = {}
+
+    def __missing__(self, name: str) -> np.ndarray:
+        grad = self[name] = np.zeros(self._store.value(name).shape)
+        return grad
+
+    def add_rows(self, name: str, rows, delta) -> None:
+        """grad[rows] += delta, for an int row or an array of rows with one
+        delta each. A repeated row accumulates each of its deltas, in order;
+        a row's sum starts as its first delta + 0.0, which is what a zeroed
+        buffer would hold, in a new array."""
+        sums = self._rows.setdefault(name, {})
+        if isinstance(rows, (int, np.integer)):
+            pairs = ((rows, delta),)
+        else:
+            pairs = zip(np.ravel(rows).tolist(),
+                        np.reshape(delta, (-1,) + self._store.value(name).shape[1:]))
+        for row, row_delta in pairs:
+            total = sums.get(row)
+            if total is None:
+                sums[row] = row_delta + 0.0
+            else:
+                total += row_delta
+
+    def full(self, name: str) -> np.ndarray:
+        """The gradient of the whole tensor, zero where nothing was written."""
+        full = self[name].copy() if name in self else np.zeros(self._store.value(name).shape)
+        for row, total in self._rows.get(name, {}).items():
+            full[row] += total
+        return full
+
+    def apply(self, learning_rate: float) -> None:
+        """value -= learning_rate * grad on exactly the written entries; an
+        entry nothing wrote has a zero gradient, and x - 0.0 is x, so the
+        result is bit for bit a full update of a tensor written one way.
+        Spends the gradient: its dense buffers are scaled in place."""
+        for name, grad in self.items():
+            value = self._store.value(name)
+            grad *= learning_rate
+            value -= grad
+        for name, sums in self._rows.items():
+            if sums:    # empty after add_rows with no rows
+                rows = np.fromiter(sums, dtype=np.intp, count=len(sums))
+                self._store.value(name)[rows] -= learning_rate * np.array(list(sums.values()))
 
 
 # elements drawn per generator call in init_uniform: 256 KB of float64
@@ -183,41 +173,41 @@ def init_uniform(store: ParameterStore, seed: int) -> None:
     its full-size temporary."""
     rng = np.random.default_rng(seed)
     for name in store.names():
-        param = store._params[name]
-        if param.kind == BIAS:
-            param.value.fill(0.0)
+        value, kind = store.value(name), store.kind(name)
+        if kind == BIAS:
+            value.fill(0.0)
             continue
-        if param.kind == EMBEDDING:
+        if kind == EMBEDDING:
             bound = 0.01
         else:
-            if param.value.ndim != 2:
-                raise ShapeMismatch(f"weight {name!r} must be 2-D, got shape {param.value.shape}")
-            fan_out, fan_in = param.value.shape
+            if value.ndim != 2:
+                raise ShapeMismatch(f"weight {name!r} must be 2-D, got shape {value.shape}")
+            fan_out, fan_in = value.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-        flat = param.value.reshape(-1)
+        flat = value.reshape(-1)
         for start in range(0, flat.size, INIT_BLOCK):
             block = flat[start:start + INIT_BLOCK]
             block[...] = rng.uniform(-bound, bound, block.size)
 
 
-def gradient_check(loss_fn, store: ParameterStore, epsilon: float = 1e-5, *,
-                   guard: float = 1e-4, names=None, sample: int | None = None,
-                   rng=None) -> dict[str, float]:
-    """Compare analytic gradients in the store against central differences.
+def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
+                   epsilon: float = 1e-5, *, guard: float = 1e-4, names=None,
+                   sample: int | None = None, rng=None) -> dict[str, float]:
+    """Compare the analytic gradient against central differences.
 
     `loss_fn` must be a deterministic, forward-only closure over the store's
-    current values; the analytic gradients are read from the store's gradient
-    buffers, so populate them before calling. The reported figure per tensor
-    is max over entries of |analytic - numeric| / max(|analytic|, |numeric|,
-    guard); the guard floor keeps finite-difference rounding noise on
-    near-zero entries from registering as disagreement.
+    current values, and `gradient` the analytic gradient of that loss at
+    those values. The reported figure per tensor is max over entries of
+    |analytic - numeric| / max(|analytic|, |numeric|, guard); the guard
+    floor keeps finite-difference rounding noise on near-zero entries from
+    registering as disagreement.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     results: dict[str, float] = {}
     for name in (store.names() if names is None else names):
         flat = store.value(name).reshape(-1)
-        grad = store.grad(name).reshape(-1)
+        grad = gradient.full(name).reshape(-1)
         if sample is not None and sample < flat.size:
             indices = rng.choice(flat.size, size=sample, replace=False)
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PATH_END, PATH_START
-from .numerics import ParameterStore, ShapeMismatch, tanh_backward
+from .numerics import Gradient, ParameterStore, ShapeMismatch, tanh_backward
 from .subtree import PAD_WORD, REL_EMB
 
 CONV_W = "conv_w"
@@ -128,25 +128,26 @@ def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
-                  vocab, learning_rate: float | None = None) -> np.ndarray:
+                  gradient: Gradient, vocab, learning_rate: float | None = None) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
-    through the filter into relation embeddings, the pad vector, and the
-    path-word vectors (returned, one row per path word in path order).
+    through the filter into the gradient of relation embeddings, the pad
+    vector and the filter bias, and into the path-word vectors (returned,
+    one row per path word in path order).
 
     With a learning rate the filter takes its SGD step here, in place, and
-    its gradient buffer is left alone; without one its gradient adds onto
-    the buffer."""
+    its gradient never reaches `gradient`; without one it adds onto
+    gradient[CONV_W]."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
     d_inputs = d_features @ conv_w      # before the filter's update below
-    store.grad(CONV_B)[...] += d_pre
+    gradient[CONV_B] += d_pre
     # max-pooling routes each hidden unit to exactly one window, so a row of
     # the filter gradient is a gathered window scaled by its unit's gradient;
     # the same operations as grad += d; grad *= lr; value -= grad, so the
     # update is bit for bit the buffered one
-    grad = store.grad(CONV_W) if learning_rate is None else None
+    grad = gradient[CONV_W] if learning_rate is None else None
     for start in range(0, d_pre.size, CONV_W_BLOCK):
         block = slice(start, start + CONV_W_BLOCK)
         step = cache.inputs[cache.argmax[block]]
@@ -163,7 +164,7 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     d_words = np.zeros((n_windows + 1, word_dim))
     np.add.at(d_words, windows[:, is_word],
               d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
-    store.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
-                   d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
-    store.grad(PAD_WORD)[...] += d_words[0]
+    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+                      d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
+    gradient[PAD_WORD] += d_words[0]
     return d_words[1:]

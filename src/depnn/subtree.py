@@ -5,7 +5,7 @@ concatenated with a subtree vector. Words without an attached subtree take
 the learned leaf vector for c_w; otherwise c_w = tanh(sum over children q
 of C_rel(w,q) . p_q + bias), where C_rel is the composition matrix of the
 dependency relation joining w to q. The backward pass mirrors the
-recursion, accumulating gradients into the store.
+recursion, accumulating into a Gradient.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterStore, tanh_backward
+from .numerics import Gradient, ParameterStore, tanh_backward
 
 WORD_EMB = "word_emb"
 REL_EMB = "rel_emb"
@@ -76,24 +76,24 @@ def _encode(node: int, graph, children_of, store: ParameterStore, vocab) -> Node
     return NodeCache(node, row, np.concatenate([x, c]), c, False, kids)
 
 
-def encode_backward(cache: NodeCache, upstream: np.ndarray,
-                    store: ParameterStore, vocab) -> None:
+def encode_backward(cache: NodeCache, upstream: np.ndarray, store: ParameterStore,
+                    gradient: Gradient, vocab) -> None:
     """Propagate a gradient on p_w back through the subtree recursion,
-    accumulating into word embeddings, composition matrices, the
-    composition bias, and the leaf vector."""
-    _backward(cache, upstream, cache.p.size - cache.c.size, store, vocab)
+    accumulating into the gradient of word embeddings, composition
+    matrices, the composition bias, and the leaf vector."""
+    _backward(cache, upstream, cache.p.size - cache.c.size, store, gradient, vocab)
 
 
-def _backward(node: NodeCache, d_p: np.ndarray, dim: int,
-              store: ParameterStore, vocab) -> None:
-    store.add_rows(WORD_EMB, node.word_row, d_p[:dim])
+def _backward(node: NodeCache, d_p: np.ndarray, dim: int, store: ParameterStore,
+              gradient: Gradient, vocab) -> None:
+    gradient.add_rows(WORD_EMB, node.word_row, d_p[:dim])
     d_c = d_p[dim:]
     if node.is_leaf:
-        store.grad(LEAF_VEC)[...] += d_c
+        gradient[LEAF_VEC] += d_c
         return
     d_pre = tanh_backward(node.c, d_c)
-    store.grad(COMP_BIAS)[...] += d_pre
+    gradient[COMP_BIAS] += d_pre
     for relation, kid in node.children:
         name = vocab.comp_name(relation)
-        store.grad(name)[...] += np.outer(d_pre, kid.p)
-        _backward(kid, store.value(name).T @ d_pre, dim, store, vocab)
+        gradient[name] += np.outer(d_pre, kid.p)
+        _backward(kid, store.value(name).T @ d_pre, dim, store, gradient, vocab)

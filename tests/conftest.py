@@ -146,9 +146,10 @@ def oracle_conv_forward(n_words, k, word_vecs, rel_labels, store, vocab,
                            argmax=feature_map.argmax(axis=0), use_tanh=use_tanh)
 
 
-def oracle_conv_backward(cache, upstream, store):
+def oracle_conv_backward(cache, upstream, store, gradient):
     """Per-window, per-slot backward oracle for oracle_conv_forward's cache;
-    accumulates into the store and returns the path-word gradients."""
+    accumulates into a Gradient's dense buffers and returns the path-word
+    gradients."""
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     for coord, win in enumerate(cache.argmax):
@@ -162,21 +163,21 @@ def oracle_conv_backward(cache, upstream, store):
         if not d_out.any():
             continue
         d_pre = tanh_backward(cache.feature_map[i], d_out) if cache.use_tanh else d_out
-        store.grad(CONV_W)[...] += np.outer(d_pre, x)
-        store.grad(CONV_B)[...] += d_pre
+        gradient[CONV_W] += np.outer(d_pre, x)
+        gradient[CONV_B] += d_pre
         d_x = conv_w.T @ d_pre
         offset = 0
         for (kind, ref), row in zip(cache.windows[i], cache.slot_rows[i]):
             if kind == "word":
                 segment = d_x[offset:offset + word_dim]
                 if ref is None:
-                    store.grad(PAD_WORD)[...] += segment
+                    gradient[PAD_WORD] += segment
                 else:
                     d_words.setdefault(ref, np.zeros(word_dim))
                     d_words[ref] += segment
                 offset += word_dim
             else:
-                store.grad(REL_EMB)[row] += d_x[offset:offset + rel_dim]
+                gradient[REL_EMB][row] += d_x[offset:offset + rel_dim]
                 offset += rel_dim
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
 
@@ -186,11 +187,16 @@ def assert_bit_identical(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def dense_sgd_oracle(store, learning_rate):
+def dense_sgd_oracle(store, gradient, learning_rate):
     """What a full-table update makes of every tensor: value - lr * grad,
-    computed on copies, per tensor name."""
-    return {name: store.value(name) - learning_rate * store.grad(name)
+    with grad the gradient's whole tensor, computed on copies, per name."""
+    return {name: store.value(name) - learning_rate * gradient.full(name)
             for name in store.names()}
+
+
+def subtree_tokens(adp, word):
+    """The tokens of the subtree attached to a path word."""
+    return {arc.dependent for arc in adp.subtrees[word]}
 
 
 VALID_RECORD = ('{"id": 1, "tokens": [["a", null, 0, "root", null, null], '
@@ -241,8 +247,7 @@ def rewrite_model_file(path, drop=None, narrow=None):
         if name == drop:
             continue
         value = source.value(name)[..., :-1] if name == narrow else source.value(name)
-        store.register(name, value.shape, source.kind(name))
-        store.set_value(name, value)
+        store.register(name, value.shape, source.kind(name))[...] = value
     save_store(path, store, meta)
 
 

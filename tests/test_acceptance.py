@@ -28,9 +28,10 @@ from depnn.corpus import (LABELS, Vocabulary, dataset_stats,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 from depnn.evaluation import metric_lines, score
-from depnn.numerics import gradient_check
+from depnn.numerics import Gradient, gradient_check
 
-from conftest import enumerate_tree_path, offpath_descendants, random_tree
+from conftest import (enumerate_tree_path, offpath_descendants, random_tree,
+                      subtree_tokens)
 
 GRADCHECK_CONFIG = TrainConfig(dim=8, dim_c=5, hidden=7, window=5, lex_dim=4,
                                use_ner=True, use_wordnet=True, seed=2)
@@ -68,10 +69,10 @@ def test_criterion_1_gradient_correctness():
     for inst in instances + extras:
         steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
         path_lengths.add(len(steps))
-        model.store.zero_grads()
-        model.accumulate_gradients(inst)
+        gradient = Gradient(model.store)
+        model.accumulate_gradients(inst, gradient)
         errors = gradient_check(lambda: model.evaluate_loss(inst), model.store,
-                                epsilon=1e-5)
+                                gradient, epsilon=1e-5)
         for name, err in errors.items():
             worst[name] = max(worst[name], err)
     elapsed = time.monotonic() - started
@@ -111,7 +112,7 @@ def test_criterion_3_subtree_partition():
         path = set(adp.path_tokens)
         union = set()
         for word in adp.path_tokens:
-            tokens = adp.subtree_tokens(word)
+            tokens = subtree_tokens(adp, word)
             assert tokens.isdisjoint(path)
             assert tokens.isdisjoint(union)
             assert tokens == offpath_descendants(graph, path, word)

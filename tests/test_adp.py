@@ -2,11 +2,12 @@ import pytest
 
 from depnn.adp import (Arc, DependencyGraph, Direction, InvalidSpan,
                        PathStep, Token, TreeViolation, attach_subtrees,
-                       collapse_prepositions, directed_label, find_entity_head,
+                       directed_label, find_entity_head,
                        render_path, shortest_path)
 from depnn.path_cnn import build_windows, word_slots
 
-from conftest import enumerate_tree_path, graph_of, offpath_descendants, random_tree
+from conftest import (enumerate_tree_path, graph_of, offpath_descendants, random_tree,
+                      subtree_tokens)
 
 
 def thief_graph():
@@ -148,7 +149,7 @@ class TestAttachSubtrees:
             path = set(adp.path_tokens)
             seen = set()
             for word in adp.path_tokens:
-                tokens = adp.subtree_tokens(word)
+                tokens = subtree_tokens(adp, word)
                 assert tokens == offpath_descendants(g, path, word)
                 assert tokens.isdisjoint(path)
                 assert tokens.isdisjoint(seen)
@@ -185,59 +186,3 @@ class TestAttachSubtrees:
                         for i, is_word in enumerate(word_slots(k))]
             assert window == expected
 
-
-class TestCollapsePrepositions:
-    def test_no_preposition_is_fixpoint(self):
-        g = graph_of(3, [(0, 1, "root"), (1, 2, "nsubj"), (1, 3, "dobj")])
-        assert collapse_prepositions(g) == g
-
-    def test_basic_collapse(self):
-        forms = ["broke", "with", "screwdriver"]
-        g = graph_of(3, [(0, 1, "root"), (1, 2, "prep"), (2, 3, "pobj")],
-                     forms=forms)
-        collapsed = collapse_prepositions(g)
-        assert Arc(1, 3, "prep_with") in collapsed.arcs
-        assert collapsed.inactive == {2}
-        assert len(collapsed.tokens) == 3     # token list kept intact
-
-    def test_three_level_nesting_hand_rewrite(self):
-        forms = ["broke", "with", "hammer", "of", "steel", "from", "forge"]
-        g = graph_of(7, [(0, 1, "root"), (1, 2, "prep"), (2, 3, "pobj"),
-                         (3, 4, "prep"), (4, 5, "pobj"), (5, 6, "prep"),
-                         (6, 7, "pobj")], forms=forms)
-        collapsed = collapse_prepositions(g)
-        expected = {Arc(0, 1, "root"), Arc(1, 3, "prep_with"),
-                    Arc(3, 5, "prep_of"), Arc(5, 7, "prep_from")}
-        assert set(collapsed.arcs) == expected
-        assert collapsed.inactive == {2, 4, 6}
-
-    def test_idempotent(self):
-        forms = ["broke", "with", "hammer", "of", "steel", "from", "forge"]
-        g = graph_of(7, [(0, 1, "root"), (1, 2, "prep"), (2, 3, "pobj"),
-                         (3, 4, "prep"), (4, 5, "pobj"), (5, 6, "prep"),
-                         (6, 7, "pobj")], forms=forms)
-        once = collapse_prepositions(g)
-        assert collapse_prepositions(once) == once
-
-    def test_unmatched_prep_left_intact(self):
-        g = graph_of(3, [(0, 1, "root"), (1, 2, "prep"), (2, 3, "amod")])
-        assert collapse_prepositions(g) == g
-
-    def test_orphan_dependents_reheaded_to_object(self):
-        forms = ["fixed", "with", "care", "right"]
-        g = graph_of(4, [(0, 1, "root"), (1, 2, "prep"), (2, 3, "pobj"),
-                         (2, 4, "advmod")], forms=forms)
-        collapsed = collapse_prepositions(g)
-        assert Arc(1, 3, "prep_with") in collapsed.arcs
-        assert Arc(3, 4, "advmod") in collapsed.arcs
-        assert collapsed.inactive == {2}
-
-    def test_collapsed_graph_feeds_path(self):
-        forms = ["The", "thief", "broke", "the", "lock", "with", "screwdriver"]
-        g = graph_of(7, [(0, 3, "root"), (3, 2, "nsubj"), (2, 1, "det"),
-                         (3, 5, "dobj"), (5, 4, "det"), (3, 6, "prep"),
-                         (6, 7, "pobj")], forms=forms)
-        collapsed = collapse_prepositions(g)
-        steps = shortest_path(collapsed, 2, 7)
-        assert render_path(collapsed, steps) == \
-            "thief nsubj_inv broke prep_with screwdriver"

@@ -11,7 +11,7 @@ from depnn.classifier import (EmptyPath, Model, ModelFileMismatch, OUT_W,
                               TrainConfig, cross_entropy)
 from depnn.corpus import LABELS, Instance, entity_mention
 from depnn.evaluation import score
-from depnn.numerics import NonFiniteLoss, gradient_check
+from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B
 
 from conftest import (BAD_MODEL_META, graph_of, rewrite_model_file,
@@ -154,23 +154,11 @@ class TestTraining:
     def test_gradients_pass_finite_difference_check(self):
         instances = synth.make_gradcheck_instances(2, seed=5)
         model = tiny_model(instances, use_ner=True, use_wordnet=True)
-        model.store.zero_grads()
-        model.accumulate_gradients(instances[0])
+        gradient = Gradient(model.store)
+        model.accumulate_gradients(instances[0], gradient)
         errors = gradient_check(lambda: model.evaluate_loss(instances[0]),
-                                model.store)
+                                model.store, gradient)
         assert max(errors.values()) < 1e-5
-
-    @pytest.mark.parametrize("use_subtrees", [True, False])
-    @pytest.mark.parametrize("lexical", [True, False])
-    @pytest.mark.parametrize("conv_tanh", [True, False])
-    def test_train_step_leaves_every_gradient_zero(self, use_subtrees, lexical, conv_tanh):
-        instances = synth.make_gradcheck_instances(4, seed=6)
-        model = tiny_model(instances, use_subtrees=use_subtrees, use_ner=lexical,
-                           use_wordnet=lexical, conv_tanh=conv_tanh)
-        for inst in instances:
-            model.train_step(inst)
-            for name in model.store.names():
-                assert not model.store.grad(name).any(), name
 
     def test_zero_epochs_leave_store_untouched(self):
         instances = synth.make_separable_corpus(6)

@@ -67,6 +67,24 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys):
         assert main(["stats", "--instances", "/nonexistent/path"]) == 2
 
+    @pytest.mark.parametrize("command, directory_flag", [
+        ("stats", "--instances"), ("eval", "--model"), ("eval", "--instances"),
+        ("predict", "--model"), ("predict", "--instances"),
+    ])
+    def test_directory_path_is_data_error(self, tmp_path, corpus_file, capsys,
+                                          command, directory_flag):
+        model_path = tmp_path / "m.model"
+        tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+        paths = {"--model": str(model_path), "--instances": str(corpus_file)}
+        if command == "stats":
+            del paths["--model"]
+        paths[directory_flag] = str(tmp_path)
+        argv = [command] + [part for item in paths.items() for part in item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_failed_tolerance_is_numeric_failure(self, capsys):
         assert main(["gradcheck", "--n", "1", "--tolerance", "1e-14"]) == 3
 

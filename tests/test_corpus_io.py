@@ -12,7 +12,7 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 
-from conftest import MALFORMED_RECORDS, VALID_RECORD, write_instance_file
+from conftest import MALFORMED_RECORDS, VALID_RECORD, subtree_tokens, write_instance_file
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -149,8 +149,8 @@ class TestParsedInstances:
         assert render_path(inst.graph, steps) == \
             "thief nsubj_inv broke prep_with screwdriver"
         adp = attach_subtrees(inst.graph, steps)
-        assert adp.subtree_tokens(3) == {4, 5}   # "the lock" hangs off broke
-        assert adp.subtree_tokens(2) == {1}
+        assert subtree_tokens(adp, 3) == {4, 5}   # "the lock" hangs off broke
+        assert subtree_tokens(adp, 2) == {1}
 
 
 class TestConverter:
@@ -225,13 +225,13 @@ class TestEmbeddings:
         path = self.write(tmp_path, "dog 1 2 3 4\ncat 0 0 0 1\nfish -1 0 1 0\n")
         table = load_embeddings(path)
         assert table.dim == 4
-        assert len(table) == 3
+        assert len(table.vectors) == 3
         assert np.array_equal(table.vectors["dog"], [1, 2, 3, 4])
 
     def test_header_line_tolerated(self, tmp_path):
         path = self.write(tmp_path, "3 4\ndog 1 2 3 4\ncat 0 0 0 1\nfish -1 0 1 0\n")
         table = load_embeddings(path)
-        assert len(table) == 3 and table.dim == 4
+        assert len(table.vectors) == 3 and table.dim == 4
 
     def test_unk_is_mean_of_loaded_vectors(self, tmp_path):
         path = self.write(tmp_path, "a 1 2\nb 3 4\nc 5 0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -7,10 +8,12 @@ import pytest
 
 from depnn import numerics, synth
 
-from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, ModelFormatError,
+from depnn.classifier import NER_EMB, WN_EMB, Model
+from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, Gradient, ModelFormatError,
                             NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
                             NonFiniteValue, gradient_check, init_uniform,
                             load_store, save_store, softmax, tanh_backward)
+from depnn.subtree import REL_EMB, WORD_EMB
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, edit_manifest,
                       tiny_model, truncate_model_file)
@@ -61,25 +64,9 @@ class TestParameterStore:
         store = ParameterStore()
         w = store.register("w", (2, 3))
         assert w.shape == (2, 3)
-        assert store.grad("w").shape == (2, 3)
+        assert store.value("w") is w
         with pytest.raises(ValueError):
             store.register("w", (2, 3))
-
-    def test_set_value_shape_checked(self):
-        store = ParameterStore()
-        store.register("w", (2, 2))
-        with pytest.raises(ShapeMismatch):
-            store.set_value("w", np.zeros(3))
-
-    def test_sgd_step_and_zero(self):
-        store = ParameterStore()
-        store.register("w", (2,))
-        store.set_value("w", [1.0, 2.0])
-        store.grad("w")[...] = [0.5, -0.5]
-        store.sgd_step(0.1)
-        assert np.allclose(store.value("w"), [0.95, 2.05])
-        store.zero_grads()
-        assert not store.grad("w").any()
 
 
 class TestRowRecordedUpdate:
@@ -91,98 +78,77 @@ class TestRowRecordedUpdate:
         store.register("w", (3, 4), WEIGHT)
         store.register("b", (3,), BIAS)
         init_uniform(store, seed=3)
-        store.set_value("b", rng.normal(size=3))
+        store.value("b")[...] = rng.normal(size=3)
         return store
 
-    def write(self, store, rng):
-        """Duplicate rows through both add_rows forms, dense writes through
-        grad(), and one tensor left without gradient."""
-        store.add_rows("table", np.array([[4, 9], [4, 4]]), rng.normal(size=(2, 2, 4)))
-        store.add_rows("table", 9, rng.normal(size=4))
-        store.add_rows("table", np.array([27, 0, 27]), rng.normal(size=(3, 4)))
-        store.add_rows("lex", 2, rng.normal(size=3))
-        store.add_rows("lex", 2, rng.normal(size=3))
-        store.grad("pad_word")[...] += rng.normal(size=5)
-        store.grad("w")[...] += rng.normal(size=(3, 4))
+    def write(self, gradient, rng):
+        """Duplicate rows through both add_rows forms, dense writes, and one
+        tensor that only an empty add_rows reaches."""
+        gradient.add_rows("table", np.array([[4, 9], [4, 4]]), rng.normal(size=(2, 2, 4)))
+        gradient.add_rows("table", 9, rng.normal(size=4))
+        gradient.add_rows("table", np.array([27, 0, 27]), rng.normal(size=(3, 4)))
+        gradient.add_rows("lex", 2, rng.normal(size=3))
+        gradient.add_rows("lex", np.int64(2), rng.normal(size=3))
+        gradient["pad_word"] += rng.normal(size=5)
+        gradient["w"] += rng.normal(size=(3, 4))
+        gradient.add_rows("b", np.array([], dtype=np.intp), np.zeros(0))
 
     def test_matches_dense_oracle_bit_for_bit(self, rng):
         store = self.build(rng)
         for lr in (0.05, 0.3, 1.0):
-            self.write(store, rng)
-            expected = dense_sgd_oracle(store, lr)
-            store.sgd_step(lr)
+            gradient = Gradient(store)
+            self.write(gradient, rng)
+            expected = dense_sgd_oracle(store, gradient, lr)
+            gradient.apply(lr)
             for name in store.names():
                 assert_bit_identical(store.value(name), expected[name])
-                assert not store.grad(name).any(), name
 
     def test_add_rows_accumulates_duplicates_in_order(self, rng):
-        store = self.build(rng)
-        deltas = rng.normal(size=(3, 4))
-        store.add_rows("table", np.array([7, 7, 7]), deltas)
+        gradient = Gradient(self.build(rng))
+        deltas = rng.normal(size=(4, 4))
+        given = deltas.copy()
+        gradient.add_rows("table", np.array([7, 7]), deltas[:2])
+        gradient.add_rows("table", 7, deltas[2])
+        gradient.add_rows("table", np.int64(7), deltas[3])
         expected = np.zeros(4)
         for delta in deltas:
             expected += delta
-        assert_bit_identical(store.grad("table")[7], expected)
-        assert not np.delete(store.grad("table"), 7, axis=0).any()
+        assert_bit_identical(gradient.full("table")[7], expected)
+        assert not np.delete(gradient.full("table"), 7, axis=0).any()
+        assert_bit_identical(deltas, given)     # the sums are not the callers' arrays
+        assert "table" not in gradient          # no dense buffer was allocated
 
-    def test_zero_grads_clears_the_row_record(self, rng):
+    def test_dense_and_row_writes_on_one_tensor_sum(self, rng):
         store = self.build(rng)
-        store.add_rows("table", 5, np.ones(4))
-        store.zero_grads()
-        store.grad("table")[11] += 1.0      # a dense write is applied in full
-        expected = dense_sgd_oracle(store, 0.5)
-        store.sgd_step(0.5)
-        assert_bit_identical(store.value("table"), expected["table"])
-        assert not store.grad("table").any()
+        gradient = Gradient(store)
+        deltas = rng.normal(size=(3, 4))
+        gradient.add_rows("table", 5, deltas[0])
+        gradient["table"][11] += 1.0
+        gradient.add_rows("table", np.array([5, 11]), deltas[1:])
+        expected = np.zeros((30, 4))
+        expected[5] += deltas[0]
+        expected[11] += 1.0
+        expected[5] += deltas[1]
+        expected[11] += deltas[2]
+        assert_bit_identical(gradient.full("table"), expected)
+        # the dense part and the row sums are applied one after the other
+        updated = store.value("table") - 0.5 * expected
+        gradient.apply(0.5)
+        assert np.allclose(store.value("table"), updated, rtol=0, atol=1e-15)
 
     def test_accumulated_model_gradients_match_dense_oracle(self):
         instances = synth.make_gradcheck_instances(6, seed=8)
         model = tiny_model(instances, use_ner=True, use_wordnet=True)
-        for i, inst in enumerate(instances):
-            model.accumulate_gradients(inst)
-            if i % 2 == 0:
-                continue                    # each update sums two instances
-            expected = dense_sgd_oracle(model.store, model.config.learning_rate)
-            model.store.sgd_step(model.config.learning_rate)
+        learning_rate = model.config.learning_rate
+        for first, second in zip(instances[::2], instances[1::2]):
+            gradient = Gradient(model.store)    # each update sums two instances
+            model.accumulate_gradients(first, gradient)
+            model.accumulate_gradients(second, gradient)
+            assert not {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} & gradient.keys()
+            expected = dense_sgd_oracle(model.store, gradient, learning_rate)
+            gradient.apply(learning_rate)
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])
-                assert not model.store.grad(name).any(), name
-
-
-class TestHandedOutBuffers:
-    """sgd_step sweeps a dense buffer only if grad() handed it out since the
-    last clear; any other buffer is known to hold zero."""
-
-    def build(self):
-        store = ParameterStore()
-        store.register("w", (3, 4), WEIGHT)
-        store.register("b", (3,), BIAS)
-        init_uniform(store, seed=5)
-        return store
-
-    @pytest.mark.parametrize("clear", [lambda store: store.sgd_step(0.5),
-                                       ParameterStore.zero_grads],
-                             ids=["sgd_step", "zero_grads"])
-    def test_buffer_not_handed_out_since_the_clear_is_not_applied(self, clear):
-        store = self.build()
-        stale = store.grad("w")
-        clear(store)
-        before = store.value("w").copy()
-        stale[...] = 1.0        # written through a buffer fetched before the clear
-        store.sgd_step(0.5)
-        assert_bit_identical(store.value("w"), before)
-
-    def test_buffer_written_through_grad_is_applied_and_cleared(self, rng):
-        store = self.build()
-        store.sgd_step(0.5)
-        delta = rng.normal(size=3)
-        store.grad("b")[...] += delta
-        untouched = store.value("w").copy()
-        expected = store.value("b") - 0.5 * delta
-        store.sgd_step(0.5)
-        assert_bit_identical(store.value("b"), expected)
-        assert_bit_identical(store.value("w"), untouched)
-        assert not store.grad("b").any()
 
 
 class TestInitUniform:
@@ -241,8 +207,7 @@ class TestGradientCheck:
     def linear_setup(self):
         # quadratic loss |W x - y|^2 over a single weight matrix
         store = ParameterStore()
-        store.register("w", (3, 4))
-        store.set_value("w", np.arange(12, dtype=float).reshape(3, 4) / 7.0)
+        store.register("w", (3, 4))[...] = np.arange(12, dtype=float).reshape(3, 4) / 7.0
         x = np.array([0.3, -1.0, 2.0, 0.5])
         y = np.array([1.0, 0.0, -1.0])
 
@@ -251,18 +216,19 @@ class TestGradientCheck:
             return float(r @ r)
 
         residual = store.value("w") @ x - y
-        store.grad("w")[...] = 2.0 * np.outer(residual, x)
-        return store, loss
+        gradient = Gradient(store)
+        gradient["w"] += 2.0 * np.outer(residual, x)
+        return store, gradient, loss
 
     def test_linear_model_tight(self):
-        store, loss = self.linear_setup()
-        errors = gradient_check(loss, store)
+        store, gradient, loss = self.linear_setup()
+        errors = gradient_check(loss, store, gradient)
         assert errors["w"] < 1e-9
 
     def test_corrupted_gradient_detected(self):
-        store, loss = self.linear_setup()
-        store.grad("w")[...] *= 2.0
-        errors = gradient_check(loss, store)
+        store, gradient, loss = self.linear_setup()
+        gradient["w"] *= 2.0
+        errors = gradient_check(loss, store, gradient)
         assert errors["w"] > 0.3
 
     def test_non_finite_loss_raises(self):
@@ -270,11 +236,11 @@ class TestGradientCheck:
         store.register("w", (1,))
 
         with pytest.raises(NonFiniteLoss):
-            gradient_check(lambda: float("nan"), store)
+            gradient_check(lambda: float("nan"), store, Gradient(store))
 
     def test_sampling_subset(self):
-        store, loss = self.linear_setup()
-        errors = gradient_check(loss, store, sample=5)
+        store, gradient, loss = self.linear_setup()
+        errors = gradient_check(loss, store, gradient, sample=5)
         assert errors["w"] < 1e-9
 
 
@@ -285,7 +251,7 @@ class TestSerialization:
         store.register("beta", (4,), BIAS)
         store.register("table", (5, 3), EMBEDDING)
         init_uniform(store, seed=21)
-        store.set_value("beta", [0.1, -0.2, 0.3, -0.4])
+        store.value("beta")[...] = [0.1, -0.2, 0.3, -0.4]
         return store
 
     def test_round_trip_double_precision(self, tmp_path):
@@ -401,7 +367,7 @@ class TestSerialization:
     def test_unknown_kind_names_path_and_tensor(self, tmp_path, kind):
         path = tmp_path / "m.model"
         store = self.build_store()
-        store._params["beta"].kind = kind       # register would refuse it
+        store._kinds["beta"] = kind             # register would refuse it
         save_store(path, store, {})
         with pytest.raises(ModelFormatError,
                            match=f"{path}: tensor 'beta': unknown parameter kind"):
@@ -434,8 +400,8 @@ def traced_peak(fn):
 
 class TestMemoryBounds:
     """Loading, initializing and saving a store hold each parameter's bytes
-    once: the value and gradient buffers, plus at most one block or one
-    tensor's bytes beyond them."""
+    once, in its value buffer, plus at most one block or one tensor's bytes
+    beyond it; the store keeps no gradient."""
     SLACK = 256 * 1024      # Python objects and numpy's casting buffers
 
     def build(self):
@@ -451,8 +417,7 @@ class TestMemoryBounds:
 
     def test_init_uniform_holds_no_full_size_draw(self):
         init_uniform(self.build(), seed=1)      # first use imports generator internals
-        layout = self.build()
-        stored = 2 * self.value_bytes(layout)   # values plus gradient buffers
+        stored = self.value_bytes(self.build())
 
         def build_and_init():
             store = self.build()
@@ -470,13 +435,29 @@ class TestMemoryBounds:
         load_store(path)
         loaded, peak = traced_peak(lambda: load_store(path)[0])
         if precision == "f8":
-            assert peak <= 2.1 * self.value_bytes(store)
+            assert peak <= 1.05 * self.value_bytes(store) + self.SLACK
             for name in store.names():
                 assert_bit_identical(loaded.value(name), store.value(name))
         else:
             # one tensor at a time is read in float32 and widened
             largest = max(store.value(name).nbytes for name in store.names()) // 2
-            assert peak <= 2 * self.value_bytes(store) + largest + self.SLACK
+            assert peak <= self.value_bytes(store) + largest + self.SLACK
+
+    def test_model_load_holds_each_tensor_once(self, tmp_path):
+        instances = synth.make_gradcheck_instances(3)
+        # a wide table of few rows, so the vocabulary's Python objects stay
+        # small beside the tensors
+        model = tiny_model(instances, dim=400, dim_c=25, hidden=50)
+        words = model.vocab.words + tuple(f"extra{i:04d}" for i in range(2500))
+        vocab = dataclasses.replace(model.vocab, words=words)
+        model = Model.build(model.config, vocab)
+        path = tmp_path / "m.model"
+        model.save(path)
+        Model.load(path)
+        loaded, peak = traced_peak(lambda: Model.load(path))
+        assert peak <= 1.05 * self.value_bytes(model.store) + self.SLACK
+        for name in model.store.names():
+            assert_bit_identical(loaded.store.value(name), model.store.value(name))
 
     @pytest.mark.parametrize("precision", ["f8", "f4"])
     def test_save_store_copies_at_most_one_tensor(self, tmp_path, precision):

@@ -6,7 +6,7 @@ from depnn.adp import attach_subtrees, directed_label, shortest_path
 from depnn.path_cnn import (CONV_W, CONV_W_BLOCK, InvalidWindowSize, build_windows,
                             conv_backward, conv_forward, max_over_time,
                             window_width, word_slots, words_per_window)
-from depnn.numerics import ShapeMismatch
+from depnn.numerics import Gradient, ShapeMismatch
 from depnn.subtree import PAD_WORD, REL_EMB, encode_word
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
@@ -153,22 +153,22 @@ class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
         cache = run_conv(model, 3, 3)
-        model.store.zero_grads()
+        gradient = Gradient(model.store)
         d_words = conv_backward(cache, np.zeros(model.config.hidden),
-                                model.store, model.vocab)
+                                model.store, gradient, model.vocab)
         for name in model.store.names():
-            assert not model.store.grad(name).any()
+            assert not gradient.full(name).any()
         assert all(not d.any() for d in d_words)
 
     def test_non_argmax_window_gets_exactly_zero(self):
         model, _ = harness(2)
         cache = run_conv(model, 2, 3)
-        model.store.zero_grads()
         coord = 0
         upstream = np.zeros(model.config.hidden)
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
-        d_words = conv_backward(cache, upstream, model.store, model.vocab)
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+                                model.vocab)
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
         assert not d_words[1 - winner].any()
@@ -177,9 +177,9 @@ class TestConvBackward:
         # with k=5 the middle word of a 3-word path sits in all 3 windows
         model, _ = harness(3, window=5)
         cache = run_conv(model, 3, 5)
-        model.store.zero_grads()
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
-        d_words = conv_backward(cache, upstream, model.store, model.vocab)
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+                                model.vocab)
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
@@ -210,23 +210,21 @@ class TestOracleEquivalence:
             assert np.abs(new.pooled - old.pooled).max() <= 1e-12
 
             upstream = rng.normal(size=model.config.hidden)
-            store.zero_grads()
-            d_new = conv_backward(new, upstream, store, model.vocab)
-            grads_new = {name: store.grad(name).copy() for name in store.names()}
-            store.zero_grads()
-            d_old = oracle_conv_backward(old, upstream, store)
+            grads_new, grads_old = Gradient(store), Gradient(store)
+            d_new = conv_backward(new, upstream, store, grads_new, model.vocab)
+            d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
-                assert np.abs(grads_new[name] - store.grad(name)).max() <= 1e-12, name
+                assert np.abs(grads_new.full(name) - grads_old.full(name)).max() <= 1e-12, name
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
                 assert np.abs(a - b).max() <= 1e-12
-            store.zero_grads()
 
 
 class TestFusedFilterUpdate:
     """train_step applies conv_w's update inside conv_backward, block by
-    block, without its gradient buffer; the result must be what the
-    gradient formed in one block and a dense update give, bit for bit."""
+    block, and the step's Gradient never holds conv_w; the result must be
+    what the gradient formed in one block and a dense update give, bit for
+    bit."""
 
     @pytest.mark.parametrize("use_subtrees", [True, False])
     @pytest.mark.parametrize("conv_tanh", [True, False])
@@ -240,14 +238,13 @@ class TestFusedFilterUpdate:
         buffered = tiny_model(instances, **settings)
         learning_rate = fused.config.learning_rate
         for inst in instances:
+            gradient = Gradient(buffered.store)
             with monkeypatch.context() as patch:
                 # the reference gradient is one hidden x width block
                 patch.setattr(path_cnn, "CONV_W_BLOCK", hidden)
-                buffered.accumulate_gradients(inst)
-            expected = dense_sgd_oracle(buffered.store, learning_rate)
+                buffered.accumulate_gradients(inst, gradient)
+            expected = dense_sgd_oracle(buffered.store, gradient, learning_rate)
             fused.train_step(inst)
-            assert not fused.store.grad(CONV_W).any()
             for name, value in expected.items():
                 assert_bit_identical(fused.store.value(name), value)
-                buffered.store.set_value(name, value)
-            buffered.store.zero_grads()
+                buffered.store.value(name)[...] = value

@@ -3,10 +3,11 @@ import pytest
 
 from depnn.adp import AugmentedDependencyPath, attach_subtrees, shortest_path
 from depnn.corpus import Instance, Vocabulary, entity_mention
+from depnn.numerics import Gradient
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, WORD_EMB, MissingEmbedding,
                            encode_backward, encode_word)
 
-from conftest import graph_of, tiny_model
+from conftest import graph_of, subtree_tokens, tiny_model
 
 
 def worked_example():
@@ -122,7 +123,7 @@ class TestForward:
 
         counting = CountingVocab(model.vocab)
         encode_word(graph, adp, 2, model.store, counting)
-        assert counting.word_lookups == 1 + len(adp.subtree_tokens(2))
+        assert counting.word_lookups == 1 + len(subtree_tokens(adp, 2))
 
     def test_missing_embedding_without_unk(self):
         graph, _, model, adp = worked_example()
@@ -137,29 +138,28 @@ class TestBackward:
     def test_zero_upstream_accumulates_nothing(self):
         graph, _, model, adp = worked_example()
         cache = encode_word(graph, adp, 2, model.store, model.vocab)
-        model.store.zero_grads()
-        encode_backward(cache, np.zeros_like(cache.p), model.store, model.vocab)
+        gradient = Gradient(model.store)
+        encode_backward(cache, np.zeros_like(cache.p), model.store, gradient, model.vocab)
         for name in model.store.names():
-            assert not model.store.grad(name).any()
+            assert not gradient.full(name).any()
 
     def test_repeated_structure_doubles_gradients(self):
         graph, _, model, adp = worked_example()
         cache = encode_word(graph, adp, 2, model.store, model.vocab)
         upstream = np.linspace(-1.0, 1.0, cache.p.size)
 
-        model.store.zero_grads()
-        encode_backward(cache, upstream, model.store, model.vocab)
-        single = {name: model.store.grad(name).copy()
-                  for name in model.store.names()}
+        once = Gradient(model.store)
+        encode_backward(cache, upstream, model.store, once, model.vocab)
+        single = {name: once.full(name) for name in model.store.names()}
 
-        model.store.zero_grads()
-        encode_backward(cache, upstream, model.store, model.vocab)
-        encode_backward(cache, upstream, model.store, model.vocab)
+        twice = Gradient(model.store)
+        encode_backward(cache, upstream, model.store, twice, model.vocab)
+        encode_backward(cache, upstream, model.store, twice, model.vocab)
         # each composition matrix takes one accumulation per pass (det, dobj,
         # prep_on each appear once), so doubling is bitwise exact there;
         # multi-contribution buffers like the bias double up to reassociation
         for name, grad in single.items():
-            doubled = model.store.grad(name)
+            doubled = twice.full(name)
             if name.startswith("comp/") and grad.any():
                 assert np.array_equal(doubled, 2.0 * grad)
             else:
@@ -168,10 +168,10 @@ class TestBackward:
     def test_leaf_routes_into_leaf_vector(self):
         graph, _, model, adp = worked_example()
         cache = encode_word(graph, adp, 1, model.store, model.vocab)
-        model.store.zero_grads()
+        gradient = Gradient(model.store)
         upstream = np.arange(cache.p.size, dtype=float)
-        encode_backward(cache, upstream, model.store, model.vocab)
+        encode_backward(cache, upstream, model.store, gradient, model.vocab)
         dim = model.config.dim
         row = model.vocab.word_row("priests")
-        assert np.array_equal(model.store.grad(WORD_EMB)[row], upstream[:dim])
-        assert np.array_equal(model.store.grad(LEAF_VEC), upstream[dim:])
+        assert np.array_equal(gradient.full(WORD_EMB)[row], upstream[:dim])
+        assert np.array_equal(gradient.full(LEAF_VEC), upstream[dim:])
