@@ -35,7 +35,7 @@ _CONFIG_KEYS = {
 def _read_config_file(path) -> dict:
     """Plain key=value lines; '#' starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with corpus.open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -220,7 +220,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    with open(args.instances, encoding="utf-8") as fh:
+    with corpus.open_utf8(args.instances) as fh:
         first = fh.readline().rstrip("\n")
     if first == corpus.INSTANCE_FORMAT_HEADER:
         labels = [inst.gold for inst in corpus.read_parsed_instances(args.instances)]

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +48,10 @@ class UnknownLabel(KeyError):
 
 
 class FormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, line: int | None = None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -61,6 +65,25 @@ class DimensionMismatch(ValueError):
 
 class AlignmentError(ValueError):
     pass
+
+
+@contextmanager
+def open_utf8(path):
+    """Open a text file to read as UTF-8. Bytes that are not UTF-8 raise a
+    FormatError naming the file, the line and the column of the first one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start]
+            column = exc.start - before.rfind(b"\n")
+            raise FormatError(f"byte 0x{data[exc.start]:02x} at column {column} is not UTF-8",
+                              before.count(b"\n") + 1, path) from None
+        raise
 
 
 def label_index(label: str) -> int:
@@ -144,7 +167,7 @@ def _strip_markers(marked: str, line_no: int) -> tuple[str, tuple[int, int], tup
 
 def read_semeval_raw(path) -> list[RawRecord]:
     """Parse the official marked-sentence / label / comment block format."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         lines = [line.rstrip("\r") for line in fh.read().split("\n")]
 
     records: list[RawRecord] = []
@@ -275,7 +298,7 @@ def write_parsed_instances(path, instances) -> None:
 
 
 def read_parsed_instances(path) -> list[Instance]:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != INSTANCE_FORMAT_HEADER:
             raise FormatError(f"expected header {INSTANCE_FORMAT_HEADER!r}, got {header!r}", 1)
@@ -303,7 +326,7 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
     """
     blocks: dict[int, list[list]] = {}
     current: list[list] | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -402,7 +425,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     The UNK vector is the arithmetic mean of all loaded vectors."""
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -24,11 +24,23 @@ from .subtree import PAD_WORD, REL_EMB
 CONV_W = "conv_w"
 CONV_B = "conv_b"
 
-# filter rows per block of conv_backward's gather-scale-update: 32 rows of a
-# 200-d filter (width 1300) are 330 KB, so each block's temporary stays in
-# cache while it is scaled and applied, instead of a hidden x width array
-# streaming through memory once per operation
-CONV_W_BLOCK = 32
+# bytes of filter per block of the filter products and of conv_backward's
+# update: 32 rows of the 200-d filter (400 x 1300 float64), 128 rows of the
+# 50-d one (200 x 325). OpenBLAS (0.3.31 on an AVX-512 x86-64 CPU) runs a
+# product of at most 100^3 multiply-adds on its small-matrix kernels, which
+# read the filter in place; a larger one first copies (packs) the operands
+# into scratch buffers, on every call. A path's windows times one block stay
+# under that up to 24 windows, so the forward and the backward each read the
+# filter once: a 4-window product with the whole 200-d filter took 0.50 ms,
+# in blocks 0.25 ms. A block's update temporary is as large as the block, so
+# it stays in cache while it is scaled and applied.
+CONV_W_BLOCK_BYTES = 32 * 1300 * 8
+
+
+def filter_blocks(conv_w: np.ndarray) -> list[slice]:
+    """The filter's row blocks of at most CONV_W_BLOCK_BYTES, in order."""
+    rows = max(1, CONV_W_BLOCK_BYTES // (conv_w.shape[1] * conv_w.itemsize))
+    return [slice(start, start + rows) for start in range(0, len(conv_w), rows)]
 
 
 class InvalidWindowSize(ValueError):
@@ -87,7 +99,6 @@ def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ConvCache:
     windows: np.ndarray       # build_windows' index array
     rel_rows: np.ndarray      # relation-embedding row of start, r_0 .. r_{n-2}, end
-    word_cols: np.ndarray     # mask of the window-vector entries from word slots
     inputs: np.ndarray        # concatenated window vectors, one row per window
     feature_map: np.ndarray   # post-activation, one row per window
     pooled: np.ndarray
@@ -104,27 +115,23 @@ def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
     than words).
     """
     conv_w = store.value(CONV_W)
-    rel_emb = store.value(REL_EMB)
-    pad = store.value(PAD_WORD)
-    is_word = word_slots(windows.shape[1])
-    word_cols = np.repeat(is_word, np.where(is_word, pad.size, rel_emb.shape[1]))
-    if word_cols.size != conv_w.shape[1]:
-        raise ShapeMismatch(
-            f"window vector has length {word_cols.size}, filter expects {conv_w.shape[1]}")
     rel_rows = np.array([vocab.relation_row(PATH_START)]
                         + [vocab.relation_row(label) for label in rel_labels]
                         + [vocab.relation_row(PATH_END)])
-
-    n_windows = len(windows)
-    inputs = np.empty((n_windows, word_cols.size))
-    words = np.vstack([pad, *word_vecs])
-    inputs[:, word_cols] = words[windows[:, is_word]].reshape(n_windows, -1)
-    inputs[:, ~word_cols] = rel_emb[rel_rows[windows[:, ~is_word]]].reshape(n_windows, -1)
-    pre = inputs @ conv_w.T + store.value(CONV_B)
-    feature_map = np.tanh(pre) if use_tanh else pre
+    # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
+    tables = (store.value(REL_EMB)[rel_rows], np.vstack([store.value(PAD_WORD), *word_vecs]))
+    inputs = np.concatenate([tables[word][slot] for word, slot
+                             in zip(word_slots(windows.shape[1]).tolist(), windows.T)], axis=1)
+    if inputs.shape[1] != conv_w.shape[1]:
+        raise ShapeMismatch(
+            f"window vector has length {inputs.shape[1]}, filter expects {conv_w.shape[1]}")
+    pre = np.empty((len(windows), len(conv_w)))
+    for block in filter_blocks(conv_w):
+        np.matmul(inputs, conv_w[block].T, out=pre[:, block])
+    pre += store.value(CONV_B)
+    feature_map = np.tanh(pre, out=pre) if use_tanh else pre
     pooled, argmax = max_over_time(feature_map)
-    return ConvCache(windows, rel_rows, word_cols, inputs, feature_map, pooled,
-                     argmax, use_tanh)
+    return ConvCache(windows, rel_rows, inputs, feature_map, pooled, argmax, use_tanh)
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
@@ -141,15 +148,15 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
-    d_inputs = d_features @ conv_w      # before the filter's update below
+    d_inputs = np.zeros_like(cache.inputs)
     gradient[CONV_B] += d_pre
     # max-pooling routes each hidden unit to exactly one window, so a row of
     # the filter gradient is a gathered window scaled by its unit's gradient;
     # the same operations as grad += d; grad *= lr; value -= grad, so the
     # update is bit for bit the buffered one
     grad = gradient[CONV_W] if learning_rate is None else None
-    for start in range(0, d_pre.size, CONV_W_BLOCK):
-        block = slice(start, start + CONV_W_BLOCK)
+    for block in filter_blocks(conv_w):
+        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
         step = cache.inputs[cache.argmax[block]]
         step *= d_pre[block, None]
         if grad is not None:
@@ -158,13 +165,19 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
             step *= learning_rate
             conv_w[block] -= step
 
-    windows, word_cols = cache.windows, cache.word_cols
+    # the window vectors' slots, split back apart: word slots go to the path
+    # words and the pad, relation slots to their relation-embedding rows
+    windows = cache.windows
     is_word = word_slots(windows.shape[1])
-    n_windows, word_dim = len(windows), store.value(PAD_WORD).size
-    d_words = np.zeros((n_windows + 1, word_dim))
-    np.add.at(d_words, windows[:, is_word],
-              d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
+    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
+    d_word_slots, d_rel_slots, start = [], [], 0
+    for word in is_word.tolist():
+        width = word_dim if word else rel_dim
+        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
+        start += width
+    d_words = np.zeros((len(windows) + 1, word_dim))
+    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
     gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
-                      d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
+                      np.stack(d_rel_slots, axis=1))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]

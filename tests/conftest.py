@@ -9,7 +9,7 @@ from depnn.adp import Arc, DependencyGraph, Direction, PathStep, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import INSTANCE_FORMAT_HEADER, PATH_END, PATH_START, Vocabulary
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
-from depnn.path_cnn import CONV_B, CONV_W
+from depnn.path_cnn import CONV_B, CONV_W, word_slots
 from depnn.subtree import PAD_WORD, REL_EMB
 
 
@@ -180,6 +180,61 @@ def oracle_conv_backward(cache, upstream, store, gradient):
                 gradient[REL_EMB][row] += d_x[offset:offset + rel_dim]
                 offset += rel_dim
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
+
+
+def onecall_conv_forward(windows, word_vecs, rel_labels, store, vocab, use_tanh=True):
+    """The path CNN's forward as one product with the whole filter: the
+    window vectors are filled through boolean column masks, and the
+    feature map is formed by a single matrix product."""
+    conv_w = store.value(CONV_W)
+    rel_emb = store.value(REL_EMB)
+    pad = store.value(PAD_WORD)
+    is_word = word_slots(windows.shape[1])
+    word_cols = np.repeat(is_word, np.where(is_word, pad.size, rel_emb.shape[1]))
+    rel_rows = np.array([vocab.relation_row(PATH_START)]
+                        + [vocab.relation_row(label) for label in rel_labels]
+                        + [vocab.relation_row(PATH_END)])
+    n_windows = len(windows)
+    inputs = np.empty((n_windows, word_cols.size))
+    words = np.vstack([pad, *word_vecs])
+    inputs[:, word_cols] = words[windows[:, is_word]].reshape(n_windows, -1)
+    inputs[:, ~word_cols] = rel_emb[rel_rows[windows[:, ~is_word]]].reshape(n_windows, -1)
+    pre = inputs @ conv_w.T + store.value(CONV_B)
+    feature_map = np.tanh(pre) if use_tanh else pre
+    return SimpleNamespace(windows=windows, rel_rows=rel_rows, word_cols=word_cols,
+                           inputs=inputs, feature_map=feature_map,
+                           pooled=feature_map.max(axis=0),
+                           argmax=feature_map.argmax(axis=0), use_tanh=use_tanh)
+
+
+def twopass_conv_backward(cache, upstream, store, gradient, learning_rate=None):
+    """The path CNN's backward for onecall_conv_forward's cache in two passes
+    over the filter: the window-vector gradient as one product with the
+    whole filter, then the filter's gradient, or its SGD step with a
+    learning rate, row by row."""
+    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+    conv_w = store.value(CONV_W)
+    d_features = np.zeros_like(cache.feature_map)
+    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
+    d_inputs = d_features @ conv_w      # before the filter's update below
+    gradient[CONV_B] += d_pre
+    step = cache.inputs[cache.argmax] * d_pre[:, None]
+    if learning_rate is None:
+        gradient[CONV_W] += step
+    else:
+        conv_w -= learning_rate * step
+
+    windows, word_cols = cache.windows, cache.word_cols
+    is_word = word_slots(windows.shape[1])
+    n_windows, word_dim = len(windows), store.value(PAD_WORD).size
+    d_words = np.zeros((n_windows + 1, word_dim))
+    np.add.at(d_words, windows[:, is_word],
+              d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
+    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+                      d_inputs[:, ~word_cols].reshape(n_windows, -1,
+                                                      store.value(REL_EMB).shape[1]))
+    gradient[PAD_WORD] += d_words[0]
+    return d_words[1:]
 
 
 def assert_bit_identical(actual, expected):

@@ -131,6 +131,57 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+def put_bad_byte(path, line, column):
+    """Replace the byte at a 1-based line and column of a file with 0xff,
+    which is never UTF-8."""
+    lines = path.read_bytes().split(b"\n")
+    text = bytearray(lines[line - 1])
+    text[column - 1] = 0xFF
+    lines[line - 1] = bytes(text)
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestBadUtf8:
+    """Every text reader reports bytes that are not UTF-8 as a data error
+    naming the file, the line and the column."""
+
+    def run(self, capsys, argv, path, line, column):
+        put_bad_byte(path, line, column)
+        assert main([str(part) for part in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: line {line}: byte 0xff at column {column} "
+                       "is not UTF-8\n")
+
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    def test_instance_file(self, tmp_path, corpus_file, capsys, command):
+        argv = [command, "--instances", corpus_file]
+        if command == "eval":
+            model_path = tmp_path / "m.model"
+            tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+            argv += ["--model", model_path]
+        self.run(capsys, argv, corpus_file, 3, 23)
+
+    @pytest.mark.parametrize("bad_file, line, column", [("raw", 5, 7), ("parses", 4, 3)])
+    def test_convert_inputs(self, tmp_path, capsys, bad_file, line, column):
+        files = {"raw": tmp_path / "raw.txt", "parses": tmp_path / "parses.txt"}
+        files["raw"].write_text(RAW_SAMPLE, encoding="utf-8")
+        files["parses"].write_text(PARSES, encoding="utf-8")
+        self.run(capsys, ["convert", "--raw", files["raw"], "--parses", files["parses"],
+                          "--out", tmp_path / "out.inst"], files[bad_file], line, column)
+
+    def test_embeddings(self, tmp_path, corpus_file, capsys):
+        embeddings = tmp_path / "vectors.txt"
+        write_embeddings(embeddings, 50)
+        self.run(capsys, ["train", "--instances", corpus_file, "--embeddings", embeddings,
+                          "--out", tmp_path / "m.model"], embeddings, 2, 1)
+
+    def test_config_file(self, tmp_path, corpus_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n# a comment\n", encoding="utf-8")
+        self.run(capsys, ["train", "--instances", corpus_file, "--config", cfg,
+                          "--out", tmp_path / "m.model"], cfg, 2, 5)
+
+
 class TestConvert:
     def test_empty_inputs(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

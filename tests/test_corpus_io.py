@@ -261,6 +261,18 @@ class TestEmbeddings:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("tail, line, byte, column", [
+        (b"caf\xc3\xa9\xff 1 2\n", 2, 0xFF, 6),    # columns count bytes
+        (b"x 1 2\n\xc3", 3, 0xC3, 1),               # cut off at the end of the file
+    ])
+    def test_bad_utf8_names_file_line_and_column(self, tmp_path, tail, line, byte, column):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"dog 1 2\r\n" + tail)
+        with pytest.raises(FormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: line {line}: byte 0x{byte:02x} at column {column} is not UTF-8"
+        assert err.value.line == line
+
 
 class TestVocabulary:
     def test_build_and_fallbacks(self):

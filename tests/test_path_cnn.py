@@ -3,14 +3,15 @@ import pytest
 
 from depnn import path_cnn, synth
 from depnn.adp import attach_subtrees, directed_label, shortest_path
-from depnn.path_cnn import (CONV_W, CONV_W_BLOCK, InvalidWindowSize, build_windows,
-                            conv_backward, conv_forward, max_over_time,
+from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
+                            conv_forward, filter_blocks, max_over_time,
                             window_width, word_slots, words_per_window)
 from depnn.numerics import Gradient, ShapeMismatch
 from depnn.subtree import PAD_WORD, REL_EMB, encode_word
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
-                      graph_of, oracle_conv_backward, oracle_conv_forward, tiny_model)
+                      graph_of, onecall_conv_forward, oracle_conv_backward,
+                      oracle_conv_forward, tiny_model, twopass_conv_backward)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -185,6 +186,40 @@ class TestConvBackward:
                    for d in d_words)
 
 
+def limit_block_rows(monkeypatch, rows, width):
+    """Make filter_blocks cut a filter of this width into blocks of `rows`."""
+    monkeypatch.setattr(path_cnn, "CONV_W_BLOCK_BYTES", rows * width * 8)
+
+
+class TestFilterBlocks:
+    def test_byte_budget_sets_rows_per_block(self):
+        # 32 rows of the 200-d filter, 128 of the 50-d one, in the budget
+        assert filter_blocks(np.empty((400, 1300)))[:2] == [slice(0, 32), slice(32, 64)]
+        assert len(filter_blocks(np.empty((400, 1300)))) == 13
+        assert filter_blocks(np.empty((200, 325))) == [slice(0, 128), slice(128, 256)]
+
+    def test_blocks_cover_every_row_once(self):
+        for hidden in (1, 7, 32, 33, 200):
+            for width in (22, 325, 1300, 10**6):
+                rows = np.arange(hidden)
+                covered = np.concatenate([rows[b] for b in filter_blocks(np.empty((hidden, width)))])
+                assert covered.tolist() == rows.tolist()
+
+
+def random_paths(model, instances):
+    """Subtree-encoded path vectors and directed relation labels per instance."""
+    for inst in instances:
+        adp = attach_subtrees(inst.graph, shortest_path(
+            inst.graph, inst.e1.head_index, inst.e2.head_index))
+        vecs = [encode_word(inst.graph, adp, w, model.store, model.vocab).p
+                for w in adp.path_tokens]
+        yield vecs, [directed_label(s.relation, s.direction) for s in adp.steps[1:]]
+
+
+def max_gap(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max()
+
+
 class TestOracleEquivalence:
     """The vectorized conv against the per-window, per-slot oracle in
     conftest, on random subtree-encoded paths."""
@@ -195,40 +230,97 @@ class TestOracleEquivalence:
         instances = synth.make_gradcheck_instances(12, seed=100 + k)
         model = tiny_model(instances, window=k, conv_tanh=use_tanh)
         store = model.store
-        for inst in instances:
-            adp = attach_subtrees(inst.graph, shortest_path(
-                inst.graph, inst.e1.head_index, inst.e2.head_index))
-            vecs = [encode_word(inst.graph, adp, w, store, model.vocab).p
-                    for w in adp.path_tokens]
-            labels = [directed_label(s.relation, s.direction) for s in adp.steps[1:]]
+        for vecs, labels in random_paths(model, instances):
             n = len(vecs)
             new = conv_forward(build_windows(n, k), vecs, labels, store,
                                model.vocab, use_tanh=use_tanh)
             old = oracle_conv_forward(n, k, vecs, labels, store, model.vocab,
                                       use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
-            assert np.abs(new.pooled - old.pooled).max() <= 1e-12
+            assert max_gap(new.pooled, old.pooled) <= 1e-12
 
             upstream = rng.normal(size=model.config.hidden)
             grads_new, grads_old = Gradient(store), Gradient(store)
             d_new = conv_backward(new, upstream, store, grads_new, model.vocab)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
-                assert np.abs(grads_new.full(name) - grads_old.full(name)).max() <= 1e-12, name
+                assert max_gap(grads_new.full(name), grads_old.full(name)) <= 1e-12, name
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
-                assert np.abs(a - b).max() <= 1e-12
+                assert max_gap(a, b) <= 1e-12
+
+    # (hidden, dim, dim_c, k, rows per block or None for the byte budget's)
+    BLOCKED_SHAPES = {
+        "tiny-2-row-blocks": (5, 6, 4, 3, 2),
+        "tiny-8-row-blocks": (33, 6, 4, 5, 8),
+        "50d": (200, 50, 25, 5, None),       # 128 + 72 rows
+        "200d": (400, 200, 100, 5, None),    # 13 blocks of up to 32 rows
+    }
+
+    @pytest.mark.parametrize("use_tanh", [True, False])
+    @pytest.mark.parametrize("shape", sorted(BLOCKED_SHAPES))
+    def test_blocks_match_oracles(self, monkeypatch, shape, use_tanh, rng):
+        """Across filter blocks the forward and backward match the
+        per-window oracle, and the one-call forward and two-pass backward
+        they replaced, to 1e-12; a training step's filter update too."""
+        hidden, dim, dim_c, k, rows = self.BLOCKED_SHAPES[shape]
+        instances = synth.make_gradcheck_instances(6, seed=hidden)
+        model = tiny_model(instances, hidden=hidden, dim=dim, dim_c=dim_c, window=k,
+                           conv_tanh=use_tanh)
+        store, vocab = model.store, model.vocab
+        if rows is not None:
+            limit_block_rows(monkeypatch, rows, window_width(k, dim, dim_c))
+        assert len(filter_blocks(store.value(CONV_W))) > 1
+        for vecs, labels in random_paths(model, instances):
+            n = len(vecs)
+            windows = build_windows(n, k)
+            new = conv_forward(windows, vecs, labels, store, vocab, use_tanh=use_tanh)
+            per_window = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh)
+            onecall = onecall_conv_forward(windows, vecs, labels, store, vocab, use_tanh)
+            for old in (per_window, onecall):
+                assert np.array_equal(new.argmax, old.argmax)
+                assert max_gap(new.pooled, old.pooled) <= 1e-12
+
+            upstream = rng.normal(size=hidden)
+            grads = {kind: Gradient(store) for kind in ("new", "per-window", "two-pass")}
+            d_words = {
+                "new": conv_backward(new, upstream, store, grads["new"], vocab),
+                "per-window": oracle_conv_backward(per_window, upstream, store,
+                                                   grads["per-window"]),
+                "two-pass": twopass_conv_backward(onecall, upstream, store,
+                                                  grads["two-pass"]),
+            }
+            for kind in ("per-window", "two-pass"):
+                for name in store.names():
+                    assert max_gap(grads["new"].full(name),
+                                   grads[kind].full(name)) <= 1e-12, (kind, name)
+                assert len(d_words[kind]) == n
+                for a, b in zip(d_words["new"], d_words[kind]):
+                    assert max_gap(a, b) <= 1e-12, kind
+
+            # with a learning rate: the step on a copy of the filter, both ways
+            conv_w = store.value(CONV_W)
+            before = conv_w.copy()
+            stepped_new = conv_backward(new, upstream, store, Gradient(store), vocab, 0.3)
+            after_new = conv_w.copy()
+            conv_w[...] = before
+            stepped_old = twopass_conv_backward(onecall, upstream, store, Gradient(store), 0.3)
+            assert max_gap(after_new, conv_w) <= 1e-12
+            for a, b in zip(stepped_new, stepped_old):
+                assert max_gap(a, b) <= 1e-12
+            conv_w[...] = before
 
 
 class TestFusedFilterUpdate:
     """train_step applies conv_w's update inside conv_backward, block by
     block, and the step's Gradient never holds conv_w; the result must be
-    what the gradient formed in one block and a dense update give, bit for
-    bit."""
+    what the gradient formed with the same blocks and a dense update give,
+    bit for bit. The budget is cut to 4 rows a block, so hidden 7, 33 and
+    200 end on a part block and 32 on a whole one."""
 
     @pytest.mark.parametrize("use_subtrees", [True, False])
     @pytest.mark.parametrize("conv_tanh", [True, False])
-    @pytest.mark.parametrize("hidden", [7, CONV_W_BLOCK, CONV_W_BLOCK + 1, 200])
+    @pytest.mark.parametrize("hidden", [7, 32, 33, 200])
     def test_train_step_matches_buffered_update(self, monkeypatch, hidden, conv_tanh,
                                                 use_subtrees):
         instances = synth.make_gradcheck_instances(4, seed=hidden)
@@ -237,12 +329,10 @@ class TestFusedFilterUpdate:
         fused = tiny_model(instances, **settings)
         buffered = tiny_model(instances, **settings)
         learning_rate = fused.config.learning_rate
+        limit_block_rows(monkeypatch, 4, fused.store.value(CONV_W).shape[1])
         for inst in instances:
             gradient = Gradient(buffered.store)
-            with monkeypatch.context() as patch:
-                # the reference gradient is one hidden x width block
-                patch.setattr(path_cnn, "CONV_W_BLOCK", hidden)
-                buffered.accumulate_gradients(inst, gradient)
+            buffered.accumulate_gradients(inst, gradient)
             expected = dense_sgd_oracle(buffered.store, gradient, learning_rate)
             fused.train_step(inst)
             for name, value in expected.items():
