@@ -4,14 +4,14 @@ A sentence arrives as a single-rooted dependency tree. Given two entity
 mentions, the augmented dependency path is the unique tree path between
 the entity head words plus, for each word on that path, the dependency
 subtree hanging off it (descendants reachable without stepping onto the
-path). All types here are immutable after construction and every
-operation is a pure function.
+path); the subtrees are read straight off the graph when an instance is
+compiled (subtree.compile_nodes). All types here are immutable after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -20,10 +20,6 @@ class TreeViolation(ValueError):
 
 
 class InvalidSpan(ValueError):
-    pass
-
-
-class Disconnected(ValueError):
     pass
 
 
@@ -198,86 +194,30 @@ class PathStep:
 
 
 def shortest_path(graph: DependencyGraph, a: int, b: int) -> list[PathStep]:
-    """Breadth-first search over the undirected arc set from a to b.
+    """The unique tree path from a to b: both ends climb their head arcs,
+    the deeper one first, until they meet at the lowest common ancestor.
 
-    In a tree the result is the unique simple path. Hops from a dependent up
-    to its head carry Direction.INVERSE; head-to-dependent hops carry
-    Direction.FORWARD.
+    Hops from a dependent up to its head carry Direction.INVERSE;
+    head-to-dependent hops carry Direction.FORWARD. A validated graph is one
+    tree, so every pair of active tokens has a path.
     """
     for idx in (a, b):
         if not graph.has_token(idx) or idx in graph.inactive:
             raise InvalidSpan(f"no active token with index {idx}")
-    if a == b:
-        return [PathStep(a)]
-
-    adjacency: dict[int, list[tuple[int, str, Direction]]] = {}
-    for arc in graph.arcs:
-        if arc.head == 0:
-            continue
-        adjacency.setdefault(arc.head, []).append(
-            (arc.dependent, arc.relation, Direction.FORWARD))
-        adjacency.setdefault(arc.dependent, []).append(
-            (arc.head, arc.relation, Direction.INVERSE))
-    for neighbors in adjacency.values():
-        neighbors.sort(key=lambda item: item[0])
-
-    parent: dict[int, tuple[int, str, Direction]] = {}
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        node = queue.popleft()
-        if node == b:
-            break
-        for nxt, relation, direction in adjacency.get(node, ()):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (node, relation, direction)
-            queue.append(nxt)
-    if b not in seen:
-        raise Disconnected(f"no path between tokens {a} and {b}")
-
-    steps = [PathStep(b, parent[b][1], parent[b][2])]
-    node = parent[b][0]
-    while node != a:
-        prev, relation, direction = parent[node]
-        steps.append(PathStep(node, relation, direction))
-        node = prev
-    steps.append(PathStep(a))
-    steps.reverse()
+    steps = [PathStep(a)]
+    down: list[Arc] = []          # arcs climbed from b, walked back down at the end
+    while a != b:
+        if graph.depth(a) >= graph.depth(b):
+            arc = graph.head_arc(a)
+            steps.append(PathStep(arc.head, arc.relation, Direction.INVERSE))
+            a = arc.head
+        else:
+            arc = graph.head_arc(b)
+            down.append(arc)
+            b = arc.head
+    steps += [PathStep(arc.dependent, arc.relation, Direction.FORWARD)
+              for arc in reversed(down)]
     return steps
-
-
-@dataclass(frozen=True)
-class AugmentedDependencyPath:
-    """The shortest path between two entity heads plus, per path word, the
-    arcs of the subtree attached to it off the path."""
-    steps: tuple[PathStep, ...]
-    subtrees: dict[int, tuple[Arc, ...]] = field(hash=False)
-
-    @property
-    def path_tokens(self) -> tuple[int, ...]:
-        return tuple(step.token for step in self.steps)
-
-
-def attach_subtrees(graph: DependencyGraph, steps) -> AugmentedDependencyPath:
-    """Collect, for each path word, every descendant arc reachable without
-    stepping onto another path token."""
-    steps = tuple(steps)
-    on_path = {step.token for step in steps}
-    subtrees: dict[int, tuple[Arc, ...]] = {}
-    for word in (step.token for step in steps):
-        collected: list[Arc] = []
-        stack = [word]
-        while stack:
-            node = stack.pop()
-            for arc in graph.children(node):
-                if arc.dependent in on_path:
-                    continue
-                collected.append(arc)
-                stack.append(arc.dependent)
-        subtrees[word] = tuple(collected)
-    return AugmentedDependencyPath(steps, subtrees)
 
 
 def render_path(graph: DependencyGraph, steps) -> str:

@@ -1,5 +1,5 @@
-"""The relation classifier: lexical features, softmax output, cross-entropy
-loss, and the per-instance SGD training loop."""
+"""The relation classifier: instance compilation, lexical features, softmax
+output, cross-entropy loss, and the per-instance SGD training loop."""
 
 from __future__ import annotations
 
@@ -9,16 +9,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import corpus
-from .adp import (AugmentedDependencyPath, Disconnected, InvalidSpan,
-                  attach_subtrees, directed_label, shortest_path)
-from .corpus import LABELS, Instance, Vocabulary, label_index
+from .adp import InvalidSpan, directed_label, shortest_path
+from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
                        ParameterStore, init_uniform, load_store, save_store, softmax)
 from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, conv_backward,
-                       conv_forward, window_width)
-from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, REL_EMB, WORD_EMB,
-                      NodeCache, encode_backward, encode_word)
+                       conv_forward, relation_rows, window_width)
+from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, WORD_EMB,
+                      comp_names, compile_nodes, encode, encode_backward)
 
 NER_EMB = "ner_emb"
 WN_EMB = "wn_emb"
@@ -29,6 +28,10 @@ _DIM_DEFAULTS = {50: (25, 200), 200: (100, 400)}
 
 
 class EmptyPath(ValueError):
+    pass
+
+
+class EmptyDataset(ValueError):
     pass
 
 
@@ -116,11 +119,22 @@ def cross_entropy(distribution: np.ndarray, gold_idx: int) -> float:
     return -float(np.log(max(distribution[gold_idx], 1e-300)))
 
 
+@dataclass(frozen=True, slots=True)
+class CompiledInstance:
+    """An instance as one model reads it, looked up once: integers only,
+    valid for the vocabulary and configuration it was compiled with."""
+    id: int
+    gold: int | None          # label index; None when unlabeled
+    schedule: np.ndarray      # subtree.compile_nodes' schedule of the path's nodes
+    rel_rows: np.ndarray      # path_cnn.relation_rows, sentinels included
+    windows: np.ndarray       # path_cnn.build_windows' index, shared by paths of one length
+    lex_rows: np.ndarray      # lexical-feature rows, one per Model._lex_tables entry
+
+
 @dataclass
 class _ForwardCache:
-    word_caches: list[NodeCache]
+    nodes: np.ndarray                 # p = [x, c] of every scheduled node
     conv: ConvCache
-    lex_rows: list[tuple[str, int]]   # (embedding table name, row)
     combined: np.ndarray              # path representation + lexical features
     distribution: np.ndarray
 
@@ -138,8 +152,8 @@ def parameter_layout(config: TrainConfig, vocab: Vocabulary) -> dict[str, tuple]
         CONV_W: ((config.hidden, window_width(config.window, dim, dim_c)), WEIGHT),
         CONV_B: ((config.hidden,), BIAS),
     }
-    for relation in vocab.comp_relations:
-        layout[f"comp/{relation}"] = ((dim_c, dim + dim_c), WEIGHT)
+    for name in comp_names(vocab):
+        layout[name] = ((dim_c, dim + dim_c), WEIGHT)
     lex_width = 0
     if config.use_ner:
         layout[NER_EMB] = ((len(vocab.ner_tags), config.lex_dim), EMBEDDING)
@@ -195,6 +209,11 @@ class Model:
         self.vocab = vocab
         self.store = store
         self._rng = np.random.default_rng(config.seed)
+        self._comp_names = comp_names(vocab)
+        self._windows: dict[int, np.ndarray] = {}      # per path length
+        # the table of each lexical row: entity 1's, then entity 2's, per feature
+        self._lex_tables = (([NER_EMB] * 2 if config.use_ner else [])
+                            + ([WN_EMB] * 2 if config.use_wordnet else []))
 
     @classmethod
     def build(cls, config: TrainConfig, vocab: Vocabulary,
@@ -212,109 +231,128 @@ class Model:
                 table[row] = embeddings.unk if word == corpus.UNK else embeddings.lookup(word)
         return cls(config, vocab, store)
 
+    # --- compilation ----------------------------------------------------------
+
+    def compile(self, instance: Instance) -> CompiledInstance:
+        """Look the instance up once: its path, the subtrees attached to it,
+        the windows over it and the entity heads' lexical tags, as rows of
+        this model's tensors."""
+        graph = instance.graph
+        try:
+            steps = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
+        except InvalidSpan as exc:
+            raise EmptyPath(f"instance {instance.id}: {exc}") from None
+        schedule = compile_nodes(graph, [step.token for step in steps], self.vocab,
+                                 self.config.use_subtrees)
+        rel_rows = relation_rows([directed_label(step.relation, step.direction)
+                                  for step in steps[1:]], self.vocab)
+        heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
+        lex_rows = [self.vocab.ner_row(tok.ner_tag) if table == NER_EMB
+                    else self.vocab.wn_row(tok.wn_hypernym)
+                    for table, tok in zip(self._lex_tables, heads * 2)]
+        windows = self._windows.get(len(steps))
+        if windows is None:
+            windows = self._windows[len(steps)] = build_windows(len(steps), self.config.window)
+            windows.flags.writeable = False
+        gold = None if instance.gold is None else label_index(instance.gold)
+        return CompiledInstance(instance.id, gold, schedule, rel_rows, windows,
+                                np.array(lex_rows, dtype=np.int32))
+
     # --- forward -------------------------------------------------------------
 
-    def _build_adp(self, instance: Instance) -> AugmentedDependencyPath:
-        try:
-            steps = shortest_path(instance.graph, instance.e1.head_index,
-                                  instance.e2.head_index)
-        except (Disconnected, InvalidSpan) as exc:
-            raise EmptyPath(f"instance {instance.id}: {exc}") from None
-        return attach_subtrees(instance.graph, steps)
-
-    def _lex_rows(self, instance: Instance) -> list[tuple[str, int]]:
-        rows: list[tuple[str, int]] = []
-        heads = (instance.graph.token(instance.e1.head_index),
-                 instance.graph.token(instance.e2.head_index))
-        if self.config.use_ner:
-            rows += [(NER_EMB, self.vocab.ner_row(tok.ner_tag)) for tok in heads]
-        if self.config.use_wordnet:
-            rows += [(WN_EMB, self.vocab.wn_row(tok.wn_hypernym)) for tok in heads]
-        return rows
-
-    def _forward(self, instance: Instance) -> tuple[Prediction, _ForwardCache]:
-        adp = self._build_adp(instance)
-        word_caches = [
-            encode_word(instance.graph, adp, word, self.store, self.vocab,
-                        include_subtree=self.config.use_subtrees)
-            for word in adp.path_tokens
-        ]
-        rel_labels = [directed_label(step.relation, step.direction)
-                      for step in adp.steps[1:]]
-        windows = build_windows(len(word_caches), self.config.window)
-        conv = conv_forward(windows, [c.p for c in word_caches], rel_labels,
-                            self.store, self.vocab, use_tanh=self.config.conv_tanh)
-        lex_rows = self._lex_rows(instance)
-        pieces = [conv.pooled] + [self.store.value(name)[row] for name, row in lex_rows]
+    def _forward(self, compiled: CompiledInstance) -> tuple[Prediction, _ForwardCache]:
+        schedule = compiled.schedule
+        nodes = encode(schedule, self.store, self._comp_names)
+        conv = conv_forward(compiled.windows, compiled.rel_rows,
+                            nodes[schedule[PARENT] == PATH], self.store,
+                            use_tanh=self.config.conv_tanh)
+        pieces = [conv.pooled] + [self.store.value(name)[row] for name, row
+                                  in zip(self._lex_tables, compiled.lex_rows.tolist())]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
         distribution = softmax(self.store.value(OUT_W) @ combined)
         prediction = Prediction(LABELS[int(np.argmax(distribution))],
                                 distribution, conv.pooled.copy())
-        return prediction, _ForwardCache(word_caches, conv, lex_rows,
-                                         combined, distribution)
+        return prediction, _ForwardCache(nodes, conv, combined, distribution)
 
     def predict(self, instance: Instance) -> Prediction:
-        return self._forward(instance)[0]
+        return self._forward(self.compile(instance))[0]
 
     def path_repr(self, instance: Instance) -> np.ndarray:
         return self.predict(instance).path_repr
 
-    def evaluate_loss(self, instance: Instance) -> float:
+    def evaluate_loss(self, compiled: CompiledInstance) -> float:
         """Forward-only cross-entropy on a labeled instance."""
-        prediction, _ = self._forward(instance)
-        return cross_entropy(prediction.distribution, label_index(instance.gold))
+        prediction, _ = self._forward(compiled)
+        return cross_entropy(prediction.distribution, self._gold(compiled))
+
+    @staticmethod
+    def _gold(compiled: CompiledInstance) -> int:
+        if compiled.gold is None:
+            raise UnknownLabel(f"instance {compiled.id} has no gold label")
+        return compiled.gold
 
     # --- backward ------------------------------------------------------------
 
-    def _backward(self, cache: _ForwardCache, gold_idx: int, gradient: Gradient,
+    def _backward(self, compiled: CompiledInstance, cache: _ForwardCache, gradient: Gradient,
                   learning_rate: float | None) -> None:
         d_logits = cache.distribution.copy()
-        d_logits[gold_idx] -= 1.0
-        gradient[OUT_W] += np.outer(d_logits, cache.combined)
-        d_combined = self.store.value(OUT_W).T @ d_logits
+        d_logits[compiled.gold] -= 1.0
+        out_w = self.store.value(OUT_W)
+        d_combined = out_w.T @ d_logits
+        # with a learning rate out_w takes its step here, in place, once
+        # d_combined is formed: the operations of grad += step; grad *= lr;
+        # value -= grad on a zeroed buffer, so bit for bit the buffered update
+        step = d_logits[:, None] * cache.combined
+        if learning_rate is None:
+            gradient[OUT_W] += step
+        else:
+            step *= learning_rate
+            out_w -= step
 
         hidden = cache.conv.pooled.size
         d_pooled = d_combined[:hidden]
         offset = hidden
-        for name, row in cache.lex_rows:
+        for name, row in zip(self._lex_tables, compiled.lex_rows.tolist()):
             width = self.store.value(name).shape[1]
             gradient.add_rows(name, row, d_combined[offset:offset + width])
             offset += width
 
-        d_words = conv_backward(cache.conv, d_pooled, self.store, gradient, self.vocab,
-                                learning_rate)
-        for node_cache, d_p in zip(cache.word_caches, d_words):
-            encode_backward(node_cache, d_p, self.store, gradient, self.vocab)
+        d_path = conv_backward(cache.conv, d_pooled, self.store, gradient, learning_rate)
+        encode_backward(compiled.schedule, cache.nodes, d_path, self.store, gradient,
+                        self._comp_names)
 
-    def _forward_backward(self, instance: Instance, gradient: Gradient,
+    def _forward_backward(self, compiled: CompiledInstance, gradient: Gradient,
                           learning_rate: float | None) -> float:
-        prediction, cache = self._forward(instance)
-        gold_idx = label_index(instance.gold)
-        loss = cross_entropy(prediction.distribution, gold_idx)
+        prediction, cache = self._forward(compiled)
+        loss = cross_entropy(prediction.distribution, self._gold(compiled))
         if not np.isfinite(loss):
-            raise NonFiniteLoss(f"instance {instance.id}: loss is {loss}")
-        self._backward(cache, gold_idx, gradient, learning_rate)
+            raise NonFiniteLoss(f"instance {compiled.id}: loss is {loss}")
+        self._backward(compiled, cache, gradient, learning_rate)
         return loss
 
-    def accumulate_gradients(self, instance: Instance, gradient: Gradient) -> float:
+    def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward without touching the parameters; returns the
         loss. The instance's gradient adds onto what `gradient` holds."""
-        return self._forward_backward(instance, gradient, None)
+        return self._forward_backward(compiled, gradient, None)
 
-    def train_step(self, instance: Instance) -> float:
-        """One SGD update on one instance. conv_w takes its step inside the
-        backward pass, every other tensor from the step's Gradient."""
+    def train_step(self, compiled: CompiledInstance) -> float:
+        """One SGD update on one instance. conv_w and out_w take their steps
+        inside the backward pass, every other tensor from the step's
+        Gradient."""
         gradient = Gradient(self.store)
-        loss = self._forward_backward(instance, gradient, self.config.learning_rate)
+        loss = self._forward_backward(compiled, gradient, self.config.learning_rate)
         gradient.apply(self.config.learning_rate)
         return loss
 
     def train(self, instances, validation=None, progress=None,
               epochs: int | None = None) -> TrainReport:
         """Epochs of shuffled per-instance SGD. The shuffle stream continues
-        across calls, so n calls of one epoch replay one call of n epochs."""
+        across calls, so n calls of one epoch replay one call of n epochs.
+        Every instance is compiled once per call, before the first step."""
         if not instances:
-            raise ValueError("training needs a non-empty dataset")
+            raise EmptyDataset("training needs a non-empty dataset")
+        compiled = [self.compile(inst) for inst in instances]
+        held_out = [self.compile(inst) for inst in validation or ()]
         report = TrainReport()
         n_epochs = self.config.epochs if epochs is None else epochs
         order = np.arange(len(instances))
@@ -323,12 +361,12 @@ class Model:
                 self._rng.shuffle(order)
             total = 0.0
             for idx in order:
-                total += self.train_step(instances[idx])
+                total += self.train_step(compiled[idx])
             mean_loss = total / len(instances)
             val_f1 = None
             if validation:
                 gold = [inst.gold for inst in validation]
-                pred = [self.predict(inst).label for inst in validation]
+                pred = [self._forward(held)[0].label for held in held_out]
                 val_f1 = score(gold, pred).macro_f1
             report.epoch_losses.append(mean_loss)
             report.val_f1.append(val_f1)

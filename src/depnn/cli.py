@@ -18,7 +18,7 @@ from . import adp, classifier, corpus, evaluation, numerics, synth
 
 _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
                 corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
-                adp.InvalidSpan, adp.Disconnected, classifier.EmptyPath,
+                adp.InvalidSpan, classifier.EmptyPath, classifier.EmptyDataset,
                 classifier.ModelFileMismatch, numerics.ModelFormatError,
                 evaluation.LengthMismatch, OSError, ValueError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
@@ -200,9 +200,10 @@ def cmd_gradcheck(args) -> int:
 
     worst: dict[str, float] = {name: 0.0 for name in model.store.names()}
     for inst in instances:
+        compiled = model.compile(inst)
         gradient = numerics.Gradient(model.store)
-        model.accumulate_gradients(inst, gradient)
-        errors = numerics.gradient_check(lambda: model.evaluate_loss(inst), model.store,
+        model.accumulate_gradients(compiled, gradient)
+        errors = numerics.gradient_check(lambda: model.evaluate_loss(compiled), model.store,
                                          gradient, epsilon=args.epsilon)
         for name, err in errors.items():
             worst[name] = max(worst[name], err)

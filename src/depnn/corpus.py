@@ -467,7 +467,7 @@ class Vocabulary:
     def __post_init__(self):
         self._word_index = {w: i for i, w in enumerate(self.words)}
         self._relation_index = {r: i for i, r in enumerate(self.relations)}
-        self._comp = set(self.comp_relations)
+        self._comp_index = {r: i for i, r in enumerate(self.comp_relations)}
         self._ner_index = {t: i for i, t in enumerate(self.ner_tags)}
         self._wn_index = {t: i for i, t in enumerate(self.wn_tags)}
 
@@ -514,10 +514,15 @@ class Vocabulary:
             raise LookupError("vocabulary has no UNK relation entry")
         return row
 
-    def comp_name(self, relation: str) -> str:
-        """Parameter-store name of the composition matrix for a relation."""
-        key = relation if relation in self._comp else DEFAULT_RELATION
-        return f"comp/{key}"
+    def comp_id(self, relation: str) -> int:
+        """Index in comp_relations of the composition matrix for a relation;
+        a relation without a matrix of its own shares DEFAULT_RELATION's."""
+        index = self._comp_index.get(relation)
+        if index is None:
+            index = self._comp_index.get(DEFAULT_RELATION)
+        if index is None:
+            raise LookupError("vocabulary has no default composition entry")
+        return index
 
     def ner_row(self, tag: str | None) -> int:
         return self._ner_index.get(tag, self._ner_index[UNK]) if tag else self._ner_index[UNK]

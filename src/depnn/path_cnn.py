@@ -106,20 +106,24 @@ class ConvCache:
     use_tanh: bool
 
 
-def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
+def relation_rows(rel_labels, vocab) -> np.ndarray:
+    """Relation-embedding rows of [start, r_0 .. r_{n-2}, end], from the
+    directed labels of the relations between a path's n words."""
+    return np.array([vocab.relation_row(PATH_START)]
+                    + [vocab.relation_row(label) for label in rel_labels]
+                    + [vocab.relation_row(PATH_END)], dtype=np.int32)
+
+
+def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
                  use_tanh: bool = True) -> ConvCache:
     """Run the filter over every window and max-pool the feature map.
 
-    word_vecs are the encoded p_w vectors of the path words, in order;
-    rel_labels the directed labels of the relations between them (one fewer
-    than words).
+    rel_rows are relation_rows' index of the path; word_vecs the encoded
+    p_w vectors of the path words, one row each, in order.
     """
     conv_w = store.value(CONV_W)
-    rel_rows = np.array([vocab.relation_row(PATH_START)]
-                        + [vocab.relation_row(label) for label in rel_labels]
-                        + [vocab.relation_row(PATH_END)])
     # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
-    tables = (store.value(REL_EMB)[rel_rows], np.vstack([store.value(PAD_WORD), *word_vecs]))
+    tables = (store.value(REL_EMB)[rel_rows], np.vstack([store.value(PAD_WORD), word_vecs]))
     inputs = np.concatenate([tables[word][slot] for word, slot
                              in zip(word_slots(windows.shape[1]).tolist(), windows.T)], axis=1)
     if inputs.shape[1] != conv_w.shape[1]:
@@ -135,7 +139,7 @@ def conv_forward(windows, word_vecs, rel_labels, store: ParameterStore, vocab,
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
-                  gradient: Gradient, vocab, learning_rate: float | None = None) -> np.ndarray:
+                  gradient: Gradient, learning_rate: float | None = None) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
     through the filter into the gradient of relation embeddings, the pad
     vector and the filter bias, and into the path-word vectors (returned,
@@ -164,6 +168,7 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
         else:
             step *= learning_rate
             conv_w[block] -= step
+        del step        # freed before the next block's is made: one block held at a time
 
     # the window vectors' slots, split back apart: word slots go to the path
     # words and the pad, relation slots to their relation-embedding rows

@@ -1,16 +1,18 @@
-"""Bottom-up recursive encoding of the subtree attached to each path word.
+"""Bottom-up encoding of the subtree attached to each path word.
 
 Every word w gets a representation p_w = [x_w, c_w]: its word embedding
 concatenated with a subtree vector. Words without an attached subtree take
 the learned leaf vector for c_w; otherwise c_w = tanh(sum over children q
 of C_rel(w,q) . p_q + bias), where C_rel is the composition matrix of the
-dependency relation joining w to q. The backward pass mirrors the
-recursion, accumulating into a Gradient.
+dependency relation joining w to q.
+
+An instance's nodes are compiled once into a schedule of integers, and the
+forward and backward passes run from it without recursion. Children are
+summed in ascending token order; the sum is order-independent up to float
+reassociation, so the canonical order just pins the bit pattern.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,78 +24,112 @@ COMP_BIAS = "comp_bias"
 LEAF_VEC = "leaf_vec"
 PAD_WORD = "pad_word"
 
+# the rows of a schedule; a path word's parent slot and comp id are PATH
+ROW, PARENT, COMP = range(3)
+PATH = -1
+
 
 class MissingEmbedding(KeyError):
     pass
 
 
-@dataclass
-class NodeCache:
-    """Forward-pass state for one subtree node, kept for backprop."""
-    token: int
-    word_row: int
-    p: np.ndarray
-    c: np.ndarray
-    is_leaf: bool
-    children: list[tuple[str, "NodeCache"]]
+def comp_names(vocab) -> list[str]:
+    """Store names of the composition matrices, indexed by comp id."""
+    return [f"comp/{relation}" for relation in vocab.comp_relations]
 
 
-def encode_word(graph, adp, word: int, store: ParameterStore, vocab,
-                include_subtree: bool = True) -> NodeCache:
-    """Encode a path word together with its attached subtree.
+def compile_nodes(graph, path_tokens, vocab, include_subtree: bool = True) -> np.ndarray:
+    """The encoder's schedule for a path: a (3, n_nodes) int32 array whose
+    columns are the nodes in pre-order, each path word in path order
+    followed by its attached subtree, children in ascending token order.
+    Row ROW holds a node's word-embedding row, PARENT the slot of its
+    parent, COMP the comp id of the relation from its parent; both are
+    PATH on a path word.
 
-    With include_subtree=False the word is treated as bare (c = leaf
-    vector), which is how the path-only ablation runs. Children are summed
-    in ascending token order; the sum is order-independent up to float
-    reassociation, so the canonical order just pins the bit pattern.
+    With include_subtree=False every path word is bare (c = leaf vector),
+    which is how the path-only ablation runs.
     """
-    children_of: dict[int, list] = {}
-    if include_subtree:
-        for arc in adp.subtrees[word]:
-            children_of.setdefault(arc.head, []).append(arc)
-    return _encode(word, graph, children_of, store, vocab)
+    on_path = set(path_tokens)
+    rows: list[int] = []
+    parents: list[int] = []
+    comps: list[int] = []
+    for word in path_tokens:
+        stack = [(word, PATH, PATH)]
+        while stack:
+            token, parent, comp = stack.pop()
+            try:
+                rows.append(vocab.word_row(graph.token(token).form))
+            except LookupError as exc:
+                raise MissingEmbedding(str(exc)) from None
+            parents.append(parent)
+            comps.append(comp)
+            if include_subtree:
+                slot = len(parents) - 1
+                # pushed in reverse, so the lowest child is popped first
+                stack += [(arc.dependent, slot, vocab.comp_id(arc.relation))
+                          for arc in reversed(graph.children(token))
+                          if arc.dependent not in on_path]
+    return np.array([rows, parents, comps], dtype=np.int32)
 
 
-# The recursions are module-level functions rather than closures: a closure
-# that calls itself is a reference cycle, which would keep the store alive
-# until the cyclic garbage collector runs.
-def _encode(node: int, graph, children_of, store: ParameterStore, vocab) -> NodeCache:
-    try:
-        row = vocab.word_row(graph.token(node).form)
-    except LookupError as exc:
-        raise MissingEmbedding(str(exc)) from None
-    x = store.value(WORD_EMB)[row]
-    arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
-    if not arcs:
-        c = store.value(LEAF_VEC)
-        return NodeCache(node, row, np.concatenate([x, c]), c, True, [])
-    kids = [(arc.relation, _encode(arc.dependent, graph, children_of, store, vocab))
-            for arc in arcs]
-    pre = store.value(COMP_BIAS).copy()
-    for relation, kid in kids:
-        pre += store.value(vocab.comp_name(relation)) @ kid.p
-    c = np.tanh(pre)
-    return NodeCache(node, row, np.concatenate([x, c]), c, False, kids)
+def encode(schedule: np.ndarray, store: ParameterStore, names: list[str]) -> np.ndarray:
+    """p = [x, c] of every scheduled node, one row each.
+
+    A node's children follow it in pre-order, so walking the slots in
+    reverse reaches every node after all of its descendants. A child files
+    itself under its parent; the parent then sums its children lowest slot
+    first, which is ascending token order.
+    """
+    rows, parents, comps = schedule
+    word_emb = store.value(WORD_EMB)
+    dim = word_emb.shape[1]
+    bias = store.value(COMP_BIAS)
+    nodes = np.empty((len(rows), dim + bias.size))
+    nodes[:, :dim] = word_emb[rows]
+    nodes[:, dim:] = store.value(LEAF_VEC)      # internal nodes are overwritten below
+    parents, comps = parents.tolist(), comps.tolist()
+    children: dict[int, list[int]] = {}
+    for slot in range(len(parents) - 1, -1, -1):
+        below = children.pop(slot, None)
+        if below is not None:
+            pre = bias.copy()
+            for kid in reversed(below):
+                pre += store.value(names[comps[kid]]) @ nodes[kid]
+            nodes[slot, dim:] = np.tanh(pre)
+        if parents[slot] != PATH:
+            children.setdefault(parents[slot], []).append(slot)
+    return nodes
 
 
-def encode_backward(cache: NodeCache, upstream: np.ndarray, store: ParameterStore,
-                    gradient: Gradient, vocab) -> None:
-    """Propagate a gradient on p_w back through the subtree recursion,
-    accumulating into the gradient of word embeddings, composition
-    matrices, the composition bias, and the leaf vector."""
-    _backward(cache, upstream, cache.p.size - cache.c.size, store, gradient, vocab)
+def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
+                    store: ParameterStore, gradient: Gradient, names: list[str]) -> None:
+    """Propagate the gradient on the path words' p (one row each, in path
+    order) back through the subtrees, accumulating into the gradient of
+    word embeddings, composition matrices, the composition bias and the
+    leaf vector.
 
-
-def _backward(node: NodeCache, d_p: np.ndarray, dim: int, store: ParameterStore,
-              gradient: Gradient, vocab) -> None:
-    gradient.add_rows(WORD_EMB, node.word_row, d_p[:dim])
-    d_c = d_p[dim:]
-    if node.is_leaf:
-        gradient[LEAF_VEC] += d_c
-        return
-    d_pre = tanh_backward(node.c, d_c)
-    gradient[COMP_BIAS] += d_pre
-    for relation, kid in node.children:
-        name = vocab.comp_name(relation)
-        gradient[name] += np.outer(d_pre, kid.p)
-        _backward(kid, store.value(name).T @ d_pre, dim, store, gradient, vocab)
+    The nodes are walked in pre-order, and each node first takes its share
+    from its parent (the outer product into the parent's composition
+    matrix, and C.T @ d_pre), so every buffer accumulates in the order of
+    a depth-first recursion, bit for bit. The word-embedding rows go to
+    the gradient in one call, in the same order.
+    """
+    rows, parents, comps = schedule
+    dim = store.value(WORD_EMB).shape[1]
+    d_nodes = np.empty_like(nodes)
+    d_nodes[parents == PATH] = d_path
+    parents, comps = parents.tolist(), comps.tolist()
+    d_pre: dict[int, np.ndarray] = {}       # per internal node
+    last = len(parents) - 1
+    for slot, parent in enumerate(parents):
+        if parent != PATH:
+            name = names[comps[slot]]
+            gradient[name] += d_pre[parent][:, None] * nodes[slot]    # np.outer, uncalled
+            d_nodes[slot] = store.value(name).T @ d_pre[parent]
+        d_c = d_nodes[slot, dim:]
+        if slot < last and parents[slot + 1] == slot:      # its first child is next
+            d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
+            gradient[COMP_BIAS] += d_pre[slot]
+        else:
+            gradient[LEAF_VEC] += d_c
+    gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])

@@ -1,5 +1,6 @@
 """Shared builders and independent brute-force oracles for the test suite."""
 
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from depnn.adp import Arc, DependencyGraph, Direction, PathStep, Token
 from depnn.classifier import Model, TrainConfig
-from depnn.corpus import INSTANCE_FORMAT_HEADER, PATH_END, PATH_START, Vocabulary
+from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
+                          Vocabulary)
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
 from depnn.path_cnn import CONV_B, CONV_W, word_slots
-from depnn.subtree import PAD_WORD, REL_EMB
+from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
+                           MissingEmbedding, compile_nodes)
 
 
 def graph_of(n_tokens, arcs, forms=None, inactive=(), **token_fields):
@@ -249,9 +252,140 @@ def dense_sgd_oracle(store, gradient, learning_rate):
             for name in store.names()}
 
 
+@dataclass(frozen=True)
+class AugmentedDependencyPath:
+    """The shortest path between two entity heads plus, per path word, the
+    arcs of the subtree attached to it off the path."""
+    steps: tuple[PathStep, ...]
+    subtrees: dict[int, tuple[Arc, ...]] = field(hash=False)
+
+    @property
+    def path_tokens(self) -> tuple[int, ...]:
+        return tuple(step.token for step in self.steps)
+
+
+def attach_subtrees(graph, steps) -> AugmentedDependencyPath:
+    """Subtree oracle: for each path word, every descendant arc reachable
+    without stepping onto another path token."""
+    steps = tuple(steps)
+    on_path = {step.token for step in steps}
+    subtrees = {}
+    for word in (step.token for step in steps):
+        collected = []
+        stack = [word]
+        while stack:
+            node = stack.pop()
+            for arc in graph.children(node):
+                if arc.dependent in on_path:
+                    continue
+                collected.append(arc)
+                stack.append(arc.dependent)
+        subtrees[word] = tuple(collected)
+    return AugmentedDependencyPath(steps, subtrees)
+
+
 def subtree_tokens(adp, word):
     """The tokens of the subtree attached to a path word."""
     return {arc.dependent for arc in adp.subtrees[word]}
+
+
+def scheduled_subtrees(graph, path_tokens):
+    """compile_nodes' schedule read back as tokens: per path word, the set
+    of tokens scheduled under it. Each scheduled node's parent slot must
+    hold its head token. Forms must be unique within the graph, so that a
+    word row names one token."""
+    forms = tuple(tok.form for tok in graph.tokens)
+    assert len(set(forms)) == len(forms)
+    vocab = Vocabulary(words=forms, relations=(), comp_relations=(DEFAULT_RELATION,),
+                       ner_tags=(), wn_tags=())
+    rows, parents, _ = compile_nodes(graph, list(path_tokens), vocab)
+    tokens = [graph.tokens[row].index for row in rows.tolist()]
+    subtrees = {}
+    for token, parent in zip(tokens, parents.tolist()):
+        if parent == PATH:
+            word = token
+            subtrees[word] = set()
+        else:
+            assert graph.head_index(token) == tokens[parent]
+            subtrees[word].add(token)
+    assert list(subtrees) == list(path_tokens)
+    return subtrees
+
+
+def oracle_comp_name(vocab, relation):
+    """Store name of a relation's composition matrix, or of the default one
+    when the vocabulary gives the relation none."""
+    key = relation if relation in vocab.comp_relations else DEFAULT_RELATION
+    return f"comp/{key}"
+
+
+@dataclass
+class NodeCache:
+    """Forward-pass state of one node of the recursive encoder oracle."""
+    token: int
+    word_row: int
+    p: np.ndarray
+    c: np.ndarray
+    is_leaf: bool
+    children: list
+
+
+def encode_word(graph, adp, word, store, vocab, include_subtree=True):
+    """Recursive subtree encoder oracle: one path word and its attached
+    subtree, children summed in ascending token order."""
+    children_of = {}
+    if include_subtree:
+        for arc in adp.subtrees[word]:
+            children_of.setdefault(arc.head, []).append(arc)
+    return _encode(word, graph, children_of, store, vocab)
+
+
+def _encode(node, graph, children_of, store, vocab):
+    try:
+        row = vocab.word_row(graph.token(node).form)
+    except LookupError as exc:
+        raise MissingEmbedding(str(exc)) from None
+    x = store.value(WORD_EMB)[row]
+    arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
+    if not arcs:
+        c = store.value(LEAF_VEC)
+        return NodeCache(node, row, np.concatenate([x, c]), c, True, [])
+    kids = [(arc.relation, _encode(arc.dependent, graph, children_of, store, vocab))
+            for arc in arcs]
+    pre = store.value(COMP_BIAS).copy()
+    for relation, kid in kids:
+        pre += store.value(oracle_comp_name(vocab, relation)) @ kid.p
+    c = np.tanh(pre)
+    return NodeCache(node, row, np.concatenate([x, c]), c, False, kids)
+
+
+def encode_word_backward(cache, upstream, store, gradient, vocab):
+    """Backward pass of the recursive encoder oracle for one path word."""
+    _backward(cache, upstream, cache.p.size - cache.c.size, store, gradient, vocab)
+
+
+def _backward(node, d_p, dim, store, gradient, vocab):
+    gradient.add_rows(WORD_EMB, node.word_row, d_p[:dim])
+    d_c = d_p[dim:]
+    if node.is_leaf:
+        gradient[LEAF_VEC] += d_c
+        return
+    d_pre = tanh_backward(node.c, d_c)
+    gradient[COMP_BIAS] += d_pre
+    for relation, kid in node.children:
+        name = oracle_comp_name(vocab, relation)
+        gradient[name] += np.outer(d_pre, kid.p)
+        _backward(kid, store.value(name).T @ d_pre, dim, store, gradient, vocab)
+
+
+def preorder(cache):
+    """The oracle's nodes of one path word, in pre-order."""
+    out, stack = [], [cache]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [kid for _, kid in reversed(node.children)]
+    return out
 
 
 VALID_RECORD = ('{"id": 1, "tokens": [["a", null, 0, "root", null, null], '

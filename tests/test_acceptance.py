@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.adp import attach_subtrees, shortest_path
+from depnn.adp import shortest_path
 from depnn.classifier import Model, TrainConfig
 from depnn.cli import main
 from depnn.corpus import (LABELS, Vocabulary, dataset_stats,
@@ -31,7 +31,7 @@ from depnn.evaluation import metric_lines, score
 from depnn.numerics import Gradient, gradient_check
 
 from conftest import (enumerate_tree_path, offpath_descendants, random_tree,
-                      subtree_tokens)
+                      scheduled_subtrees)
 
 GRADCHECK_CONFIG = TrainConfig(dim=8, dim_c=5, hidden=7, window=5, lex_dim=4,
                                use_ner=True, use_wordnet=True, seed=2)
@@ -69,9 +69,10 @@ def test_criterion_1_gradient_correctness():
     for inst in instances + extras:
         steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
         path_lengths.add(len(steps))
+        compiled = model.compile(inst)
         gradient = Gradient(model.store)
-        model.accumulate_gradients(inst, gradient)
-        errors = gradient_check(lambda: model.evaluate_loss(inst), model.store,
+        model.accumulate_gradients(compiled, gradient)
+        errors = gradient_check(lambda: model.evaluate_loss(compiled), model.store,
                                 gradient, epsilon=1e-5)
         for name, err in errors.items():
             worst[name] = max(worst[name], err)
@@ -108,11 +109,10 @@ def test_criterion_2_path_oracle_equivalence():
 
 def test_criterion_3_subtree_partition():
     for graph, a, b in _thousand_trees():
-        adp = attach_subtrees(graph, shortest_path(graph, a, b))
-        path = set(adp.path_tokens)
+        subtrees = scheduled_subtrees(graph, [s.token for s in shortest_path(graph, a, b)])
+        path = set(subtrees)
         union = set()
-        for word in adp.path_tokens:
-            tokens = subtree_tokens(adp, word)
+        for word, tokens in subtrees.items():
             assert tokens.isdisjoint(path)
             assert tokens.isdisjoint(union)
             assert tokens == offpath_descendants(graph, path, word)
@@ -142,7 +142,7 @@ def test_criterion_4_overfit_sanity():
 
     tiny = Model.build(TrainConfig(dim=10, dim_c=6, hidden=16, window=3,
                                    learning_rate=1e-6, seed=9), vocab)
-    inst = instances[0]
+    inst = tiny.compile(instances[0])
     previous = tiny.evaluate_loss(inst)
     for _ in range(25):
         tiny.train_step(inst)

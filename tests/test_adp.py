@@ -1,13 +1,12 @@
 import pytest
 
 from depnn.adp import (Arc, DependencyGraph, Direction, InvalidSpan,
-                       PathStep, Token, TreeViolation, attach_subtrees,
-                       directed_label, find_entity_head,
-                       render_path, shortest_path)
+                       PathStep, Token, TreeViolation, directed_label,
+                       find_entity_head, render_path, shortest_path)
 from depnn.path_cnn import build_windows, word_slots
 
 from conftest import (enumerate_tree_path, graph_of, offpath_descendants, random_tree,
-                      subtree_tokens)
+                      scheduled_subtrees)
 
 
 def thief_graph():
@@ -114,17 +113,36 @@ class TestShortestPath:
         with pytest.raises(InvalidSpan):
             shortest_path(g, 2, 6)   # inactive preposition token
 
+    def test_every_pair_matches_oracle_and_inactive_ends_fail(self, rng):
+        # every pair of a random tree, a == b included, against the DFS
+        # oracle; a token kept out of the tree, or no token at all, at
+        # either end is an InvalidSpan
+        for _ in range(60):
+            tree = random_tree(rng)
+            n = len(tree.tokens)
+            g = DependencyGraph(tree.tokens + (Token(n + 1, "of"),), tree.arcs,
+                                inactive={n + 1})
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    assert shortest_path(g, a, b) == enumerate_tree_path(g, a, b)
+                for outside in (n + 1, n + 2):
+                    with pytest.raises(InvalidSpan):
+                        shortest_path(g, a, outside)
+                    with pytest.raises(InvalidSpan):
+                        shortest_path(g, outside, a)
+
     def test_directed_label_rendering(self):
         assert directed_label("nsubj", Direction.INVERSE) == "nsubj_inv"
         assert directed_label("dobj", Direction.FORWARD) == "dobj"
 
 
 class TestAttachSubtrees:
+    """The subtrees that compiling an instance attaches to its path."""
+
     def test_chain_has_empty_subtrees(self):
         g = graph_of(4, [(0, 1, "root"), (1, 2, "a"), (2, 3, "b"), (3, 4, "c")])
-        adp = attach_subtrees(g, shortest_path(g, 1, 4))
-        assert adp.path_tokens == (1, 2, 3, 4)
-        assert all(adp.subtrees[w] == () for w in adp.path_tokens)
+        subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, 1, 4)])
+        assert subtrees == {1: set(), 2: set(), 3: set(), 4: set()}
 
     def test_worked_example_subtree(self):
         # priests broke ... work: "broke" carries dobj->commandment and
@@ -133,23 +151,18 @@ class TestAttachSubtrees:
         g = graph_of(6, [(0, 2, "root"), (2, 1, "nsubj"), (2, 3, "dobj"),
                          (2, 4, "prep_on"), (4, 5, "det"), (2, 6, "prep_during")],
                      forms=forms)
-        adp = attach_subtrees(g, shortest_path(g, 1, 6))
-        assert adp.path_tokens == (1, 2, 6)
-        assert set(adp.subtrees[2]) == {Arc(2, 3, "dobj"), Arc(2, 4, "prep_on"),
-                                        Arc(4, 5, "det")}
-        assert adp.subtrees[1] == ()
-        assert adp.subtrees[6] == ()
+        subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, 1, 6)])
+        assert subtrees == {1: set(), 2: {3, 4, 5}, 6: set()}
 
     def test_partition_against_reachability_oracle(self, rng):
         for _ in range(200):
             g = random_tree(rng)
             n = len(g.tokens)
             a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
-            adp = attach_subtrees(g, shortest_path(g, a, b))
-            path = set(adp.path_tokens)
+            subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, a, b)])
+            path = set(subtrees)
             seen = set()
-            for word in adp.path_tokens:
-                tokens = subtree_tokens(adp, word)
+            for word, tokens in subtrees.items():
                 assert tokens == offpath_descendants(g, path, word)
                 assert tokens.isdisjoint(path)
                 assert tokens.isdisjoint(seen)
@@ -164,7 +177,7 @@ class TestAttachSubtrees:
             g = random_tree(rng)
             n_tokens = len(g.tokens)
             a, b = 1 + int(rng.integers(n_tokens)), 1 + int(rng.integers(n_tokens))
-            n = len(attach_subtrees(g, shortest_path(g, a, b)).path_tokens)
+            n = len(shortest_path(g, a, b))
             for k in (3, 5, 7, 9):
                 windows = build_windows(n, k)
                 half = (k - 1) // 2

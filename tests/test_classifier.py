@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.classifier import (EmptyPath, Model, ModelFileMismatch, OUT_W,
+from depnn import classifier
+from depnn.classifier import (EmptyDataset, EmptyPath, Model, ModelFileMismatch, OUT_W,
                               TrainConfig, cross_entropy)
+from depnn.adp import EntityMention
 from depnn.corpus import LABELS, Instance, entity_mention
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B
 
-from conftest import (BAD_MODEL_META, graph_of, rewrite_model_file,
-                      rewrite_model_meta, tiny_model)
+from conftest import (BAD_MODEL_META, assert_bit_identical, dense_sgd_oracle, graph_of,
+                      rewrite_model_file, rewrite_model_meta, tiny_model)
 
 
 def one_instance():
@@ -79,7 +81,7 @@ class TestForward:
     def test_constructed_output_row_forces_class(self):
         inst = one_instance()
         model = tiny_model([inst])
-        _, cache = model._forward(inst)
+        _, cache = model._forward(model.compile(inst))
         m = cache.combined
         out = model.store.value(OUT_W)
         out.fill(0.0)
@@ -97,6 +99,19 @@ class TestForward:
         model = tiny_model([one_instance()])
         with pytest.raises(EmptyPath):
             model.predict(fake)
+
+    def test_unbuildable_path_fails_before_the_first_step(self):
+        instances = synth.make_separable_corpus(6)
+        model = tiny_model(instances)
+        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
+        # entity 1 is headed by a token kept out of the tree
+        unbuildable = Instance(9, graph, EntityMention(2, 2, 2),
+                               entity_mention(graph, 3, 3), "Other")
+        before = {n: model.store.value(n).copy() for n in model.store.names()}
+        with pytest.raises(EmptyPath, match="instance 9"):
+            model.train(instances[:3] + [unbuildable] + instances[3:])
+        for name, value in before.items():
+            assert np.array_equal(model.store.value(name), value)
 
 
 class TestLoss:
@@ -130,20 +145,21 @@ class TestTraining:
         inst = one_instance()
         model = tiny_model([inst], learning_rate=0.0)
         before = {n: model.store.value(n).copy() for n in model.store.names()}
-        model.train_step(inst)
+        model.train_step(model.compile(inst))
         for name, value in before.items():
             assert np.array_equal(model.store.value(name), value)
 
     def test_repeated_instance_converges(self):
         inst = one_instance()
         model = tiny_model([inst], dim=12, dim_c=8, hidden=24, learning_rate=0.05)
-        losses = [model.train_step(inst) for _ in range(200)]
+        compiled = model.compile(inst)
+        losses = [model.train_step(compiled) for _ in range(200)]
         assert losses[-1] < 0.01
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_tiny_step_descends(self):
-        inst = one_instance()
-        model = tiny_model([inst], learning_rate=1e-6)
+        model = tiny_model([one_instance()], learning_rate=1e-6)
+        inst = model.compile(one_instance())
         previous = model.evaluate_loss(inst)
         for _ in range(10):
             model.train_step(inst)
@@ -155,8 +171,9 @@ class TestTraining:
         instances = synth.make_gradcheck_instances(2, seed=5)
         model = tiny_model(instances, use_ner=True, use_wordnet=True)
         gradient = Gradient(model.store)
-        model.accumulate_gradients(instances[0], gradient)
-        errors = gradient_check(lambda: model.evaluate_loss(instances[0]),
+        compiled = model.compile(instances[0])
+        model.accumulate_gradients(compiled, gradient)
+        errors = gradient_check(lambda: model.evaluate_loss(compiled),
                                 model.store, gradient)
         assert max(errors.values()) < 1e-5
 
@@ -194,7 +211,7 @@ class TestTraining:
         gc.disable()
         try:
             model = tiny_model(instances)
-            model.train_step(instances[0])
+            model.train_step(model.compile(instances[0]))
             model.predict(instances[1])
             store = weakref.ref(model.store)
             del model
@@ -209,7 +226,52 @@ class TestTraining:
         model = tiny_model([inst])
         model.store.value(OUT_W)[...] = np.inf
         with pytest.raises(NonFiniteLoss):
-            model.train_step(inst)
+            model.train_step(model.compile(inst))
+
+    def test_empty_dataset_is_a_typed_value_error(self):
+        model = tiny_model([one_instance()])
+        with pytest.raises(EmptyDataset, match="non-empty dataset"):
+            model.train([])
+        assert issubclass(EmptyDataset, ValueError)
+
+    def test_unlabeled_instance_cannot_train(self):
+        inst = one_instance()
+        model = tiny_model([inst])
+        unlabeled = Instance(inst.id, inst.graph, inst.e1, inst.e2, None)
+        with pytest.raises(KeyError, match="no gold label"):
+            model.train([unlabeled])
+
+
+class TestInPlaceOutputUpdate:
+    """train_step applies out_w's update in the backward pass, once the
+    gradient on the layer below is formed, and the step's Gradient never
+    holds out_w; the result must be the buffered gradient's dense update,
+    bit for bit."""
+
+    @pytest.mark.parametrize("lexical", [True, False])
+    def test_train_step_matches_buffered_update(self, monkeypatch, lexical):
+        instances = synth.make_gradcheck_instances(6, seed=19)
+        settings = dict(use_ner=lexical, use_wordnet=lexical, learning_rate=0.3)
+        fused = tiny_model(instances, **settings)
+        buffered = tiny_model(instances, **settings)
+        applied = []
+
+        class SpyGradient(Gradient):
+            def apply(self, learning_rate):
+                applied.append(set(self))
+                super().apply(learning_rate)
+
+        monkeypatch.setattr(classifier, "Gradient", SpyGradient)
+        for inst in instances:
+            gradient = Gradient(buffered.store)
+            buffered.accumulate_gradients(buffered.compile(inst), gradient)
+            assert OUT_W in gradient
+            expected = dense_sgd_oracle(buffered.store, gradient, 0.3)
+            fused.train_step(fused.compile(inst))
+            assert OUT_W not in applied[-1]
+            for name, value in expected.items():
+                assert_bit_identical(fused.store.value(name), value)
+                buffered.store.value(name)[...] = value
 
 
 class TestAblation:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from depnn import synth
+from depnn import corpus, synth
+from depnn.adp import EntityMention
 from depnn.classifier import Model, TrainConfig
 from depnn.cli import main
-from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary,
+from depnn.corpus import (INSTANCE_FORMAT_HEADER, Instance, Vocabulary, entity_mention,
                           read_parsed_instances, write_parsed_instances)
 
-from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD,
+from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD, graph_of,
                       rewrite_model_file, rewrite_model_meta,
                       tiny_model, truncate_model_file, write_instance_file)
 
@@ -267,6 +268,33 @@ class TestTrain:
                      "--config", str(cfg)] + flags) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: learning rate must be finite")
+        assert "epoch=" not in captured.out
+        assert not out.exists()
+
+    def test_empty_training_file_is_data_error(self, tmp_path, capsys):
+        path = write_instance_file(tmp_path / "empty.inst")
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: training needs a non-empty dataset\n"
+        assert not out.exists()
+
+    def test_instance_without_a_path_fails_before_training(self, tmp_path, corpus_file,
+                                                           capsys, monkeypatch):
+        # the reader heads each entity with an active token of one tree, so
+        # every instance it returns has a path; one whose entity is headed by
+        # a token kept out of the tree is added after it
+        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
+        unbuildable = Instance(77, graph, EntityMention(2, 2, 2),
+                               entity_mention(graph, 3, 3), "Other")
+        read = corpus.read_parsed_instances
+        monkeypatch.setattr(corpus, "read_parsed_instances",
+                            lambda path: read(path) + [unbuildable])
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
+                     "--epochs", "1", "--dim", "8", "--dim-c", "4", "--hidden", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: instance 77: no active token with index 2")
+        assert "Traceback" not in captured.err
         assert "epoch=" not in captured.out
         assert not out.exists()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.adp import TreeViolation, attach_subtrees, render_path, shortest_path
+from depnn.adp import TreeViolation, render_path, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
                           UNK, AlignmentError, DimensionMismatch, FormatError,
@@ -12,7 +12,7 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 
-from conftest import MALFORMED_RECORDS, VALID_RECORD, subtree_tokens, write_instance_file
+from conftest import MALFORMED_RECORDS, VALID_RECORD, scheduled_subtrees, write_instance_file
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -148,9 +148,9 @@ class TestParsedInstances:
         steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
         assert render_path(inst.graph, steps) == \
             "thief nsubj_inv broke prep_with screwdriver"
-        adp = attach_subtrees(inst.graph, steps)
-        assert subtree_tokens(adp, 3) == {4, 5}   # "the lock" hangs off broke
-        assert subtree_tokens(adp, 2) == {1}
+        subtrees = scheduled_subtrees(inst.graph, [s.token for s in steps])
+        assert subtrees[3] == {4, 5}   # "the lock" hangs off broke
+        assert subtrees[2] == {1}
 
 
 class TestConverter:
@@ -283,8 +283,10 @@ class TestVocabulary:
         assert any(r.endswith("_inv") for r in vocab.relations)
         assert vocab.word_row("never-seen-anywhere") == vocab.word_row(UNK)
         assert vocab.relation_row("fake_rel") == vocab.relation_row(UNK)
-        assert vocab.comp_name("fake_rel") == f"comp/{DEFAULT_RELATION}"
-        assert vocab.comp_name("advmod") == "comp/advmod"
+        default = vocab.comp_id(DEFAULT_RELATION)
+        assert vocab.comp_relations[default] == DEFAULT_RELATION
+        assert vocab.comp_id("fake_rel") == default
+        assert vocab.comp_relations[vocab.comp_id("advmod")] == "advmod"
         assert vocab.ner_row(None) == vocab.ner_row("unknown-tag")
 
     def test_round_trip_dict(self):

@@ -8,7 +8,8 @@ import pytest
 
 from depnn import numerics, synth
 
-from depnn.classifier import NER_EMB, WN_EMB, Model
+from depnn.classifier import NER_EMB, WN_EMB, Model, TrainConfig
+from depnn.corpus import Vocabulary
 from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, Gradient, ModelFormatError,
                             NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
                             NonFiniteValue, gradient_check, init_uniform,
@@ -142,8 +143,8 @@ class TestRowRecordedUpdate:
         learning_rate = model.config.learning_rate
         for first, second in zip(instances[::2], instances[1::2]):
             gradient = Gradient(model.store)    # each update sums two instances
-            model.accumulate_gradients(first, gradient)
-            model.accumulate_gradients(second, gradient)
+            model.accumulate_gradients(model.compile(first), gradient)
+            model.accumulate_gradients(model.compile(second), gradient)
             assert not {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} & gradient.keys()
             expected = dense_sgd_oracle(model.store, gradient, learning_rate)
             gradient.apply(learning_rate)
@@ -442,6 +443,17 @@ class TestMemoryBounds:
             # one tensor at a time is read in float32 and widened
             largest = max(store.value(name).nbytes for name in store.names()) // 2
             assert peak <= self.value_bytes(store) + largest + self.SLACK
+
+    def test_compiled_instances_are_compact(self):
+        # the train-50d-small corpus shape: 600 instances with paths of up to
+        # 8 words and subtrees up to 4 deep, at 50-d with NER and WordNet
+        instances = synth.make_gradcheck_instances(600, max_path=8, max_depth=4)
+        config = TrainConfig.for_embedding_dim(50, use_ner=True, use_wordnet=True)
+        model = Model.build(config, Vocabulary.build(instances))
+        model.compile(instances[0])             # first use sets up numpy's caches
+        compiled, peak = traced_peak(lambda: [model.compile(inst) for inst in instances])
+        assert sum(c.schedule.shape[1] for c in compiled) > 20 * len(instances)
+        assert peak / len(instances) <= 2048
 
     def test_model_load_holds_each_tensor_once(self, tmp_path):
         instances = synth.make_gradcheck_instances(3)

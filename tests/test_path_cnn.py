@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from depnn import path_cnn, synth
-from depnn.adp import attach_subtrees, directed_label, shortest_path
+from depnn.adp import directed_label, shortest_path
 from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
-                            conv_forward, filter_blocks, max_over_time,
+                            conv_forward, filter_blocks, max_over_time, relation_rows,
                             window_width, word_slots, words_per_window)
 from depnn.numerics import Gradient, ShapeMismatch
-from depnn.subtree import PAD_WORD, REL_EMB, encode_word
+from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
                       graph_of, onecall_conv_forward, oracle_conv_backward,
@@ -32,8 +32,8 @@ def run_conv(model, n_words, k, word_vecs=None, rel_labels=None, use_tanh=True):
     if rel_labels is None:
         rel_labels = [f"r{i}" for i in range(1, n_words)]
     windows = build_windows(n_words, k)
-    return conv_forward(windows, word_vecs, rel_labels, model.store,
-                        model.vocab, use_tanh=use_tanh)
+    return conv_forward(windows, relation_rows(rel_labels, model.vocab), word_vecs,
+                        model.store, use_tanh=use_tanh)
 
 
 class TestWindows:
@@ -139,9 +139,9 @@ class TestConvForward:
         width = model.config.dim + model.config.dim_c
         vecs = [np.full(width, 0.1 * (i + 1)) for i in range(3)]
         labels = ["r1", "r2"]
-        direct = conv_forward(windows, vecs, labels, model.store, model.vocab)
-        permuted = conv_forward(windows[[2, 0, 1]], vecs,
-                                labels, model.store, model.vocab)
+        rel_rows = relation_rows(labels, model.vocab)
+        direct = conv_forward(windows, rel_rows, vecs, model.store)
+        permuted = conv_forward(windows[[2, 0, 1]], rel_rows, vecs, model.store)
         assert np.allclose(direct.pooled, permuted.pooled, atol=0)
 
     def test_shape_mismatch_on_wrong_filter(self):
@@ -156,7 +156,7 @@ class TestConvBackward:
         cache = run_conv(model, 3, 3)
         gradient = Gradient(model.store)
         d_words = conv_backward(cache, np.zeros(model.config.hidden),
-                                model.store, gradient, model.vocab)
+                                model.store, gradient)
         for name in model.store.names():
             assert not gradient.full(name).any()
         assert all(not d.any() for d in d_words)
@@ -168,8 +168,7 @@ class TestConvBackward:
         upstream = np.zeros(model.config.hidden)
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                model.vocab)
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store))
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
         assert not d_words[1 - winner].any()
@@ -179,8 +178,7 @@ class TestConvBackward:
         model, _ = harness(3, window=5)
         cache = run_conv(model, 3, 5)
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                model.vocab)
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store))
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
@@ -209,11 +207,11 @@ class TestFilterBlocks:
 def random_paths(model, instances):
     """Subtree-encoded path vectors and directed relation labels per instance."""
     for inst in instances:
-        adp = attach_subtrees(inst.graph, shortest_path(
-            inst.graph, inst.e1.head_index, inst.e2.head_index))
-        vecs = [encode_word(inst.graph, adp, w, model.store, model.vocab).p
-                for w in adp.path_tokens]
-        yield vecs, [directed_label(s.relation, s.direction) for s in adp.steps[1:]]
+        schedule = model.compile(inst).schedule
+        nodes = encode(schedule, model.store, comp_names(model.vocab))
+        steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
+        yield (list(nodes[schedule[PARENT] == PATH]),
+               [directed_label(s.relation, s.direction) for s in steps[1:]])
 
 
 def max_gap(a, b):
@@ -232,8 +230,8 @@ class TestOracleEquivalence:
         store = model.store
         for vecs, labels in random_paths(model, instances):
             n = len(vecs)
-            new = conv_forward(build_windows(n, k), vecs, labels, store,
-                               model.vocab, use_tanh=use_tanh)
+            new = conv_forward(build_windows(n, k), relation_rows(labels, model.vocab), vecs,
+                               store, use_tanh=use_tanh)
             old = oracle_conv_forward(n, k, vecs, labels, store, model.vocab,
                                       use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
@@ -241,7 +239,7 @@ class TestOracleEquivalence:
 
             upstream = rng.normal(size=model.config.hidden)
             grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new, model.vocab)
+            d_new = conv_backward(new, upstream, store, grads_new)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
                 assert max_gap(grads_new.full(name), grads_old.full(name)) <= 1e-12, name
@@ -274,7 +272,8 @@ class TestOracleEquivalence:
         for vecs, labels in random_paths(model, instances):
             n = len(vecs)
             windows = build_windows(n, k)
-            new = conv_forward(windows, vecs, labels, store, vocab, use_tanh=use_tanh)
+            new = conv_forward(windows, relation_rows(labels, vocab), vecs, store,
+                               use_tanh=use_tanh)
             per_window = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh)
             onecall = onecall_conv_forward(windows, vecs, labels, store, vocab, use_tanh)
             for old in (per_window, onecall):
@@ -284,7 +283,7 @@ class TestOracleEquivalence:
             upstream = rng.normal(size=hidden)
             grads = {kind: Gradient(store) for kind in ("new", "per-window", "two-pass")}
             d_words = {
-                "new": conv_backward(new, upstream, store, grads["new"], vocab),
+                "new": conv_backward(new, upstream, store, grads["new"]),
                 "per-window": oracle_conv_backward(per_window, upstream, store,
                                                    grads["per-window"]),
                 "two-pass": twopass_conv_backward(onecall, upstream, store,
@@ -301,7 +300,7 @@ class TestOracleEquivalence:
             # with a learning rate: the step on a copy of the filter, both ways
             conv_w = store.value(CONV_W)
             before = conv_w.copy()
-            stepped_new = conv_backward(new, upstream, store, Gradient(store), vocab, 0.3)
+            stepped_new = conv_backward(new, upstream, store, Gradient(store), 0.3)
             after_new = conv_w.copy()
             conv_w[...] = before
             stepped_old = twopass_conv_backward(onecall, upstream, store, Gradient(store), 0.3)
@@ -332,9 +331,9 @@ class TestFusedFilterUpdate:
         limit_block_rows(monkeypatch, 4, fused.store.value(CONV_W).shape[1])
         for inst in instances:
             gradient = Gradient(buffered.store)
-            buffered.accumulate_gradients(inst, gradient)
+            buffered.accumulate_gradients(buffered.compile(inst), gradient)
             expected = dense_sgd_oracle(buffered.store, gradient, learning_rate)
-            fused.train_step(inst)
+            fused.train_step(fused.compile(inst))
             for name, value in expected.items():
                 assert_bit_identical(fused.store.value(name), value)
                 buffered.store.value(name)[...] = value

@@ -1,25 +1,39 @@
 import numpy as np
 import pytest
 
-from depnn.adp import AugmentedDependencyPath, attach_subtrees, shortest_path
-from depnn.corpus import Instance, Vocabulary, entity_mention
-from depnn.numerics import Gradient
-from depnn.subtree import (COMP_BIAS, LEAF_VEC, WORD_EMB, MissingEmbedding,
-                           encode_backward, encode_word)
+from depnn.adp import shortest_path
+from depnn.classifier import Model, TrainConfig, parameter_layout
+from depnn.corpus import DEFAULT_RELATION, UNK, Instance, Vocabulary, entity_mention
+from depnn.numerics import Gradient, ParameterStore, init_uniform
+from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
+                           MissingEmbedding, comp_names, compile_nodes, encode,
+                           encode_backward)
 
-from conftest import graph_of, subtree_tokens, tiny_model
+from conftest import (assert_bit_identical, attach_subtrees, encode_word,
+                      encode_word_backward, graph_of, preorder, random_tree,
+                      subtree_tokens, tiny_model)
 
 
-def worked_example():
+def worked_example(**overrides):
     forms = ["priests", "broke", "commandment", "Sabbath", "the", "work"]
     graph = graph_of(6, [(0, 2, "root"), (2, 1, "nsubj"), (2, 3, "dobj"),
                          (2, 4, "prep_on"), (4, 5, "det"), (2, 6, "prep_during")],
                      forms=forms)
     instance = Instance(1, graph, entity_mention(graph, 1, 1),
                         entity_mention(graph, 6, 6), "Other")
-    model = tiny_model([instance])
-    adp = attach_subtrees(graph, shortest_path(graph, 1, 6))
-    return graph, instance, model, adp
+    model = tiny_model([instance], **overrides)
+    return instance, model, model.compile(instance)
+
+
+def encoded(model, compiled):
+    """p of every scheduled node: priests, broke, commandment, Sabbath, the,
+    work on the worked example."""
+    return encode(compiled.schedule, model.store, comp_names(model.vocab))
+
+
+def backward(model, compiled, nodes, d_path, gradient):
+    encode_backward(compiled.schedule, nodes, d_path, model.store, gradient,
+                    comp_names(model.vocab))
 
 
 def zero_store(model):
@@ -29,15 +43,15 @@ def zero_store(model):
 
 class TestForward:
     def test_leaf_is_word_embedding_plus_leaf_vector(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 1, model.store, model.vocab)  # "priests"
+        _, model, compiled = worked_example()
+        nodes = encoded(model, compiled)
         x = model.store.value(WORD_EMB)[model.vocab.word_row("priests")]
         expected = np.concatenate([x, model.store.value(LEAF_VEC)])
-        assert np.array_equal(cache.p, expected)
-        assert cache.is_leaf
+        assert np.array_equal(nodes[0], expected)
+        assert compiled.schedule[PARENT, 1] != 0     # priests has no child
 
     def test_worked_composition(self):
-        graph, _, model, adp = worked_example()
+        _, model, compiled = worked_example()
         store, vocab = model.store, model.vocab
         emb = store.value(WORD_EMB)
         bias = store.value(COMP_BIAS)
@@ -45,69 +59,69 @@ class TestForward:
 
         # independent recomputation of the two-level composition
         p_the = np.concatenate([emb[vocab.word_row("the")], leaf])
-        c_sabbath = np.tanh(store.value(vocab.comp_name("det")) @ p_the + bias)
+        c_sabbath = np.tanh(store.value("comp/det") @ p_the + bias)
         p_sabbath = np.concatenate([emb[vocab.word_row("Sabbath")], c_sabbath])
         p_commandment = np.concatenate([emb[vocab.word_row("commandment")], leaf])
-        c_broke = np.tanh(store.value(vocab.comp_name("dobj")) @ p_commandment
-                          + store.value(vocab.comp_name("prep_on")) @ p_sabbath
+        c_broke = np.tanh(store.value("comp/dobj") @ p_commandment
+                          + store.value("comp/prep_on") @ p_sabbath
                           + bias)
         expected = np.concatenate([emb[vocab.word_row("broke")], c_broke])
 
-        cache = encode_word(graph, adp, 2, store, vocab)
-        assert np.allclose(cache.p, expected, atol=0, rtol=0)
+        nodes = encoded(model, compiled)
+        assert np.allclose(nodes[1], expected, atol=0, rtol=0)
 
     def test_zero_store_fixed_point(self):
-        graph, _, model, adp = worked_example()
+        _, model, compiled = worked_example()
         zero_store(model)
-        cache = encode_word(graph, adp, 2, model.store, model.vocab)
-        assert not cache.p.any()
-        assert not cache.c.any()
+        assert not encoded(model, compiled).any()
 
     def test_subtree_vector_in_tanh_range(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 2, model.store, model.vocab)
-        assert np.all(cache.c > -1.0) and np.all(cache.c < 1.0)
+        _, model, compiled = worked_example()
+        c = encoded(model, compiled)[1, model.config.dim:]
+        assert np.all(c > -1.0) and np.all(c < 1.0)
 
     def test_include_subtree_false_gives_bare_word(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 2, model.store, model.vocab,
-                            include_subtree=False)
+        _, model, compiled = worked_example(use_subtrees=False)
+        assert compiled.schedule[PARENT].tolist() == [PATH] * 3
         x = model.store.value(WORD_EMB)[model.vocab.word_row("broke")]
-        assert np.array_equal(cache.p,
+        assert np.array_equal(encoded(model, compiled)[1],
                               np.concatenate([x, model.store.value(LEAF_VEC)]))
 
     def test_child_order_invariance(self):
-        graph, _, model, adp = worked_example()
-        reference = encode_word(graph, adp, 2, model.store, model.vocab)
+        instance, model, compiled = worked_example()
+        reference = encoded(model, compiled)
 
-        shuffled = AugmentedDependencyPath(
-            adp.steps, {w: tuple(reversed(arcs)) for w, arcs in adp.subtrees.items()})
-        again = encode_word(graph, shuffled, 2, model.store, model.vocab)
-        assert np.array_equal(reference.p, again.p)   # canonical order pins bits
+        # the same tree with its arcs listed in reverse schedules the same
+        graph = instance.graph
+        shuffled = graph_of(6, [(a.head, a.dependent, a.relation)
+                                for a in reversed(graph.arcs)],
+                            forms=[t.form for t in graph.tokens])
+        again = compile_nodes(shuffled, [1, 2, 6], model.vocab)
+        assert_bit_identical(again, compiled.schedule)
 
         # naive order-following sum agrees up to float reassociation
         store, vocab = model.store, model.vocab
         leaf = store.value(LEAF_VEC)
         emb = store.value(WORD_EMB)
 
-        def naive(node, children_of):
+        def naive(node, arcs_of):
             x = emb[vocab.word_row(graph.token(node).form)]
-            arcs = children_of.get(node, ())
+            arcs = arcs_of.get(node, ())
             if not arcs:
                 return np.concatenate([x, leaf])
             pre = np.zeros_like(store.value(COMP_BIAS))
-            for arc in arcs:   # given order, no sorting
-                pre = pre + store.value(vocab.comp_name(arc.relation)) @ naive(
-                    arc.dependent, children_of)
+            for arc in arcs:   # descending order, no sorting
+                pre = pre + store.value(f"comp/{arc.relation}") @ naive(arc.dependent, arcs_of)
             return np.concatenate([x, np.tanh(pre + store.value(COMP_BIAS))])
 
-        children_of = {}
-        for arc in shuffled.subtrees[2]:
-            children_of.setdefault(arc.head, []).append(arc)
-        assert np.allclose(naive(2, children_of), reference.p, atol=1e-12)
+        arcs_of = {}
+        for arc in reversed(graph.arcs):
+            if arc.head != 0 and arc.dependent not in (1, 6):
+                arcs_of.setdefault(arc.head, []).append(arc)
+        assert np.allclose(naive(2, arcs_of), reference[1], atol=1e-12)
 
     def test_reads_exactly_the_subtree_tokens(self):
-        graph, _, model, adp = worked_example()
+        instance, model, _ = worked_example()
 
         class CountingVocab:
             def __init__(self, inner):
@@ -118,43 +132,46 @@ class TestForward:
                 self.word_lookups += 1
                 return self.inner.word_row(form)
 
-            def comp_name(self, relation):
-                return self.inner.comp_name(relation)
+            def comp_id(self, relation):
+                return self.inner.comp_id(relation)
 
         counting = CountingVocab(model.vocab)
-        encode_word(graph, adp, 2, model.store, counting)
-        assert counting.word_lookups == 1 + len(subtree_tokens(adp, 2))
+        steps = shortest_path(instance.graph, 1, 6)
+        compile_nodes(instance.graph, [s.token for s in steps], counting)
+        adp = attach_subtrees(instance.graph, steps)
+        assert counting.word_lookups == sum(1 + len(subtree_tokens(adp, w))
+                                            for w in adp.path_tokens)
 
     def test_missing_embedding_without_unk(self):
-        graph, _, model, adp = worked_example()
+        instance, model, _ = worked_example()
         bare = Vocabulary(words=(), relations=model.vocab.relations,
                           comp_relations=model.vocab.comp_relations,
                           ner_tags=model.vocab.ner_tags, wn_tags=model.vocab.wn_tags)
         with pytest.raises(MissingEmbedding):
-            encode_word(graph, adp, 1, model.store, bare)
+            Model(model.config, bare, model.store).compile(instance)
 
 
 class TestBackward:
     def test_zero_upstream_accumulates_nothing(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 2, model.store, model.vocab)
+        _, model, compiled = worked_example()
+        nodes = encoded(model, compiled)
         gradient = Gradient(model.store)
-        encode_backward(cache, np.zeros_like(cache.p), model.store, gradient, model.vocab)
+        backward(model, compiled, nodes, np.zeros((3, nodes.shape[1])), gradient)
         for name in model.store.names():
             assert not gradient.full(name).any()
 
     def test_repeated_structure_doubles_gradients(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 2, model.store, model.vocab)
-        upstream = np.linspace(-1.0, 1.0, cache.p.size)
+        _, model, compiled = worked_example()
+        nodes = encoded(model, compiled)
+        upstream = np.linspace(-1.0, 1.0, 3 * nodes.shape[1]).reshape(3, -1)
 
         once = Gradient(model.store)
-        encode_backward(cache, upstream, model.store, once, model.vocab)
+        backward(model, compiled, nodes, upstream, once)
         single = {name: once.full(name) for name in model.store.names()}
 
         twice = Gradient(model.store)
-        encode_backward(cache, upstream, model.store, twice, model.vocab)
-        encode_backward(cache, upstream, model.store, twice, model.vocab)
+        backward(model, compiled, nodes, upstream, twice)
+        backward(model, compiled, nodes, upstream, twice)
         # each composition matrix takes one accumulation per pass (det, dobj,
         # prep_on each appear once), so doubling is bitwise exact there;
         # multi-contribution buffers like the bias double up to reassociation
@@ -166,12 +183,90 @@ class TestBackward:
                 assert np.allclose(doubled, 2.0 * grad, rtol=1e-14, atol=0)
 
     def test_leaf_routes_into_leaf_vector(self):
-        graph, _, model, adp = worked_example()
-        cache = encode_word(graph, adp, 1, model.store, model.vocab)
+        _, model, compiled = worked_example()
+        nodes = encoded(model, compiled)
         gradient = Gradient(model.store)
-        upstream = np.arange(cache.p.size, dtype=float)
-        encode_backward(cache, upstream, model.store, gradient, model.vocab)
+        d_path = np.zeros((3, nodes.shape[1]))
+        d_path[0] = np.arange(nodes.shape[1], dtype=float)     # priests, a leaf
+        backward(model, compiled, nodes, d_path, gradient)
         dim = model.config.dim
         row = model.vocab.word_row("priests")
-        assert np.array_equal(gradient.full(WORD_EMB)[row], upstream[:dim])
-        assert np.array_equal(gradient.full(LEAF_VEC), upstream[dim:])
+        assert np.array_equal(gradient.full(WORD_EMB)[row], d_path[0, :dim])
+        assert np.array_equal(gradient.full(LEAF_VEC), d_path[0, dim:])
+
+
+class TestRecursiveOracle:
+    """The flat encoder against the recursive one kept in conftest, bit for
+    bit: every node's p, and every tensor of the gradient, on random trees
+    whose arcs share three relations, so that one composition matrix takes
+    outer products from several depths."""
+    RELATIONS = ("nsubj", "dobj", "det")
+    CONFIG = TrainConfig(dim=6, dim_c=4, hidden=5, window=3)
+
+    def build(self, graph, comp_relations, words=None):
+        forms = tuple(tok.form for tok in graph.tokens)
+        vocab = Vocabulary(words=(UNK,) + forms if words is None else words,
+                           relations=(UNK,), comp_relations=comp_relations,
+                           ner_tags=(UNK,), wn_tags=(UNK,))
+        store = ParameterStore()
+        for name, (shape, kind) in parameter_layout(self.CONFIG, vocab).items():
+            store.register(name, shape, kind)
+        init_uniform(store, seed=len(forms))
+        return vocab, store
+
+    @pytest.mark.parametrize("include_subtree", [True, False])
+    @pytest.mark.parametrize("comp_relations", [
+        (DEFAULT_RELATION,) + RELATIONS,
+        (DEFAULT_RELATION, "nsubj"),     # dobj and det fall back to comp/<default>
+    ])
+    def test_matches_recursive_oracle(self, rng, include_subtree, comp_relations):
+        shared_depths = 0
+        for _ in range(150):
+            graph = random_tree(rng, max_nodes=14, labels=self.RELATIONS)
+            n = len(graph.tokens)
+            a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
+            vocab, store = self.build(graph, comp_relations)
+            names = comp_names(vocab)
+            steps = shortest_path(graph, a, b)
+            path = [step.token for step in steps]
+            schedule = compile_nodes(graph, path, vocab, include_subtree)
+            nodes = encode(schedule, store, names)
+
+            adp = attach_subtrees(graph, steps)
+            caches = [encode_word(graph, adp, w, store, vocab, include_subtree) for w in path]
+            expected = [node for cache in caches for node in preorder(cache)]
+            assert len(expected) == len(nodes)
+            for slot, node in enumerate(expected):
+                assert_bit_identical(nodes[slot], node.p)
+                assert schedule[ROW, slot] == node.word_row
+
+            d_path = rng.normal(size=(len(path), nodes.shape[1]))
+            flat, recursive = Gradient(store), Gradient(store)
+            encode_backward(schedule, nodes, d_path, store, flat, names)
+            for cache, d_p in zip(caches, d_path):
+                encode_word_backward(cache, d_p, store, recursive, vocab)
+            for name in store.names():
+                assert_bit_identical(flat.full(name), recursive.full(name))
+
+            comps = schedule[COMP].tolist()
+            parents = schedule[PARENT].tolist()
+            depth = []
+            for parent in parents:
+                depth.append(0 if parent == PATH else depth[parent] + 1)
+            by_comp = {}
+            for slot, comp in enumerate(comps):
+                if comp != PATH:
+                    by_comp.setdefault(comp, set()).add(depth[slot])
+            shared_depths += any(len(d) > 1 for d in by_comp.values())
+        if include_subtree:
+            assert shared_depths > 10
+
+    def test_missing_embedding_raised_at_compile(self):
+        graph = graph_of(3, [(0, 1, "root"), (1, 2, "det"), (1, 3, "nsubj")])
+        forms = tuple(tok.form for tok in graph.tokens)
+        # no UNK, and no row for w1, which heads entity 1
+        vocab, store = self.build(graph, (DEFAULT_RELATION,), words=forms[1:])
+        instance = Instance(1, graph, entity_mention(graph, 1, 1),
+                            entity_mention(graph, 3, 3), "Other")
+        with pytest.raises(MissingEmbedding):
+            Model(self.CONFIG, vocab, store).compile(instance)
