@@ -14,8 +14,8 @@ from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
                        ParameterStore, init_uniform, load_store, save_store, softmax)
-from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, conv_backward,
-                       conv_forward, relation_rows, window_width)
+from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, check_window_size,
+                       conv_backward, conv_forward, relation_rows, window_width)
 from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, WORD_EMB,
                       comp_names, compile_nodes, encode, encode_backward)
 
@@ -59,8 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.dim, self.dim_c, self.hidden, self.lex_dim) < 1:
             raise ValueError("all dimensions must be positive")
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window size must be odd and >= 3, got {self.window}")
+        check_window_size(self.window)
         # zero is allowed so a no-op step stays expressible for diagnostics;
         # nan < 0 is false, so a NaN rate needs the finiteness test
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
@@ -92,17 +91,12 @@ class TrainConfig:
 class Prediction:
     label: str
     distribution: np.ndarray      # over the 19 labels, sums to 1
-    path_repr: np.ndarray         # pooled convolution output
 
 
 @dataclass
 class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     val_f1: list[float | None] = field(default_factory=list)
-
-    def lines(self) -> list[str]:
-        return [epoch_line(i + 1, loss, val_f1) for i, (loss, val_f1)
-                in enumerate(zip(self.epoch_losses, self.val_f1))]
 
 
 def epoch_line(epoch: int, mean_loss: float, val_f1: float | None) -> str:
@@ -260,7 +254,7 @@ class Model:
 
     # --- forward -------------------------------------------------------------
 
-    def _forward(self, compiled: CompiledInstance) -> tuple[Prediction, _ForwardCache]:
+    def _forward(self, compiled: CompiledInstance) -> _ForwardCache:
         schedule = compiled.schedule
         nodes = encode(schedule, self.store, self._comp_names)
         conv = conv_forward(compiled.windows, compiled.rel_rows,
@@ -270,20 +264,22 @@ class Model:
                                   in zip(self._lex_tables, compiled.lex_rows.tolist())]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
         distribution = softmax(self.store.value(OUT_W) @ combined)
-        prediction = Prediction(LABELS[int(np.argmax(distribution))],
-                                distribution, conv.pooled.copy())
-        return prediction, _ForwardCache(nodes, conv, combined, distribution)
+        return _ForwardCache(nodes, conv, combined, distribution)
+
+    def _predict(self, compiled: CompiledInstance) -> Prediction:
+        distribution = self._forward(compiled).distribution
+        return Prediction(LABELS[int(np.argmax(distribution))], distribution)
 
     def predict(self, instance: Instance) -> Prediction:
-        return self._forward(self.compile(instance))[0]
+        return self._predict(self.compile(instance))
 
     def path_repr(self, instance: Instance) -> np.ndarray:
-        return self.predict(instance).path_repr
+        """The pooled convolution output of the instance's path."""
+        return self._forward(self.compile(instance)).conv.pooled
 
     def evaluate_loss(self, compiled: CompiledInstance) -> float:
         """Forward-only cross-entropy on a labeled instance."""
-        prediction, _ = self._forward(compiled)
-        return cross_entropy(prediction.distribution, self._gold(compiled))
+        return cross_entropy(self._forward(compiled).distribution, self._gold(compiled))
 
     @staticmethod
     def _gold(compiled: CompiledInstance) -> int:
@@ -293,21 +289,13 @@ class Model:
 
     # --- backward ------------------------------------------------------------
 
-    def _backward(self, compiled: CompiledInstance, cache: _ForwardCache, gradient: Gradient,
-                  learning_rate: float | None) -> None:
+    def _backward(self, compiled: CompiledInstance, cache: _ForwardCache,
+                  gradient: Gradient) -> None:
         d_logits = cache.distribution.copy()
         d_logits[compiled.gold] -= 1.0
-        out_w = self.store.value(OUT_W)
-        d_combined = out_w.T @ d_logits
-        # with a learning rate out_w takes its step here, in place, once
-        # d_combined is formed: the operations of grad += step; grad *= lr;
-        # value -= grad on a zeroed buffer, so bit for bit the buffered update
-        step = d_logits[:, None] * cache.combined
-        if learning_rate is None:
-            gradient[OUT_W] += step
-        else:
-            step *= learning_rate
-            out_w -= step
+        d_combined = self.store.value(OUT_W).T @ d_logits
+        # a training step's Gradient updates out_w here, once d_combined is formed
+        gradient.step(OUT_W, ..., d_logits[:, None] * cache.combined)
 
         hidden = cache.conv.pooled.size
         d_pooled = d_combined[:hidden]
@@ -317,31 +305,28 @@ class Model:
             gradient.add_rows(name, row, d_combined[offset:offset + width])
             offset += width
 
-        d_path = conv_backward(cache.conv, d_pooled, self.store, gradient, learning_rate)
+        d_path = conv_backward(cache.conv, d_pooled, self.store, gradient)
         encode_backward(compiled.schedule, cache.nodes, d_path, self.store, gradient,
                         self._comp_names)
 
-    def _forward_backward(self, compiled: CompiledInstance, gradient: Gradient,
-                          learning_rate: float | None) -> float:
-        prediction, cache = self._forward(compiled)
-        loss = cross_entropy(prediction.distribution, self._gold(compiled))
+    def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
+        """Forward + backward; returns the loss. The instance's gradient adds
+        onto what `gradient` holds, except that a Gradient with a learning
+        rate steps conv_w and out_w during the backward pass."""
+        cache = self._forward(compiled)
+        loss = cross_entropy(cache.distribution, self._gold(compiled))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"instance {compiled.id}: loss is {loss}")
-        self._backward(compiled, cache, gradient, learning_rate)
+        self._backward(compiled, cache, gradient)
         return loss
-
-    def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
-        """Forward + backward without touching the parameters; returns the
-        loss. The instance's gradient adds onto what `gradient` holds."""
-        return self._forward_backward(compiled, gradient, None)
 
     def train_step(self, compiled: CompiledInstance) -> float:
         """One SGD update on one instance. conv_w and out_w take their steps
-        inside the backward pass, every other tensor from the step's
-        Gradient."""
-        gradient = Gradient(self.store)
-        loss = self._forward_backward(compiled, gradient, self.config.learning_rate)
-        gradient.apply(self.config.learning_rate)
+        inside the backward pass, every other tensor when the step's
+        Gradient is applied."""
+        gradient = Gradient(self.store, self.config.learning_rate)
+        loss = self.accumulate_gradients(compiled, gradient)
+        gradient.apply()
         return loss
 
     def train(self, instances, validation=None, progress=None,
@@ -366,7 +351,7 @@ class Model:
             val_f1 = None
             if validation:
                 gold = [inst.gold for inst in validation]
-                pred = [self._forward(held)[0].label for held in held_out]
+                pred = [self._predict(held).label for held in held_out]
                 val_f1 = score(gold, pred).macro_f1
             report.epoch_losses.append(mean_loss)
             report.val_f1.append(val_f1)
@@ -400,7 +385,11 @@ class Model:
             config = TrainConfig.from_dict(meta["config"])
         except ValueError as exc:
             raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
-        vocab = Vocabulary.from_dict(meta["vocab"])
+        try:
+            vocab = Vocabulary.from_dict(meta["vocab"])
+        except corpus.MissingVocabularyEntry as exc:
+            raise ModelFileMismatch(
+                f"{path}: metadata field 'vocab.{exc.field}': {exc}") from None
         layout = parameter_layout(config, vocab)
         for name in sorted(layout.keys() | set(store.names())):
             found = (store.value(name).shape, store.kind(name)) if name in store else None

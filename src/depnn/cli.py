@@ -2,8 +2,9 @@
 
 Commands: convert, train, eval, predict, gradcheck, stats, neighbors,
 synth. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure. Every command is deterministic given --seed, and all printed
-tables are byte-stable across runs with identical inputs.
+failure, 141 standard output closed by its reader. Every command is
+deterministic given --seed, and all printed tables are byte-stable across
+runs with identical inputs.
 
 Configuration precedence: explicit command-line flags beat the optional
 key=value --config file, which beats built-in defaults.
@@ -12,7 +13,9 @@ key=value --config file, which beats built-in defaults.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
 
 from . import adp, classifier, corpus, evaluation, numerics, synth
 
@@ -24,12 +27,8 @@ _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
 
-_CONFIG_KEYS = {
-    "dim": int, "dim_c": int, "hidden": int, "window": int,
-    "learning_rate": float, "epochs": int, "seed": int, "lex_dim": int,
-    "use_subtrees": bool, "use_ner": bool, "use_wordnet": bool,
-    "conv_tanh": bool, "shuffle": bool,
-}
+_TYPES = {"int": int, "float": float, "bool": bool}
+_CONFIG_KEYS = {f.name: _TYPES[f.type] for f in fields(classifier.TrainConfig)}
 
 
 def _read_config_file(path) -> dict:
@@ -331,6 +330,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output, as `depnn predict ... | head`
+        # does: stop quietly, as a process killed by SIGPIPE would, and point
+        # stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -65,6 +65,14 @@ class DimensionMismatch(ValueError):
 
 class AlignmentError(ValueError):
     pass
+
+
+class MissingVocabularyEntry(ValueError):
+    """A vocabulary without an entry that its lookups fall back to."""
+
+    def __init__(self, field: str, entry: str):
+        super().__init__(f"vocabulary {field} has no {entry!r} entry")
+        self.field = field
 
 
 @contextmanager
@@ -453,11 +461,19 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
 
 # --- vocabulary -------------------------------------------------------------
 
+# the entries each vocabulary field must hold: the fallbacks of its lookups,
+# and the path's sentinel relations
+REQUIRED_ENTRIES = {"words": (UNK,), "relations": (UNK, PATH_START, PATH_END),
+                    "comp_relations": (DEFAULT_RELATION,), "ner_tags": (UNK,),
+                    "wn_tags": (UNK,)}
+
+
 @dataclass
 class Vocabulary:
     """Row assignments for words, path relations, composition-matrix keys,
     and lexical tags. Lookups are total: absent entries fall back to UNK
-    rows (or the shared DEFAULT composition matrix)."""
+    rows (or the shared DEFAULT composition matrix), which every field must
+    hold, as REQUIRED_ENTRIES says; MissingVocabularyEntry otherwise."""
     words: tuple[str, ...]
     relations: tuple[str, ...]       # directed path labels + sentinels
     comp_relations: tuple[str, ...]  # composition-matrix keys
@@ -465,6 +481,10 @@ class Vocabulary:
     wn_tags: tuple[str, ...]
 
     def __post_init__(self):
+        for name, entries in REQUIRED_ENTRIES.items():
+            for entry in entries:
+                if entry not in getattr(self, name):
+                    raise MissingVocabularyEntry(name, entry)
         self._word_index = {w: i for i, w in enumerate(self.words)}
         self._relation_index = {r: i for i, r in enumerate(self.relations)}
         self._comp_index = {r: i for i, r in enumerate(self.comp_relations)}
@@ -499,30 +519,16 @@ class Vocabulary:
     def word_row(self, form: str) -> int:
         row = self._word_index.get(form)
         if row is None:
-            row = self._word_index.get(form.lower())
-        if row is None:
-            row = self._word_index.get(UNK)
-        if row is None:
-            raise LookupError("vocabulary has no UNK word entry")
+            row = self._word_index.get(form.lower(), self._word_index[UNK])
         return row
 
     def relation_row(self, label: str) -> int:
-        row = self._relation_index.get(label)
-        if row is None:
-            row = self._relation_index.get(UNK)
-        if row is None:
-            raise LookupError("vocabulary has no UNK relation entry")
-        return row
+        return self._relation_index.get(label, self._relation_index[UNK])
 
     def comp_id(self, relation: str) -> int:
         """Index in comp_relations of the composition matrix for a relation;
         a relation without a matrix of its own shares DEFAULT_RELATION's."""
-        index = self._comp_index.get(relation)
-        if index is None:
-            index = self._comp_index.get(DEFAULT_RELATION)
-        if index is None:
-            raise LookupError("vocabulary has no default composition entry")
-        return index
+        return self._comp_index.get(relation, self._comp_index[DEFAULT_RELATION])
 
     def ner_row(self, tag: str | None) -> int:
         return self._ner_index.get(tag, self._ner_index[UNK]) if tag else self._ner_index[UNK]
@@ -531,19 +537,11 @@ class Vocabulary:
         return self._wn_index.get(tag, self._wn_index[UNK]) if tag else self._wn_index[UNK]
 
     def to_dict(self) -> dict:
-        return {
-            "words": list(self.words),
-            "relations": list(self.relations),
-            "comp_relations": list(self.comp_relations),
-            "ner_tags": list(self.ner_tags),
-            "wn_tags": list(self.wn_tags),
-        }
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(tuple(data["words"]), tuple(data["relations"]),
-                   tuple(data["comp_relations"]), tuple(data["ner_tags"]),
-                   tuple(data["wn_tags"]))
+        return cls(**{f.name: tuple(data[f.name]) for f in fields(cls)})
 
 
 # --- dataset statistics ------------------------------------------------------

@@ -106,18 +106,34 @@ class Gradient(dict):
     first use, for writes such as gradient[name] += delta. add_rows keeps,
     per row, the sum of that row's deltas in call order, so a step that
     touches a few rows of a large embedding table holds only those rows.
+
+    A Gradient made with a learning rate belongs to a training step: what
+    goes through step() updates the store at once, and apply() updates it
+    with everything else at the step's end. Without a rate it only sums.
     """
 
-    __slots__ = ("_store", "_rows")
+    __slots__ = ("_store", "_rows", "learning_rate")
 
-    def __init__(self, store: ParameterStore):
+    def __init__(self, store: ParameterStore, learning_rate: float | None = None):
         super().__init__()
         self._store = store
         self._rows: dict[str, dict[int, np.ndarray]] = {}
+        self.learning_rate = learning_rate
 
     def __missing__(self, name: str) -> np.ndarray:
         grad = self[name] = np.zeros(self._store.value(name).shape)
         return grad
+
+    def step(self, name: str, index, delta: np.ndarray) -> None:
+        """grad[index] += delta without a learning rate. With one, the
+        tensor takes its step now: value[index] -= rate * delta, by the
+        operations apply() runs on a zeroed buffer, so the result is bit
+        for bit the same. Spends delta, which is scaled in place."""
+        if self.learning_rate is None:
+            self[name][index] += delta
+        else:
+            delta *= self.learning_rate
+            self._store.value(name)[index] -= delta
 
     def add_rows(self, name: str, rows, delta) -> None:
         """grad[rows] += delta, for an int row or an array of rows with one
@@ -144,11 +160,12 @@ class Gradient(dict):
             full[row] += total
         return full
 
-    def apply(self, learning_rate: float) -> None:
+    def apply(self) -> None:
         """value -= learning_rate * grad on exactly the written entries; an
         entry nothing wrote has a zero gradient, and x - 0.0 is x, so the
         result is bit for bit a full update of a tensor written one way.
         Spends the gradient: its dense buffers are scaled in place."""
+        learning_rate = self.learning_rate
         for name, grad in self.items():
             value = self._store.value(name)
             grad *= learning_rate

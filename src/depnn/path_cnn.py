@@ -139,15 +139,14 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
-                  gradient: Gradient, learning_rate: float | None = None) -> np.ndarray:
+                  gradient: Gradient) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
-    through the filter into the gradient of relation embeddings, the pad
-    vector and the filter bias, and into the path-word vectors (returned,
-    one row per path word in path order).
+    through the filter into the gradient of the filter, relation embeddings,
+    the pad vector and the filter bias, and into the path-word vectors
+    (returned, one row per path word in path order).
 
-    With a learning rate the filter takes its SGD step here, in place, and
-    its gradient never reaches `gradient`; without one it adds onto
-    gradient[CONV_W]."""
+    The filter's gradient goes through gradient.step block by block, so
+    a training step's Gradient updates the filter here, in place."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
@@ -155,19 +154,12 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     d_inputs = np.zeros_like(cache.inputs)
     gradient[CONV_B] += d_pre
     # max-pooling routes each hidden unit to exactly one window, so a row of
-    # the filter gradient is a gathered window scaled by its unit's gradient;
-    # the same operations as grad += d; grad *= lr; value -= grad, so the
-    # update is bit for bit the buffered one
-    grad = gradient[CONV_W] if learning_rate is None else None
+    # the filter gradient is a gathered window scaled by its unit's gradient
     for block in filter_blocks(conv_w):
         d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
         step = cache.inputs[cache.argmax[block]]
         step *= d_pre[block, None]
-        if grad is not None:
-            grad[block] += step
-        else:
-            step *= learning_rate
-            conv_w[block] -= step
+        gradient.step(CONV_W, block, step)
         del step        # freed before the next block's is made: one block held at a time
 
     # the window vectors' slots, split back apart: word slots go to the path

@@ -29,10 +29,6 @@ ROW, PARENT, COMP = range(3)
 PATH = -1
 
 
-class MissingEmbedding(KeyError):
-    pass
-
-
 def comp_names(vocab) -> list[str]:
     """Store names of the composition matrices, indexed by comp id."""
     return [f"comp/{relation}" for relation in vocab.comp_relations]
@@ -57,10 +53,7 @@ def compile_nodes(graph, path_tokens, vocab, include_subtree: bool = True) -> np
         stack = [(word, PATH, PATH)]
         while stack:
             token, parent, comp = stack.pop()
-            try:
-                rows.append(vocab.word_row(graph.token(token).form))
-            except LookupError as exc:
-                raise MissingEmbedding(str(exc)) from None
+            rows.append(vocab.word_row(graph.token(token).form))
             parents.append(parent)
             comps.append(comp)
             if include_subtree:

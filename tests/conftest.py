@@ -9,11 +9,11 @@ import pytest
 from depnn.adp import Arc, DependencyGraph, Direction, PathStep, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
-                          Vocabulary)
+                          UNK, Vocabulary)
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
 from depnn.path_cnn import CONV_B, CONV_W, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
-                           MissingEmbedding, compile_nodes)
+                           compile_nodes)
 
 
 def graph_of(n_tokens, arcs, forms=None, inactive=(), **token_fields):
@@ -293,11 +293,11 @@ def scheduled_subtrees(graph, path_tokens):
     """compile_nodes' schedule read back as tokens: per path word, the set
     of tokens scheduled under it. Each scheduled node's parent slot must
     hold its head token. Forms must be unique within the graph, so that a
-    word row names one token."""
+    word row below UNK's names one token."""
     forms = tuple(tok.form for tok in graph.tokens)
     assert len(set(forms)) == len(forms)
-    vocab = Vocabulary(words=forms, relations=(), comp_relations=(DEFAULT_RELATION,),
-                       ner_tags=(), wn_tags=())
+    vocab = Vocabulary(words=forms + (UNK,), relations=(UNK, PATH_START, PATH_END),
+                       comp_relations=(DEFAULT_RELATION,), ner_tags=(UNK,), wn_tags=(UNK,))
     rows, parents, _ = compile_nodes(graph, list(path_tokens), vocab)
     tokens = [graph.tokens[row].index for row in rows.tolist()]
     subtrees = {}
@@ -341,10 +341,7 @@ def encode_word(graph, adp, word, store, vocab, include_subtree=True):
 
 
 def _encode(node, graph, children_of, store, vocab):
-    try:
-        row = vocab.word_row(graph.token(node).form)
-    except LookupError as exc:
-        raise MissingEmbedding(str(exc)) from None
+    row = vocab.word_row(graph.token(node).form)
     x = store.value(WORD_EMB)[row]
     arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
     if not arcs:
@@ -464,6 +461,14 @@ def _edited(**changes):
     return edit
 
 
+def _dropped(field, entry):
+    """A metadata edit that takes one entry out of a vocabulary field."""
+    def edit(meta):
+        meta["vocab"][field].remove(entry)
+        return meta
+    return edit
+
+
 # one bad piece of model-file metadata per rule, each with a phrase of the
 # ModelFileMismatch it must raise
 BAD_MODEL_META = {
@@ -487,6 +492,23 @@ BAD_MODEL_META = {
     "vocab-list-missing": (_edited(vocab__wn_tags=None), "'vocab.wn_tags' is missing"),
     "vocab-words-not-strings": (_edited(vocab__words=[1, 2]),
                                 "'vocab.words' should be a list of strings"),
+    "vocab-words-without-unk": (_dropped("words", UNK),
+                                "'vocab.words': vocabulary words has no '<unk>' entry"),
+    "vocab-relations-without-unk": (
+        _dropped("relations", UNK), "'vocab.relations': vocabulary relations has no '<unk>'"),
+    "vocab-relations-without-start": (
+        _dropped("relations", PATH_START),
+        "'vocab.relations': vocabulary relations has no '<path-start>'"),
+    "vocab-relations-without-end": (
+        _dropped("relations", PATH_END),
+        "'vocab.relations': vocabulary relations has no '<path-end>'"),
+    "vocab-comp-without-default": (
+        _dropped("comp_relations", DEFAULT_RELATION),
+        "'vocab.comp_relations': vocabulary comp_relations has no '<default>'"),
+    "vocab-ner-without-unk": (_dropped("ner_tags", UNK),
+                              "'vocab.ner_tags': vocabulary ner_tags has no '<unk>'"),
+    "vocab-wn-without-unk": (_dropped("wn_tags", UNK),
+                             "'vocab.wn_tags': vocabulary wn_tags has no '<unk>'"),
 }
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from depnn import synth
 from depnn.adp import shortest_path
-from depnn.classifier import Model, TrainConfig
+from depnn.classifier import Model, TrainConfig, epoch_line
 from depnn.cli import main
 from depnn.corpus import (LABELS, Vocabulary, dataset_stats,
                           read_parsed_instances, read_semeval_raw,
@@ -316,7 +316,9 @@ def test_criterion_9_determinism(tmp_path):
         model.save(path)
         gold = [inst.gold for inst in instances]
         pred = [model.predict(inst).label for inst in instances]
-        return path.read_bytes(), report.lines(), metric_lines(score(gold, pred))
+        lines = [epoch_line(epoch, loss, val_f1) for epoch, (loss, val_f1)
+                 in enumerate(zip(report.epoch_losses, report.val_f1), start=1)]
+        return path.read_bytes(), lines, metric_lines(score(gold, pred))
 
     first = run("a")
     second = run("b")

@@ -81,7 +81,7 @@ class TestForward:
     def test_constructed_output_row_forces_class(self):
         inst = one_instance()
         model = tiny_model([inst])
-        _, cache = model._forward(model.compile(inst))
+        cache = model._forward(model.compile(inst))
         m = cache.combined
         out = model.store.value(OUT_W)
         out.fill(0.0)
@@ -257,9 +257,9 @@ class TestInPlaceOutputUpdate:
         applied = []
 
         class SpyGradient(Gradient):
-            def apply(self, learning_rate):
+            def apply(self):
                 applied.append(set(self))
-                super().apply(learning_rate)
+                super().apply()
 
         monkeypatch.setattr(classifier, "Gradient", SpyGradient)
         for inst in instances:

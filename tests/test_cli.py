@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import depnn
 from depnn import corpus, synth
 from depnn.adp import EntityMention
 from depnn.classifier import Model, TrainConfig
@@ -247,6 +253,19 @@ class TestTrain:
         assert "k=3 lambda=0.01" in out
         assert "epochs=1" in out
 
+    def test_every_config_field_is_accepted_in_the_config_file(self, tmp_path, corpus_file,
+                                                              capsys):
+        config = TrainConfig(dim=8, dim_c=4, hidden=6, window=3, learning_rate=0.01,
+                             epochs=0, seed=3, use_subtrees=False, use_ner=True,
+                             use_wordnet=True, lex_dim=5, conv_tanh=False, shuffle=False)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.to_dict().items()),
+                       encoding="utf-8")
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert Model.load(out).config == config
+
     @pytest.mark.parametrize("key, raw, kind", [("hidden", "abc", "int"),
                                                 ("learning_rate", "fast", "float")])
     def test_non_numeric_config_value_names_its_line(self, tmp_path, corpus_file,
@@ -355,6 +374,25 @@ class TestEvalPredict:
         values = [float(p) for p in probs.split(" ")]
         assert len(values) == 19
         assert abs(sum(values) - 1.0) < 1e-5
+
+    def test_closed_standard_output_stops_quietly(self, tmp_path, corpus_file):
+        # what `depnn predict ... | head` does: read a line, close the pipe
+        model_path = tmp_path / "m.model"
+        instances = read_parsed_instances(corpus_file)
+        tiny_model(instances).save(model_path)
+        many = tmp_path / "many.inst"
+        write_parsed_instances(many, instances * 40)   # far more than a pipe holds
+        env = dict(os.environ, PYTHONPATH=str(Path(depnn.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "depnn.cli", "predict",
+                                 "--model", str(model_path), "--instances", str(many)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.startswith(b"1\t")
+        assert err == b""
 
     def test_neighbors_output(self, trained, corpus_file, capsys):
         assert main(["neighbors", "--model", str(trained),

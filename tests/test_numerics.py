@@ -97,12 +97,27 @@ class TestRowRecordedUpdate:
     def test_matches_dense_oracle_bit_for_bit(self, rng):
         store = self.build(rng)
         for lr in (0.05, 0.3, 1.0):
-            gradient = Gradient(store)
+            gradient = Gradient(store, lr)
             self.write(gradient, rng)
             expected = dense_sgd_oracle(store, gradient, lr)
-            gradient.apply(lr)
+            gradient.apply()
             for name in store.names():
                 assert_bit_identical(store.value(name), expected[name])
+
+    def test_step_adds_without_a_rate_and_steps_with_one(self, rng):
+        store = self.build(rng)
+        deltas = rng.normal(size=(2, 3, 4))
+        summed = Gradient(store)
+        for delta in deltas:
+            summed.step("w", slice(1, 3), delta[1:].copy())
+        assert_bit_identical(summed["w"][1:], deltas[0, 1:] + deltas[1, 1:])
+        assert not summed["w"][0].any()
+        for lr in (0.3, 0.0):       # a rate of zero steps too, by nothing
+            expected = store.value("w") - lr * deltas[0]
+            stepped = Gradient(store, lr)
+            stepped.step("w", ..., deltas[0].copy())
+            assert "w" not in stepped       # the step reached the store, not a buffer
+            assert_bit_identical(store.value("w"), expected)
 
     def test_add_rows_accumulates_duplicates_in_order(self, rng):
         gradient = Gradient(self.build(rng))
@@ -121,7 +136,7 @@ class TestRowRecordedUpdate:
 
     def test_dense_and_row_writes_on_one_tensor_sum(self, rng):
         store = self.build(rng)
-        gradient = Gradient(store)
+        gradient = Gradient(store, 0.5)
         deltas = rng.normal(size=(3, 4))
         gradient.add_rows("table", 5, deltas[0])
         gradient["table"][11] += 1.0
@@ -134,7 +149,7 @@ class TestRowRecordedUpdate:
         assert_bit_identical(gradient.full("table"), expected)
         # the dense part and the row sums are applied one after the other
         updated = store.value("table") - 0.5 * expected
-        gradient.apply(0.5)
+        gradient.apply()
         assert np.allclose(store.value("table"), updated, rtol=0, atol=1e-15)
 
     def test_accumulated_model_gradients_match_dense_oracle(self):
@@ -147,7 +162,8 @@ class TestRowRecordedUpdate:
             model.accumulate_gradients(model.compile(second), gradient)
             assert not {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} & gradient.keys()
             expected = dense_sgd_oracle(model.store, gradient, learning_rate)
-            gradient.apply(learning_rate)
+            gradient.learning_rate = learning_rate      # summed without a rate, then applied
+            gradient.apply()
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])
 

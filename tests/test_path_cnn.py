@@ -300,7 +300,7 @@ class TestOracleEquivalence:
             # with a learning rate: the step on a copy of the filter, both ways
             conv_w = store.value(CONV_W)
             before = conv_w.copy()
-            stepped_new = conv_backward(new, upstream, store, Gradient(store), 0.3)
+            stepped_new = conv_backward(new, upstream, store, Gradient(store, 0.3))
             after_new = conv_w.copy()
             conv_w[...] = before
             stepped_old = twopass_conv_backward(onecall, upstream, store, Gradient(store), 0.3)

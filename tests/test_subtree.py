@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from depnn.adp import shortest_path
-from depnn.classifier import Model, TrainConfig, parameter_layout
-from depnn.corpus import DEFAULT_RELATION, UNK, Instance, Vocabulary, entity_mention
+from depnn.classifier import TrainConfig, parameter_layout
+from depnn.corpus import (DEFAULT_RELATION, PATH_END, PATH_START, UNK, Instance,
+                          MissingVocabularyEntry, Vocabulary, entity_mention)
 from depnn.numerics import Gradient, ParameterStore, init_uniform
 from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
-                           MissingEmbedding, comp_names, compile_nodes, encode,
-                           encode_backward)
+                           comp_names, compile_nodes, encode, encode_backward)
 
 from conftest import (assert_bit_identical, attach_subtrees, encode_word,
                       encode_word_backward, graph_of, preorder, random_tree,
@@ -143,12 +143,12 @@ class TestForward:
                                             for w in adp.path_tokens)
 
     def test_missing_embedding_without_unk(self):
-        instance, model, _ = worked_example()
-        bare = Vocabulary(words=(), relations=model.vocab.relations,
-                          comp_relations=model.vocab.comp_relations,
-                          ner_tags=model.vocab.ner_tags, wn_tags=model.vocab.wn_tags)
-        with pytest.raises(MissingEmbedding):
-            Model(model.config, bare, model.store).compile(instance)
+        # a vocabulary whose word lookup could miss is refused when it is made
+        _, model, _ = worked_example()
+        with pytest.raises(MissingVocabularyEntry, match="words has no '<unk>' entry"):
+            Vocabulary(words=(), relations=model.vocab.relations,
+                       comp_relations=model.vocab.comp_relations,
+                       ner_tags=model.vocab.ner_tags, wn_tags=model.vocab.wn_tags)
 
 
 class TestBackward:
@@ -206,7 +206,8 @@ class TestRecursiveOracle:
     def build(self, graph, comp_relations, words=None):
         forms = tuple(tok.form for tok in graph.tokens)
         vocab = Vocabulary(words=(UNK,) + forms if words is None else words,
-                           relations=(UNK,), comp_relations=comp_relations,
+                           relations=(UNK, PATH_START, PATH_END),
+                           comp_relations=comp_relations,
                            ner_tags=(UNK,), wn_tags=(UNK,))
         store = ParameterStore()
         for name, (shape, kind) in parameter_layout(self.CONFIG, vocab).items():
@@ -261,12 +262,10 @@ class TestRecursiveOracle:
         if include_subtree:
             assert shared_depths > 10
 
-    def test_missing_embedding_raised_at_compile(self):
+    def test_missing_embedding_refused_at_construction(self):
         graph = graph_of(3, [(0, 1, "root"), (1, 2, "det"), (1, 3, "nsubj")])
         forms = tuple(tok.form for tok in graph.tokens)
-        # no UNK, and no row for w1, which heads entity 1
-        vocab, store = self.build(graph, (DEFAULT_RELATION,), words=forms[1:])
-        instance = Instance(1, graph, entity_mention(graph, 1, 1),
-                            entity_mention(graph, 3, 3), "Other")
-        with pytest.raises(MissingEmbedding):
-            Model(self.CONFIG, vocab, store).compile(instance)
+        # no UNK, and no row for w1: refused before any instance is compiled
+        with pytest.raises(MissingVocabularyEntry) as caught:
+            self.build(graph, (DEFAULT_RELATION,), words=forms[1:])
+        assert caught.value.field == "words"
