@@ -12,7 +12,6 @@ construction and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
 class TreeViolation(ValueError):
@@ -23,19 +22,8 @@ class InvalidSpan(ValueError):
     pass
 
 
-class Direction(Enum):
-    """How an arc was traversed when walking a path."""
-    FORWARD = "forward"   # head to dependent
-    INVERSE = "inverse"   # dependent to head
-
+# marks a relation traversed from the dependent up to its head
 INVERSE_SUFFIX = "_inv"
-
-
-def directed_label(relation: str, direction: Direction) -> str:
-    """Render a traversed relation; dependent-to-head hops get an _inv suffix."""
-    if direction is Direction.INVERSE:
-        return relation + INVERSE_SUFFIX
-    return relation
 
 
 @dataclass(frozen=True)
@@ -94,9 +82,8 @@ class DependencyGraph:
                 raise TreeViolation(f"token {arc.dependent} has more than one head")
             self._head_arc[arc.dependent] = arc
             if arc.head != 0:
+                # arcs are sorted by (head, dependent): each list is in dependent order
                 self._children.setdefault(arc.head, []).append(arc)
-        for kids in self._children.values():
-            kids.sort(key=lambda a: a.dependent)
 
         roots = [i for i in self.active_indices()
                  if i not in self._head_arc or self._head_arc[i].head == 0]
@@ -166,6 +153,8 @@ def find_entity_head(graph: DependencyGraph, start: int, end: int) -> int:
     noise with several such tokens is broken toward the shallowest one."""
     if start > end:
         raise InvalidSpan(f"empty span [{start}, {end}]")
+    if end - start >= len(graph.tokens):   # more indices than the sentence has tokens
+        raise InvalidSpan(f"span [{start}, {end}] leaves the sentence")
     span = [i for i in range(start, end + 1)
             if graph.has_token(i) and i not in graph.inactive]
     if not span:
@@ -184,48 +173,31 @@ def entity_mention(graph: DependencyGraph, start: int, end: int) -> EntityMentio
     return EntityMention(start, end, find_entity_head(graph, start, end))
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One token on a path plus the relation that led into it (None on the
-    first step)."""
-    token: int
-    relation: str | None = None
-    direction: Direction | None = None
-
-
-def shortest_path(graph: DependencyGraph, a: int, b: int) -> list[PathStep]:
+def shortest_path(graph: DependencyGraph, a: int, b: int) -> tuple[list[int], list[str]]:
     """The unique tree path from a to b: both ends climb their head arcs,
     the deeper one first, until they meet at the lowest common ancestor.
 
-    Hops from a dependent up to its head carry Direction.INVERSE;
-    head-to-dependent hops carry Direction.FORWARD. A validated graph is one
-    tree, so every pair of active tokens has a path.
+    Returns the path's n tokens from a to b and the n - 1 directed labels
+    between consecutive tokens: a hop from a dependent up to its head is
+    its relation + INVERSE_SUFFIX, a hop down the bare relation. A
+    validated graph is one tree, so every pair of active tokens has a path.
     """
     for idx in (a, b):
         if not graph.has_token(idx) or idx in graph.inactive:
             raise InvalidSpan(f"no active token with index {idx}")
-    steps = [PathStep(a)]
+    tokens, labels = [a], []
     down: list[Arc] = []          # arcs climbed from b, walked back down at the end
     while a != b:
         if graph.depth(a) >= graph.depth(b):
             arc = graph.head_arc(a)
-            steps.append(PathStep(arc.head, arc.relation, Direction.INVERSE))
+            tokens.append(arc.head)
+            labels.append(arc.relation + INVERSE_SUFFIX)
             a = arc.head
         else:
             arc = graph.head_arc(b)
             down.append(arc)
             b = arc.head
-    steps += [PathStep(arc.dependent, arc.relation, Direction.FORWARD)
-              for arc in reversed(down)]
-    return steps
-
-
-def render_path(graph: DependencyGraph, steps) -> str:
-    """Human-readable path: word forms interleaved with directed labels."""
-    parts: list[str] = []
-    for i, step in enumerate(steps):
-        if i > 0:
-            parts.append(directed_label(step.relation, step.direction))
-        parts.append(graph.token(step.token).form)
-    return " ".join(parts)
-
+    for arc in reversed(down):
+        tokens.append(arc.dependent)
+        labels.append(arc.relation)
+    return tokens, labels

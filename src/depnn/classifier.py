@@ -9,13 +9,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import corpus
-from .adp import InvalidSpan, directed_label, shortest_path
+from .adp import InvalidSpan, shortest_path
 from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
                        ParameterStore, init_uniform, load_store, save_store, softmax)
-from .path_cnn import (CONV_B, CONV_W, ConvCache, build_windows, check_window_size,
-                       conv_backward, conv_forward, relation_rows, window_width)
+from .path_cnn import (CONV_B, CONV_W, ConvCache, InvalidWindowSize, build_windows,
+                       check_window_size, conv_backward, conv_forward, relation_rows,
+                       window_width)
 from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, WORD_EMB,
                       comp_names, compile_nodes, encode, encode_backward)
 
@@ -33,6 +34,10 @@ class EmptyPath(ValueError):
 
 class EmptyDataset(ValueError):
     pass
+
+
+class InvalidConfig(ValueError):
+    """A TrainConfig value outside its range."""
 
 
 class ModelFileMismatch(ValueError):
@@ -58,17 +63,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if min(self.dim, self.dim_c, self.hidden, self.lex_dim) < 1:
-            raise ValueError("all dimensions must be positive")
+            raise InvalidConfig("all dimensions must be positive")
         check_window_size(self.window)
         # zero is allowed so a no-op step stays expressible for diagnostics;
         # nan < 0 is false, so a NaN rate needs the finiteness test
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning rate must be finite and non-negative, "
-                             f"got {self.learning_rate}")
+            raise InvalidConfig(f"learning rate must be finite and non-negative, "
+                                f"got {self.learning_rate}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise InvalidConfig("epochs must be non-negative")
 
     @classmethod
     def for_embedding_dim(cls, dim: int, **overrides) -> "TrainConfig":
@@ -233,20 +238,19 @@ class Model:
         this model's tensors."""
         graph = instance.graph
         try:
-            steps = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
+            tokens, labels = shortest_path(graph, instance.e1.head_index,
+                                           instance.e2.head_index)
         except InvalidSpan as exc:
             raise EmptyPath(f"instance {instance.id}: {exc}") from None
-        schedule = compile_nodes(graph, [step.token for step in steps], self.vocab,
-                                 self.config.use_subtrees)
-        rel_rows = relation_rows([directed_label(step.relation, step.direction)
-                                  for step in steps[1:]], self.vocab)
+        schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
+        rel_rows = relation_rows(labels, self.vocab)
         heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
         lex_rows = [self.vocab.ner_row(tok.ner_tag) if table == NER_EMB
                     else self.vocab.wn_row(tok.wn_hypernym)
                     for table, tok in zip(self._lex_tables, heads * 2)]
-        windows = self._windows.get(len(steps))
+        windows = self._windows.get(len(tokens))
         if windows is None:
-            windows = self._windows[len(steps)] = build_windows(len(steps), self.config.window)
+            windows = self._windows[len(tokens)] = build_windows(len(tokens), self.config.window)
             windows.flags.writeable = False
         gold = None if instance.gold is None else label_index(instance.gold)
         return CompiledInstance(instance.id, gold, schedule, rel_rows, windows,
@@ -383,7 +387,7 @@ class Model:
             raise ModelFileMismatch(f"{path}: label set does not match this build")
         try:
             config = TrainConfig.from_dict(meta["config"])
-        except ValueError as exc:
+        except (InvalidConfig, InvalidWindowSize) as exc:
             raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
         try:
             vocab = Vocabulary.from_dict(meta["vocab"])

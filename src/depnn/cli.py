@@ -17,13 +17,19 @@ import os
 import sys
 from dataclasses import fields
 
-from . import adp, classifier, corpus, evaluation, numerics, synth
+from . import adp, classifier, corpus, evaluation, numerics, path_cnn, synth
+
+
+class UnknownQuery(LookupError):
+    """A --query-id that names no instance of the file."""
+
 
 _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
                 corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
                 adp.InvalidSpan, classifier.EmptyPath, classifier.EmptyDataset,
+                classifier.InvalidConfig, path_cnn.InvalidWindowSize,
                 classifier.ModelFileMismatch, numerics.ModelFormatError,
-                evaluation.LengthMismatch, OSError, ValueError)
+                evaluation.LengthMismatch, UnknownQuery, OSError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
 
@@ -84,10 +90,7 @@ def _resolve_config(args, embedding_dim: int | None,
             raise corpus.DimensionMismatch(
                 f"--dim {settings['dim']} conflicts with {embedding_dim}-d embeddings")
         settings["dim"] = embedding_dim
-    dim = settings.pop("dim", 50)
-    if "dim_c" in settings and "hidden" in settings:
-        return classifier.TrainConfig(dim=dim, **settings)
-    return classifier.TrainConfig.for_embedding_dim(dim, **settings)
+    return classifier.TrainConfig.for_embedding_dim(settings.pop("dim", 50), **settings)
 
 
 def _echo_config(config: classifier.TrainConfig) -> str:
@@ -238,7 +241,7 @@ def cmd_neighbors(args) -> int:
     instances = corpus.read_parsed_instances(args.instances)
     by_id = {inst.id: inst for inst in instances}
     if args.query_id not in by_id:
-        raise ValueError(f"no instance with id {args.query_id}")
+        raise UnknownQuery(f"no instance with id {args.query_id}")
     query = by_id[args.query_id]
     candidates = [inst for inst in instances if inst.id != args.query_id]
     ranked, skipped = evaluation.nearest_paths(query, candidates, model,

@@ -131,10 +131,6 @@ class Instance:
         if set(range(self.e1.start, self.e1.end + 1)) & set(range(self.e2.start, self.e2.end + 1)):
             raise SpanError(f"instance {self.id}: entity spans overlap")
 
-    @property
-    def tokens(self):
-        return self.graph.tokens
-
 
 # --- SemEval raw format ----------------------------------------------------
 
@@ -189,7 +185,10 @@ def read_semeval_raw(path) -> list[RawRecord]:
         match = _SENTENCE_RE.match(lines[i])
         if not match:
             raise FormatError("expected '<id>\\t\"<sentence>\"'", line_no)
-        rec_id = int(match.group(1))
+        try:
+            rec_id = int(match.group(1))
+        except ValueError:      # more digits than int() converts
+            raise FormatError("instance id is too long", line_no) from None
         text, e1_span, e2_span = _strip_markers(match.group(2), line_no)
         i += 1
 
@@ -237,6 +236,15 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _check_relation(relation: str | None, pos: int, line_no: int) -> None:
+    """A relation names its composition matrix in the model file's ASCII
+    manifest, whose fields are TAB-separated lines."""
+    if relation is not None and not (relation.isascii() and "\t" not in relation
+                                     and "\n" not in relation):
+        raise FormatError(f"token {pos}: relation {relation!r} must be ASCII without "
+                          "TAB or newline", line_no)
+
+
 def _check_record(record, line_no: int) -> None:
     """Raise FormatError unless the record has the fields, and the field
     types, that _instance_to_record writes; token rows are checked as they
@@ -274,6 +282,7 @@ def _instance_from_record(record, line_no: int) -> Instance:
                 or type(rel) not in _TEXT or type(ner) not in _TEXT or type(wn) not in _TEXT):
             raise FormatError(f"token {pos}: form must be a string, head an integer, "
                               "and lemma, relation, ner and wordnet strings or null", line_no)
+        _check_relation(rel, pos, line_no)
         tokens.append(Token(pos, form, lemma, ner, wn))
         if head == -1:
             inactive.append(pos)
@@ -316,7 +325,7 @@ def read_parsed_instances(path) -> list[Instance]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # a JSONDecodeError, or an int too long to convert
                 raise FormatError(f"bad record: {exc}", line_no) from None
             instances.append(_instance_from_record(record, line_no))
     return instances
@@ -362,6 +371,7 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
                 raise FormatError("index and head must be integers", line_no) from None
             if index != len(current) + 1:
                 raise FormatError(f"token index {index} out of order", line_no)
+            _check_relation(cols[4], index, line_no)
             current.append([cols[1], cols[2], head, cols[4], cols[5], cols[6]])
     return blocks
 

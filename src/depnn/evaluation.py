@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adp import render_path, shortest_path
+from .adp import shortest_path
 from .corpus import LABELS, OTHER_LABEL, RELATION_TYPES, label_index, label_type
 
 
@@ -139,7 +139,11 @@ def nearest_paths(query, candidates, model, top_n: int = 3):
 
 
 def describe_path(instance) -> str:
-    """The instance's shortest path as 'form label form ...' text."""
-    steps = shortest_path(instance.graph, instance.e1.head_index,
-                          instance.e2.head_index)
-    return render_path(instance.graph, steps)
+    """The instance's shortest path as 'form label form ...' text, each
+    label directed as the path traverses it."""
+    graph = instance.graph
+    tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
+    parts = [graph.token(tokens[0]).form]
+    for label, token in zip(labels, tokens[1:]):
+        parts += [label, graph.token(token).form]
+    return " ".join(parts)

@@ -208,8 +208,7 @@ def init_uniform(store: ParameterStore, seed: int) -> None:
 
 
 def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
-                   epsilon: float = 1e-5, *, guard: float = 1e-4, names=None,
-                   sample: int | None = None, rng=None) -> dict[str, float]:
+                   epsilon: float = 1e-5, *, guard: float = 1e-4) -> dict[str, float]:
     """Compare the analytic gradient against central differences.
 
     `loss_fn` must be a deterministic, forward-only closure over the store's
@@ -219,18 +218,12 @@ def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
     floor keeps finite-difference rounding noise on near-zero entries from
     registering as disagreement.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     results: dict[str, float] = {}
-    for name in (store.names() if names is None else names):
+    for name in store.names():
         flat = store.value(name).reshape(-1)
         grad = gradient.full(name).reshape(-1)
-        if sample is not None and sample < flat.size:
-            indices = rng.choice(flat.size, size=sample, replace=False)
-        else:
-            indices = range(flat.size)
         worst = 0.0
-        for i in indices:
+        for i in range(flat.size):
             original = flat[i]
             flat[i] = original + epsilon
             loss_plus = float(loss_fn())

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from depnn.adp import Arc, DependencyGraph, Direction, PathStep, Token
+from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           UNK, Vocabulary)
@@ -39,8 +39,9 @@ def random_tree(rng, max_nodes=12, labels=("nsubj", "dobj", "det", "amod", "prep
 
 def enumerate_tree_path(graph, a, b):
     """Exhaustive-DFS path oracle: the unique simple path from a to b in the
-    undirected view, with relation labels and directions read straight off
-    the arc set."""
+    undirected view, as shortest_path's (tokens, labels): a hop along an
+    arc is its bare relation, a hop against one its relation + _inv, read
+    straight off the arc set."""
     adjacency = {}
     relation_of = {}
     for arc in graph.arcs:
@@ -67,13 +68,10 @@ def enumerate_tree_path(graph, a, b):
     dfs(a, {a}, [a])
     assert len(found) == 1, f"expected a unique simple path, found {len(found)}"
     tokens = found[0]
-    steps = [PathStep(tokens[0])]
-    for prev, cur in zip(tokens, tokens[1:]):
-        if (prev, cur) in relation_of:
-            steps.append(PathStep(cur, relation_of[(prev, cur)], Direction.FORWARD))
-        else:
-            steps.append(PathStep(cur, relation_of[(cur, prev)], Direction.INVERSE))
-    return steps
+    labels = [relation_of[(prev, cur)] if (prev, cur) in relation_of
+              else relation_of[(cur, prev)] + INVERSE_SUFFIX
+              for prev, cur in zip(tokens, tokens[1:])]
+    return tokens, labels
 
 
 def offpath_descendants(graph, path_tokens, word):
@@ -254,23 +252,18 @@ def dense_sgd_oracle(store, gradient, learning_rate):
 
 @dataclass(frozen=True)
 class AugmentedDependencyPath:
-    """The shortest path between two entity heads plus, per path word, the
-    arcs of the subtree attached to it off the path."""
-    steps: tuple[PathStep, ...]
+    """The tokens of the shortest path between two entity heads plus, per
+    path word, the arcs of the subtree attached to it off the path."""
+    tokens: tuple[int, ...]
     subtrees: dict[int, tuple[Arc, ...]] = field(hash=False)
 
-    @property
-    def path_tokens(self) -> tuple[int, ...]:
-        return tuple(step.token for step in self.steps)
 
-
-def attach_subtrees(graph, steps) -> AugmentedDependencyPath:
+def attach_subtrees(graph, tokens) -> AugmentedDependencyPath:
     """Subtree oracle: for each path word, every descendant arc reachable
     without stepping onto another path token."""
-    steps = tuple(steps)
-    on_path = {step.token for step in steps}
+    on_path = set(tokens)
     subtrees = {}
-    for word in (step.token for step in steps):
+    for word in tokens:
         collected = []
         stack = [word]
         while stack:
@@ -281,7 +274,7 @@ def attach_subtrees(graph, steps) -> AugmentedDependencyPath:
                 collected.append(arc)
                 stack.append(arc.dependent)
         subtrees[word] = tuple(collected)
-    return AugmentedDependencyPath(steps, subtrees)
+    return AugmentedDependencyPath(tuple(tokens), subtrees)
 
 
 def subtree_tokens(adp, word):
@@ -405,6 +398,10 @@ MALFORMED_RECORDS = {
     "span-of-three": (VALID_RECORD.replace('"e2": [2, 2]', '"e2": [2, 2, 2]'), "'e2'"),
     "span-not-int": (VALID_RECORD.replace('"e1": [1, 1]', '"e1": [1, "1"]'), "'e1'"),
     "label-not-string": (VALID_RECORD.replace('"Other"', '7'), "'label'"),
+    "id-too-long": (VALID_RECORD.replace('"id": 1', '"id": ' + "9" * 5000), "bad record"),
+    # a relation names a tensor in the model file's TAB-separated ASCII manifest
+    "relation-with-tab": (VALID_RECORD.replace('"x"', '"x\\ty"'), "without TAB"),
+    "relation-not-ascii": (VALID_RECORD.replace('"x"', '"\\u00e9x"'), "must be ASCII"),
 }
 
 

@@ -67,8 +67,8 @@ def test_criterion_1_gradient_correctness():
     worst = {name: 0.0 for name in model.store.names()}
     started = time.monotonic()
     for inst in instances + extras:
-        steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
-        path_lengths.add(len(steps))
+        tokens, _ = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
+        path_lengths.add(len(tokens))
         compiled = model.compile(inst)
         gradient = Gradient(model.store)
         model.accumulate_gradients(compiled, gradient)
@@ -109,7 +109,7 @@ def test_criterion_2_path_oracle_equivalence():
 
 def test_criterion_3_subtree_partition():
     for graph, a, b in _thousand_trees():
-        subtrees = scheduled_subtrees(graph, [s.token for s in shortest_path(graph, a, b)])
+        subtrees = scheduled_subtrees(graph, shortest_path(graph, a, b)[0])
         path = set(subtrees)
         union = set()
         for word, tokens in subtrees.items():

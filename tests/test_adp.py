@@ -1,12 +1,17 @@
 import pytest
 
-from depnn.adp import (Arc, DependencyGraph, Direction, InvalidSpan,
-                       PathStep, Token, TreeViolation, directed_label,
-                       find_entity_head, render_path, shortest_path)
+from depnn.adp import (INVERSE_SUFFIX, Arc, DependencyGraph, InvalidSpan, Token,
+                       TreeViolation, find_entity_head, shortest_path)
 from depnn.path_cnn import build_windows, word_slots
 
 from conftest import (enumerate_tree_path, graph_of, offpath_descendants, random_tree,
                       scheduled_subtrees)
+
+
+def toggle_inverse(label):
+    if label.endswith(INVERSE_SUFFIX):
+        return label[:-len(INVERSE_SUFFIX)]
+    return label + INVERSE_SUFFIX
 
 
 def thief_graph():
@@ -71,20 +76,21 @@ class TestFindEntityHead:
             find_entity_head(g, 2, 9)
 
 
+    def test_span_wider_than_the_sentence_fails_at_once(self):
+        g = graph_of(3, [(0, 1, "root"), (1, 2, "a"), (2, 3, "b")])
+        with pytest.raises(InvalidSpan, match="leaves the sentence"):
+            find_entity_head(g, 2, 10**15)
+
+
 class TestShortestPath:
     def test_same_token(self):
         g = graph_of(3, [(0, 1, "root"), (1, 2, "a"), (2, 3, "b")])
-        assert shortest_path(g, 2, 2) == [PathStep(2)]
+        assert shortest_path(g, 2, 2) == ([2], [])
 
     def test_thief_sentence_path(self):
         g = thief_graph()
-        steps = shortest_path(g, 2, 7)
-        assert [s.token for s in steps] == [2, 3, 7]
-        assert steps[1].relation == "nsubj"
-        assert steps[1].direction is Direction.INVERSE
-        assert steps[2].relation == "prep_with"
-        assert steps[2].direction is Direction.FORWARD
-        assert render_path(g, steps) == "thief nsubj_inv broke prep_with screwdriver"
+        # thief climbs nsubj up to broke, then prep_with leads down
+        assert shortest_path(g, 2, 7) == ([2, 3, 7], ["nsubj_inv", "prep_with"])
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(300):
@@ -99,14 +105,10 @@ class TestShortestPath:
             g = random_tree(rng)
             n = len(g.tokens)
             a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
-            forward = shortest_path(g, a, b)
-            backward = shortest_path(g, b, a)
-            assert [s.token for s in backward] == [s.token for s in forward][::-1]
-            flipped = {Direction.FORWARD: Direction.INVERSE,
-                       Direction.INVERSE: Direction.FORWARD}
-            forward_hops = [(s.relation, s.direction) for s in forward[1:]]
-            backward_hops = [(s.relation, flipped[s.direction]) for s in backward[1:]]
-            assert backward_hops == forward_hops[::-1]
+            tokens, labels = shortest_path(g, a, b)
+            back_tokens, back_labels = shortest_path(g, b, a)
+            assert back_tokens == tokens[::-1]
+            assert back_labels == [toggle_inverse(label) for label in labels][::-1]
 
     def test_bad_endpoint(self):
         g = thief_graph()
@@ -132,8 +134,10 @@ class TestShortestPath:
                         shortest_path(g, outside, a)
 
     def test_directed_label_rendering(self):
-        assert directed_label("nsubj", Direction.INVERSE) == "nsubj_inv"
-        assert directed_label("dobj", Direction.FORWARD) == "dobj"
+        # a hop up to the head carries the _inv suffix, a hop down the bare relation
+        g = thief_graph()
+        assert shortest_path(g, 2, 3)[1] == ["nsubj_inv"]
+        assert shortest_path(g, 3, 5)[1] == ["dobj"]
 
 
 class TestAttachSubtrees:
@@ -141,7 +145,7 @@ class TestAttachSubtrees:
 
     def test_chain_has_empty_subtrees(self):
         g = graph_of(4, [(0, 1, "root"), (1, 2, "a"), (2, 3, "b"), (3, 4, "c")])
-        subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, 1, 4)])
+        subtrees = scheduled_subtrees(g, shortest_path(g, 1, 4)[0])
         assert subtrees == {1: set(), 2: set(), 3: set(), 4: set()}
 
     def test_worked_example_subtree(self):
@@ -151,7 +155,7 @@ class TestAttachSubtrees:
         g = graph_of(6, [(0, 2, "root"), (2, 1, "nsubj"), (2, 3, "dobj"),
                          (2, 4, "prep_on"), (4, 5, "det"), (2, 6, "prep_during")],
                      forms=forms)
-        subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, 1, 6)])
+        subtrees = scheduled_subtrees(g, shortest_path(g, 1, 6)[0])
         assert subtrees == {1: set(), 2: {3, 4, 5}, 6: set()}
 
     def test_partition_against_reachability_oracle(self, rng):
@@ -159,7 +163,7 @@ class TestAttachSubtrees:
             g = random_tree(rng)
             n = len(g.tokens)
             a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
-            subtrees = scheduled_subtrees(g, [s.token for s in shortest_path(g, a, b)])
+            subtrees = scheduled_subtrees(g, shortest_path(g, a, b)[0])
             path = set(subtrees)
             seen = set()
             for word, tokens in subtrees.items():
@@ -177,7 +181,7 @@ class TestAttachSubtrees:
             g = random_tree(rng)
             n_tokens = len(g.tokens)
             a, b = 1 + int(rng.integers(n_tokens)), 1 + int(rng.integers(n_tokens))
-            n = len(shortest_path(g, a, b))
+            n = len(shortest_path(g, a, b)[0])
             for k in (3, 5, 7, 9):
                 windows = build_windows(n, k)
                 half = (k - 1) // 2
@@ -190,7 +194,7 @@ class TestAttachSubtrees:
 
     def test_single_word_path_elements(self):
         g = graph_of(2, [(0, 1, "root"), (1, 2, "det")])
-        n = len(shortest_path(g, 1, 1))
+        n = len(shortest_path(g, 1, 1)[0])
         for k in (3, 5, 7, 9):
             [window] = build_windows(n, k).tolist()
             half = (k - 1) // 2

@@ -8,13 +8,13 @@ import pytest
 
 from depnn import synth
 from depnn import classifier
-from depnn.classifier import (EmptyDataset, EmptyPath, Model, ModelFileMismatch, OUT_W,
-                              TrainConfig, cross_entropy)
+from depnn.classifier import (EmptyDataset, EmptyPath, InvalidConfig, Model,
+                              ModelFileMismatch, OUT_W, TrainConfig, cross_entropy)
 from depnn.adp import EntityMention
 from depnn.corpus import LABELS, Instance, entity_mention
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
-from depnn.path_cnn import CONV_B
+from depnn.path_cnn import CONV_B, InvalidWindowSize
 
 from conftest import (BAD_MODEL_META, assert_bit_identical, dense_sgd_oracle, graph_of,
                       rewrite_model_file, rewrite_model_meta, tiny_model)
@@ -40,20 +40,22 @@ class TestConfig:
         assert (cfg.dim_c, cfg.hidden) == (100, 400)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWindowSize):
             TrainConfig(window=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(dim=0)
+        with pytest.raises(InvalidConfig, match="epochs must be non-negative"):
+            TrainConfig(epochs=-1)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_learning_rate_rejected(self, rate):
-        with pytest.raises(ValueError, match="learning rate must be finite"):
+        with pytest.raises(InvalidConfig, match="learning rate must be finite"):
             TrainConfig(learning_rate=rate)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(InvalidConfig, match="seed must be non-negative"):
             TrainConfig(seed=-1)
 
     def test_round_trip_dict(self):

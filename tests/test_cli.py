@@ -126,6 +126,40 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}: tensor '{drop or narrow}'")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "4"], "window size must be odd and >= 3, got 4"),
+        (["--dim-c", "0"], "all dimensions must be positive"),
+        (["--epochs", "-1"], "epochs must be non-negative"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--lr", "-0.5"], "learning rate must be finite and non-negative, got -0.5"),
+    ])
+    def test_bad_config_value_is_data_error(self, tmp_path, corpus_file, capsys, flags,
+                                            message):
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out)]
+                    + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_relation_with_tab_fails_training_as_data_error(self, tmp_path, capsys):
+        # the relation would name the tensor comp/x<TAB>y, which a model file cannot hold
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
+                                   VALID_RECORD.replace('"x"', '"x\\ty"'))
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: line 3: token 2: relation 'x\\ty' "
+                                           "must be ASCII without TAB or newline\n")
+        assert not out.exists()
+
+    def test_program_error_is_not_a_data_error(self, corpus_file, monkeypatch):
+        # a plain ValueError is a bug in the program: it must surface, not exit 2
+        def broken(path):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(corpus, "read_parsed_instances", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["stats", "--instances", str(corpus_file)])
+
     @pytest.mark.parametrize("case", sorted(BAD_MODEL_META))
     def test_bad_model_metadata_is_data_error(self, tmp_path, corpus_file, capsys, case):
         model_path = tmp_path / "m.model"
@@ -405,6 +439,11 @@ class TestEvalPredict:
                      "--instances", str(corpus_file),
                      "--query-id", "1", "--top-n", "2"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_neighbors_unknown_query_is_data_error(self, trained, corpus_file, capsys):
+        assert main(["neighbors", "--model", str(trained), "--instances", str(corpus_file),
+                     "--query-id", "9999"]) == 2
+        assert capsys.readouterr().err == "error: no instance with id 9999\n"
 
 
 class TestStats:

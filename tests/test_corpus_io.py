@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.adp import TreeViolation, render_path, shortest_path
+from depnn.adp import TreeViolation, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
                           UNK, AlignmentError, DimensionMismatch, FormatError,
@@ -11,6 +11,7 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           load_embeddings, read_parse_blocks,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
+from depnn.evaluation import describe_path
 
 from conftest import MALFORMED_RECORDS, VALID_RECORD, scheduled_subtrees, write_instance_file
 
@@ -81,6 +82,13 @@ class TestSemevalRaw:
         with pytest.raises(FormatError):
             read_semeval_raw(path)
 
+    def test_id_too_long_to_convert_rejected(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("9" * 5000 + '\t"<e1>a</e1> <e2>b</e2>"\n', encoding="utf-8")
+        with pytest.raises(FormatError, match="instance id is too long") as err:
+            read_semeval_raw(path)
+        assert err.value.line == 1
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text('7\t"<e1>a</e1> <e2>b</e2>"\nNot-A-Relation(e1,e2)\n',
@@ -145,10 +153,9 @@ class TestParsedInstances:
         path = tmp_path / "fig.inst"
         path.write_text(INSTANCE_FORMAT_HEADER + "\n" + record + "\n", encoding="utf-8")
         inst, = read_parsed_instances(path)
-        steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
-        assert render_path(inst.graph, steps) == \
-            "thief nsubj_inv broke prep_with screwdriver"
-        subtrees = scheduled_subtrees(inst.graph, [s.token for s in steps])
+        assert describe_path(inst) == "thief nsubj_inv broke prep_with screwdriver"
+        tokens, _ = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
+        subtrees = scheduled_subtrees(inst.graph, tokens)
         assert subtrees[3] == {4, 5}   # "the lock" hangs off broke
         assert subtrees[2] == {1}
 
@@ -213,6 +220,14 @@ class TestConverter:
         path.write_text("#id 1\n2\tOut\to\t0\troot\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_parse_blocks(path)
+
+    def test_non_ascii_relation_names_its_line(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("#id 1\n1\tWort\tw\t0\troot\n2\tdas\td\t1\tdét\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="relation 'dét' must be ASCII") as err:
+            read_parse_blocks(path)
+        assert err.value.line == 3
 
 
 class TestEmbeddings:

@@ -255,11 +255,6 @@ class TestGradientCheck:
         with pytest.raises(NonFiniteLoss):
             gradient_check(lambda: float("nan"), store, Gradient(store))
 
-    def test_sampling_subset(self):
-        store, gradient, loss = self.linear_setup()
-        errors = gradient_check(loss, store, gradient, sample=5)
-        assert errors["w"] < 1e-9
-
 
 class TestSerialization:
     def build_store(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depnn import path_cnn, synth
-from depnn.adp import directed_label, shortest_path
+from depnn.adp import shortest_path
 from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, filter_blocks, max_over_time, relation_rows,
                             window_width, word_slots, words_per_window)
@@ -209,9 +209,8 @@ def random_paths(model, instances):
     for inst in instances:
         schedule = model.compile(inst).schedule
         nodes = encode(schedule, model.store, comp_names(model.vocab))
-        steps = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
-        yield (list(nodes[schedule[PARENT] == PATH]),
-               [directed_label(s.relation, s.direction) for s in steps[1:]])
+        _, labels = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
+        yield list(nodes[schedule[PARENT] == PATH]), labels
 
 
 def max_gap(a, b):

@@ -1,0 +1,180 @@
+"""Seeded byte-mutation fuzzing of the five text readers.
+
+A damaged instance file, parse-block file, raw task file, embedding file or
+--config file either reads or fails with one of the types its reader
+documents, each a data error of the command line (exit 2); and the command
+that reads the file reports a sample of the failures as `error: ...`
+without a traceback. The mutations replace, insert and delete bytes, copy
+a run of bytes elsewhere, and cut the file, 1 to 3 of them per mutant.
+"""
+
+import random
+
+import pytest
+
+from depnn import cli, synth
+from depnn.adp import TreeViolation
+from depnn.cli import main
+from depnn.corpus import (DimensionMismatch, FormatError, SpanError, UnknownLabel,
+                          load_embeddings, read_parse_blocks, read_parsed_instances,
+                          read_semeval_raw, write_parsed_instances)
+
+SEED = 31337
+MUTANTS = 300
+CLI_SAMPLE = 15     # failing mutants run through the command line, per reader
+# bytes a mutation favours: the separators and digits the formats are made of
+SPECIAL = b'\t\n\r "#-=0179[]{},:_<>/e\\\xff\xc3'
+
+RAW = ('1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."\n'
+       "Instrument-Agency(e2,e1)\n"
+       "Comment: tool use\n"
+       "\n"
+       '2\t"A <e1>letter</e1> arrived from the <e2>island</e2>."\n'
+       "Entity-Origin(e1,e2)\n"
+       "Comment:\n")
+
+PARSES = ("#id 1\n"
+          "1\tThe\tthe\t2\tdet\n"
+          "2\tthief\tthief\t3\tnsubj\tPER\tperson.n.01\n"
+          "3\tbroke\tbreak\t0\troot\n"
+          "4\tthe\tthe\t5\tdet\n"
+          "5\tlock\tlock\t3\tdobj\n"
+          "6\twith\twith\t-1\t_\n"
+          "7\ta\ta\t8\tdet\n"
+          "8\tscrewdriver\tscrewdriver\t3\tprep_with\t_\tdevice.n.01\n"
+          "\n"
+          "#id 2\n"
+          "1\tletter\tletter\t2\tnsubj\n"
+          "2\tarrived\tarrive\t0\troot\n"
+          "3\tisland\tisland\t2\tprep_from\n")
+
+EMBEDDINGS = ("4 3\n"
+              "the 0.1 -0.2 0.3\n"
+              "thief 1e-2 0.5 -0.25\n"
+              "lock -0.1 0.0 7\n"
+              "Island 0.3 0.3 -0.3\n")
+
+CONFIG = ("# a run\n"
+          "epochs = 0\n"
+          "window=3\n"
+          "learning_rate = 0.01  # lower than the default\n"
+          "use_ner = on\n"
+          "dim_c = 4\n")
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    damaged = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        byte = rng.choice(SPECIAL) if rng.random() < 0.5 else rng.randrange(256)
+        at = rng.randrange(len(damaged) + 1)
+        op = rng.randrange(5)
+        if op == 0 and at < len(damaged):
+            damaged[at] = byte
+        elif op == 1:
+            damaged.insert(at, byte)
+        elif op == 2:
+            del damaged[at:at + rng.randint(1, 4)]
+        elif op == 3:
+            start = rng.randrange(len(damaged) + 1)
+            damaged[at:at] = damaged[start:start + rng.randint(1, 12)]
+        else:
+            del damaged[at:]
+    return bytes(damaged)
+
+
+def instance_file_bytes(tmp_path):
+    path = tmp_path / "seed.inst"
+    write_parsed_instances(path, synth.make_separable_corpus(4))
+    return path.read_bytes()
+
+
+# reader name -> (reader, the types it documents, the seed file's bytes,
+# the command line that reads the damaged file, given it and a sound
+# instance file, raw file and parse-block file)
+READERS = {
+    "instances": (read_parsed_instances,
+                  (FormatError, TreeViolation, SpanError, UnknownLabel),
+                  instance_file_bytes,
+                  lambda bad, inst, raw, parses: ["train", "--instances", bad,
+                                                  "--epochs", "0", "--out", f"{bad}.model"]),
+    "parse-blocks": (read_parse_blocks, (FormatError,), lambda _: PARSES.encode(),
+                     lambda bad, inst, raw, parses: ["convert", "--raw", raw,
+                                                     "--parses", bad,
+                                                     "--out", f"{bad}.out"]),
+    "raw": (read_semeval_raw, (FormatError,), lambda _: RAW.encode(),
+            lambda bad, inst, raw, parses: ["convert", "--raw", bad, "--parses", parses,
+                                            "--out", f"{bad}.out"]),
+    "embeddings": (load_embeddings, (FormatError, DimensionMismatch),
+                   lambda _: EMBEDDINGS.encode(),
+                   lambda bad, inst, raw, parses: ["train", "--instances", inst,
+                                                   "--embeddings", bad, "--epochs", "0",
+                                                   "--out", f"{bad}.model"]),
+    "config": (cli._read_config_file, (FormatError,), lambda _: CONFIG.encode(),
+               lambda bad, inst, raw, parses: ["train", "--instances", inst,
+                                               "--config", bad, "--epochs", "0",
+                                               "--out", f"{bad}.model"]),
+}
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.fixture(scope="module", params=sorted(READERS))
+def outcomes(request, tmp_path_factory):
+    """(reader name, [(damaged bytes, None or the exception the reader
+    raised)] per mutant)."""
+    name = request.param
+    reader, _, seed_bytes, _ = READERS[name]
+    tmp_path = tmp_path_factory.mktemp(name)
+    data = seed_bytes(tmp_path)
+    assert reader(_write(tmp_path / "sound", data)) is not None
+    rng = random.Random(f"{SEED}/{name}")
+    path = tmp_path / "damaged"
+    results = []
+    for _ in range(MUTANTS):
+        damaged = mutate(data, rng)
+        _write(path, damaged)
+        try:
+            reader(path)
+        except Exception as exc:        # the type is what the tests check
+            results.append((damaged, exc))
+        else:
+            results.append((damaged, None))
+    return name, results
+
+
+def test_documented_types_are_data_errors():
+    for _, documented, _, _ in READERS.values():
+        assert all(issubclass(kind, cli._DATA_ERRORS) for kind in documented)
+
+
+def test_damaged_files_fail_only_with_documented_types(outcomes):
+    name, results = outcomes
+    documented = READERS[name][1]
+    wrong = [f"{damaged[:200]!r}: {type(exc).__name__}: {exc}"
+             for damaged, exc in results
+             if exc is not None and not isinstance(exc, documented)]
+    assert not wrong, "\n".join(wrong[:10])
+    # the mutations must reach the reader's checks, not only its happy path
+    assert sum(exc is not None for _, exc in results) >= MUTANTS // 5
+
+
+def test_command_reports_damaged_file_as_data_error(outcomes, tmp_path, capsys):
+    name, results = outcomes
+    command = READERS[name][3]
+    sound = {"inst": tmp_path / "sound.inst", "raw": tmp_path / "raw.txt",
+             "parses": tmp_path / "parses.txt"}
+    write_parsed_instances(sound["inst"], synth.make_separable_corpus(4))
+    sound["raw"].write_text(RAW, encoding="utf-8")
+    sound["parses"].write_text(PARSES, encoding="utf-8")
+    failing = [damaged for damaged, exc in results if exc is not None]
+    bad = tmp_path / "damaged"
+    for damaged in failing[::max(1, len(failing) // CLI_SAMPLE)]:
+        _write(bad, damaged)
+        argv = [str(part) for part in command(bad, **sound)]
+        assert main(argv) == 2, damaged
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (damaged, err)
+        assert "Traceback" not in err, damaged

@@ -136,11 +136,11 @@ class TestForward:
                 return self.inner.comp_id(relation)
 
         counting = CountingVocab(model.vocab)
-        steps = shortest_path(instance.graph, 1, 6)
-        compile_nodes(instance.graph, [s.token for s in steps], counting)
-        adp = attach_subtrees(instance.graph, steps)
+        tokens, _ = shortest_path(instance.graph, 1, 6)
+        compile_nodes(instance.graph, tokens, counting)
+        adp = attach_subtrees(instance.graph, tokens)
         assert counting.word_lookups == sum(1 + len(subtree_tokens(adp, w))
-                                            for w in adp.path_tokens)
+                                            for w in adp.tokens)
 
     def test_missing_embedding_without_unk(self):
         # a vocabulary whose word lookup could miss is refused when it is made
@@ -228,12 +228,11 @@ class TestRecursiveOracle:
             a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
             vocab, store = self.build(graph, comp_relations)
             names = comp_names(vocab)
-            steps = shortest_path(graph, a, b)
-            path = [step.token for step in steps]
+            path, _ = shortest_path(graph, a, b)
             schedule = compile_nodes(graph, path, vocab, include_subtree)
             nodes = encode(schedule, store, names)
 
-            adp = attach_subtrees(graph, steps)
+            adp = attach_subtrees(graph, path)
             caches = [encode_word(graph, adp, w, store, vocab, include_subtree) for w in path]
             expected = [node for cache in caches for node in preorder(cache)]
             assert len(expected) == len(nodes)
