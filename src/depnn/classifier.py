@@ -316,7 +316,8 @@ class Model:
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward; returns the loss. The instance's gradient adds
         onto what `gradient` holds, except that a Gradient with a learning
-        rate steps conv_w and out_w during the backward pass."""
+        rate steps out_w, conv_w and the composition matrices during the
+        backward pass."""
         cache = self._forward(compiled)
         loss = cross_entropy(cache.distribution, self._gold(compiled))
         if not np.isfinite(loss):
@@ -325,9 +326,9 @@ class Model:
         return loss
 
     def train_step(self, compiled: CompiledInstance) -> float:
-        """One SGD update on one instance. conv_w and out_w take their steps
-        inside the backward pass, every other tensor when the step's
-        Gradient is applied."""
+        """One SGD update on one instance. out_w, conv_w and the composition
+        matrices take their steps inside the backward pass, every other
+        tensor when the step's Gradient is applied."""
         gradient = Gradient(self.store, self.config.learning_rate)
         loss = self.accumulate_gradients(compiled, gradient)
         gradient.apply()
@@ -391,7 +392,7 @@ class Model:
             raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
         try:
             vocab = Vocabulary.from_dict(meta["vocab"])
-        except corpus.MissingVocabularyEntry as exc:
+        except corpus.VocabularyError as exc:
             raise ModelFileMismatch(
                 f"{path}: metadata field 'vocab.{exc.field}': {exc}") from None
         layout = parameter_layout(config, vocab)

@@ -25,11 +25,11 @@ class UnknownQuery(LookupError):
 
 
 _DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
-                corpus.AlignmentError, corpus.UnknownLabel, adp.TreeViolation,
-                adp.InvalidSpan, classifier.EmptyPath, classifier.EmptyDataset,
-                classifier.InvalidConfig, path_cnn.InvalidWindowSize,
-                classifier.ModelFileMismatch, numerics.ModelFormatError,
-                evaluation.LengthMismatch, UnknownQuery, OSError)
+                corpus.AlignmentError, corpus.UnknownLabel, corpus.VocabularyError,
+                adp.TreeViolation, adp.InvalidSpan, classifier.EmptyPath,
+                classifier.EmptyDataset, classifier.InvalidConfig,
+                path_cnn.InvalidWindowSize, classifier.ModelFileMismatch,
+                numerics.ModelFormatError, evaluation.LengthMismatch, UnknownQuery, OSError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
 
@@ -77,14 +77,10 @@ def _resolve_config(args, embedding_dim: int | None,
     for key, value in flag_map.items():
         if value is not None:
             settings[key] = value
-    if args.no_subtrees:
-        settings["use_subtrees"] = False
-    if args.ner:
-        settings["use_ner"] = True
-    if args.wordnet:
-        settings["use_wordnet"] = True
-    if args.linear_conv:
-        settings["conv_tanh"] = False
+    for flag, key, value in (("no_subtrees", "use_subtrees", False), ("ner", "use_ner", True),
+                             ("wordnet", "use_wordnet", True), ("linear_conv", "conv_tanh", False)):
+        if getattr(args, flag):
+            settings[key] = value
     if embedding_dim is not None:
         if settings.get("dim", embedding_dim) != embedding_dim:
             raise corpus.DimensionMismatch(
@@ -143,9 +139,7 @@ def cmd_train(args) -> int:
     instances = corpus.read_parsed_instances(args.instances)
     if any(inst.gold is None for inst in instances):
         raise corpus.FormatError("training file contains unlabeled instances")
-    embeddings = None
-    if args.embeddings:
-        embeddings = corpus.load_embeddings(args.embeddings)
+    embeddings = corpus.load_embeddings(args.embeddings) if args.embeddings else None
     config = _resolve_config(args, embeddings.dim if embeddings else None)
     print(_echo_config(config))
     validation = corpus.read_parsed_instances(args.val) if args.val else None

@@ -67,11 +67,12 @@ class AlignmentError(ValueError):
     pass
 
 
-class MissingVocabularyEntry(ValueError):
-    """A vocabulary without an entry that its lookups fall back to."""
+class VocabularyError(ValueError):
+    """A vocabulary field without an entry that its lookups fall back to,
+    or listing an entry twice, so that one of its rows is never read."""
 
-    def __init__(self, field: str, entry: str):
-        super().__init__(f"vocabulary {field} has no {entry!r} entry")
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"vocabulary {field} {problem}")
         self.field = field
 
 
@@ -462,10 +463,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
                 raise FormatError(f"non-numeric embedding value for {word!r}", line_no) from None
     if dim is None:
         raise FormatError("embedding file is empty and no dimension was given")
-    if vectors:
-        unk = np.mean(np.stack(list(vectors.values())), axis=0)
-    else:
-        unk = np.zeros(dim)
+    unk = np.mean(np.stack(list(vectors.values())), axis=0) if vectors else np.zeros(dim)
     return EmbeddingTable(dim, vectors, unk)
 
 
@@ -483,7 +481,7 @@ class Vocabulary:
     """Row assignments for words, path relations, composition-matrix keys,
     and lexical tags. Lookups are total: absent entries fall back to UNK
     rows (or the shared DEFAULT composition matrix), which every field must
-    hold, as REQUIRED_ENTRIES says; MissingVocabularyEntry otherwise."""
+    hold, as REQUIRED_ENTRIES says, and no field lists an entry twice."""
     words: tuple[str, ...]
     relations: tuple[str, ...]       # directed path labels + sentinels
     comp_relations: tuple[str, ...]  # composition-matrix keys
@@ -491,15 +489,19 @@ class Vocabulary:
     wn_tags: tuple[str, ...]
 
     def __post_init__(self):
-        for name, entries in REQUIRED_ENTRIES.items():
-            for entry in entries:
-                if entry not in getattr(self, name):
-                    raise MissingVocabularyEntry(name, entry)
-        self._word_index = {w: i for i, w in enumerate(self.words)}
-        self._relation_index = {r: i for i, r in enumerate(self.relations)}
-        self._comp_index = {r: i for i, r in enumerate(self.comp_relations)}
-        self._ner_index = {t: i for i, t in enumerate(self.ner_tags)}
-        self._wn_index = {t: i for i, t in enumerate(self.wn_tags)}
+        (self._word_index, self._relation_index, self._comp_index, self._ner_index,
+         self._wn_index) = (self._row_index(f.name) for f in fields(self))
+
+    def _row_index(self, name: str) -> dict[str, int]:
+        entries = getattr(self, name)
+        index = {entry: row for row, entry in enumerate(entries)}
+        for entry in REQUIRED_ENTRIES[name]:
+            if entry not in index:
+                raise VocabularyError(name, f"has no {entry!r} entry")
+        if len(index) < len(entries):      # index keeps a repeated entry's last row
+            twice = next(entry for row, entry in enumerate(entries) if index[entry] != row)
+            raise VocabularyError(name, f"lists {twice!r} twice")
+        return index
 
     @classmethod
     def build(cls, instances) -> "Vocabulary":

@@ -9,7 +9,8 @@ dependency relation joining w to q.
 An instance's nodes are compiled once into a schedule of integers, and the
 forward and backward passes run from it without recursion. Children are
 summed in ascending token order; the sum is order-independent up to float
-reassociation, so the canonical order just pins the bit pattern.
+reassociation, so the canonical order just pins the bit pattern. The
+backward's composition gradients are one product per matrix, in BLAS order.
 """
 
 from __future__ import annotations
@@ -97,32 +98,33 @@ def encode(schedule: np.ndarray, store: ParameterStore, names: list[str]) -> np.
 def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
                     store: ParameterStore, gradient: Gradient, names: list[str]) -> None:
     """Propagate the gradient on the path words' p (one row each, in path
-    order) back through the subtrees, accumulating into the gradient of
-    word embeddings, composition matrices, the composition bias and the
-    leaf vector.
+    order) back through the subtrees, into the gradient of word embeddings,
+    composition matrices, the composition bias and the leaf vector.
 
-    The nodes are walked in pre-order, and each node first takes its share
-    from its parent (the outer product into the parent's composition
-    matrix, and C.T @ d_pre), so every buffer accumulates in the order of
-    a depth-first recursion, bit for bit. The word-embedding rows go to
-    the gradient in one call, in the same order.
+    The nodes are walked in pre-order, each taking its share from its
+    parent (C.T @ d_pre), so the bias, leaf-vector and word rows accumulate
+    in depth-first recursion order. After the walk each matrix's gradient is
+    one product, its parents' d_pre rows by its children's p rows, through
+    gradient.step: a training step updates the matrix in place.
     """
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
     d_nodes = np.empty_like(nodes)
     d_nodes[parents == PATH] = d_path
+    d_pre = np.empty((len(rows), nodes.shape[1] - dim))    # read on internal nodes only
     parents, comps = parents.tolist(), comps.tolist()
-    d_pre: dict[int, np.ndarray] = {}       # per internal node
+    kids: dict[int, list[int]] = {}        # comp id -> the children it composes
     last = len(parents) - 1
     for slot, parent in enumerate(parents):
         if parent != PATH:
-            name = names[comps[slot]]
-            gradient[name] += d_pre[parent][:, None] * nodes[slot]    # np.outer, uncalled
-            d_nodes[slot] = store.value(name).T @ d_pre[parent]
+            kids.setdefault(comps[slot], []).append(slot)
+            d_nodes[slot] = store.value(names[comps[slot]]).T @ d_pre[parent]
         d_c = d_nodes[slot, dim:]
         if slot < last and parents[slot + 1] == slot:      # its first child is next
             d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
             gradient[COMP_BIAS] += d_pre[slot]
         else:
             gradient[LEAF_VEC] += d_c
+    for comp, slots in kids.items():
+        gradient.step(names[comp], ..., d_pre[schedule[PARENT, slots]].T @ nodes[slots])
     gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])

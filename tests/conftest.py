@@ -368,6 +368,32 @@ def _backward(node, d_p, dim, store, gradient, vocab):
         _backward(kid, store.value(name).T @ d_pre, dim, store, gradient, vocab)
 
 
+def per_edge_encode_backward(schedule, nodes, d_path, store, gradient, names):
+    """Per-edge oracle of subtree.encode_backward: each edge adds its outer
+    product into the dense buffer of its composition matrix during the
+    pre-order walk, in the order of the depth-first recursion, so a training
+    step updates the matrices only when its Gradient is applied."""
+    rows, parents, comps = schedule
+    dim = store.value(WORD_EMB).shape[1]
+    d_nodes = np.empty_like(nodes)
+    d_nodes[parents == PATH] = d_path
+    parents, comps = parents.tolist(), comps.tolist()
+    d_pre = {}
+    last = len(parents) - 1
+    for slot, parent in enumerate(parents):
+        if parent != PATH:
+            name = names[comps[slot]]
+            gradient[name] += d_pre[parent][:, None] * nodes[slot]
+            d_nodes[slot] = store.value(name).T @ d_pre[parent]
+        d_c = d_nodes[slot, dim:]
+        if slot < last and parents[slot + 1] == slot:
+            d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
+            gradient[COMP_BIAS] += d_pre[slot]
+        else:
+            gradient[LEAF_VEC] += d_c
+    gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])
+
+
 def preorder(cache):
     """The oracle's nodes of one path word, in pre-order."""
     out, stack = [], [cache]
@@ -466,6 +492,15 @@ def _dropped(field, entry):
     return edit
 
 
+def _appended(field, entry):
+    """A metadata edit that lists an entry of a vocabulary field a second
+    time, at its end."""
+    def edit(meta):
+        meta["vocab"][field].append(entry)
+        return meta
+    return edit
+
+
 # one bad piece of model-file metadata per rule, each with a phrase of the
 # ModelFileMismatch it must raise
 BAD_MODEL_META = {
@@ -506,6 +541,9 @@ BAD_MODEL_META = {
                               "'vocab.ner_tags': vocabulary ner_tags has no '<unk>'"),
     "vocab-wn-without-unk": (_dropped("wn_tags", UNK),
                              "'vocab.wn_tags': vocabulary wn_tags has no '<unk>'"),
+    "vocab-relations-start-twice": (
+        _appended("relations", PATH_START),
+        "'vocab.relations': vocabulary relations lists '<path-start>' twice"),
 }
 
 

@@ -15,6 +15,7 @@ from depnn.corpus import LABELS, Instance, entity_mention
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B, InvalidWindowSize
+from depnn.subtree import comp_names
 
 from conftest import (BAD_MODEL_META, assert_bit_identical, dense_sgd_oracle, graph_of,
                       rewrite_model_file, rewrite_model_meta, tiny_model)
@@ -246,9 +247,11 @@ class TestTraining:
 
 class TestInPlaceOutputUpdate:
     """train_step applies out_w's update in the backward pass, once the
-    gradient on the layer below is formed, and the step's Gradient never
-    holds out_w; the result must be the buffered gradient's dense update,
-    bit for bit."""
+    gradient on the layer below is formed, and each composition matrix's
+    after the subtree backward's walk; the step's Gradient never holds
+    them, and the result must be the buffered gradient's dense update, bit
+    for bit. Without a rate, the composition gradients of several
+    instances sum."""
 
     @pytest.mark.parametrize("lexical", [True, False])
     def test_train_step_matches_buffered_update(self, monkeypatch, lexical):
@@ -264,16 +267,38 @@ class TestInPlaceOutputUpdate:
                 super().apply()
 
         monkeypatch.setattr(classifier, "Gradient", SpyGradient)
+        comps = set(comp_names(fused.vocab))
+        composed = 0
         for inst in instances:
             gradient = Gradient(buffered.store)
             buffered.accumulate_gradients(buffered.compile(inst), gradient)
             assert OUT_W in gradient
+            composed += len(comps & gradient.keys())
             expected = dense_sgd_oracle(buffered.store, gradient, 0.3)
             fused.train_step(fused.compile(inst))
-            assert OUT_W not in applied[-1]
+            assert not ({OUT_W} | comps) & applied[-1]
             for name, value in expected.items():
                 assert_bit_identical(fused.store.value(name), value)
                 buffered.store.value(name)[...] = value
+        assert composed > len(instances)
+
+    def test_composition_gradients_of_two_instances_sum(self):
+        instances = synth.make_gradcheck_instances(6, seed=19)
+        model = tiny_model(instances)
+        comps = comp_names(model.vocab)
+        shared = 0
+        for first, second in zip(instances[::2], instances[1::2]):
+            alone = []
+            for inst in (first, second):
+                alone.append(Gradient(model.store))
+                model.accumulate_gradients(model.compile(inst), alone[-1])
+            both = Gradient(model.store)
+            model.accumulate_gradients(model.compile(first), both)
+            model.accumulate_gradients(model.compile(second), both)
+            for name in comps:
+                assert_bit_identical(both.full(name), alone[0].full(name) + alone[1].full(name))
+            shared += len(alone[0].keys() & alone[1].keys() & set(comps))
+        assert shared
 
 
 class TestAblation:

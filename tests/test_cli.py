@@ -151,6 +151,16 @@ class TestExitCodes:
                                            "must be ASCII without TAB or newline\n")
         assert not out.exists()
 
+    def test_reserved_relation_fails_training_as_data_error(self, tmp_path, capsys):
+        # the vocabulary would list the path sentinel twice, once as data
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
+                                   VALID_RECORD.replace('"x"', '"<path-start>"'))
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: vocabulary relations lists '<path-start>' twice\n"
+        assert not out.exists()
+
     def test_program_error_is_not_a_data_error(self, corpus_file, monkeypatch):
         # a plain ValueError is a bug in the program: it must surface, not exit 2
         def broken(path):

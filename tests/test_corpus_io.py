@@ -5,15 +5,17 @@ from depnn import synth
 from depnn.adp import TreeViolation, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
-                          UNK, AlignmentError, DimensionMismatch, FormatError,
-                          SpanError, UnknownLabel, Vocabulary, convert,
-                          dataset_stats, label_index, label_type,
+                          REQUIRED_ENTRIES, UNK, AlignmentError, DimensionMismatch,
+                          FormatError, Instance, SpanError,
+                          UnknownLabel, Vocabulary, VocabularyError, convert,
+                          dataset_stats, entity_mention, label_index, label_type,
                           load_embeddings, read_parse_blocks,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 from depnn.evaluation import describe_path
 
-from conftest import MALFORMED_RECORDS, VALID_RECORD, scheduled_subtrees, write_instance_file
+from conftest import (MALFORMED_RECORDS, VALID_RECORD, graph_of, scheduled_subtrees,
+                      write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -307,6 +309,26 @@ class TestVocabulary:
     def test_round_trip_dict(self):
         vocab = Vocabulary.build(synth.make_separable_corpus(5))
         assert Vocabulary.from_dict(vocab.to_dict()) == vocab
+
+    @pytest.mark.parametrize("field", sorted(REQUIRED_ENTRIES))
+    def test_entry_listed_twice_is_refused(self, field):
+        # a fallback entry listed again after the data entries: the index
+        # would map it, and every unseen key, to the later row
+        data = Vocabulary.build(synth.make_separable_corpus(5)).to_dict()
+        entry = REQUIRED_ENTRIES[field][0]
+        data[field].append(entry)
+        with pytest.raises(VocabularyError) as caught:
+            Vocabulary.from_dict(data)
+        assert caught.value.field == field
+        assert str(caught.value) == f"vocabulary {field} lists {entry!r} twice"
+
+    def test_reserved_relation_in_the_data_is_refused(self):
+        # the path sentinel would share its embedding row with a data relation
+        graph = graph_of(2, [(0, 1, "root"), (1, 2, PATH_START)])
+        instance = Instance(1, graph, entity_mention(graph, 1, 1),
+                            entity_mention(graph, 2, 2), OTHER_LABEL)
+        with pytest.raises(VocabularyError, match="relations lists '<path-start>'"):
+            Vocabulary.build([instance])
 
 
 class TestDatasetStats:

@@ -4,14 +4,14 @@ import pytest
 from depnn.adp import shortest_path
 from depnn.classifier import TrainConfig, parameter_layout
 from depnn.corpus import (DEFAULT_RELATION, PATH_END, PATH_START, UNK, Instance,
-                          MissingVocabularyEntry, Vocabulary, entity_mention)
+                          Vocabulary, VocabularyError, entity_mention)
 from depnn.numerics import Gradient, ParameterStore, init_uniform
 from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
                            comp_names, compile_nodes, encode, encode_backward)
 
 from conftest import (assert_bit_identical, attach_subtrees, encode_word,
-                      encode_word_backward, graph_of, preorder, random_tree,
-                      subtree_tokens, tiny_model)
+                      encode_word_backward, graph_of, per_edge_encode_backward, preorder,
+                      random_tree, subtree_tokens, tiny_model)
 
 
 def worked_example(**overrides):
@@ -145,7 +145,7 @@ class TestForward:
     def test_missing_embedding_without_unk(self):
         # a vocabulary whose word lookup could miss is refused when it is made
         _, model, _ = worked_example()
-        with pytest.raises(MissingVocabularyEntry, match="words has no '<unk>' entry"):
+        with pytest.raises(VocabularyError, match="words has no '<unk>' entry"):
             Vocabulary(words=(), relations=model.vocab.relations,
                        comp_relations=model.vocab.comp_relations,
                        ner_tags=model.vocab.ner_tags, wn_tags=model.vocab.wn_tags)
@@ -195,40 +195,49 @@ class TestBackward:
         assert np.array_equal(gradient.full(LEAF_VEC), d_path[0, dim:])
 
 
-class TestRecursiveOracle:
-    """The flat encoder against the recursive one kept in conftest, bit for
-    bit: every node's p, and every tensor of the gradient, on random trees
-    whose arcs share three relations, so that one composition matrix takes
-    outer products from several depths."""
-    RELATIONS = ("nsubj", "dobj", "det")
-    CONFIG = TrainConfig(dim=6, dim_c=4, hidden=5, window=3)
+RELATIONS = ("nsubj", "dobj", "det")
+ORACLE_CONFIG = TrainConfig(dim=6, dim_c=4, hidden=5, window=3)
+# every relation with a matrix of its own, or dobj and det falling back to
+# comp/<default>, so that one matrix takes edges of several relations
+COMP_RELATIONS = [(DEFAULT_RELATION,) + RELATIONS, (DEFAULT_RELATION, "nsubj")]
 
-    def build(self, graph, comp_relations, words=None):
-        forms = tuple(tok.form for tok in graph.tokens)
-        vocab = Vocabulary(words=(UNK,) + forms if words is None else words,
-                           relations=(UNK, PATH_START, PATH_END),
-                           comp_relations=comp_relations,
-                           ner_tags=(UNK,), wn_tags=(UNK,))
-        store = ParameterStore()
-        for name, (shape, kind) in parameter_layout(self.CONFIG, vocab).items():
-            store.register(name, shape, kind)
-        init_uniform(store, seed=len(forms))
-        return vocab, store
+
+def build_tree_model(graph, comp_relations, words=None):
+    """A vocabulary of the graph's forms and a seeded store for it."""
+    forms = tuple(tok.form for tok in graph.tokens)
+    vocab = Vocabulary(words=(UNK,) + forms if words is None else words,
+                       relations=(UNK, PATH_START, PATH_END),
+                       comp_relations=comp_relations,
+                       ner_tags=(UNK,), wn_tags=(UNK,))
+    store = ParameterStore()
+    for name, (shape, kind) in parameter_layout(ORACLE_CONFIG, vocab).items():
+        store.register(name, shape, kind)
+    init_uniform(store, seed=len(forms))
+    return vocab, store
+
+
+def random_path(rng, graph):
+    n = len(graph.tokens)
+    return shortest_path(graph, 1 + int(rng.integers(n)), 1 + int(rng.integers(n)))[0]
+
+
+class TestRecursiveOracle:
+    """The flat encoder against the recursive one kept in conftest, on
+    random trees whose arcs share three relations, so that one composition
+    matrix takes outer products from several depths. Every node's p and
+    every tensor of the gradient match bit for bit, except the composition
+    matrices': each is one product over its edges, which sums in another
+    order than the recursion, so those match within 1e-12."""
 
     @pytest.mark.parametrize("include_subtree", [True, False])
-    @pytest.mark.parametrize("comp_relations", [
-        (DEFAULT_RELATION,) + RELATIONS,
-        (DEFAULT_RELATION, "nsubj"),     # dobj and det fall back to comp/<default>
-    ])
+    @pytest.mark.parametrize("comp_relations", COMP_RELATIONS)
     def test_matches_recursive_oracle(self, rng, include_subtree, comp_relations):
         shared_depths = 0
         for _ in range(150):
-            graph = random_tree(rng, max_nodes=14, labels=self.RELATIONS)
-            n = len(graph.tokens)
-            a, b = 1 + int(rng.integers(n)), 1 + int(rng.integers(n))
-            vocab, store = self.build(graph, comp_relations)
+            graph = random_tree(rng, max_nodes=14, labels=RELATIONS)
+            vocab, store = build_tree_model(graph, comp_relations)
             names = comp_names(vocab)
-            path, _ = shortest_path(graph, a, b)
+            path = random_path(rng, graph)
             schedule = compile_nodes(graph, path, vocab, include_subtree)
             nodes = encode(schedule, store, names)
 
@@ -246,7 +255,11 @@ class TestRecursiveOracle:
             for cache, d_p in zip(caches, d_path):
                 encode_word_backward(cache, d_p, store, recursive, vocab)
             for name in store.names():
-                assert_bit_identical(flat.full(name), recursive.full(name))
+                if name.startswith("comp/"):
+                    assert np.allclose(flat.full(name), recursive.full(name),
+                                       rtol=0, atol=1e-12)
+                else:
+                    assert_bit_identical(flat.full(name), recursive.full(name))
 
             comps = schedule[COMP].tolist()
             parents = schedule[PARENT].tolist()
@@ -265,6 +278,59 @@ class TestRecursiveOracle:
         graph = graph_of(3, [(0, 1, "root"), (1, 2, "det"), (1, 3, "nsubj")])
         forms = tuple(tok.form for tok in graph.tokens)
         # no UNK, and no row for w1: refused before any instance is compiled
-        with pytest.raises(MissingVocabularyEntry) as caught:
-            self.build(graph, (DEFAULT_RELATION,), words=forms[1:])
+        with pytest.raises(VocabularyError) as caught:
+            build_tree_model(graph, (DEFAULT_RELATION,), words=forms[1:])
         assert caught.value.field == "words"
+
+
+class TestGroupedBackward:
+    """encode_backward forms each composition matrix's gradient as one
+    product after the walk; the per-edge backward it replaced, kept in
+    conftest, adds one outer product per edge during the walk. Without a
+    learning rate the two gradients agree within 1e-12, and bit for bit off
+    the composition matrices. With one, the grouped backward steps the
+    matrices in place and leaves no buffer for them, and the applied stores
+    agree within 1e-12."""
+
+    LEARNING_RATE = 0.3
+
+    @pytest.mark.parametrize("comp_relations", COMP_RELATIONS)
+    def test_matches_per_edge_backward(self, rng, comp_relations):
+        shared = 0      # instances where one matrix takes several edges
+        for _ in range(100):
+            graph = random_tree(rng, max_nodes=14, labels=RELATIONS)
+            vocab, store = build_tree_model(graph, comp_relations)
+            names = comp_names(vocab)
+            schedule = compile_nodes(graph, random_path(rng, graph), vocab)
+            nodes = encode(schedule, store, names)
+            d_path = rng.normal(size=(int((schedule[PARENT] == PATH).sum()), nodes.shape[1]))
+            comps = schedule[COMP][schedule[COMP] != PATH]
+            shared += len(set(comps.tolist())) < len(comps)
+
+            grouped, per_edge = Gradient(store), Gradient(store)
+            encode_backward(schedule, nodes, d_path, store, grouped, names)
+            per_edge_encode_backward(schedule, nodes, d_path, store, per_edge, names)
+            for name in store.names():
+                if name.startswith("comp/"):
+                    assert np.allclose(grouped.full(name), per_edge.full(name),
+                                       rtol=0, atol=1e-12)
+                else:
+                    assert_bit_identical(grouped.full(name), per_edge.full(name))
+
+            stepped = {}
+            for backward_fn in (per_edge_encode_backward, encode_backward):
+                copy = ParameterStore()
+                for name in store.names():
+                    copy.register(name, store.value(name).shape,
+                                  store.kind(name))[...] = store.value(name)
+                gradient = Gradient(copy, self.LEARNING_RATE)
+                backward_fn(schedule, nodes, d_path, copy, gradient, names)
+                if backward_fn is encode_backward:
+                    assert not [name for name in gradient if name.startswith("comp/")]
+                gradient.apply()
+                stepped[backward_fn] = copy
+            for name in store.names():
+                assert np.allclose(stepped[encode_backward].value(name),
+                                   stepped[per_edge_encode_backward].value(name),
+                                   rtol=0, atol=1e-12)
+        assert shared > 20
