@@ -302,22 +302,19 @@ class Model:
         gradient.step(OUT_W, ..., d_logits[:, None] * cache.combined)
 
         hidden = cache.conv.pooled.size
-        d_pooled = d_combined[:hidden]
-        offset = hidden
-        for name, row in zip(self._lex_tables, compiled.lex_rows.tolist()):
-            width = self.store.value(name).shape[1]
-            gradient.add_rows(name, row, d_combined[offset:offset + width])
-            offset += width
+        d_lex = d_combined[hidden:].reshape(-1, self.config.lex_dim)
+        for name, row, d_row in zip(self._lex_tables, compiled.lex_rows.tolist(), d_lex):
+            gradient.add_rows(name, row, d_row)
 
-        d_path = conv_backward(cache.conv, d_pooled, self.store, gradient)
+        d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient)
         encode_backward(compiled.schedule, cache.nodes, d_path, self.store, gradient,
                         self._comp_names)
 
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward; returns the loss. The instance's gradient adds
         onto what `gradient` holds, except that a Gradient with a learning
-        rate steps out_w, conv_w and the composition matrices during the
-        backward pass."""
+        rate steps every tensor but the embedding tables during the backward
+        pass."""
         cache = self._forward(compiled)
         loss = cross_entropy(cache.distribution, self._gold(compiled))
         if not np.isfinite(loss):
@@ -326,9 +323,9 @@ class Model:
         return loss
 
     def train_step(self, compiled: CompiledInstance) -> float:
-        """One SGD update on one instance. out_w, conv_w and the composition
-        matrices take their steps inside the backward pass, every other
-        tensor when the step's Gradient is applied."""
+        """One SGD update on one instance. The embedding tables take their
+        steps on the rows the instance wrote when the step's Gradient is
+        applied, every other tensor inside the backward pass."""
         gradient = Gradient(self.store, self.config.learning_rate)
         loss = self.accumulate_gradients(compiled, gradient)
         gradient.apply()

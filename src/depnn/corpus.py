@@ -239,11 +239,17 @@ def _is_int(value) -> bool:
 
 def _check_relation(relation: str | None, pos: int, line_no: int) -> None:
     """A relation names its composition matrix in the model file's ASCII
-    manifest, whose fields are TAB-separated lines."""
+    manifest, whose fields are TAB-separated lines; named like a reserved
+    entry or a directed label (INVERSE_SUFFIX), it would share their row."""
     if relation is not None and not (relation.isascii() and "\t" not in relation
                                      and "\n" not in relation):
         raise FormatError(f"token {pos}: relation {relation!r} must be ASCII without "
                           "TAB or newline", line_no)
+    # this runs once per token read: the substring tests keep the common case cheap
+    if relation is not None and ("<" in relation or INVERSE_SUFFIX in relation) and (
+            relation in RESERVED_RELATIONS or relation.endswith(INVERSE_SUFFIX)):
+        raise FormatError(f"token {pos}: relation {relation!r} is reserved: no relation ends "
+                          f"in {INVERSE_SUFFIX!r} or is {', '.join(RESERVED_RELATIONS)}", line_no)
 
 
 def _check_record(record, line_no: int) -> None:
@@ -474,6 +480,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
 REQUIRED_ENTRIES = {"words": (UNK,), "relations": (UNK, PATH_START, PATH_END),
                     "comp_relations": (DEFAULT_RELATION,), "ner_tags": (UNK,),
                     "wn_tags": (UNK,)}
+RESERVED_RELATIONS = REQUIRED_ENTRIES["relations"] + REQUIRED_ENTRIES["comp_relations"]
 
 
 @dataclass

@@ -102,14 +102,14 @@ class Gradient(dict):
     """The gradient one step wrote into a store's tensors, held only where
     it was written.
 
-    gradient[name] is a dense buffer for the tensor, allocated at zero on
-    first use, for writes such as gradient[name] += delta. add_rows keeps,
-    per row, the sum of that row's deltas in call order, so a step that
-    touches a few rows of a large embedding table holds only those rows.
+    step() adds into gradient[name], a dense buffer for the tensor that is
+    allocated at zero on first use. add_rows keeps, per row, the sum of
+    that row's deltas in call order, so a step that touches a few rows of a
+    large embedding table holds only those rows.
 
     A Gradient made with a learning rate belongs to a training step: what
-    goes through step() updates the store at once, and apply() updates it
-    with everything else at the step's end. Without a rate it only sums.
+    goes through step() updates the store at once, and apply() steps the
+    rows' sums at the step's end. Without a rate it only sums.
     """
 
     __slots__ = ("_store", "_rows", "learning_rate")
@@ -126,9 +126,9 @@ class Gradient(dict):
 
     def step(self, name: str, index, delta: np.ndarray) -> None:
         """grad[index] += delta without a learning rate. With one, the
-        tensor takes its step now: value[index] -= rate * delta, by the
-        operations apply() runs on a zeroed buffer, so the result is bit
-        for bit the same. Spends delta, which is scaled in place."""
+        tensor takes its step now: value[index] -= rate * delta, bit for
+        bit the dense update of what a zeroed buffer would have summed.
+        Spends delta, which is scaled in place."""
         if self.learning_rate is None:
             self[name][index] += delta
         else:
@@ -161,15 +161,11 @@ class Gradient(dict):
         return full
 
     def apply(self) -> None:
-        """value -= learning_rate * grad on exactly the written entries; an
-        entry nothing wrote has a zero gradient, and x - 0.0 is x, so the
-        result is bit for bit a full update of a tensor written one way.
-        Spends the gradient: its dense buffers are scaled in place."""
+        """value -= learning_rate * grad on exactly the rows add_rows wrote;
+        a row nothing wrote has a zero gradient, and x - 0.0 is x, so the
+        result is bit for bit a full update of the table. Dense gradients
+        are not swept: with a rate, step() has already taken them."""
         learning_rate = self.learning_rate
-        for name, grad in self.items():
-            value = self._store.value(name)
-            grad *= learning_rate
-            value -= grad
         for name, sums in self._rows.items():
             if sums:    # empty after add_rows with no rows
                 rows = np.fromiter(sums, dtype=np.intp, count=len(sums))

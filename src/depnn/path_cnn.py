@@ -32,8 +32,8 @@ CONV_B = "conv_b"
 # into scratch buffers, on every call. A path's windows times one block stay
 # under that up to 24 windows, so the forward and the backward each read the
 # filter once: a 4-window product with the whole 200-d filter took 0.50 ms,
-# in blocks 0.25 ms. A block's update temporary is as large as the block, so
-# it stays in cache while it is scaled and applied.
+# in blocks 0.25 ms. A block's update is one product's output, as large as
+# the block, so it stays in cache while it is scaled and applied.
 CONV_W_BLOCK_BYTES = 32 * 1300 * 8
 
 
@@ -145,22 +145,19 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     the pad vector and the filter bias, and into the path-word vectors
     (returned, one row per path word in path order).
 
-    The filter's gradient goes through gradient.step block by block, so
-    a training step's Gradient updates the filter here, in place."""
-    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+    All but the relation embeddings' go through gradient.step, so a training
+    step's Gradient updates them here, in place. Max-pooling routes each
+    unit to one window, so a filter block's gradient, one product of the
+    routed unit gradients and the windows, sums one nonzero term per entry."""
+    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
+    gradient.step(CONV_B, ..., d_pre)       # spends d_pre, not upstream: read last above
     d_inputs = np.zeros_like(cache.inputs)
-    gradient[CONV_B] += d_pre
-    # max-pooling routes each hidden unit to exactly one window, so a row of
-    # the filter gradient is a gathered window scaled by its unit's gradient
     for block in filter_blocks(conv_w):
         d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
-        step = cache.inputs[cache.argmax[block]]
-        step *= d_pre[block, None]
-        gradient.step(CONV_W, block, step)
-        del step        # freed before the next block's is made: one block held at a time
+        gradient.step(CONV_W, block, d_features[:, block].T @ cache.inputs)
 
     # the window vectors' slots, split back apart: word slots go to the path
     # words and the pad, relation slots to their relation-embedding rows
@@ -176,5 +173,5 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
     gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
                       np.stack(d_rel_slots, axis=1))
-    gradient[PAD_WORD] += d_words[0]
+    gradient.step(PAD_WORD, ..., d_words[0])
     return d_words[1:]

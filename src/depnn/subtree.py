@@ -103,15 +103,16 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
 
     The nodes are walked in pre-order, each taking its share from its
     parent (C.T @ d_pre), so the bias, leaf-vector and word rows accumulate
-    in depth-first recursion order. After the walk each matrix's gradient is
-    one product, its parents' d_pre rows by its children's p rows, through
-    gradient.step: a training step updates the matrix in place.
+    in depth-first recursion order. After the walk, the bias and leaf sums
+    and each matrix's one product, its parents' d_pre rows by its children's
+    p rows, go through gradient.step: a training step updates them in place.
     """
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
     d_nodes = np.empty_like(nodes)
     d_nodes[parents == PATH] = d_path
     d_pre = np.empty((len(rows), nodes.shape[1] - dim))    # read on internal nodes only
+    d_bias, d_leaf = np.zeros((2, nodes.shape[1] - dim))
     parents, comps = parents.tolist(), comps.tolist()
     kids: dict[int, list[int]] = {}        # comp id -> the children it composes
     last = len(parents) - 1
@@ -122,9 +123,11 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
         d_c = d_nodes[slot, dim:]
         if slot < last and parents[slot + 1] == slot:      # its first child is next
             d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
-            gradient[COMP_BIAS] += d_pre[slot]
+            d_bias += d_pre[slot]
         else:
-            gradient[LEAF_VEC] += d_c
+            d_leaf += d_c
+    gradient.step(COMP_BIAS, ..., d_bias)
+    gradient.step(LEAF_VEC, ..., d_leaf)
     for comp, slots in kids.items():
         gradient.step(names[comp], ..., d_pre[schedule[PARENT, slots]].T @ nodes[slots])
     gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])

@@ -9,9 +9,9 @@ import pytest
 from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
-                          UNK, Vocabulary)
+                          RESERVED_RELATIONS, UNK, Vocabulary)
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
-from depnn.path_cnn import CONV_B, CONV_W, word_slots
+from depnn.path_cnn import CONV_B, CONV_W, filter_blocks, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
                            compile_nodes)
 
@@ -238,6 +238,39 @@ def twopass_conv_backward(cache, upstream, store, gradient, learning_rate=None):
     return d_words[1:]
 
 
+def gathered_conv_backward(cache, upstream, store, gradient):
+    """path_cnn.conv_backward with each filter block's step formed as a
+    gathered copy: the block's winning windows, scaled by their units'
+    gradients. The filter steps through gradient.step block by block; the
+    bias and pad-vector gradients add into dense buffers."""
+    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+    conv_w = store.value(CONV_W)
+    d_features = np.zeros_like(cache.feature_map)
+    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
+    d_inputs = np.zeros_like(cache.inputs)
+    gradient[CONV_B] += d_pre
+    for block in filter_blocks(conv_w):
+        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
+        step = cache.inputs[cache.argmax[block]]
+        step *= d_pre[block, None]
+        gradient.step(CONV_W, block, step)
+
+    windows = cache.windows
+    is_word = word_slots(windows.shape[1])
+    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
+    d_word_slots, d_rel_slots, start = [], [], 0
+    for word in is_word.tolist():
+        width = word_dim if word else rel_dim
+        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
+        start += width
+    d_words = np.zeros((len(windows) + 1, word_dim))
+    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
+    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+                      np.stack(d_rel_slots, axis=1))
+    gradient[PAD_WORD] += d_words[0]
+    return d_words[1:]
+
+
 def assert_bit_identical(actual, expected):
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
@@ -428,6 +461,13 @@ MALFORMED_RECORDS = {
     # a relation names a tensor in the model file's TAB-separated ASCII manifest
     "relation-with-tab": (VALID_RECORD.replace('"x"', '"x\\ty"'), "without TAB"),
     "relation-not-ascii": (VALID_RECORD.replace('"x"', '"\\u00e9x"'), "must be ASCII"),
+    # a relation's directed labels and the vocabulary's own entries key one
+    # row each; a relation named like one of them would share it
+    "relation-inverse-suffix": (VALID_RECORD.replace('"x"', '"x_inv"'),
+                                "relation 'x_inv' is reserved"),
+    **{f"relation-{name.strip('<>')}": (VALID_RECORD.replace('"x"', f'"{name}"'),
+                                         f"relation '{name}' is reserved")
+       for name in RESERVED_RELATIONS},
 }
 
 

@@ -152,13 +152,25 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_reserved_relation_fails_training_as_data_error(self, tmp_path, capsys):
-        # the vocabulary would list the path sentinel twice, once as data
+        # the path sentinel would share its embedding row with a data relation
         path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
                                    VALID_RECORD.replace('"x"', '"<path-start>"'))
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: vocabulary relations lists '<path-start>' twice\n"
+        assert err.startswith("error: line 3: token 2: relation '<path-start>' is reserved")
+        assert not out.exists()
+
+    def test_directed_label_relation_fails_training_as_data_error(self, tmp_path, capsys):
+        # a descent over x_inv would share its embedding row with a climb over x
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
+                                   VALID_RECORD.replace('"x"', '"x_inv"'))
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: line 3: token 2: relation 'x_inv' is reserved: no relation ends "
+                       "in '_inv' or is <unk>, <path-start>, <path-end>, <default>\n")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_program_error_is_not_a_data_error(self, corpus_file, monkeypatch):

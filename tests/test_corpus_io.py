@@ -5,8 +5,8 @@ from depnn import synth
 from depnn.adp import TreeViolation, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
-                          REQUIRED_ENTRIES, UNK, AlignmentError, DimensionMismatch,
-                          FormatError, Instance, SpanError,
+                          REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK, AlignmentError,
+                          DimensionMismatch, FormatError, Instance, SpanError,
                           UnknownLabel, Vocabulary, VocabularyError, convert,
                           dataset_stats, entity_mention, label_index, label_type,
                           load_embeddings, read_parse_blocks,
@@ -228,6 +228,16 @@ class TestConverter:
         path.write_text("#id 1\n1\tWort\tw\t0\troot\n2\tdas\td\t1\tdét\n",
                         encoding="utf-8")
         with pytest.raises(FormatError, match="relation 'dét' must be ASCII") as err:
+            read_parse_blocks(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("relation", ("det_inv", "_inv") + RESERVED_RELATIONS)
+    def test_reserved_relation_names_its_line(self, tmp_path, relation):
+        path = tmp_path / "p.txt"
+        path.write_text(f"#id 1\n1\tWort\tw\t0\troot\n2\tdas\td\t1\t{relation}\n",
+                        encoding="utf-8")
+        phrase = f"token 2: relation '{relation}' is reserved"
+        with pytest.raises(FormatError, match=phrase) as err:
             read_parse_blocks(path)
         assert err.value.line == 3
 

@@ -82,24 +82,29 @@ class TestRowRecordedUpdate:
         store.value("b")[...] = rng.normal(size=3)
         return store
 
-    def write(self, gradient, rng):
-        """Duplicate rows through both add_rows forms, dense writes, and one
-        tensor that only an empty add_rows reaches."""
+    def write(self, gradient, seed):
+        """Duplicate rows through both add_rows forms, dense steps, and one
+        tensor that only an empty add_rows reaches; the same seed writes the
+        same deltas."""
+        rng = np.random.default_rng(seed)
         gradient.add_rows("table", np.array([[4, 9], [4, 4]]), rng.normal(size=(2, 2, 4)))
         gradient.add_rows("table", 9, rng.normal(size=4))
         gradient.add_rows("table", np.array([27, 0, 27]), rng.normal(size=(3, 4)))
         gradient.add_rows("lex", 2, rng.normal(size=3))
         gradient.add_rows("lex", np.int64(2), rng.normal(size=3))
-        gradient["pad_word"] += rng.normal(size=5)
-        gradient["w"] += rng.normal(size=(3, 4))
+        gradient.step("pad_word", ..., rng.normal(size=5))
+        gradient.step("w", ..., rng.normal(size=(3, 4)))
         gradient.add_rows("b", np.array([], dtype=np.intp), np.zeros(0))
 
     def test_matches_dense_oracle_bit_for_bit(self, rng):
         store = self.build(rng)
-        for lr in (0.05, 0.3, 1.0):
+        for seed, lr in enumerate((0.05, 0.3, 1.0)):
+            summed = Gradient(store)
+            self.write(summed, seed)
+            expected = dense_sgd_oracle(store, summed, lr)
             gradient = Gradient(store, lr)
-            self.write(gradient, rng)
-            expected = dense_sgd_oracle(store, gradient, lr)
+            self.write(gradient, seed)
+            assert not gradient     # the dense steps reached the store, not a buffer
             gradient.apply()
             for name in store.names():
                 assert_bit_identical(store.value(name), expected[name])
@@ -136,19 +141,21 @@ class TestRowRecordedUpdate:
 
     def test_dense_and_row_writes_on_one_tensor_sum(self, rng):
         store = self.build(rng)
-        gradient = Gradient(store, 0.5)
         deltas = rng.normal(size=(3, 4))
-        gradient.add_rows("table", 5, deltas[0])
-        gradient["table"][11] += 1.0
-        gradient.add_rows("table", np.array([5, 11]), deltas[1:])
         expected = np.zeros((30, 4))
         expected[5] += deltas[0]
         expected[11] += 1.0
         expected[5] += deltas[1]
         expected[11] += deltas[2]
-        assert_bit_identical(gradient.full("table"), expected)
-        # the dense part and the row sums are applied one after the other
         updated = store.value("table") - 0.5 * expected
+        for lr in (None, 0.5):
+            gradient = Gradient(store, lr)
+            gradient.add_rows("table", 5, deltas[0])
+            gradient.step("table", 11, np.ones(4))
+            gradient.add_rows("table", np.array([5, 11]), deltas[1:])
+            if lr is None:
+                assert_bit_identical(gradient.full("table"), expected)
+        # with the rate, the dense step and the row sums reach the table one after the other
         gradient.apply()
         assert np.allclose(store.value("table"), updated, rtol=0, atol=1e-15)
 
@@ -163,6 +170,8 @@ class TestRowRecordedUpdate:
             assert not {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} & gradient.keys()
             expected = dense_sgd_oracle(model.store, gradient, learning_rate)
             gradient.learning_rate = learning_rate      # summed without a rate, then applied
+            for name in list(gradient):     # the dense sums step as a training step's would
+                gradient.step(name, ..., gradient.pop(name))
             gradient.apply()
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])

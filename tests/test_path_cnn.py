@@ -3,15 +3,16 @@ import pytest
 
 from depnn import path_cnn, synth
 from depnn.adp import shortest_path
-from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
+from depnn.path_cnn import (CONV_B, CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, filter_blocks, max_over_time, relation_rows,
                             window_width, word_slots, words_per_window)
 from depnn.numerics import Gradient, ShapeMismatch
 from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
-                      graph_of, onecall_conv_forward, oracle_conv_backward,
-                      oracle_conv_forward, tiny_model, twopass_conv_backward)
+                      gathered_conv_backward, graph_of, onecall_conv_forward,
+                      oracle_conv_backward, oracle_conv_forward, tiny_model,
+                      twopass_conv_backward)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -296,17 +297,82 @@ class TestOracleEquivalence:
                 for a, b in zip(d_words["new"], d_words[kind]):
                     assert max_gap(a, b) <= 1e-12, kind
 
-            # with a learning rate: the step on a copy of the filter, both ways
-            conv_w = store.value(CONV_W)
-            before = conv_w.copy()
+            # with a learning rate: the filter's step, both ways, from the same
+            # store; conv_backward steps the bias and the pad vector too
+            before = {name: store.value(name).copy() for name in (CONV_W, CONV_B, PAD_WORD)}
             stepped_new = conv_backward(new, upstream, store, Gradient(store, 0.3))
-            after_new = conv_w.copy()
-            conv_w[...] = before
+            after_new = store.value(CONV_W).copy()
+            for name, value in before.items():
+                store.value(name)[...] = value
             stepped_old = twopass_conv_backward(onecall, upstream, store, Gradient(store), 0.3)
-            assert max_gap(after_new, conv_w) <= 1e-12
+            assert max_gap(after_new, store.value(CONV_W)) <= 1e-12
             for a, b in zip(stepped_new, stepped_old):
                 assert max_gap(a, b) <= 1e-12
-            conv_w[...] = before
+            for name, value in before.items():
+                store.value(name)[...] = value
+
+
+class TestProductFilterUpdate:
+    """conv_backward forms each filter block's gradient as one product of
+    the routed unit gradients and the windows; the gathered copy it
+    replaced is kept in conftest. Every entry of the product sums a single
+    nonzero term, so the two agree bit for bit: the filter, the path-word
+    gradients, the relation rows, the pad vector and the bias, with a
+    learning rate and without one, on the published filter shapes, on 1 to
+    24 windows, with and without tied max-pooling windows."""
+
+    # (hidden, dim, dim_c) at k=5: 400 x 1300 in 13 blocks, the last of 16
+    # rows, and 200 x 325 in blocks of 128 and 72 rows
+    SHAPES = {"200d": (400, 200, 100), "50d": (200, 50, 25)}
+
+    @staticmethod
+    def outcome(backward_fn, cache, upstream, store, learning_rate):
+        """The path-word gradients and, per tensor, its gradient, or with a
+        rate the value the step leaves; the store is put back after."""
+        before = {name: store.value(name).copy() for name in store.names()}
+        gradient = Gradient(store, learning_rate)
+        d_words = backward_fn(cache, upstream.copy(), store, gradient)
+        if learning_rate is None:
+            tensors = {name: gradient.full(name) for name in store.names()}
+        else:       # what was stepped, with any buffer's dense update on top
+            tensors = dense_sgd_oracle(store, gradient, learning_rate)
+        for name, value in before.items():
+            store.value(name)[...] = value
+        return d_words, tensors, gradient
+
+    @pytest.mark.parametrize("learning_rate", [None, 0.3])
+    @pytest.mark.parametrize("use_tanh", [True, False])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_gathered_copy(self, shape, use_tanh, learning_rate, rng):
+        hidden, dim, dim_c = self.SHAPES[shape]
+        model, _ = harness(2, hidden=hidden, dim=dim, dim_c=dim_c, window=5,
+                           conv_tanh=use_tanh)
+        store, vocab = model.store, model.vocab
+        conv_w = store.value(CONV_W)
+        rows = [len(conv_w[block]) for block in filter_blocks(conv_w)]
+        assert rows == ([32] * 12 + [16] if shape == "200d" else [128, 72])
+        tied_cases = 0
+        for n_words in range(1, 25):
+            for tied in (False, True):
+                # tied: one word vector and one relation along the whole
+                # path, so the windows inside it are equal and pool to the lowest
+                drawn = 1 if tied else n_words
+                vecs = np.resize(rng.normal(size=(drawn, dim + dim_c)), (n_words, dim + dim_c))
+                labels = np.resize(rng.choice(vocab.relations[3:], size=drawn), n_words - 1)
+                cache = conv_forward(build_windows(n_words, 5), relation_rows(labels, vocab),
+                                     list(vecs), store, use_tanh=use_tanh)
+                tied_cases += len(np.unique(cache.feature_map, axis=0)) < n_words
+                upstream = rng.normal(size=hidden)
+                d_new, new, gradient = self.outcome(conv_backward, cache, upstream, store,
+                                                    learning_rate)
+                d_old, old, _ = self.outcome(gathered_conv_backward, cache, upstream, store,
+                                             learning_rate)
+                assert_bit_identical(d_new, d_old)
+                for name in store.names():
+                    assert_bit_identical(new[name], old[name])
+                if learning_rate is not None:
+                    assert not gradient     # every dense tensor stepped in place
+        assert tied_cases >= 20
 
 
 class TestFusedFilterUpdate:

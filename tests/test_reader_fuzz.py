@@ -5,10 +5,12 @@ A damaged instance file, parse-block file, raw task file, embedding file or
 documents, each a data error of the command line (exit 2); and the command
 that reads the file reports a sample of the failures as `error: ...`
 without a traceback. The mutations replace, insert and delete bytes, copy
-a run of bytes elsewhere, and cut the file, 1 to 3 of them per mutant.
+a run of bytes elsewhere, rename a word, and cut the file, 1 to 3 of them
+per mutant.
 """
 
 import random
+import re
 
 import pytest
 
@@ -24,6 +26,9 @@ MUTANTS = 300
 CLI_SAMPLE = 15     # failing mutants run through the command line, per reader
 # bytes a mutation favours: the separators and digits the formats are made of
 SPECIAL = b'\t\n\r "#-=0179[]{},:_<>/e\\\xff\xc3'
+# names a relation may not take, which a renamed word takes: the suffix of
+# a directed label, appended to the word, and the vocabulary's own entries
+NAMES = (b"_inv", b"<unk>", b"<path-start>", b"<path-end>", b"<default>")
 
 RAW = ('1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."\n'
        "Instrument-Agency(e2,e1)\n"
@@ -67,7 +72,7 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     for _ in range(rng.randint(1, 3)):
         byte = rng.choice(SPECIAL) if rng.random() < 0.5 else rng.randrange(256)
         at = rng.randrange(len(damaged) + 1)
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0 and at < len(damaged):
             damaged[at] = byte
         elif op == 1:
@@ -77,6 +82,11 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
         elif op == 3:
             start = rng.randrange(len(damaged) + 1)
             damaged[at:at] = damaged[start:start + rng.randint(1, 12)]
+        elif op == 4:
+            words = list(re.finditer(rb"[a-z_]+", damaged))
+            if words:
+                word, name = rng.choice(words), rng.choice(NAMES)
+                damaged[word.start():word.end()] = word[0] + name if name == NAMES[0] else name
         else:
             del damaged[at:]
     return bytes(damaged)

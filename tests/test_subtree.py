@@ -9,7 +9,7 @@ from depnn.numerics import Gradient, ParameterStore, init_uniform
 from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
                            comp_names, compile_nodes, encode, encode_backward)
 
-from conftest import (assert_bit_identical, attach_subtrees, encode_word,
+from conftest import (assert_bit_identical, attach_subtrees, dense_sgd_oracle, encode_word,
                       encode_word_backward, graph_of, per_edge_encode_backward, preorder,
                       random_tree, subtree_tokens, tiny_model)
 
@@ -288,9 +288,9 @@ class TestGroupedBackward:
     product after the walk; the per-edge backward it replaced, kept in
     conftest, adds one outer product per edge during the walk. Without a
     learning rate the two gradients agree within 1e-12, and bit for bit off
-    the composition matrices. With one, the grouped backward steps the
-    matrices in place and leaves no buffer for them, and the applied stores
-    agree within 1e-12."""
+    the composition matrices. With one, the grouped backward steps every
+    dense tensor in place and leaves no buffer, and the applied store is the
+    per-edge gradient's dense update, to the same tolerances."""
 
     LEARNING_RATE = 0.3
 
@@ -317,20 +317,18 @@ class TestGroupedBackward:
                 else:
                     assert_bit_identical(grouped.full(name), per_edge.full(name))
 
-            stepped = {}
-            for backward_fn in (per_edge_encode_backward, encode_backward):
-                copy = ParameterStore()
-                for name in store.names():
-                    copy.register(name, store.value(name).shape,
-                                  store.kind(name))[...] = store.value(name)
-                gradient = Gradient(copy, self.LEARNING_RATE)
-                backward_fn(schedule, nodes, d_path, copy, gradient, names)
-                if backward_fn is encode_backward:
-                    assert not [name for name in gradient if name.startswith("comp/")]
-                gradient.apply()
-                stepped[backward_fn] = copy
+            expected = dense_sgd_oracle(store, per_edge, self.LEARNING_RATE)
+            copy = ParameterStore()
             for name in store.names():
-                assert np.allclose(stepped[encode_backward].value(name),
-                                   stepped[per_edge_encode_backward].value(name),
-                                   rtol=0, atol=1e-12)
+                copy.register(name, store.value(name).shape,
+                              store.kind(name))[...] = store.value(name)
+            gradient = Gradient(copy, self.LEARNING_RATE)
+            encode_backward(schedule, nodes, d_path, copy, gradient, names)
+            assert not gradient     # no dense buffer: the word rows wait for apply
+            gradient.apply()
+            for name in store.names():
+                if name.startswith("comp/"):
+                    assert np.allclose(copy.value(name), expected[name], rtol=0, atol=1e-12)
+                else:
+                    assert_bit_identical(copy.value(name), expected[name])
         assert shared > 20
