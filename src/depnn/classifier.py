@@ -127,7 +127,7 @@ class CompiledInstance:
     schedule: np.ndarray      # subtree.compile_nodes' schedule of the path's nodes
     rel_rows: np.ndarray      # path_cnn.relation_rows, sentinels included
     windows: np.ndarray       # path_cnn.build_windows' index, shared by paths of one length
-    lex_rows: np.ndarray      # lexical-feature rows, one per Model._lex_tables entry
+    lex_rows: np.ndarray      # per Model._lex_tables entry, the two entity heads' rows
 
 
 @dataclass
@@ -210,9 +210,9 @@ class Model:
         self._rng = np.random.default_rng(config.seed)
         self._comp_names = comp_names(vocab)
         self._windows: dict[int, np.ndarray] = {}      # per path length
-        # the table of each lexical row: entity 1's, then entity 2's, per feature
-        self._lex_tables = (([NER_EMB] * 2 if config.use_ner else [])
-                            + ([WN_EMB] * 2 if config.use_wordnet else []))
+        # the lexical tables, each read at both entity heads
+        self._lex_tables = (([NER_EMB] if config.use_ner else [])
+                            + ([WN_EMB] if config.use_wordnet else []))
 
     @classmethod
     def build(cls, config: TrainConfig, vocab: Vocabulary,
@@ -245,16 +245,16 @@ class Model:
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
         rel_rows = relation_rows(labels, self.vocab)
         heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
-        lex_rows = [self.vocab.ner_row(tok.ner_tag) if table == NER_EMB
-                    else self.vocab.wn_row(tok.wn_hypernym)
-                    for table, tok in zip(self._lex_tables, heads * 2)]
+        lex_rows = [[self.vocab.ner_row(tok.ner_tag) if table == NER_EMB
+                     else self.vocab.wn_row(tok.wn_hypernym) for tok in heads]
+                    for table in self._lex_tables]
         windows = self._windows.get(len(tokens))
         if windows is None:
             windows = self._windows[len(tokens)] = build_windows(len(tokens), self.config.window)
             windows.flags.writeable = False
         gold = None if instance.gold is None else label_index(instance.gold)
         return CompiledInstance(instance.id, gold, schedule, rel_rows, windows,
-                                np.array(lex_rows, dtype=np.int32))
+                                np.array(lex_rows, dtype=np.int32).reshape(-1, 2))
 
     # --- forward -------------------------------------------------------------
 
@@ -264,8 +264,8 @@ class Model:
         conv = conv_forward(compiled.windows, compiled.rel_rows,
                             nodes[schedule[PARENT] == PATH], self.store,
                             use_tanh=self.config.conv_tanh)
-        pieces = [conv.pooled] + [self.store.value(name)[row] for name, row
-                                  in zip(self._lex_tables, compiled.lex_rows.tolist())]
+        pieces = [conv.pooled] + [self.store.value(name)[rows].ravel() for name, rows
+                                  in zip(self._lex_tables, compiled.lex_rows)]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
         distribution = softmax(self.store.value(OUT_W) @ combined)
         return _ForwardCache(nodes, conv, combined, distribution)
@@ -302,9 +302,10 @@ class Model:
         gradient.step(OUT_W, ..., d_logits[:, None] * cache.combined)
 
         hidden = cache.conv.pooled.size
-        d_lex = d_combined[hidden:].reshape(-1, self.config.lex_dim)
-        for name, row, d_row in zip(self._lex_tables, compiled.lex_rows.tolist(), d_lex):
-            gradient.add_rows(name, row, d_row)
+        # one step per table: a row that both heads share sums both deltas first
+        d_lex = d_combined[hidden:].reshape(-1, 2, self.config.lex_dim)
+        for name, rows, d_rows in zip(self._lex_tables, compiled.lex_rows, d_lex):
+            gradient.step(name, rows, d_rows)
 
         d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient)
         encode_backward(compiled.schedule, cache.nodes, d_path, self.store, gradient,
@@ -312,9 +313,8 @@ class Model:
 
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward; returns the loss. The instance's gradient adds
-        onto what `gradient` holds, except that a Gradient with a learning
-        rate steps every tensor but the embedding tables during the backward
-        pass."""
+        onto what `gradient` holds, or, with a learning rate, steps every
+        tensor during the backward pass."""
         cache = self._forward(compiled)
         loss = cross_entropy(cache.distribution, self._gold(compiled))
         if not np.isfinite(loss):
@@ -323,13 +323,10 @@ class Model:
         return loss
 
     def train_step(self, compiled: CompiledInstance) -> float:
-        """One SGD update on one instance. The embedding tables take their
-        steps on the rows the instance wrote when the step's Gradient is
-        applied, every other tensor inside the backward pass."""
-        gradient = Gradient(self.store, self.config.learning_rate)
-        loss = self.accumulate_gradients(compiled, gradient)
-        gradient.apply()
-        return loss
+        """One SGD update on one instance: every tensor, the embedding rows
+        the instance read included, takes its step inside the backward pass."""
+        return self.accumulate_gradients(compiled, Gradient(self.store,
+                                                            self.config.learning_rate))
 
     def train(self, instances, validation=None, progress=None,
               epochs: int | None = None) -> TrainReport:

@@ -138,7 +138,8 @@ def cmd_convert(args) -> int:
 def cmd_train(args) -> int:
     instances = corpus.read_parsed_instances(args.instances)
     if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("training file contains unlabeled instances")
+        raise corpus.FormatError("training file contains unlabeled instances",
+                                 path=args.instances)
     embeddings = corpus.load_embeddings(args.embeddings) if args.embeddings else None
     config = _resolve_config(args, embeddings.dim if embeddings else None)
     print(_echo_config(config))
@@ -157,7 +158,8 @@ def cmd_eval(args) -> int:
     model = classifier.Model.load(args.model)
     instances = corpus.read_parsed_instances(args.instances)
     if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("evaluation file contains unlabeled instances")
+        raise corpus.FormatError("evaluation file contains unlabeled instances",
+                                 path=args.instances)
     gold = [inst.gold for inst in instances]
     predicted = [model.predict(inst).label for inst in instances]
     report = evaluation.score(gold, predicted)
@@ -185,7 +187,8 @@ def cmd_gradcheck(args) -> int:
     else:
         instances = synth.make_gradcheck_instances(args.n, seed=args.seed or synth.GRADCHECK_SEED)
     if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("gradient checking needs labeled instances")
+        raise corpus.FormatError("gradient checking needs labeled instances",
+                                 path=args.instances)
     # entrywise central differences want compact tensors, so the defaults
     # here are diagnostic sizes rather than the training defaults
     base = {"dim": 8, "dim_c": 5, "hidden": 7, "window": 3, "lex_dim": 4,
@@ -224,7 +227,7 @@ def cmd_stats(args) -> int:
     else:
         labels = [rec.label for rec in corpus.read_semeval_raw(args.instances)]
     if any(label is None for label in labels):
-        raise corpus.FormatError("stats need labeled data")
+        raise corpus.FormatError("stats need labeled data", path=args.instances)
     for line in corpus.dataset_stats(labels).lines():
         print(line)
     return 0

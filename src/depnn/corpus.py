@@ -53,6 +53,7 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
+        self.path = path
 
 
 class SpanError(ValueError):
@@ -79,10 +80,16 @@ class VocabularyError(ValueError):
 @contextmanager
 def open_utf8(path):
     """Open a text file to read as UTF-8. Bytes that are not UTF-8 raise a
-    FormatError naming the file, the line and the column of the first one."""
+    FormatError naming the file, the line and the column of the first one,
+    and a FormatError raised inside the block gains the file's name."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
+    except FormatError as exc:
+        if exc.path is None:
+            exc.path = path
+            exc.args = (f"{path}: {exc}",)
+        raise
     except UnicodeDecodeError:
         data = Path(path).read_bytes()
         try:
@@ -174,38 +181,37 @@ def read_semeval_raw(path) -> list[RawRecord]:
     """Parse the official marked-sentence / label / comment block format."""
     with open_utf8(path) as fh:
         lines = [line.rstrip("\r") for line in fh.read().split("\n")]
+        records: list[RawRecord] = []
+        i = 0
+        n = len(lines)
+        while i < n:
+            if not lines[i].strip():
+                i += 1
+                continue
+            line_no = i + 1
+            match = _SENTENCE_RE.match(lines[i])
+            if not match:
+                raise FormatError("expected '<id>\\t\"<sentence>\"'", line_no)
+            try:
+                rec_id = int(match.group(1))
+            except ValueError:      # more digits than int() converts
+                raise FormatError("instance id is too long", line_no) from None
+            text, e1_span, e2_span = _strip_markers(match.group(2), line_no)
+            i += 1
 
-    records: list[RawRecord] = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        if not lines[i].strip():
-            i += 1
-            continue
-        line_no = i + 1
-        match = _SENTENCE_RE.match(lines[i])
-        if not match:
-            raise FormatError("expected '<id>\\t\"<sentence>\"'", line_no)
-        try:
-            rec_id = int(match.group(1))
-        except ValueError:      # more digits than int() converts
-            raise FormatError("instance id is too long", line_no) from None
-        text, e1_span, e2_span = _strip_markers(match.group(2), line_no)
-        i += 1
-
-        label = None
-        comment = None
-        if i < n and lines[i].strip() and not lines[i].startswith("Comment"):
-            label = lines[i].strip()
-            if label not in _LABEL_INDEX:
-                raise FormatError(f"unknown relation label {label!r}", i + 1)
-            i += 1
-        if i < n and lines[i].startswith("Comment"):
-            comment = lines[i].split(":", 1)[1].strip() if ":" in lines[i] else ""
-            i += 1
-        if i < n and lines[i].strip():
-            raise FormatError("expected blank separator after instance block", i + 1)
-        records.append(RawRecord(rec_id, text, e1_span, e2_span, label, comment))
+            label = None
+            comment = None
+            if i < n and lines[i].strip() and not lines[i].startswith("Comment"):
+                label = lines[i].strip()
+                if label not in _LABEL_INDEX:
+                    raise FormatError(f"unknown relation label {label!r}", i + 1)
+                i += 1
+            if i < n and lines[i].startswith("Comment"):
+                comment = lines[i].split(":", 1)[1].strip() if ":" in lines[i] else ""
+                i += 1
+            if i < n and lines[i].strip():
+                raise FormatError("expected blank separator after instance block", i + 1)
+            records.append(RawRecord(rec_id, text, e1_span, e2_span, label, comment))
     return records
 
 
@@ -461,14 +467,14 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
             if dim is None:
                 dim = len(values)
             if len(values) != dim:
-                raise DimensionMismatch(
-                    f"line {line_no}: expected {dim} values for {word!r}, got {len(values)}")
+                raise DimensionMismatch(f"{path}: line {line_no}: expected {dim} values "
+                                        f"for {word!r}, got {len(values)}")
             try:
                 vectors[word] = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise FormatError(f"non-numeric embedding value for {word!r}", line_no) from None
     if dim is None:
-        raise FormatError("embedding file is empty and no dimension was given")
+        raise FormatError("embedding file is empty and no dimension was given", path=path)
     unk = np.mean(np.stack(list(vectors.values())), axis=0) if vectors else np.zeros(dim)
     return EmbeddingTable(dim, vectors, unk)
 
@@ -526,6 +532,9 @@ class Vocabulary:
             for arc in instance.graph.arcs:
                 if arc.head != 0:
                     base_relations.add(arc.relation)
+        # a word form or tag written <unk>, as PTB-style corpora hold, reads the UNK row
+        for collected in (forms, ner, wn):
+            collected.discard(UNK)
         directed = sorted(base_relations | {r + INVERSE_SUFFIX for r in base_relations})
         return cls(
             words=(UNK,) + tuple(sorted(forms)),

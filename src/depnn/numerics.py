@@ -1,5 +1,5 @@
 """Dense numeric kernels, a named-parameter registry, the per-step gradient
-that updates it, and a gradient checker.
+that updates it in place, and a gradient checker.
 
 All arithmetic runs in float64. Model files may be written in float32;
 values are widened back to float64 on load.
@@ -60,7 +60,8 @@ class ParameterStore:
     """Named float64 tensors, each with a kind: weight, bias or embedding.
 
     The store holds values only. A step's gradient lives in a Gradient made
-    for that step and applied to the store at its end.
+    for that step, which takes each tensor's SGD step as the backward pass
+    writes it.
 
     Single-writer: forward passes are safe from any number of threads, but
     updates must be serialized externally.
@@ -102,22 +103,17 @@ class Gradient(dict):
     """The gradient one step wrote into a store's tensors, held only where
     it was written.
 
-    step() adds into gradient[name], a dense buffer for the tensor that is
-    allocated at zero on first use. add_rows keeps, per row, the sum of
-    that row's deltas in call order, so a step that touches a few rows of a
-    large embedding table holds only those rows.
-
-    A Gradient made with a learning rate belongs to a training step: what
-    goes through step() updates the store at once, and apply() steps the
-    rows' sums at the step's end. Without a rate it only sums.
+    A Gradient made with a learning rate belongs to a training step: step()
+    updates the store at once and holds nothing. Without a rate, step()
+    adds into gradient[name], a dense buffer for the tensor that is
+    allocated at zero on first use, so a tensor nothing wrote reads zero.
     """
 
-    __slots__ = ("_store", "_rows", "learning_rate")
+    __slots__ = ("_store", "learning_rate")
 
     def __init__(self, store: ParameterStore, learning_rate: float | None = None):
         super().__init__()
         self._store = store
-        self._rows: dict[str, dict[int, np.ndarray]] = {}
         self.learning_rate = learning_rate
 
     def __missing__(self, name: str) -> np.ndarray:
@@ -128,48 +124,35 @@ class Gradient(dict):
         """grad[index] += delta without a learning rate. With one, the
         tensor takes its step now: value[index] -= rate * delta, bit for
         bit the dense update of what a zeroed buffer would have summed.
-        Spends delta, which is scaled in place."""
+        A dense delta is spent: it is scaled in place.
+
+        An integer-array index, of any shape, names rows of a table, with
+        one delta per entry. A repeated row's deltas sum first, in call order, starting
+        from the first delta + 0.0 in a new array, as a zeroed buffer would;
+        then each row takes one add or one step. With a rate, each table
+        gets at most one row step per training step, so its update stays
+        bit for bit the dense one: two steps on one row would round twice."""
+        if isinstance(index, np.ndarray):
+            index, delta = _row_sums(index, delta)
         if self.learning_rate is None:
             self[name][index] += delta
         else:
             delta *= self.learning_rate
             self._store.value(name)[index] -= delta
 
-    def add_rows(self, name: str, rows, delta) -> None:
-        """grad[rows] += delta, for an int row or an array of rows with one
-        delta each. A repeated row accumulates each of its deltas, in order;
-        a row's sum starts as its first delta + 0.0, which is what a zeroed
-        buffer would hold, in a new array."""
-        sums = self._rows.setdefault(name, {})
-        if isinstance(rows, (int, np.integer)):
-            pairs = ((rows, delta),)
+
+def _row_sums(rows: np.ndarray, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, in first-seen order, and the sum of each one's
+    deltas in call order."""
+    sums: dict[int, np.ndarray] = {}
+    deltas = np.reshape(deltas, (rows.size,) + np.shape(deltas)[rows.ndim:])
+    for row, delta in zip(rows.ravel().tolist(), deltas):
+        total = sums.get(row)
+        if total is None:
+            sums[row] = delta + 0.0
         else:
-            pairs = zip(np.ravel(rows).tolist(),
-                        np.reshape(delta, (-1,) + self._store.value(name).shape[1:]))
-        for row, row_delta in pairs:
-            total = sums.get(row)
-            if total is None:
-                sums[row] = row_delta + 0.0
-            else:
-                total += row_delta
-
-    def full(self, name: str) -> np.ndarray:
-        """The gradient of the whole tensor, zero where nothing was written."""
-        full = self[name].copy() if name in self else np.zeros(self._store.value(name).shape)
-        for row, total in self._rows.get(name, {}).items():
-            full[row] += total
-        return full
-
-    def apply(self) -> None:
-        """value -= learning_rate * grad on exactly the rows add_rows wrote;
-        a row nothing wrote has a zero gradient, and x - 0.0 is x, so the
-        result is bit for bit a full update of the table. Dense gradients
-        are not swept: with a rate, step() has already taken them."""
-        learning_rate = self.learning_rate
-        for name, sums in self._rows.items():
-            if sums:    # empty after add_rows with no rows
-                rows = np.fromiter(sums, dtype=np.intp, count=len(sums))
-                self._store.value(name)[rows] -= learning_rate * np.array(list(sums.values()))
+            total += delta
+    return np.fromiter(sums, dtype=np.intp, count=len(sums)), np.array(list(sums.values()))
 
 
 # elements drawn per generator call in init_uniform: 256 KB of float64
@@ -217,7 +200,7 @@ def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
     results: dict[str, float] = {}
     for name in store.names():
         flat = store.value(name).reshape(-1)
-        grad = gradient.full(name).reshape(-1)
+        grad = gradient[name].reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             original = flat[i]

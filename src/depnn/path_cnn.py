@@ -145,8 +145,8 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     the pad vector and the filter bias, and into the path-word vectors
     (returned, one row per path word in path order).
 
-    All but the relation embeddings' go through gradient.step, so a training
-    step's Gradient updates them here, in place. Max-pooling routes each
+    Each goes through gradient.step, so a training step's Gradient updates
+    them here, in place, the relation rows in one step. Max-pooling routes each
     unit to one window, so a filter block's gradient, one product of the
     routed unit gradients and the windows, sums one nonzero term per entry."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
@@ -171,7 +171,6 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
         start += width
     d_words = np.zeros((len(windows) + 1, word_dim))
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
-                      np.stack(d_rel_slots, axis=1))
+    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
     gradient.step(PAD_WORD, ..., d_words[0])
     return d_words[1:]

@@ -103,9 +103,10 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
 
     The nodes are walked in pre-order, each taking its share from its
     parent (C.T @ d_pre), so the bias, leaf-vector and word rows accumulate
-    in depth-first recursion order. After the walk, the bias and leaf sums
-    and each matrix's one product, its parents' d_pre rows by its children's
-    p rows, go through gradient.step: a training step updates them in place.
+    in depth-first recursion order. After the walk, the bias and leaf sums,
+    each matrix's one product (its parents' d_pre rows by its children's p
+    rows) and the word rows go through gradient.step: a training step
+    updates them in place.
     """
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
@@ -130,4 +131,4 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
     gradient.step(LEAF_VEC, ..., d_leaf)
     for comp, slots in kids.items():
         gradient.step(names[comp], ..., d_pre[schedule[PARENT, slots]].T @ nodes[slots])
-    gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])
+    gradient.step(WORD_EMB, rows, d_nodes[:, :dim])

@@ -231,9 +231,8 @@ def twopass_conv_backward(cache, upstream, store, gradient, learning_rate=None):
     d_words = np.zeros((n_windows + 1, word_dim))
     np.add.at(d_words, windows[:, is_word],
               d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
-    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
-                      d_inputs[:, ~word_cols].reshape(n_windows, -1,
-                                                      store.value(REL_EMB).shape[1]))
+    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+                  d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]
 
@@ -265,8 +264,7 @@ def gathered_conv_backward(cache, upstream, store, gradient):
         start += width
     d_words = np.zeros((len(windows) + 1, word_dim))
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.add_rows(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
-                      np.stack(d_rel_slots, axis=1))
+    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]
 
@@ -278,9 +276,51 @@ def assert_bit_identical(actual, expected):
 
 def dense_sgd_oracle(store, gradient, learning_rate):
     """What a full-table update makes of every tensor: value - lr * grad,
-    with grad the gradient's whole tensor, computed on copies, per name."""
-    return {name: store.value(name) - learning_rate * gradient.full(name)
+    with grad the gradient's whole tensor (zero where nothing wrote it),
+    computed on copies, per name."""
+    return {name: store.value(name) - learning_rate * gradient[name]
             for name in store.names()}
+
+
+class RowSums:
+    """The embedding-row route that Gradient.step's row path replaced: per
+    table, per row, the sum of that row's deltas in call order, kept across
+    every call of a step, and stepped onto the table once, at the step's end."""
+
+    def __init__(self, store):
+        self.store = store
+        self.rows = {}
+
+    def add_rows(self, name, rows, delta):
+        """grad[rows] += delta, for an int row or an array of rows with one
+        delta each; a row's sum starts as its first delta + 0.0, in a new
+        array."""
+        sums = self.rows.setdefault(name, {})
+        if isinstance(rows, (int, np.integer)):
+            pairs = ((rows, delta),)
+        else:
+            pairs = zip(np.ravel(rows).tolist(),
+                        np.reshape(delta, (-1,) + self.store.value(name).shape[1:]))
+        for row, row_delta in pairs:
+            total = sums.get(row)
+            if total is None:
+                sums[row] = row_delta + 0.0
+            else:
+                total += row_delta
+
+    def full(self, name):
+        """The gradient of the whole table, zero where nothing was written."""
+        full = np.zeros(self.store.value(name).shape)
+        for row, total in self.rows.get(name, {}).items():
+            full[row] += total
+        return full
+
+    def apply(self, learning_rate):
+        """value -= learning_rate * grad on exactly the rows written."""
+        for name, sums in self.rows.items():
+            if sums:
+                rows = np.fromiter(sums, dtype=np.intp, count=len(sums))
+                self.store.value(name)[rows] -= learning_rate * np.array(list(sums.values()))
 
 
 @dataclass(frozen=True)
@@ -388,7 +428,7 @@ def encode_word_backward(cache, upstream, store, gradient, vocab):
 
 
 def _backward(node, d_p, dim, store, gradient, vocab):
-    gradient.add_rows(WORD_EMB, node.word_row, d_p[:dim])
+    gradient.step(WORD_EMB, node.word_row, d_p[:dim])
     d_c = d_p[dim:]
     if node.is_leaf:
         gradient[LEAF_VEC] += d_c
@@ -404,8 +444,9 @@ def _backward(node, d_p, dim, store, gradient, vocab):
 def per_edge_encode_backward(schedule, nodes, d_path, store, gradient, names):
     """Per-edge oracle of subtree.encode_backward: each edge adds its outer
     product into the dense buffer of its composition matrix during the
-    pre-order walk, in the order of the depth-first recursion, so a training
-    step updates the matrices only when its Gradient is applied."""
+    pre-order walk, in the order of the depth-first recursion, so only the
+    word rows of a training step, which go through gradient.step, update
+    the store."""
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
     d_nodes = np.empty_like(nodes)
@@ -424,7 +465,7 @@ def per_edge_encode_backward(schedule, nodes, d_path, store, gradient, names):
             gradient[COMP_BIAS] += d_pre[slot]
         else:
             gradient[LEAF_VEC] += d_c
-    gradient.add_rows(WORD_EMB, rows, d_nodes[:, :dim])
+    gradient.step(WORD_EMB, rows, d_nodes[:, :dim])
 
 
 def preorder(cache):

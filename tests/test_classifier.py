@@ -248,11 +248,11 @@ class TestTraining:
 class TestInPlaceOutputUpdate:
     """train_step applies out_w's update in the backward pass, once the
     gradient on the layer below is formed, and each composition matrix's
-    after the subtree backward's walk, as it does every other dense
-    tensor's; the step's Gradient that apply receives holds no dense
-    buffer, and the result must be the buffered gradient's dense update,
-    bit for bit. Without a rate, the composition gradients of several
-    instances sum."""
+    after the subtree backward's walk, as it does every other tensor's,
+    the embedding rows included; the step's Gradient holds no buffer after
+    accumulate_gradients, and the result must be the buffered gradient's
+    dense update, bit for bit. Without a rate, the composition gradients of
+    several instances sum."""
 
     @pytest.mark.parametrize("lexical", [True, False])
     def test_train_step_matches_buffered_update(self, monkeypatch, lexical):
@@ -260,12 +260,12 @@ class TestInPlaceOutputUpdate:
         settings = dict(use_ner=lexical, use_wordnet=lexical, learning_rate=0.3)
         fused = tiny_model(instances, **settings)
         buffered = tiny_model(instances, **settings)
-        applied = []
+        made = []
 
         class SpyGradient(Gradient):
-            def apply(self):
-                applied.append(set(self))
-                super().apply()
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
 
         monkeypatch.setattr(classifier, "Gradient", SpyGradient)
         comps = set(comp_names(fused.vocab))
@@ -277,7 +277,7 @@ class TestInPlaceOutputUpdate:
             composed += len(comps & gradient.keys())
             expected = dense_sgd_oracle(buffered.store, gradient, 0.3)
             fused.train_step(fused.compile(inst))
-            assert not applied[-1]      # only embedding rows, which are not dict keys
+            assert len(made[-1]) == 0       # every tensor stepped in place
             for name, value in expected.items():
                 assert_bit_identical(fused.store.value(name), value)
                 buffered.store.value(name)[...] = value
@@ -297,7 +297,7 @@ class TestInPlaceOutputUpdate:
             model.accumulate_gradients(model.compile(first), both)
             model.accumulate_gradients(model.compile(second), both)
             for name in comps:
-                assert_bit_identical(both.full(name), alone[0].full(name) + alone[1].full(name))
+                assert_bit_identical(both[name], alone[0][name] + alone[1][name])
             shared += len(alone[0].keys() & alone[1].keys() & set(comps))
         assert shared
 

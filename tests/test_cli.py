@@ -101,7 +101,7 @@ class TestExitCodes:
                                    MALFORMED_RECORDS[case][0])
         assert main(["stats", "--instances", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ")
+        assert err.startswith(f"error: {path}: line 3: ")
         assert "Traceback" not in err
 
     def test_truncated_model_file_is_data_error(self, tmp_path, corpus_file, capsys):
@@ -147,7 +147,7 @@ class TestExitCodes:
                                    VALID_RECORD.replace('"x"', '"x\\ty"'))
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: line 3: token 2: relation 'x\\ty' "
+        assert capsys.readouterr().err == (f"error: {path}: line 3: token 2: relation 'x\\ty' "
                                            "must be ASCII without TAB or newline\n")
         assert not out.exists()
 
@@ -158,8 +158,20 @@ class TestExitCodes:
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: token 2: relation '<path-start>' is reserved")
+        assert err.startswith(f"error: {path}: line 3: token 2: relation '<path-start>' "
+                              "is reserved")
         assert not out.exists()
+
+    def test_word_form_unk_trains_on_the_unk_row(self, tmp_path):
+        # PTB-style corpora write <unk> for rare words: it reads the UNK row
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
+                                   VALID_RECORD.replace('["b", null', '["<unk>", null'))
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(path), "--out", str(out), "--epochs", "1",
+                     "--dim", "8", "--dim-c", "4", "--hidden", "6"]) == 0
+        vocab = Model.load(out).vocab
+        assert vocab.words.count("<unk>") == 1
+        assert vocab.word_row("<unk>") == 0
 
     def test_directed_label_relation_fails_training_as_data_error(self, tmp_path, capsys):
         # a descent over x_inv would share its embedding row with a climb over x
@@ -168,8 +180,9 @@ class TestExitCodes:
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: line 3: token 2: relation 'x_inv' is reserved: no relation ends "
-                       "in '_inv' or is <unk>, <path-start>, <path-end>, <default>\n")
+        assert err == (f"error: {path}: line 3: token 2: relation 'x_inv' is reserved: no "
+                       "relation ends in '_inv' or is <unk>, <path-start>, <path-end>, "
+                       "<default>\n")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -330,7 +343,7 @@ class TestTrain:
         cfg.write_text(f"epochs=1\n{key} = {raw}\n", encoding="utf-8")
         assert main(["train", "--instances", str(corpus_file),
                      "--out", str(tmp_path / "m.model"), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: line 2: bad {kind} {raw!r} for {key}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: bad {kind} {raw!r} for {key}\n"
 
     @pytest.mark.parametrize("config_line, flags", [("learning_rate = nan", []),
                                                     ("", ["--lr", "inf"])])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.adp import TreeViolation, shortest_path
+from depnn.adp import Arc, DependencyGraph, Token, TreeViolation, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
                           REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK, AlignmentError,
@@ -12,6 +12,7 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           load_embeddings, read_parse_blocks,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
+from depnn.cli import _read_config_file
 from depnn.evaluation import describe_path
 
 from conftest import (MALFORMED_RECORDS, VALID_RECORD, graph_of, scheduled_subtrees,
@@ -275,8 +276,9 @@ class TestEmbeddings:
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = self.write(tmp_path, "dog 1 2 3\ncat 1 2\n")
-        with pytest.raises(DimensionMismatch, match="line 2"):
+        with pytest.raises(DimensionMismatch) as err:
             load_embeddings(path)
+        assert str(err.value) == f"{path}: line 2: expected 3 values for 'cat', got 2"
 
     def test_expected_dim_enforced(self, tmp_path):
         path = self.write(tmp_path, "dog 1 2 3\n")
@@ -339,6 +341,49 @@ class TestVocabulary:
                             entity_mention(graph, 2, 2), OTHER_LABEL)
         with pytest.raises(VocabularyError, match="relations lists '<path-start>'"):
             Vocabulary.build([instance])
+
+
+    def test_data_entries_named_unk_read_the_unk_rows(self):
+        tokens = [Token(1, "saw"), Token(2, UNK, ner_tag=UNK, wn_hypernym=UNK), Token(3, "it")]
+        graph = DependencyGraph(tokens, [Arc(0, 1, "root"), Arc(1, 2, "nsubj"),
+                                         Arc(1, 3, "dobj")])
+        instance = Instance(1, graph, entity_mention(graph, 2, 2),
+                            entity_mention(graph, 3, 3), OTHER_LABEL)
+        vocab = Vocabulary.build([instance])
+        assert vocab.words == (UNK, "it", "saw")
+        assert vocab.ner_tags == vocab.wn_tags == (UNK,)
+        assert vocab.word_row(UNK) == vocab.word_row("never-seen") == 0
+
+
+# per text reader: a file whose first line is malformed, and its message
+MALFORMED_FIRST_LINES = {
+    "raw": (read_semeval_raw, "not a sentence\n", "expected '<id>\\t\"<sentence>\"'"),
+    "instances": (read_parsed_instances, "{}\n",
+                  f"expected header {INSTANCE_FORMAT_HEADER!r}, got '{{}}'"),
+    "parse-blocks": (read_parse_blocks, "1\tOrphan\to\t0\troot\n",
+                     "token row outside any '#id' block"),
+    "embeddings": (load_embeddings, "dog 1 x\n", "non-numeric embedding value for 'dog'"),
+    "config": (_read_config_file, "nonsense\n", "expected key=value"),
+}
+
+
+class TestReaderErrorsNameTheFile:
+    @pytest.mark.parametrize("reader", sorted(MALFORMED_FIRST_LINES))
+    def test_format_error_names_file_and_line(self, tmp_path, reader):
+        read, text, message = MALFORMED_FIRST_LINES[reader]
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: line 1: {message}"
+        assert (err.value.path, err.value.line) == (path, 1)
+
+    def test_empty_embedding_file_names_the_file(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: embedding file is empty and no dimension was given"
 
 
 class TestDatasetStats:

@@ -16,7 +16,7 @@ from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, Gradient, Model
                             load_store, save_store, softmax, tanh_backward)
 from depnn.subtree import REL_EMB, WORD_EMB
 
-from conftest import (assert_bit_identical, dense_sgd_oracle, edit_manifest,
+from conftest import (RowSums, assert_bit_identical, dense_sgd_oracle, edit_manifest,
                       tiny_model, truncate_model_file)
 
 
@@ -83,18 +83,14 @@ class TestRowRecordedUpdate:
         return store
 
     def write(self, gradient, seed):
-        """Duplicate rows through both add_rows forms, dense steps, and one
-        tensor that only an empty add_rows reaches; the same seed writes the
-        same deltas."""
+        """One row step per table, with repeated rows in a 2-D and a 1-D
+        index, and dense steps; the same seed writes the same deltas."""
         rng = np.random.default_rng(seed)
-        gradient.add_rows("table", np.array([[4, 9], [4, 4]]), rng.normal(size=(2, 2, 4)))
-        gradient.add_rows("table", 9, rng.normal(size=4))
-        gradient.add_rows("table", np.array([27, 0, 27]), rng.normal(size=(3, 4)))
-        gradient.add_rows("lex", 2, rng.normal(size=3))
-        gradient.add_rows("lex", np.int64(2), rng.normal(size=3))
+        gradient.step("table", np.array([[4, 9], [4, 4], [9, 27], [0, 27]]),
+                      rng.normal(size=(4, 2, 4)))
+        gradient.step("lex", np.array([2, 2]), rng.normal(size=(2, 3)))
         gradient.step("pad_word", ..., rng.normal(size=5))
         gradient.step("w", ..., rng.normal(size=(3, 4)))
-        gradient.add_rows("b", np.array([], dtype=np.intp), np.zeros(0))
 
     def test_matches_dense_oracle_bit_for_bit(self, rng):
         store = self.build(rng)
@@ -104,8 +100,7 @@ class TestRowRecordedUpdate:
             expected = dense_sgd_oracle(store, summed, lr)
             gradient = Gradient(store, lr)
             self.write(gradient, seed)
-            assert not gradient     # the dense steps reached the store, not a buffer
-            gradient.apply()
+            assert not gradient     # every step reached the store, not a buffer
             for name in store.names():
                 assert_bit_identical(store.value(name), expected[name])
 
@@ -124,20 +119,17 @@ class TestRowRecordedUpdate:
             assert "w" not in stepped       # the step reached the store, not a buffer
             assert_bit_identical(store.value("w"), expected)
 
-    def test_add_rows_accumulates_duplicates_in_order(self, rng):
+    def test_row_step_sums_duplicates_in_order(self, rng):
         gradient = Gradient(self.build(rng))
         deltas = rng.normal(size=(4, 4))
         given = deltas.copy()
-        gradient.add_rows("table", np.array([7, 7]), deltas[:2])
-        gradient.add_rows("table", 7, deltas[2])
-        gradient.add_rows("table", np.int64(7), deltas[3])
+        gradient.step("table", np.array([7, 7, 7, 7]), deltas)
         expected = np.zeros(4)
         for delta in deltas:
             expected += delta
-        assert_bit_identical(gradient.full("table")[7], expected)
-        assert not np.delete(gradient.full("table"), 7, axis=0).any()
-        assert_bit_identical(deltas, given)     # the sums are not the callers' arrays
-        assert "table" not in gradient          # no dense buffer was allocated
+        assert_bit_identical(gradient["table"][7], expected)
+        assert not np.delete(gradient["table"], 7, axis=0).any()
+        assert_bit_identical(deltas, given)     # the sums are not the caller's array
 
     def test_dense_and_row_writes_on_one_tensor_sum(self, rng):
         store = self.build(rng)
@@ -150,13 +142,12 @@ class TestRowRecordedUpdate:
         updated = store.value("table") - 0.5 * expected
         for lr in (None, 0.5):
             gradient = Gradient(store, lr)
-            gradient.add_rows("table", 5, deltas[0])
+            gradient.step("table", 5, deltas[0].copy())
             gradient.step("table", 11, np.ones(4))
-            gradient.add_rows("table", np.array([5, 11]), deltas[1:])
+            gradient.step("table", np.array([5, 11]), deltas[1:])
             if lr is None:
-                assert_bit_identical(gradient.full("table"), expected)
-        # with the rate, the dense step and the row sums reach the table one after the other
-        gradient.apply()
+                assert_bit_identical(gradient["table"], expected)
+        # with the rate, the three steps reach the table one after the other
         assert np.allclose(store.value("table"), updated, rtol=0, atol=1e-15)
 
     def test_accumulated_model_gradients_match_dense_oracle(self):
@@ -167,14 +158,77 @@ class TestRowRecordedUpdate:
             gradient = Gradient(model.store)    # each update sums two instances
             model.accumulate_gradients(model.compile(first), gradient)
             model.accumulate_gradients(model.compile(second), gradient)
-            assert not {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} & gradient.keys()
+            assert {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} <= gradient.keys()
             expected = dense_sgd_oracle(model.store, gradient, learning_rate)
-            gradient.learning_rate = learning_rate      # summed without a rate, then applied
-            for name in list(gradient):     # the dense sums step as a training step's would
+            gradient.learning_rate = learning_rate      # summed without a rate, then stepped
+            for name in list(gradient):     # the sums step as a training step's would
                 gradient.step(name, ..., gradient.pop(name))
-            gradient.apply()
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])
+
+
+class TestRowStep:
+    """Gradient.step on an integer-array index against the route it
+    replaced, conftest.RowSums (add_rows, then apply at the step's end),
+    bit for bit: random row arrays with repeats, 1-D and 2-D indexes, with
+    and without a learning rate."""
+
+    @staticmethod
+    def table(rng):
+        store = ParameterStore()
+        store.register("table", (int(rng.integers(1, 40)), int(rng.integers(1, 6))), EMBEDDING)
+        init_uniform(store, seed=int(rng.integers(1000)))
+        copy = ParameterStore()
+        copy.register("table", store.value("table").shape, EMBEDDING)[...] = store.value("table")
+        return store, copy
+
+    @staticmethod
+    def rows(rng, n_rows, ndim):
+        shape = ((int(rng.integers(1, 25)),) if ndim == 1
+                 else (int(rng.integers(1, 8)), int(rng.integers(1, 5))))
+        # a few distinct rows at most, so most draws repeat some
+        return rng.integers(0, min(n_rows, 1 + int(rng.integers(6))), size=shape)
+
+    @pytest.mark.parametrize("learning_rate", [None, 0.05, 1.0])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_matches_add_rows_and_apply(self, rng, ndim, learning_rate):
+        repeated = 0
+        for _ in range(200):
+            store, copy = self.table(rng)
+            n_rows, width = store.value("table").shape
+            rows = self.rows(rng, n_rows, ndim)
+            repeated += len(np.unique(rows)) < rows.size
+            deltas = rng.normal(size=rows.shape + (width,))
+            given = deltas.copy()
+            oracle = RowSums(copy)
+            oracle.add_rows("table", rows, deltas)
+            gradient = Gradient(store, learning_rate)
+            gradient.step("table", rows, deltas)
+            assert_bit_identical(deltas, given)
+            if learning_rate is None:
+                assert_bit_identical(gradient["table"], oracle.full("table"))
+            else:
+                assert not gradient
+                oracle.apply(learning_rate)
+                assert_bit_identical(store.value("table"), copy.value("table"))
+        assert repeated > 100
+
+    def test_two_calls_without_a_rate_add_per_call_sums(self, rng):
+        """Each call sums its own rows and adds the sums to the buffer, so a
+        row that both calls write holds (0 + S1) + S2, where the route it
+        replaced kept one running sum across both."""
+        for ndim in (1, 2):
+            store, copy = self.table(rng)
+            n_rows, width = store.value("table").shape
+            gradient, expected = Gradient(store), np.zeros((n_rows, width))
+            for _ in range(2):
+                rows = self.rows(rng, n_rows, ndim)
+                deltas = rng.normal(size=rows.shape + (width,))
+                oracle = RowSums(copy)
+                oracle.add_rows("table", rows, deltas)
+                gradient.step("table", rows, deltas)
+                expected += oracle.full("table")
+            assert_bit_identical(gradient["table"], expected)
 
 
 class TestInitUniform:

@@ -159,7 +159,7 @@ class TestConvBackward:
         d_words = conv_backward(cache, np.zeros(model.config.hidden),
                                 model.store, gradient)
         for name in model.store.names():
-            assert not gradient.full(name).any()
+            assert not gradient[name].any()
         assert all(not d.any() for d in d_words)
 
     def test_non_argmax_window_gets_exactly_zero(self):
@@ -242,7 +242,7 @@ class TestOracleEquivalence:
             d_new = conv_backward(new, upstream, store, grads_new)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
-                assert max_gap(grads_new.full(name), grads_old.full(name)) <= 1e-12, name
+                assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
@@ -291,8 +291,8 @@ class TestOracleEquivalence:
             }
             for kind in ("per-window", "two-pass"):
                 for name in store.names():
-                    assert max_gap(grads["new"].full(name),
-                                   grads[kind].full(name)) <= 1e-12, (kind, name)
+                    assert max_gap(grads["new"][name],
+                                   grads[kind][name]) <= 1e-12, (kind, name)
                 assert len(d_words[kind]) == n
                 for a, b in zip(d_words["new"], d_words[kind]):
                     assert max_gap(a, b) <= 1e-12, kind
@@ -327,18 +327,20 @@ class TestProductFilterUpdate:
 
     @staticmethod
     def outcome(backward_fn, cache, upstream, store, learning_rate):
-        """The path-word gradients and, per tensor, its gradient, or with a
-        rate the value the step leaves; the store is put back after."""
+        """The path-word gradients; per tensor, its gradient, or with a rate
+        the value the step leaves; and the names of the buffers the
+        Gradient held. The store is put back after."""
         before = {name: store.value(name).copy() for name in store.names()}
         gradient = Gradient(store, learning_rate)
         d_words = backward_fn(cache, upstream.copy(), store, gradient)
+        held = set(gradient)
         if learning_rate is None:
-            tensors = {name: gradient.full(name) for name in store.names()}
+            tensors = {name: gradient[name] for name in store.names()}
         else:       # what was stepped, with any buffer's dense update on top
             tensors = dense_sgd_oracle(store, gradient, learning_rate)
         for name, value in before.items():
             store.value(name)[...] = value
-        return d_words, tensors, gradient
+        return d_words, tensors, held
 
     @pytest.mark.parametrize("learning_rate", [None, 0.3])
     @pytest.mark.parametrize("use_tanh", [True, False])
@@ -363,15 +365,15 @@ class TestProductFilterUpdate:
                                      list(vecs), store, use_tanh=use_tanh)
                 tied_cases += len(np.unique(cache.feature_map, axis=0)) < n_words
                 upstream = rng.normal(size=hidden)
-                d_new, new, gradient = self.outcome(conv_backward, cache, upstream, store,
-                                                    learning_rate)
+                d_new, new, held = self.outcome(conv_backward, cache, upstream, store,
+                                                learning_rate)
                 d_old, old, _ = self.outcome(gathered_conv_backward, cache, upstream, store,
                                              learning_rate)
                 assert_bit_identical(d_new, d_old)
                 for name in store.names():
                     assert_bit_identical(new[name], old[name])
                 if learning_rate is not None:
-                    assert not gradient     # every dense tensor stepped in place
+                    assert not held     # every tensor, relation rows too, stepped in place
         assert tied_cases >= 20
 
 

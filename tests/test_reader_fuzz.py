@@ -133,8 +133,8 @@ def _write(path, data: bytes):
 
 @pytest.fixture(scope="module", params=sorted(READERS))
 def outcomes(request, tmp_path_factory):
-    """(reader name, [(damaged bytes, None or the exception the reader
-    raised)] per mutant)."""
+    """(reader name, the damaged file's path, [(damaged bytes, None or the
+    exception the reader raised)] per mutant)."""
     name = request.param
     reader, _, seed_bytes, _ = READERS[name]
     tmp_path = tmp_path_factory.mktemp(name)
@@ -152,7 +152,7 @@ def outcomes(request, tmp_path_factory):
             results.append((damaged, exc))
         else:
             results.append((damaged, None))
-    return name, results
+    return name, path, results
 
 
 def test_documented_types_are_data_errors():
@@ -161,18 +161,23 @@ def test_documented_types_are_data_errors():
 
 
 def test_damaged_files_fail_only_with_documented_types(outcomes):
-    name, results = outcomes
+    name, path, results = outcomes
     documented = READERS[name][1]
     wrong = [f"{damaged[:200]!r}: {type(exc).__name__}: {exc}"
              for damaged, exc in results
              if exc is not None and not isinstance(exc, documented)]
     assert not wrong, "\n".join(wrong[:10])
+    # a format error names the file, once
+    unnamed = [f"{damaged[:200]!r}: {exc}" for damaged, exc in results
+               if isinstance(exc, (FormatError, DimensionMismatch))
+               and not (str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1)]
+    assert not unnamed, "\n".join(unnamed[:10])
     # the mutations must reach the reader's checks, not only its happy path
     assert sum(exc is not None for _, exc in results) >= MUTANTS // 5
 
 
 def test_command_reports_damaged_file_as_data_error(outcomes, tmp_path, capsys):
-    name, results = outcomes
+    name, _, results = outcomes
     command = READERS[name][3]
     sound = {"inst": tmp_path / "sound.inst", "raw": tmp_path / "raw.txt",
              "parses": tmp_path / "parses.txt"}

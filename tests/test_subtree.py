@@ -158,7 +158,7 @@ class TestBackward:
         gradient = Gradient(model.store)
         backward(model, compiled, nodes, np.zeros((3, nodes.shape[1])), gradient)
         for name in model.store.names():
-            assert not gradient.full(name).any()
+            assert not gradient[name].any()
 
     def test_repeated_structure_doubles_gradients(self):
         _, model, compiled = worked_example()
@@ -167,7 +167,7 @@ class TestBackward:
 
         once = Gradient(model.store)
         backward(model, compiled, nodes, upstream, once)
-        single = {name: once.full(name) for name in model.store.names()}
+        single = {name: once[name] for name in model.store.names()}
 
         twice = Gradient(model.store)
         backward(model, compiled, nodes, upstream, twice)
@@ -176,7 +176,7 @@ class TestBackward:
         # prep_on each appear once), so doubling is bitwise exact there;
         # multi-contribution buffers like the bias double up to reassociation
         for name, grad in single.items():
-            doubled = twice.full(name)
+            doubled = twice[name]
             if name.startswith("comp/") and grad.any():
                 assert np.array_equal(doubled, 2.0 * grad)
             else:
@@ -191,8 +191,8 @@ class TestBackward:
         backward(model, compiled, nodes, d_path, gradient)
         dim = model.config.dim
         row = model.vocab.word_row("priests")
-        assert np.array_equal(gradient.full(WORD_EMB)[row], d_path[0, :dim])
-        assert np.array_equal(gradient.full(LEAF_VEC), d_path[0, dim:])
+        assert np.array_equal(gradient[WORD_EMB][row], d_path[0, :dim])
+        assert np.array_equal(gradient[LEAF_VEC], d_path[0, dim:])
 
 
 RELATIONS = ("nsubj", "dobj", "det")
@@ -256,10 +256,10 @@ class TestRecursiveOracle:
                 encode_word_backward(cache, d_p, store, recursive, vocab)
             for name in store.names():
                 if name.startswith("comp/"):
-                    assert np.allclose(flat.full(name), recursive.full(name),
+                    assert np.allclose(flat[name], recursive[name],
                                        rtol=0, atol=1e-12)
                 else:
-                    assert_bit_identical(flat.full(name), recursive.full(name))
+                    assert_bit_identical(flat[name], recursive[name])
 
             comps = schedule[COMP].tolist()
             parents = schedule[PARENT].tolist()
@@ -289,7 +289,7 @@ class TestGroupedBackward:
     conftest, adds one outer product per edge during the walk. Without a
     learning rate the two gradients agree within 1e-12, and bit for bit off
     the composition matrices. With one, the grouped backward steps every
-    dense tensor in place and leaves no buffer, and the applied store is the
+    tensor in place and leaves no buffer, and the stepped store is the
     per-edge gradient's dense update, to the same tolerances."""
 
     LEARNING_RATE = 0.3
@@ -312,10 +312,10 @@ class TestGroupedBackward:
             per_edge_encode_backward(schedule, nodes, d_path, store, per_edge, names)
             for name in store.names():
                 if name.startswith("comp/"):
-                    assert np.allclose(grouped.full(name), per_edge.full(name),
+                    assert np.allclose(grouped[name], per_edge[name],
                                        rtol=0, atol=1e-12)
                 else:
-                    assert_bit_identical(grouped.full(name), per_edge.full(name))
+                    assert_bit_identical(grouped[name], per_edge[name])
 
             expected = dense_sgd_oracle(store, per_edge, self.LEARNING_RATE)
             copy = ParameterStore()
@@ -324,8 +324,7 @@ class TestGroupedBackward:
                               store.kind(name))[...] = store.value(name)
             gradient = Gradient(copy, self.LEARNING_RATE)
             encode_backward(schedule, nodes, d_path, copy, gradient, names)
-            assert not gradient     # no dense buffer: the word rows wait for apply
-            gradient.apply()
+            assert not gradient     # every tensor, word rows too, stepped in place
             for name in store.names():
                 if name.startswith("comp/"):
                     assert np.allclose(copy.value(name), expected[name], rtol=0, atol=1e-12)
