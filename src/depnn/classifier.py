@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import corpus
-from .adp import InvalidSpan, shortest_path
+from .adp import shortest_path
 from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
@@ -26,10 +26,6 @@ OUT_W = "out_w"
 
 # dim_c and hidden-layer settings tuned per pretrained embedding size
 _DIM_DEFAULTS = {50: (25, 200), 200: (100, 400)}
-
-
-class EmptyPath(ValueError):
-    pass
 
 
 class EmptyDataset(ValueError):
@@ -237,11 +233,7 @@ class Model:
         the windows over it and the entity heads' lexical tags, as rows of
         this model's tensors."""
         graph = instance.graph
-        try:
-            tokens, labels = shortest_path(graph, instance.e1.head_index,
-                                           instance.e2.head_index)
-        except InvalidSpan as exc:
-            raise EmptyPath(f"instance {instance.id}: {exc}") from None
+        tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
         rel_rows = relation_rows(labels, self.vocab)
         heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))

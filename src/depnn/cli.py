@@ -17,16 +17,14 @@ import os
 import sys
 from dataclasses import fields
 
-from . import adp, classifier, corpus, evaluation, numerics, path_cnn, synth
+from . import classifier, corpus, evaluation, numerics, path_cnn, synth
 
 
 class UnknownQuery(LookupError):
     """A --query-id that names no instance of the file."""
 
 
-_DATA_ERRORS = (corpus.FormatError, corpus.SpanError, corpus.DimensionMismatch,
-                corpus.AlignmentError, corpus.UnknownLabel, corpus.VocabularyError,
-                adp.TreeViolation, adp.InvalidSpan, classifier.EmptyPath,
+_DATA_ERRORS = (corpus.FormatError, corpus.DimensionMismatch, corpus.VocabularyError,
                 classifier.EmptyDataset, classifier.InvalidConfig,
                 path_cnn.InvalidWindowSize, classifier.ModelFileMismatch,
                 numerics.ModelFormatError, evaluation.LengthMismatch, UnknownQuery, OSError)
@@ -135,15 +133,19 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    instances = corpus.read_parsed_instances(args.instances)
+def _read_labeled(path, role: str) -> list:
+    instances = corpus.read_parsed_instances(path)
     if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("training file contains unlabeled instances",
-                                 path=args.instances)
+        raise corpus.FormatError(f"{role} file contains unlabeled instances", path=path)
+    return instances
+
+
+def cmd_train(args) -> int:
+    instances = _read_labeled(args.instances, "training")
     embeddings = corpus.load_embeddings(args.embeddings) if args.embeddings else None
     config = _resolve_config(args, embeddings.dim if embeddings else None)
     print(_echo_config(config))
-    validation = corpus.read_parsed_instances(args.val) if args.val else None
+    validation = _read_labeled(args.val, "validation") if args.val else None
 
     vocab = corpus.Vocabulary.build(instances)
     model = classifier.Model.build(config, vocab, embeddings)
@@ -156,10 +158,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = classifier.Model.load(args.model)
-    instances = corpus.read_parsed_instances(args.instances)
-    if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("evaluation file contains unlabeled instances",
-                                 path=args.instances)
+    instances = _read_labeled(args.instances, "evaluation")
     gold = [inst.gold for inst in instances]
     predicted = [model.predict(inst).label for inst in instances]
     report = evaluation.score(gold, predicted)

@@ -56,10 +56,6 @@ class FormatError(ValueError):
         self.path = path
 
 
-class SpanError(ValueError):
-    pass
-
-
 class DimensionMismatch(ValueError):
     pass
 
@@ -130,14 +126,19 @@ class Instance:
     gold: str | None = None
 
     def __post_init__(self):
+        """Both entity heads are active tokens of the one tree, each inside
+        its own span, and the spans do not overlap: so the instance has a
+        path between its heads."""
         for mention in (self.e1, self.e2):
             for idx in (mention.start, mention.end, mention.head_index):
                 if not self.graph.has_token(idx):
-                    raise SpanError(f"instance {self.id}: span index {idx} has no token")
+                    raise InvalidSpan(f"span index {idx} has no token")
             if not mention.start <= mention.head_index <= mention.end:
-                raise SpanError(f"instance {self.id}: head outside span {mention}")
-        if set(range(self.e1.start, self.e1.end + 1)) & set(range(self.e2.start, self.e2.end + 1)):
-            raise SpanError(f"instance {self.id}: entity spans overlap")
+                raise InvalidSpan(f"head outside span {mention}")
+            if mention.head_index in self.graph.inactive:
+                raise InvalidSpan(f"head {mention.head_index} is not in the tree")
+        if self.e1.start <= self.e2.end and self.e2.start <= self.e1.end:
+            raise InvalidSpan("entity spans overlap")
 
 
 # --- SemEval raw format ----------------------------------------------------
@@ -243,25 +244,29 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def _check_relation(relation: str | None, pos: int, line_no: int) -> None:
-    """A relation names its composition matrix in the model file's ASCII
-    manifest, whose fields are TAB-separated lines; named like a reserved
-    entry or a directed label (INVERSE_SUFFIX), it would share their row."""
-    if relation is not None and not (relation.isascii() and "\t" not in relation
-                                     and "\n" not in relation):
+def _check_arc(head: int, relation: str | None, pos: int, line_no: int) -> None:
+    """An arc from a head other than the root needs a relation. A relation
+    names its composition matrix in the model file's ASCII manifest, whose
+    fields are TAB-separated lines; named like a reserved entry or a
+    directed label (INVERSE_SUFFIX), it would share their row."""
+    if relation is None:
+        if head not in (0, -1):
+            raise FormatError(f"token {pos}: an arc from head {head} needs a relation", line_no)
+        return
+    if not (relation.isascii() and "\t" not in relation and "\n" not in relation):
         raise FormatError(f"token {pos}: relation {relation!r} must be ASCII without "
                           "TAB or newline", line_no)
     # this runs once per token read: the substring tests keep the common case cheap
-    if relation is not None and ("<" in relation or INVERSE_SUFFIX in relation) and (
+    if ("<" in relation or INVERSE_SUFFIX in relation) and (
             relation in RESERVED_RELATIONS or relation.endswith(INVERSE_SUFFIX)):
         raise FormatError(f"token {pos}: relation {relation!r} is reserved: no relation ends "
                           f"in {INVERSE_SUFFIX!r} or is {', '.join(RESERVED_RELATIONS)}", line_no)
 
 
 def _check_record(record, line_no: int) -> None:
-    """Raise FormatError unless the record has the fields, and the field
-    types, that _instance_to_record writes; token rows are checked as they
-    are read."""
+    """Raise FormatError unless the record has the fields, the field types
+    and the token rows that _instance_to_record writes, and a label of the
+    label set or none."""
     if not isinstance(record, dict):
         raise FormatError("record must be a JSON object", line_no)
     for key in ("id", "tokens", "e1", "e2"):
@@ -275,16 +280,11 @@ def _check_record(record, line_no: int) -> None:
         span = record[key]
         if not isinstance(span, list) or len(span) != 2 or not all(map(_is_int, span)):
             raise FormatError(f"{key!r} must be a [start, end] pair of integers", line_no)
-    if type(record.get("label")) not in _TEXT:
+    label = record.get("label")
+    if type(label) not in _TEXT:
         raise FormatError("'label' must be a string or null", line_no)
-
-
-def _instance_from_record(record, line_no: int) -> Instance:
-    _check_record(record, line_no)
-    rec_id = record["id"]
-    tokens = []
-    arcs = []
-    inactive = []
+    if label is not None and label not in _LABEL_INDEX:
+        raise FormatError(f"unknown relation label {label!r}", line_no)
     # exact type tests: this loop runs once per token of every record read
     for pos, row in enumerate(record["tokens"], start=1):
         if type(row) is not list or len(row) != 6:
@@ -295,29 +295,34 @@ def _instance_from_record(record, line_no: int) -> Instance:
                 or type(rel) not in _TEXT or type(ner) not in _TEXT or type(wn) not in _TEXT):
             raise FormatError(f"token {pos}: form must be a string, head an integer, "
                               "and lemma, relation, ner and wordnet strings or null", line_no)
-        _check_relation(rel, pos, line_no)
+        _check_arc(head, rel, pos, line_no)
+
+
+def _graph(rows) -> DependencyGraph:
+    """The dependency graph of checked token rows [form, lemma, head,
+    relation, ner, wordnet]: head 0 marks the root, whose relation may be
+    absent, and head -1 a token kept out of the tree."""
+    tokens = []
+    arcs = []
+    inactive = []
+    for pos, (form, lemma, head, rel, ner, wn) in enumerate(rows, start=1):
         tokens.append(Token(pos, form, lemma, ner, wn))
         if head == -1:
             inactive.append(pos)
-        elif head == 0:
-            arcs.append(Arc(0, pos, rel or "root"))
-        elif rel is None:
-            raise FormatError(f"token {pos}: an arc from head {head} needs a relation", line_no)
         else:
-            arcs.append(Arc(head, pos, rel))
+            arcs.append(Arc(head, pos, rel or "root") if head == 0 else Arc(head, pos, rel))
+    return DependencyGraph(tokens, arcs, inactive)
+
+
+def _instance_from_record(record, line_no: int) -> Instance:
+    _check_record(record, line_no)
+    rec_id = record["id"]
     try:
-        graph = DependencyGraph(tokens, arcs, inactive)
-    except TreeViolation as exc:
-        raise TreeViolation(f"instance {rec_id}: {exc}") from None
-    try:
-        e1 = entity_mention(graph, *record["e1"])
-        e2 = entity_mention(graph, *record["e2"])
-    except InvalidSpan as exc:
-        raise SpanError(f"instance {rec_id}: {exc}") from None
-    label = record.get("label")
-    if label is not None:
-        label_index(label)
-    return Instance(rec_id, graph, e1, e2, label)
+        graph = _graph(record["tokens"])
+        return Instance(rec_id, graph, entity_mention(graph, *record["e1"]),
+                        entity_mention(graph, *record["e2"]), record.get("label"))
+    except (TreeViolation, InvalidSpan) as exc:
+        raise FormatError(f"instance {rec_id}: {exc}", line_no) from None
 
 
 def write_parsed_instances(path, instances) -> None:
@@ -351,8 +356,8 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
 
     A block starts with '#id <n>' and holds one TAB-separated token row per
     line: index, form, lemma, head, relation, then optional ner and wordnet
-    columns. '_' marks an absent value; head -1 marks a token folded out of
-    the tree (collapsed prepositions).
+    columns. '_' marks an absent value in every column but the form; head -1
+    marks a token folded out of the tree (collapsed prepositions).
     """
     blocks: dict[int, list[list]] = {}
     current: list[list] | None = None
@@ -376,7 +381,9 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
             cols = line.split("\t")
             if len(cols) < 5:
                 raise FormatError("token row needs at least 5 columns", line_no)
-            cols = [None if c == "_" else c for c in cols] + [None] * (7 - len(cols))
+            # a form is never absent, so a '_' there is the form itself
+            cols = cols[:2] + [None if c == "_" else c for c in cols[2:]]
+            cols += [None] * (7 - len(cols))
             try:
                 index = int(cols[0])
                 head = int(cols[3])
@@ -384,21 +391,22 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
                 raise FormatError("index and head must be integers", line_no) from None
             if index != len(current) + 1:
                 raise FormatError(f"token index {index} out of order", line_no)
-            _check_relation(cols[4], index, line_no)
+            _check_arc(head, cols[4], index, line_no)
             current.append([cols[1], cols[2], head, cols[4], cols[5], cols[6]])
     return blocks
 
 
 def align_instance(raw: RawRecord, token_rows: list[list]) -> Instance:
     """Map the raw record's entity character spans onto token spans by
-    locating each token form in the marker-free sentence."""
+    locating each token form in the marker-free sentence, and build the
+    instance from the token rows that read_parse_blocks checked."""
     spans = []
     cursor = 0
     for row in token_rows:
         form = row[0]
         at = raw.text.find(form, cursor)
         if at < 0:
-            raise AlignmentError(f"instance {raw.id}: token {form!r} not found in sentence")
+            raise AlignmentError(f"token {form!r} not found in sentence")
         spans.append((at, at + len(form)))
         cursor = at + len(form)
 
@@ -406,17 +414,13 @@ def align_instance(raw: RawRecord, token_rows: list[list]) -> Instance:
         touched = [i + 1 for i, (s, e) in enumerate(spans)
                    if s < char_span[1] and e > char_span[0]]
         if not touched:
-            raise AlignmentError(f"instance {raw.id}: no tokens under entity span {char_span}")
+            raise AlignmentError(f"no tokens under entity span {char_span}")
         return min(touched), max(touched)
 
-    record = {
-        "id": raw.id,
-        "tokens": token_rows,
-        "e1": list(covering(raw.e1_span)),
-        "e2": list(covering(raw.e2_span)),
-        "label": raw.label,
-    }
-    return _instance_from_record(record, 0)
+    e1, e2 = covering(raw.e1_span), covering(raw.e2_span)
+    graph = _graph(token_rows)
+    return Instance(raw.id, graph, entity_mention(graph, *e1), entity_mention(graph, *e2),
+                    raw.label)
 
 
 def convert(raw_records, parse_blocks) -> tuple[list[Instance], list[tuple[int, str]]]:
@@ -431,7 +435,7 @@ def convert(raw_records, parse_blocks) -> tuple[list[Instance], list[tuple[int, 
             continue
         try:
             instances.append(align_instance(raw, rows))
-        except (AlignmentError, SpanError, TreeViolation) as exc:
+        except (AlignmentError, InvalidSpan, TreeViolation) as exc:
             failures.append((raw.id, str(exc)))
     return instances, failures
 

@@ -509,6 +509,14 @@ MALFORMED_RECORDS = {
     **{f"relation-{name.strip('<>')}": (VALID_RECORD.replace('"x"', f'"{name}"'),
                                          f"relation '{name}' is reserved")
        for name in RESERVED_RELATIONS},
+    "unknown-label": (VALID_RECORD.replace('"Other"', '"Foo"'),
+                      "unknown relation label 'Foo'"),
+    # a record of the right shape that is not one instance: the error names
+    # the instance once
+    "rootless-cycle": (VALID_RECORD.replace('["a", null, 0, "root"', '["a", null, 2, "y"'),
+                       "instance 1: expected exactly one root"),
+    "overlapping-spans": (VALID_RECORD.replace('"e2": [2, 2]', '"e2": [1, 2]'),
+                          "instance 1: entity spans overlap"),
 }
 
 

@@ -1,24 +1,24 @@
 import gc
 import math
 import weakref
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from depnn import synth
 from depnn import classifier
-from depnn.classifier import (EmptyDataset, EmptyPath, InvalidConfig, Model,
+from depnn.classifier import (EmptyDataset, InvalidConfig, Model,
                               ModelFileMismatch, OUT_W, TrainConfig, cross_entropy)
-from depnn.adp import EntityMention
-from depnn.corpus import LABELS, Instance, entity_mention
+from depnn.adp import DependencyGraph
+from depnn.corpus import LABELS, UNK, EmbeddingTable, Instance, Vocabulary, entity_mention
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B, InvalidWindowSize
 from depnn.subtree import comp_names
 
-from conftest import (BAD_MODEL_META, assert_bit_identical, dense_sgd_oracle, graph_of,
-                      rewrite_model_file, rewrite_model_meta, tiny_model)
+from conftest import (BAD_MODEL_META, TINY_CONFIG, assert_bit_identical, dense_sgd_oracle,
+                      graph_of, rewrite_model_file, rewrite_model_meta, tiny_model)
 
 
 def one_instance():
@@ -94,27 +94,29 @@ class TestForward:
         assert math.isclose(np.log(pred.distribution[3] /
                                    pred.distribution[0]), 10.0, rel_tol=1e-9)
 
-    def test_empty_path_error(self):
-        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
-        fake = SimpleNamespace(id=9, graph=graph,
-                               e1=SimpleNamespace(head_index=2),
-                               e2=SimpleNamespace(head_index=3), gold="Other")
-        model = tiny_model([one_instance()])
-        with pytest.raises(EmptyPath):
-            model.predict(fake)
+    def test_form_unseen_in_training_reads_as_unk(self):
+        # the vocabulary holds the training forms only, so a form that
+        # training never saw reads the UNK row, even when the embeddings the
+        # model was built from hold a vector for it
+        instances = synth.make_separable_corpus(20)
+        unseen = "Quokka"
+        embeddings = EmbeddingTable(TINY_CONFIG["dim"], {unseen: np.full(6, 0.09)},
+                                    np.zeros(6))
+        model = Model.build(TrainConfig(**TINY_CONFIG), Vocabulary.build(instances), embeddings)
+        model.train(instances, epochs=2)
+        assert not {unseen, unseen.lower()} & set(model.vocab.words)
+        query = instances[0]
 
-    def test_unbuildable_path_fails_before_the_first_step(self):
-        instances = synth.make_separable_corpus(6)
-        model = tiny_model(instances)
-        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
-        # entity 1 is headed by a token kept out of the tree
-        unbuildable = Instance(9, graph, EntityMention(2, 2, 2),
-                               entity_mention(graph, 3, 3), "Other")
-        before = {n: model.store.value(n).copy() for n in model.store.names()}
-        with pytest.raises(EmptyPath, match="instance 9"):
-            model.train(instances[:3] + [unbuildable] + instances[3:])
-        for name, value in before.items():
-            assert np.array_equal(model.store.value(name), value)
+        def with_head_form(form):
+            head = query.e1.head_index
+            tokens = [replace(tok, form=form) if tok.index == head else tok
+                      for tok in query.graph.tokens]
+            graph = DependencyGraph(tokens, query.graph.arcs, query.graph.inactive)
+            return Instance(query.id, graph, query.e1, query.e2, query.gold)
+
+        as_unk = model.predict(with_head_form(UNK)).distribution
+        assert np.array_equal(model.predict(with_head_form(unseen)).distribution, as_unk)
+        assert not np.array_equal(model.predict(query).distribution, as_unk)
 
 
 class TestLoss:

@@ -8,15 +8,14 @@ import pytest
 
 import depnn
 from depnn import corpus, synth
-from depnn.adp import EntityMention
 from depnn.classifier import Model, TrainConfig
 from depnn.cli import main
-from depnn.corpus import (INSTANCE_FORMAT_HEADER, Instance, Vocabulary, entity_mention,
-                          read_parsed_instances, write_parsed_instances)
+from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary, read_parsed_instances,
+                          write_parsed_instances)
 
-from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD, graph_of,
-                      rewrite_model_file, rewrite_model_meta,
-                      tiny_model, truncate_model_file, write_instance_file)
+from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD, rewrite_model_file,
+                      rewrite_model_meta, tiny_model, truncate_model_file,
+                      write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -283,6 +282,39 @@ class TestConvert:
         assert "alignment failures: 1" in captured.out
         assert len(read_parsed_instances(out)) == 1
 
+    def test_arc_without_a_relation_names_the_parses_file_and_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        parses = tmp_path / "parses.txt"
+        out = tmp_path / "out.inst"
+        raw.write_text(RAW_SAMPLE, encoding="utf-8")
+        parses.write_text(PARSES.replace("2\tthief\tthief\t3\tnsubj", "2\tthief\tthief\t3\t_"),
+                          encoding="utf-8")
+        assert main(["convert", "--raw", str(raw), "--parses", str(parses),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {parses}: line 3: token 2: an arc from head 3 "
+                       "needs a relation\n")
+        assert not out.exists()
+
+    def test_form_underscore_is_the_form(self, tmp_path, capsys):
+        # '_' marks an absent value in every column but the form
+        raw = tmp_path / "raw.txt"
+        parses = tmp_path / "parses.txt"
+        out = tmp_path / "out.inst"
+        raw.write_text('1\t"<e1>snake_case</e1> names <e2>_</e2>"\nOther\n\n'
+                       '2\t"<e1>it</e1> names <e2>them</e2>"\nOther\n', encoding="utf-8")
+        block = "1\tsnake_case\t_\t2\tnsubj\n2\tnames\tname\t0\troot\n3\t_\t_\t2\tdobj\n"
+        parses.write_text(f"#id 1\n{block}\n#id 2\n{block.replace('snake_case', 'it')}",
+                          encoding="utf-8")
+        assert main(["convert", "--raw", str(raw), "--parses", str(parses),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "alignment failures: 1" in captured.out
+        assert captured.err == "  2: token '_' not found in sentence\n"
+        inst, = read_parsed_instances(out)
+        assert [tok.form for tok in inst.graph.tokens] == ["snake_case", "names", "_"]
+        assert inst.graph.token(1).lemma is None
+
     def test_bad_raw_format_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         parses = tmp_path / "parses.txt"
@@ -366,23 +398,16 @@ class TestTrain:
         assert capsys.readouterr().err == "error: training needs a non-empty dataset\n"
         assert not out.exists()
 
-    def test_instance_without_a_path_fails_before_training(self, tmp_path, corpus_file,
-                                                           capsys, monkeypatch):
-        # the reader heads each entity with an active token of one tree, so
-        # every instance it returns has a path; one whose entity is headed by
-        # a token kept out of the tree is added after it
-        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
-        unbuildable = Instance(77, graph, EntityMention(2, 2, 2),
-                               entity_mention(graph, 3, 3), "Other")
-        read = corpus.read_parsed_instances
-        monkeypatch.setattr(corpus, "read_parsed_instances",
-                            lambda path: read(path) + [unbuildable])
+    def test_unlabeled_validation_file_fails_before_training(self, tmp_path, corpus_file,
+                                                             capsys):
+        val = write_instance_file(tmp_path / "val.inst", VALID_RECORD,
+                                  VALID_RECORD.replace('"Other"', "null"))
         out = tmp_path / "m.model"
-        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
-                     "--epochs", "1", "--dim", "8", "--dim-c", "4", "--hidden", "6"]) == 2
+        assert main(["train", "--instances", str(corpus_file), "--val", str(val),
+                     "--out", str(out), "--epochs", "1", "--dim", "8", "--dim-c", "4",
+                     "--hidden", "6"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: instance 77: no active token with index 2")
-        assert "Traceback" not in captured.err
+        assert captured.err == f"error: {val}: validation file contains unlabeled instances\n"
         assert "epoch=" not in captured.out
         assert not out.exists()
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from depnn import synth
-from depnn.adp import Arc, DependencyGraph, Token, TreeViolation, shortest_path
+from depnn.adp import Arc, DependencyGraph, EntityMention, InvalidSpan, Token, shortest_path
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
                           REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK, AlignmentError,
-                          DimensionMismatch, FormatError, Instance, SpanError,
+                          DimensionMismatch, FormatError, Instance,
                           UnknownLabel, Vocabulary, VocabularyError, convert,
                           dataset_stats, entity_mention, label_index, label_type,
                           load_embeddings, read_parse_blocks,
@@ -121,8 +121,9 @@ class TestParsedInstances:
                   '["b", null, 3, "x", null, null], ["c", null, 2, "y", null, null]], '
                   '"e1": [1, 1], "e2": [2, 2], "label": "Other"}')
         path.write_text(INSTANCE_FORMAT_HEADER + "\n" + record + "\n", encoding="utf-8")
-        with pytest.raises(TreeViolation, match="instance 42"):
+        with pytest.raises(FormatError, match="line 2: instance 42: cycle through token") as err:
             read_parsed_instances(path)
+        assert err.value.path == path
 
     def test_bad_span_rejected_with_instance_id(self, tmp_path):
         path = tmp_path / "a.inst"
@@ -130,8 +131,9 @@ class TestParsedInstances:
                   '["b", null, 1, "x", null, null]], '
                   '"e1": [1, 1], "e2": [2, 5], "label": "Other"}')
         path.write_text(INSTANCE_FORMAT_HEADER + "\n" + record + "\n", encoding="utf-8")
-        with pytest.raises(SpanError, match="instance 9"):
+        with pytest.raises(FormatError, match="line 2: instance 9: span") as err:
             read_parsed_instances(path)
+        assert err.value.path == path
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_malformed_record_is_format_error_with_line(self, tmp_path, case):
@@ -161,6 +163,27 @@ class TestParsedInstances:
         subtrees = scheduled_subtrees(inst.graph, tokens)
         assert subtrees[3] == {4, 5}   # "the lock" hangs off broke
         assert subtrees[2] == {1}
+
+
+class TestInstance:
+    def test_head_outside_the_tree_is_refused(self):
+        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
+        # entity 1 is headed by a token kept out of the tree, so no path
+        # would join the two heads
+        with pytest.raises(InvalidSpan, match="head 2 is not in the tree"):
+            Instance(9, graph, EntityMention(2, 2, 2), entity_mention(graph, 3, 3), "Other")
+
+    @pytest.mark.parametrize("e1, e2, overlap", [
+        ((1, 2), (3, 4), False), ((3, 4), (1, 2), False), ((1, 3), (3, 4), True),
+        ((3, 4), (1, 3), True), ((1, 4), (2, 2), True), ((2, 2), (2, 2), True)])
+    def test_spans_that_share_a_token_are_refused(self, e1, e2, overlap):
+        graph = graph_of(4, [(0, 1, "root"), (1, 2, "x"), (2, 3, "y"), (3, 4, "z")])
+        mentions = [entity_mention(graph, *span) for span in (e1, e2)]
+        if overlap:
+            with pytest.raises(InvalidSpan, match="entity spans overlap"):
+                Instance(1, graph, *mentions)
+        else:
+            Instance(1, graph, *mentions)
 
 
 class TestConverter:

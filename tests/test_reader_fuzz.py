@@ -4,9 +4,11 @@ A damaged instance file, parse-block file, raw task file, embedding file or
 --config file either reads or fails with one of the types its reader
 documents, each a data error of the command line (exit 2); and the command
 that reads the file reports a sample of the failures as `error: ...`
-without a traceback. The mutations replace, insert and delete bytes, copy
-a run of bytes elsewhere, rename a word, and cut the file, 1 to 3 of them
-per mutant.
+without a traceback. Parse blocks that read convert with the sound raw
+records, reporting what does not align or is not one tree as a failure of
+that instance. The mutations replace, insert and delete bytes, copy
+a run of bytes elsewhere, rename a word, write '_' (an absent value) over a
+TAB-separated field, and cut the file, 1 to 3 of them per mutant.
 """
 
 import random
@@ -15,11 +17,10 @@ import re
 import pytest
 
 from depnn import cli, synth
-from depnn.adp import TreeViolation
 from depnn.cli import main
-from depnn.corpus import (DimensionMismatch, FormatError, SpanError, UnknownLabel,
-                          load_embeddings, read_parse_blocks, read_parsed_instances,
-                          read_semeval_raw, write_parsed_instances)
+from depnn.corpus import (DimensionMismatch, FormatError, convert, load_embeddings,
+                          read_parse_blocks, read_parsed_instances, read_semeval_raw,
+                          write_parsed_instances)
 
 SEED = 31337
 MUTANTS = 300
@@ -72,7 +73,7 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     for _ in range(rng.randint(1, 3)):
         byte = rng.choice(SPECIAL) if rng.random() < 0.5 else rng.randrange(256)
         at = rng.randrange(len(damaged) + 1)
-        op = rng.randrange(6)
+        op = rng.randrange(7)
         if op == 0 and at < len(damaged):
             damaged[at] = byte
         elif op == 1:
@@ -87,6 +88,11 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
             if words:
                 word, name = rng.choice(words), rng.choice(NAMES)
                 damaged[word.start():word.end()] = word[0] + name if name == NAMES[0] else name
+        elif op == 5:
+            fields = list(re.finditer(rb"[^\t\n]+", damaged))
+            if fields:
+                field = rng.choice(fields)
+                damaged[field.start():field.end()] = b"_"
         else:
             del damaged[at:]
     return bytes(damaged)
@@ -102,9 +108,7 @@ def instance_file_bytes(tmp_path):
 # the command line that reads the damaged file, given it and a sound
 # instance file, raw file and parse-block file)
 READERS = {
-    "instances": (read_parsed_instances,
-                  (FormatError, TreeViolation, SpanError, UnknownLabel),
-                  instance_file_bytes,
+    "instances": (read_parsed_instances, (FormatError,), instance_file_bytes,
                   lambda bad, inst, raw, parses: ["train", "--instances", bad,
                                                   "--epochs", "0", "--out", f"{bad}.model"]),
     "parse-blocks": (read_parse_blocks, (FormatError,), lambda _: PARSES.encode(),
@@ -193,3 +197,17 @@ def test_command_reports_damaged_file_as_data_error(outcomes, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: "), (damaged, err)
         assert "Traceback" not in err, damaged
+
+
+@pytest.mark.parametrize("outcomes", ["parse-blocks"], indirect=True)
+def test_parse_blocks_that_read_convert_without_raising(outcomes, tmp_path):
+    _, _, results = outcomes
+    records = read_semeval_raw(_write(tmp_path / "raw.txt", RAW.encode()))
+    read = 0
+    for damaged, exc in results:
+        if exc is None:
+            blocks = read_parse_blocks(_write(tmp_path / "parses.txt", damaged))
+            instances, failures = convert(records, blocks)
+            assert len(instances) + len(failures) == len(records), damaged
+            read += 1
+    assert read >= MUTANTS // 5
