@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from depnn import synth
 from depnn import classifier
 from depnn.classifier import (EmptyDataset, InvalidConfig, Model,
                               ModelFileMismatch, OUT_W, TrainConfig, cross_entropy)
-from depnn.adp import DependencyGraph
+from depnn.adp import DependencyGraph, InvalidSpan
 from depnn.corpus import LABELS, UNK, EmbeddingTable, Instance, Vocabulary, entity_mention
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
@@ -93,6 +94,31 @@ class TestForward:
         assert pred.label == LABELS[3]
         assert math.isclose(np.log(pred.distribution[3] /
                                    pred.distribution[0]), 10.0, rel_tol=1e-9)
+
+    def test_empty_path_error(self):
+        # Instance refuses a head outside the tree; a query that skips that
+        # check still gets no path, and predict names the missing token
+        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
+        fake = SimpleNamespace(id=9, graph=graph,
+                               e1=SimpleNamespace(head_index=2),
+                               e2=SimpleNamespace(head_index=3), gold="Other")
+        model = tiny_model([one_instance()])
+        with pytest.raises(InvalidSpan, match="no active token with index 2"):
+            model.predict(fake)
+
+    def test_unbuildable_path_fails_before_the_first_step(self):
+        instances = synth.make_separable_corpus(6)
+        model = tiny_model(instances)
+        graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
+        # entity 1 is headed by a token kept out of the tree, past Instance's check
+        unbuildable = SimpleNamespace(id=9, graph=graph,
+                                      e1=SimpleNamespace(head_index=2),
+                                      e2=SimpleNamespace(head_index=3), gold="Other")
+        before = {n: model.store.value(n).copy() for n in model.store.names()}
+        with pytest.raises(InvalidSpan, match="no active token with index 2"):
+            model.train(instances[:3] + [unbuildable] + instances[3:])
+        for name, value in before.items():
+            assert np.array_equal(model.store.value(name), value)
 
     def test_form_unseen_in_training_reads_as_unk(self):
         # the vocabulary holds the training forms only, so a form that

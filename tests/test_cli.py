@@ -398,6 +398,25 @@ class TestTrain:
         assert capsys.readouterr().err == "error: training needs a non-empty dataset\n"
         assert not out.exists()
 
+    def test_instance_without_a_path_fails_before_training(self, tmp_path, corpus_file,
+                                                           capsys):
+        # entity 1 of the last record is headed by a token kept out of the
+        # tree (head -1), so no path joins the two heads
+        record = ('{"id": 77, "tokens": [["a", null, 0, "root", null, null], '
+                  '["b", null, -1, null, null, null], ["c", null, 1, "dobj", null, null]], '
+                  '"e1": [2, 2], "e2": [3, 3], "label": "Other"}')
+        with open(corpus_file, "a", encoding="utf-8") as fh:
+            fh.write(record + "\n")
+        line = len(corpus_file.read_text(encoding="utf-8").splitlines())
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
+                     "--epochs", "1", "--dim", "8", "--dim-c", "4", "--hidden", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {corpus_file}: line {line}: instance 77: "
+                                "span [2, 2] covers no active token\n")
+        assert "epoch=" not in captured.out
+        assert not out.exists()
+
     def test_unlabeled_validation_file_fails_before_training(self, tmp_path, corpus_file,
                                                              capsys):
         val = write_instance_file(tmp_path / "val.inst", VALID_RECORD,
