@@ -5,13 +5,15 @@ mentions, the augmented dependency path is the unique tree path between
 the entity head words plus, for each word on that path, the dependency
 subtree hanging off it (descendants reachable without stepping onto the
 path); the subtrees are read straight off the graph when an instance is
-compiled (subtree.compile_nodes). All types here are immutable after
-construction and every operation is a pure function.
+compiled (subtree.compile_nodes). Nothing here changes after
+construction, and every operation is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class TreeViolation(ValueError):
@@ -35,109 +37,132 @@ class Token:
     wn_hypernym: str | None = None
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     head: int        # 0 marks the sentence root's virtual head
     dependent: int
     relation: str
 
 
 class DependencyGraph:
-    """Tokens plus typed head/dependent arcs forming a single-rooted tree.
+    """A single-rooted dependency tree held as per-token columns, each
+    indexed by token index (1..n); slot 0 stands for the root's virtual head.
+
+    forms, lemmas, ner_tags, wn_tags   the token's own fields
+    heads       its head: 0 on the root, -1 on a token kept out of the tree
+    relations   the relation of the arc from its head; None without an arc
+    children    its dependents in ascending index order; slot 0 holds the root
+    depths      its depth below the root; -1 out of the tree
 
     Tokens listed in `inactive` (e.g. prepositions folded into collapsed
-    relation labels) stay in the token list but take no part in arcs.
+    relation labels) stay in the columns but take no part in arcs. Token
+    and Arc objects are made only when `tokens` or `arcs` is read.
     """
 
     def __init__(self, tokens, arcs, inactive=()):
-        self.tokens: tuple[Token, ...] = tuple(tokens)
-        self.inactive: frozenset[int] = frozenset(inactive)
-        if not self.tokens:
-            raise TreeViolation("a sentence needs at least one token")
-
-        self._by_index: dict[int, Token] = {}
-        for tok in self.tokens:
+        tokens = sorted(tokens, key=attrgetter("index"))
+        for pos, tok in enumerate(tokens, start=1):
             if tok.index < 1:
                 raise TreeViolation(f"token index {tok.index} below 1")
-            if tok.index in self._by_index:
-                raise TreeViolation(f"duplicate token index {tok.index}")
-            self._by_index[tok.index] = tok
-        for idx in self.inactive:
-            if idx not in self._by_index:
+            if tok.index != pos:
+                raise TreeViolation(f"duplicate token index {tok.index}" if tok.index < pos
+                                    else f"no token with index {pos}")
+        n = len(tokens)
+        heads = [0] * (n + 1)
+        relations = [None] * (n + 1)
+        heads[0] = -1
+        for idx in inactive:
+            if not 1 <= idx <= n:
                 raise TreeViolation(f"inactive index {idx} has no token")
+            heads[idx] = -1
+        has_arc = set()
+        for arc in arcs:
+            head, dependent, relation = arc
+            if not 1 <= dependent <= n:
+                raise TreeViolation(f"arc dependent {dependent} has no token")
+            if not 0 <= head <= n:
+                raise TreeViolation(f"arc head {head} has no token")
+            if heads[dependent] == -1:     # an inactive head is refused in _build
+                raise TreeViolation(f"inactive token participates in arc {Arc(*arc)}")
+            if dependent in has_arc:
+                raise TreeViolation(f"token {dependent} has more than one head")
+            has_arc.add(dependent)
+            heads[dependent], relations[dependent] = head, relation
+        fields = [(None,) * 4] + [(t.form, t.lemma, t.ner_tag, t.wn_hypernym) for t in tokens]
+        self._build(*zip(*fields), heads, relations)
 
-        self.arcs: tuple[Arc, ...] = tuple(sorted(
-            (a if isinstance(a, Arc) else Arc(*a) for a in arcs),
-            key=lambda a: (a.head, a.dependent)))
-        self._head_arc: dict[int, Arc] = {}
-        self._children: dict[int, list[Arc]] = {}
-        for arc in self.arcs:
-            if arc.dependent not in self._by_index:
-                raise TreeViolation(f"arc dependent {arc.dependent} has no token")
-            if arc.head != 0 and arc.head not in self._by_index:
-                raise TreeViolation(f"arc head {arc.head} has no token")
-            if arc.dependent in self.inactive or arc.head in self.inactive:
-                raise TreeViolation(f"inactive token participates in arc {arc}")
-            if arc.dependent in self._head_arc:
-                raise TreeViolation(f"token {arc.dependent} has more than one head")
-            self._head_arc[arc.dependent] = arc
-            if arc.head != 0:
-                # arcs are sorted by (head, dependent): each list is in dependent order
-                self._children.setdefault(arc.head, []).append(arc)
+    @classmethod
+    def from_columns(cls, forms, lemmas, ner_tags, wn_tags, heads, relations):
+        """The graph of columns laid out as the class describes them, slot 0
+        included; heads and relations as the arcs give them, checked here
+        to form one tree. The columns are kept, not copied."""
+        graph = cls.__new__(cls)
+        graph._build(forms, lemmas, ner_tags, wn_tags, heads, relations)
+        return graph
 
-        roots = [i for i in self.active_indices()
-                 if i not in self._head_arc or self._head_arc[i].head == 0]
-        if len(roots) != 1:
-            raise TreeViolation(f"expected exactly one root, found {sorted(roots)}")
-        self.root: int = roots[0]
+    def _build(self, forms, lemmas, ner_tags, wn_tags, heads, relations):
+        """Check the heads and file each token under its head in one pass,
+        then set the depths in one walk down from the root: an active token
+        that the walk does not reach lies on a cycle."""
+        n = len(heads) - 1
+        if n < 1:
+            raise TreeViolation("a sentence needs at least one token")
+        children = [[] for _ in heads]
+        inactive = []
+        for dependent in range(1, n + 1):
+            head = heads[dependent]
+            if head == -1:
+                inactive.append(dependent)
+            elif 0 <= head <= n:
+                children[head].append(dependent)
+            else:
+                raise TreeViolation(f"arc head {head} has no token")
+        for idx in inactive:
+            if children[idx]:
+                dependent = children[idx][0]
+                raise TreeViolation(f"inactive token participates in arc "
+                                    f"{Arc(idx, dependent, relations[dependent])}")
+        if len(children[0]) != 1:
+            raise TreeViolation(f"expected exactly one root, found {children[0]}")
+        self.root: int = children[0][0]
+        depths = [-1] * (n + 1)
+        depths[self.root] = 0
+        reached = [self.root]
+        for node in reached:        # the list grows as the walk goes down
+            depth = depths[node] + 1
+            for kid in children[node]:
+                depths[kid] = depth
+            reached += children[node]
+        if len(reached) + len(inactive) != n:
+            cycle = next(i for i in range(1, n + 1) if depths[i] < 0 and heads[i] != -1)
+            raise TreeViolation(f"cycle through token {cycle}")
+        self.forms, self.lemmas, self.ner_tags, self.wn_tags = forms, lemmas, ner_tags, wn_tags
+        self.heads, self.relations = heads, relations
+        self.children, self.depths = children, depths
+        self.inactive: frozenset[int] = frozenset(inactive)
 
-        self._depth: dict[int, int] = {self.root: 0}
-        for idx in self.active_indices():
-            chain = []
-            node = idx
-            while node not in self._depth:
-                chain.append(node)
-                arc = self._head_arc.get(node)
-                node = arc.head if arc is not None else 0
-                if node in chain or len(chain) > len(self.tokens):
-                    raise TreeViolation(f"cycle through token {idx}")
-            base = self._depth[node]
-            for offset, member in enumerate(reversed(chain), start=1):
-                self._depth[member] = base + offset
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, range(1, len(self.heads)), self.forms[1:], self.lemmas[1:],
+                         self.ner_tags[1:], self.wn_tags[1:]))
 
-    def token(self, index: int) -> Token:
-        return self._by_index[index]
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc, in (head, dependent) order."""
+        return tuple(Arc(head, dependent, self.relations[dependent])
+                     for head, below in enumerate(self.children) for dependent in below
+                     if self.relations[dependent] is not None)
 
-    def has_token(self, index: int) -> bool:
-        return index in self._by_index
-
-    def active_indices(self) -> list[int]:
-        return [t.index for t in self.tokens if t.index not in self.inactive]
-
-    def children(self, index: int) -> tuple[Arc, ...]:
-        return tuple(self._children.get(index, ()))
-
-    def head_arc(self, index: int) -> Arc | None:
-        arc = self._head_arc.get(index)
-        if arc is not None and arc.head == 0:
-            return None
-        return arc
-
-    def head_index(self, index: int) -> int | None:
-        arc = self.head_arc(index)
-        return None if arc is None else arc.head
-
-    def depth(self, index: int) -> int:
-        return self._depth[index]
+    def _key(self) -> tuple:
+        return tuple(map(tuple, (self.forms, self.lemmas, self.ner_tags, self.wn_tags,
+                                 self.heads, self.relations)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DependencyGraph):
             return NotImplemented
-        return (self.tokens == other.tokens and self.arcs == other.arcs
-                and self.inactive == other.inactive)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.tokens, self.arcs, self.inactive))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -151,22 +176,20 @@ class EntityMention:
 def find_entity_head(graph: DependencyGraph, start: int, end: int) -> int:
     """The unique span token whose head lies outside the span; annotation
     noise with several such tokens is broken toward the shallowest one."""
+    heads, n = graph.heads, len(graph.heads) - 1
     if start > end:
         raise InvalidSpan(f"empty span [{start}, {end}]")
-    if end - start >= len(graph.tokens):   # more indices than the sentence has tokens
+    if end - start >= n:   # more indices than the sentence has tokens
         raise InvalidSpan(f"span [{start}, {end}] leaves the sentence")
-    span = [i for i in range(start, end + 1)
-            if graph.has_token(i) and i not in graph.inactive]
+    span = [i for i in range(max(start, 1), min(end, n) + 1) if heads[i] != -1]
     if not span:
         raise InvalidSpan(f"span [{start}, {end}] covers no active token")
-    if any(not graph.has_token(i) for i in range(start, end + 1)):
+    if start < 1 or end > n:
         raise InvalidSpan(f"span [{start}, {end}] leaves the sentence")
-    inside = set(span)
-    candidates = [i for i in span
-                  if graph.head_index(i) is None or graph.head_index(i) not in inside]
-    if not candidates:
-        raise InvalidSpan(f"span [{start}, {end}] has no head candidate")
-    return min(candidates, key=lambda i: (graph.depth(i), i))
+    # a head inside the span is active, so a head outside it is one outside
+    # [start, end]; the span's shallowest token is always such a candidate
+    depths = graph.depths
+    return min((depths[i], i) for i in span if not start <= heads[i] <= end)[1]
 
 
 def entity_mention(graph: DependencyGraph, start: int, end: int) -> EntityMention:
@@ -182,22 +205,21 @@ def shortest_path(graph: DependencyGraph, a: int, b: int) -> tuple[list[int], li
     its relation + INVERSE_SUFFIX, a hop down the bare relation. A
     validated graph is one tree, so every pair of active tokens has a path.
     """
+    heads, relations, depths = graph.heads, graph.relations, graph.depths
     for idx in (a, b):
-        if not graph.has_token(idx) or idx in graph.inactive:
+        if not 0 < idx < len(heads) or heads[idx] == -1:
             raise InvalidSpan(f"no active token with index {idx}")
     tokens, labels = [a], []
-    down: list[Arc] = []          # arcs climbed from b, walked back down at the end
+    down: list[int] = []          # tokens climbed from b, walked back down at the end
     while a != b:
-        if graph.depth(a) >= graph.depth(b):
-            arc = graph.head_arc(a)
-            tokens.append(arc.head)
-            labels.append(arc.relation + INVERSE_SUFFIX)
-            a = arc.head
+        if depths[a] >= depths[b]:
+            labels.append(relations[a] + INVERSE_SUFFIX)
+            a = heads[a]
+            tokens.append(a)
         else:
-            arc = graph.head_arc(b)
-            down.append(arc)
-            b = arc.head
-    for arc in reversed(down):
-        tokens.append(arc.dependent)
-        labels.append(arc.relation)
+            down.append(b)
+            b = heads[b]
+    for token in reversed(down):
+        tokens.append(token)
+        labels.append(relations[token])
     return tokens, labels

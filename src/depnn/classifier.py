@@ -236,9 +236,9 @@ class Model:
         tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
         rel_rows = relation_rows(labels, self.vocab)
-        heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
-        lex_rows = [[self.vocab.ner_row(tok.ner_tag) if table == NER_EMB
-                     else self.vocab.wn_row(tok.wn_hypernym) for tok in heads]
+        heads = (instance.e1.head_index, instance.e2.head_index)
+        lex_rows = [[self.vocab.ner_row(graph.ner_tags[head]) if table == NER_EMB
+                     else self.vocab.wn_row(graph.wn_tags[head]) for head in heads]
                     for table in self._lex_tables]
         windows = self._windows.get(len(tokens))
         if windows is None:

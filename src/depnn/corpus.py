@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adp import (INVERSE_SUFFIX, Arc, DependencyGraph, EntityMention, InvalidSpan,
-                  Token, TreeViolation, entity_mention)
+from .adp import (INVERSE_SUFFIX, DependencyGraph, EntityMention, InvalidSpan, TreeViolation,
+                  entity_mention)
 
 RELATION_TYPES = (
     "Cause-Effect",
@@ -129,13 +129,14 @@ class Instance:
         """Both entity heads are active tokens of the one tree, each inside
         its own span, and the spans do not overlap: so the instance has a
         path between its heads."""
+        heads = self.graph.heads
         for mention in (self.e1, self.e2):
             for idx in (mention.start, mention.end, mention.head_index):
-                if not self.graph.has_token(idx):
+                if not 0 < idx < len(heads):
                     raise InvalidSpan(f"span index {idx} has no token")
             if not mention.start <= mention.head_index <= mention.end:
                 raise InvalidSpan(f"head outside span {mention}")
-            if mention.head_index in self.graph.inactive:
+            if heads[mention.head_index] == -1:
                 raise InvalidSpan(f"head {mention.head_index} is not in the tree")
         if self.e1.start <= self.e2.end and self.e2.start <= self.e1.end:
             raise InvalidSpan("entity spans overlap")
@@ -219,18 +220,14 @@ def read_semeval_raw(path) -> list[RawRecord]:
 # --- parsed-instance interchange format ------------------------------------
 
 def _instance_to_record(instance: Instance) -> dict:
-    tokens = []
-    for tok in instance.graph.tokens:
-        if tok.index in instance.graph.inactive:
-            head, rel = -1, None
-        else:
-            arc = instance.graph.head_arc(tok.index)
-            head = arc.head if arc is not None else 0
-            rel = arc.relation if arc is not None else "root"
-        tokens.append([tok.form, tok.lemma, head, rel, tok.ner_tag, tok.wn_hypernym])
+    graph = instance.graph
+    rows = zip(graph.forms, graph.lemmas, graph.heads, graph.relations, graph.ner_tags,
+               graph.wn_tags)
+    next(rows)      # slot 0, the root's virtual head
     return {
         "id": instance.id,
-        "tokens": tokens,
+        "tokens": [[form, lemma, head, "root" if head == 0 else rel, ner, wn]
+                   for form, lemma, head, rel, ner, wn in rows],
         "e1": [instance.e1.start, instance.e1.end],
         "e2": [instance.e2.start, instance.e2.end],
         "label": instance.gold,
@@ -298,20 +295,19 @@ def _check_record(record, line_no: int) -> None:
         _check_arc(head, rel, pos, line_no)
 
 
+# the row that stands at slot 0 of the graph's columns, the root's virtual head
+_HEAD_SLOT = (None, None, -1, None, None, None)
+
+
 def _graph(rows) -> DependencyGraph:
     """The dependency graph of checked token rows [form, lemma, head,
     relation, ner, wordnet]: head 0 marks the root, whose relation may be
-    absent, and head -1 a token kept out of the tree."""
-    tokens = []
-    arcs = []
-    inactive = []
-    for pos, (form, lemma, head, rel, ner, wn) in enumerate(rows, start=1):
-        tokens.append(Token(pos, form, lemma, ner, wn))
-        if head == -1:
-            inactive.append(pos)
-        else:
-            arcs.append(Arc(head, pos, rel or "root") if head == 0 else Arc(head, pos, rel))
-    return DependencyGraph(tokens, arcs, inactive)
+    absent, and head -1 a token kept out of the tree, whose relation is
+    ignored. The rows' columns are the graph's."""
+    forms, lemmas, heads, rels, ner_tags, wn_tags = zip(_HEAD_SLOT, *rows)
+    relations = [None if head == -1 else (rel or "root") if head == 0 else rel
+                 for head, rel in zip(heads, rels)]
+    return DependencyGraph.from_columns(forms, lemmas, ner_tags, wn_tags, heads, relations)
 
 
 def _instance_from_record(record, line_no: int) -> Instance:
@@ -474,9 +470,12 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
                 raise DimensionMismatch(f"{path}: line {line_no}: expected {dim} values "
                                         f"for {word!r}, got {len(values)}")
             try:
-                vectors[word] = np.array([float(v) for v in values], dtype=np.float64)
+                vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise FormatError(f"non-numeric embedding value for {word!r}", line_no) from None
+            if not np.isfinite(vector).all():
+                raise FormatError(f"non-finite embedding value for {word!r}", line_no)
+            vectors[word] = vector
     if dim is None:
         raise FormatError("embedding file is empty and no dimension was given", path=path)
     unk = np.mean(np.stack(list(vectors.values())), axis=0) if vectors else np.zeros(dim)
@@ -527,17 +526,16 @@ class Vocabulary:
         ner: set[str] = set()
         wn: set[str] = set()
         for instance in instances:
-            for tok in instance.graph.tokens:
-                forms.add(tok.form)
-                if tok.ner_tag is not None:
-                    ner.add(tok.ner_tag)
-                if tok.wn_hypernym is not None:
-                    wn.add(tok.wn_hypernym)
-            for arc in instance.graph.arcs:
-                if arc.head != 0:
-                    base_relations.add(arc.relation)
-        # a word form or tag written <unk>, as PTB-style corpora hold, reads the UNK row
+            graph = instance.graph
+            forms.update(graph.forms)
+            ner.update(graph.ner_tags)
+            wn.update(graph.wn_tags)
+            base_relations.update(rel for head, rel in zip(graph.heads, graph.relations)
+                                  if head > 0)
+        # slot 0 and absent tags are None; a word form or tag written <unk>,
+        # as PTB-style corpora hold, reads the UNK row
         for collected in (forms, ner, wn):
+            collected.discard(None)
             collected.discard(UNK)
         directed = sorted(base_relations | {r + INVERSE_SUFFIX for r in base_relations})
         return cls(

@@ -141,9 +141,10 @@ def nearest_paths(query, candidates, model, top_n: int = 3):
 def describe_path(instance) -> str:
     """The instance's shortest path as 'form label form ...' text, each
     label directed as the path traverses it."""
-    graph = instance.graph
-    tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
-    parts = [graph.token(tokens[0]).form]
+    forms = instance.graph.forms
+    tokens, labels = shortest_path(instance.graph, instance.e1.head_index,
+                                   instance.e2.head_index)
+    parts = [forms[tokens[0]]]
     for label, token in zip(labels, tokens[1:]):
-        parts += [label, graph.token(token).form]
+        parts += [label, forms[token]]
     return " ".join(parts)

@@ -317,13 +317,26 @@ def _read_manifest_lines(path, fh) -> list[str]:
     return lines
 
 
-def _read_exactly(path, fh, name: str, array: np.ndarray) -> None:
-    """Fill a contiguous array's bytes from fh, or raise ModelFormatError."""
-    view = array.reshape(-1).view(np.uint8)
-    got = fh.readinto(view)
-    if got != view.size:
-        raise ModelFormatError(f"{path}: tensor {name!r} is cut short: "
-                               f"read {got} of {view.size} bytes")
+def _read_tensor(path, fh, name: str, value: np.ndarray, stored: np.dtype) -> None:
+    """Fill a contiguous buffer (a tensor's float64 one, or __meta__'s
+    bytes) from fh, which holds its elements in dtype `stored`, in blocks
+    of INIT_BLOCK elements: each block is converted through a block-sized
+    buffer when stored in another dtype, and checked to be finite while it
+    is in cache. A short read or a NaN or infinity raises ModelFormatError."""
+    flat = value.reshape(-1)
+    convert = None if stored == value.dtype else np.empty(min(flat.size, INIT_BLOCK), stored)
+    for start in range(0, flat.size, INIT_BLOCK):
+        block = flat[start:start + INIT_BLOCK]
+        raw = block if convert is None else convert[:block.size]
+        got = fh.readinto(raw.view(np.uint8))
+        if got != raw.nbytes:
+            raise ModelFormatError(f"{path}: tensor {name!r} is cut short: read "
+                                   f"{start * stored.itemsize + got} of "
+                                   f"{flat.size * stored.itemsize} bytes")
+        if raw is not block:
+            block[...] = raw
+        if not np.isfinite(block).all():
+            raise ModelFormatError(f"{path}: tensor {name!r} holds a non-finite value")
 
 
 def load_store(path) -> tuple[ParameterStore, dict]:
@@ -333,9 +346,10 @@ def load_store(path) -> tuple[ParameterStore, dict]:
     The file is streamed: the manifest is checked against the payload size
     taken from the file's size, __meta__ is read for the tensor kinds, and
     then each tensor in manifest order is registered and its bytes read
-    straight into the new float64 buffer. A tensor stored in another dtype
-    or byte order is read alone and converted into the buffer. So the
-    largest allocation beyond the store is one converted tensor's bytes."""
+    straight into the new float64 buffer, block by block (_read_tensor). A
+    tensor stored in another dtype or byte order is converted one block at
+    a time. So the largest allocation beyond the store is one block. A
+    tensor holding a NaN or an infinity is refused."""
     with open(path, "rb") as fh:
         lines = _read_manifest_lines(path, fh)
         payload_start = fh.tell()
@@ -348,7 +362,7 @@ def load_store(path) -> tuple[ParameterStore, dict]:
         _, shape, dtype, offset = meta[0]
         raw = np.empty(_nbytes(shape, dtype), dtype=np.uint8)
         fh.seek(payload_start + offset)
-        _read_exactly(path, fh, META_NAME, raw)
+        _read_tensor(path, fh, META_NAME, raw, raw.dtype)
         try:
             blob = json.loads(raw.tobytes().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -367,11 +381,5 @@ def load_store(path) -> tuple[ParameterStore, dict]:
             except ValueError as exc:       # an unknown kind, or too many dimensions
                 raise ModelFormatError(f"{path}: tensor {name!r}: {exc}") from None
             fh.seek(payload_start + offset)
-            stored = np.dtype(_DTYPE_CODES[dtype])
-            if stored == value.dtype:
-                _read_exactly(path, fh, name, value)
-            else:
-                raw = np.empty(shape, dtype=stored)
-                _read_exactly(path, fh, name, raw)
-                value[...] = raw
+            _read_tensor(path, fh, name, value, np.dtype(_DTYPE_CODES[dtype]))
     return store, blob["user"]

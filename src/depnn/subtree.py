@@ -47,6 +47,7 @@ def compile_nodes(graph, path_tokens, vocab, include_subtree: bool = True) -> np
     which is how the path-only ablation runs.
     """
     on_path = set(path_tokens)
+    forms, relations, children = graph.forms, graph.relations, graph.children
     rows: list[int] = []
     parents: list[int] = []
     comps: list[int] = []
@@ -54,15 +55,14 @@ def compile_nodes(graph, path_tokens, vocab, include_subtree: bool = True) -> np
         stack = [(word, PATH, PATH)]
         while stack:
             token, parent, comp = stack.pop()
-            rows.append(vocab.word_row(graph.token(token).form))
+            rows.append(vocab.word_row(forms[token]))
             parents.append(parent)
             comps.append(comp)
             if include_subtree:
                 slot = len(parents) - 1
                 # pushed in reverse, so the lowest child is popped first
-                stack += [(arc.dependent, slot, vocab.comp_id(arc.relation))
-                          for arc in reversed(graph.children(token))
-                          if arc.dependent not in on_path]
+                stack += [(kid, slot, vocab.comp_id(relations[kid]))
+                          for kid in reversed(children[token]) if kid not in on_path]
     return np.array([rows, parents, comps], dtype=np.int32)
 
 

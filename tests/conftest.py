@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token
+from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
 from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
-from depnn.path_cnn import CONV_B, CONV_W, filter_blocks, word_slots
+from depnn.path_cnn import CONV_B, CONV_W, filter_blocks, relation_rows, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
                            compile_nodes)
 
@@ -35,6 +35,154 @@ def random_tree(rng, max_nodes=12, labels=("nsubj", "dobj", "det", "amod", "prep
         parent = 1 + int(rng.integers(i - 1))
         arcs.append(Arc(parent, i, labels[int(rng.integers(len(labels)))]))
     return DependencyGraph(tokens, arcs)
+
+
+class ObjectGraph:
+    """The graph as one Token per token and one Arc per arc, checked by a
+    head-chain walk per token: the object-building oracle of
+    DependencyGraph's columns."""
+
+    def __init__(self, tokens, arcs, inactive=()):
+        self.tokens = tuple(tokens)
+        self.inactive = frozenset(inactive)
+        if not self.tokens:
+            raise TreeViolation("a sentence needs at least one token")
+        self._by_index = {}
+        for tok in self.tokens:
+            if tok.index < 1:
+                raise TreeViolation(f"token index {tok.index} below 1")
+            if tok.index in self._by_index:
+                raise TreeViolation(f"duplicate token index {tok.index}")
+            self._by_index[tok.index] = tok
+        for idx in self.inactive:
+            if idx not in self._by_index:
+                raise TreeViolation(f"inactive index {idx} has no token")
+        self.arcs = tuple(sorted((Arc(*a) for a in arcs), key=lambda a: (a.head, a.dependent)))
+        self.root_arc = {}            # every token's arc from its head, the root's included
+        self._children = {}
+        for arc in self.arcs:
+            if arc.dependent not in self._by_index:
+                raise TreeViolation(f"arc dependent {arc.dependent} has no token")
+            if arc.head != 0 and arc.head not in self._by_index:
+                raise TreeViolation(f"arc head {arc.head} has no token")
+            if arc.dependent in self.inactive or arc.head in self.inactive:
+                raise TreeViolation(f"inactive token participates in arc {arc}")
+            if arc.dependent in self.root_arc:
+                raise TreeViolation(f"token {arc.dependent} has more than one head")
+            self.root_arc[arc.dependent] = arc
+            if arc.head != 0:
+                self._children.setdefault(arc.head, []).append(arc)
+        active = [t.index for t in self.tokens if t.index not in self.inactive]
+        roots = [i for i in active if i not in self.root_arc or self.root_arc[i].head == 0]
+        if len(roots) != 1:
+            raise TreeViolation(f"expected exactly one root, found {sorted(roots)}")
+        self.root = roots[0]
+        self._depth = {self.root: 0}
+        for idx in active:
+            chain = []
+            node = idx
+            while node not in self._depth:
+                chain.append(node)
+                arc = self.root_arc.get(node)
+                node = arc.head if arc is not None else 0
+                if node in chain or len(chain) > len(self.tokens):
+                    raise TreeViolation(f"cycle through token {idx}")
+            for offset, member in enumerate(reversed(chain), start=1):
+                self._depth[member] = self._depth[node] + offset
+
+    def token(self, index):
+        return self._by_index[index]
+
+    def children(self, index):
+        return tuple(self._children.get(index, ()))
+
+    def head_arc(self, index):
+        arc = self.root_arc.get(index)
+        return None if arc is None or arc.head == 0 else arc
+
+    def depth(self, index):
+        return self._depth[index]
+
+
+def object_graph(rows):
+    """The ObjectGraph of checked DEPNN-INST token rows, one Token and one
+    Arc made per row, as the instance reader built its graphs."""
+    tokens, arcs, inactive = [], [], []
+    for pos, (form, lemma, head, rel, ner, wn) in enumerate(rows, start=1):
+        tokens.append(Token(pos, form, lemma, ner, wn))
+        if head == -1:
+            inactive.append(pos)
+        else:
+            arcs.append(Arc(head, pos, rel or "root") if head == 0 else Arc(head, pos, rel))
+    return ObjectGraph(tokens, arcs, inactive)
+
+
+def assert_same_graph(graph, oracle):
+    """A DependencyGraph against its ObjectGraph: the tokens, the arcs, the
+    root, and per token its depth, its children in order and its head arc."""
+    assert graph.tokens == oracle.tokens
+    assert graph.arcs == oracle.arcs
+    assert (graph.root, graph.inactive) == (oracle.root, oracle.inactive)
+    for tok in oracle.tokens:
+        i = tok.index
+        arc = oracle.root_arc.get(i)
+        assert (graph.heads[i], graph.relations[i]) == (
+            (-1, None) if i in oracle.inactive else (0, None) if arc is None
+            else (arc.head, arc.relation))
+        if i in oracle.inactive:
+            assert (graph.depths[i], graph.children[i]) == (-1, [])
+            continue
+        assert graph.depths[i] == oracle.depth(i)
+        assert graph.children[i] == [kid.dependent for kid in oracle.children(i)]
+        if oracle.head_arc(i) is not None:
+            assert Arc(graph.heads[i], i, graph.relations[i]) == oracle.head_arc(i)
+
+
+def object_shortest_path(graph, a, b):
+    """adp.shortest_path climbing an ObjectGraph's Arc objects."""
+    tokens, labels, down = [a], [], []
+    while a != b:
+        if graph.depth(a) >= graph.depth(b):
+            arc = graph.head_arc(a)
+            tokens.append(arc.head)
+            labels.append(arc.relation + INVERSE_SUFFIX)
+            a = arc.head
+        else:
+            arc = graph.head_arc(b)
+            down.append(arc)
+            b = arc.head
+    for arc in reversed(down):
+        tokens.append(arc.dependent)
+        labels.append(arc.relation)
+    return tokens, labels
+
+
+def object_compile(model, instance, graph):
+    """What Model.compile made of an instance by way of its ObjectGraph: the
+    subtree schedule, the relation rows and the lexical rows, each node's
+    form and children read off Token and Arc objects."""
+    vocab = model.vocab
+    tokens, labels = object_shortest_path(graph, instance.e1.head_index,
+                                          instance.e2.head_index)
+    on_path = set(tokens)
+    rows, parents, comps = [], [], []
+    for word in tokens:
+        stack = [(word, PATH, PATH)]
+        while stack:
+            token, parent, comp = stack.pop()
+            rows.append(vocab.word_row(graph.token(token).form))
+            parents.append(parent)
+            comps.append(comp)
+            if model.config.use_subtrees:
+                slot = len(parents) - 1
+                stack += [(arc.dependent, slot, vocab.comp_id(arc.relation))
+                          for arc in reversed(graph.children(token))
+                          if arc.dependent not in on_path]
+    heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
+    lex_rows = [[vocab.ner_row(tok.ner_tag) if table == "ner_emb" else vocab.wn_row(tok.wn_hypernym)
+                 for tok in heads] for table in model._lex_tables]
+    return (np.array([rows, parents, comps], dtype=np.int32), relation_rows(labels, vocab),
+            np.array(lex_rows, dtype=np.int32).reshape(-1, 2))
 
 
 def enumerate_tree_path(graph, a, b):
@@ -81,11 +229,11 @@ def offpath_descendants(graph, path_tokens, word):
     stack = [word]
     while stack:
         node = stack.pop()
-        for arc in graph.children(node):
-            if arc.dependent in path_tokens or arc.dependent in out:
+        for kid in graph.children[node]:
+            if kid in path_tokens or kid in out:
                 continue
-            out.add(arc.dependent)
-            stack.append(arc.dependent)
+            out.add(kid)
+            stack.append(kid)
     return out
 
 
@@ -341,11 +489,11 @@ def attach_subtrees(graph, tokens) -> AugmentedDependencyPath:
         stack = [word]
         while stack:
             node = stack.pop()
-            for arc in graph.children(node):
-                if arc.dependent in on_path:
+            for kid in graph.children[node]:
+                if kid in on_path:
                     continue
-                collected.append(arc)
-                stack.append(arc.dependent)
+                collected.append(Arc(node, kid, graph.relations[kid]))
+                stack.append(kid)
         subtrees[word] = tuple(collected)
     return AugmentedDependencyPath(tuple(tokens), subtrees)
 
@@ -372,7 +520,7 @@ def scheduled_subtrees(graph, path_tokens):
             word = token
             subtrees[word] = set()
         else:
-            assert graph.head_index(token) == tokens[parent]
+            assert graph.heads[token] == tokens[parent]
             subtrees[word].add(token)
     assert list(subtrees) == list(path_tokens)
     return subtrees
@@ -407,7 +555,7 @@ def encode_word(graph, adp, word, store, vocab, include_subtree=True):
 
 
 def _encode(node, graph, children_of, store, vocab):
-    row = vocab.word_row(graph.token(node).form)
+    row = vocab.word_row(graph.forms[node])
     x = store.value(WORD_EMB)[row]
     arcs = sorted(children_of.get(node, ()), key=lambda a: a.dependent)
     if not arcs:

@@ -65,7 +65,7 @@ class TestFindEntityHead:
         # both 2 and 3 are headed outside [2,3]; 3 is shallower
         g = graph_of(5, [(0, 4, "root"), (4, 3, "a"), (4, 5, "b"),
                          (5, 2, "c"), (2, 1, "d")])
-        assert g.depth(3) < g.depth(2)
+        assert g.depths[3] < g.depths[2]
         assert find_entity_head(g, 2, 3) == 3
 
     def test_invalid_spans(self):

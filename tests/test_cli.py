@@ -313,7 +313,7 @@ class TestConvert:
         assert captured.err == "  2: token '_' not found in sentence\n"
         inst, = read_parsed_instances(out)
         assert [tok.form for tok in inst.graph.tokens] == ["snake_case", "names", "_"]
-        assert inst.graph.token(1).lemma is None
+        assert inst.graph.lemmas[1] is None
 
     def test_bad_raw_format_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

@@ -230,7 +230,7 @@ class TestConverter:
         assert (inst.e1.start, inst.e1.end) == (2, 2)
         assert (inst.e2.start, inst.e2.end) == (8, 8)
         assert inst.gold == "Instrument-Agency(e2,e1)"
-        assert inst.graph.token(2).ner_tag == "PER"
+        assert inst.graph.ner_tags[2] == "PER"
 
     def test_missing_parse_block_reported(self, tmp_path):
         raws = self.raw_records(tmp_path)
@@ -302,6 +302,13 @@ class TestEmbeddings:
         with pytest.raises(DimensionMismatch) as err:
             load_embeddings(path)
         assert str(err.value) == f"{path}: line 2: expected 3 values for 'cat', got 2"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_value_names_file_line_and_token(self, tmp_path, bad):
+        path = self.write(tmp_path, f"dog 1 2 3\ncat 1 {bad} 3\n")
+        with pytest.raises(FormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: line 2: non-finite embedding value for 'cat'"
 
     def test_expected_dim_enforced(self, tmp_path):
         path = self.write(tmp_path, "dog 1 2 3\n")

@@ -3,11 +3,13 @@
 A damaged model file either loads or fails with ModelFormatError or
 ModelFileMismatch, and `depnn predict` reports such a failure as a data
 error (exit 2) without a traceback. The mutations are truncations at every
-manifest-line boundary and at random payload offsets, and random byte
-replacements inside the manifest and inside the __meta__ JSON.
+manifest-line boundary and at random payload offsets, random byte
+replacements inside the manifest and inside the __meta__ JSON, and a NaN
+or an infinity written over one element of a tensor's payload.
 """
 
 import random
+import struct
 
 import pytest
 
@@ -22,6 +24,7 @@ from conftest import tiny_model
 SEED = 20260
 PAYLOAD_CUTS = 40
 FLIPS_PER_REGION = 150
+NON_FINITE = 40
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,26 @@ def mutants(data, header_end, meta_range):
                 damaged[at] = byte
                 changes.append(f"{at}={byte}")
             yield f"{region} bytes {','.join(changes)}", bytes(damaged)
+    yield from non_finite_mutants(data, header_end, rng)
+
+
+def non_finite_mutants(data, header_end, rng):
+    """(description, damaged bytes) with a NaN or an infinity written over a
+    random element of a random f8 tensor, the description naming the tensor."""
+    tensors = []
+    for line in data[:header_end].decode("ascii").split("\n")[1:]:
+        name, shape, dtype, offset = line.split("\t")
+        size = 1
+        for dim in shape.split(","):
+            size *= int(dim)
+        if dtype == "f8" and size:
+            tensors.append((name, header_end + 2 + int(offset), size))
+    for _ in range(NON_FINITE):
+        name, start, size = rng.choice(tensors)
+        at = start + 8 * rng.randrange(size)
+        value = rng.choice((float("nan"), float("inf"), float("-inf")))
+        yield (f"tensor {name!r} holds {value}",
+               data[:at] + struct.pack("<d", value) + data[at + 8:])
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +105,16 @@ def test_damaged_model_files_fail_only_as_format_errors(outcomes):
     assert not wrong, "\n".join(wrong[:10])
     # every truncation must fail; byte flips mostly do
     assert sum(exc is not None for _, _, exc in outcomes) > 2 * PAYLOAD_CUTS
+
+
+def test_non_finite_payload_is_refused_naming_the_tensor(outcomes):
+    non_finite = [(description, exc) for description, _, exc in outcomes
+                  if " holds " in description]
+    assert len(non_finite) == NON_FINITE
+    for description, exc in non_finite:
+        name = description.split(" holds ")[0].removeprefix("tensor ")
+        assert isinstance(exc, ModelFormatError), description
+        assert f"tensor {name} holds a non-finite value" in str(exc), (description, exc)
 
 
 def test_predict_reports_damaged_model_as_data_error(tmp_path, outcomes, capsys):

@@ -8,12 +8,17 @@ without a traceback. Parse blocks that read convert with the sound raw
 records, reporting what does not align or is not one tree as a failure of
 that instance. The mutations replace, insert and delete bytes, copy
 a run of bytes elsewhere, rename a word, write '_' (an absent value) over a
-TAB-separated field, and cut the file, 1 to 3 of them per mutant.
+TAB-separated field, or over an embedding file's space-separated field '_',
+'nan', 'inf' or '-inf', and cut the file, 1 to 3 of them per mutant.
+Every instance of a file that reads has the graph that the object-building
+oracle makes of its token rows.
 """
 
+import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from depnn import cli, synth
@@ -21,6 +26,8 @@ from depnn.cli import main
 from depnn.corpus import (DimensionMismatch, FormatError, convert, load_embeddings,
                           read_parse_blocks, read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
+
+from conftest import assert_same_graph, object_graph
 
 SEED = 31337
 MUTANTS = 300
@@ -30,6 +37,10 @@ SPECIAL = b'\t\n\r "#-=0179[]{},:_<>/e\\\xff\xc3'
 # names a relation may not take, which a renamed word takes: the suffix of
 # a directed label, appended to the word, and the vocabulary's own entries
 NAMES = (b"_inv", b"<unk>", b"<path-start>", b"<path-end>", b"<default>")
+# per reader, the fields a mutation writes over and what it writes: an
+# absent value, and in an embedding file also a number that is not finite
+FIELDS = (rb"[^\t\n]+", (b"_",))
+EMBEDDING_FIELDS = (rb"[^ \n]+", (b"_", b"nan", b"inf", b"-inf"))
 
 RAW = ('1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."\n'
        "Instrument-Agency(e2,e1)\n"
@@ -68,7 +79,8 @@ CONFIG = ("# a run\n"
           "dim_c = 4\n")
 
 
-def mutate(data: bytes, rng: random.Random) -> bytes:
+def mutate(data: bytes, rng: random.Random, fields=FIELDS) -> bytes:
+    field_pattern, blanks = fields
     damaged = bytearray(data)
     for _ in range(rng.randint(1, 3)):
         byte = rng.choice(SPECIAL) if rng.random() < 0.5 else rng.randrange(256)
@@ -89,10 +101,12 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
                 word, name = rng.choice(words), rng.choice(NAMES)
                 damaged[word.start():word.end()] = word[0] + name if name == NAMES[0] else name
         elif op == 5:
-            fields = list(re.finditer(rb"[^\t\n]+", damaged))
-            if fields:
-                field = rng.choice(fields)
-                damaged[field.start():field.end()] = b"_"
+            found = list(re.finditer(field_pattern, damaged))
+            if found:
+                field = rng.choice(found)
+                # one blank draws nothing, so the other readers' mutants stay as they were
+                blank = rng.choice(blanks) if len(blanks) > 1 else blanks[0]
+                damaged[field.start():field.end()] = blank
         else:
             del damaged[at:]
     return bytes(damaged)
@@ -147,8 +161,9 @@ def outcomes(request, tmp_path_factory):
     rng = random.Random(f"{SEED}/{name}")
     path = tmp_path / "damaged"
     results = []
+    fields = EMBEDDING_FIELDS if name == "embeddings" else FIELDS
     for _ in range(MUTANTS):
-        damaged = mutate(data, rng)
+        damaged = mutate(data, rng, fields)
         _write(path, damaged)
         try:
             reader(path)
@@ -211,3 +226,32 @@ def test_parse_blocks_that_read_convert_without_raising(outcomes, tmp_path):
             assert len(instances) + len(failures) == len(records), damaged
             read += 1
     assert read >= MUTANTS // 5
+
+
+@pytest.mark.parametrize("outcomes", ["instances"], indirect=True)
+def test_instance_files_that_read_have_the_oracle_graphs(outcomes, tmp_path):
+    _, _, results = outcomes
+    read = 0
+    for damaged, exc in results:
+        if exc is None:
+            path = _write(tmp_path / "read.inst", damaged)
+            # the lines as the reader sees them: universal newlines, blank lines skipped
+            lines = path.read_text(encoding="utf-8").split("\n")[1:]
+            records = [json.loads(line) for line in lines if line.strip()]
+            instances = read_parsed_instances(path)
+            assert len(instances) == len(records), damaged
+            for instance, record in zip(instances, records):
+                assert_same_graph(instance.graph, object_graph(record["tokens"]))
+            read += 1
+    assert read >= MUTANTS // 20     # most mutants break the JSON
+
+
+@pytest.mark.parametrize("outcomes", ["embeddings"], indirect=True)
+def test_embedding_files_that_read_are_finite(outcomes, tmp_path):
+    _, path, results = outcomes
+    refused = [exc for _, exc in results if "non-finite embedding value" in str(exc)]
+    assert refused and all(str(exc).startswith(f"{path}: line ") for exc in refused)
+    for damaged, exc in results:
+        if exc is None:
+            table = load_embeddings(_write(tmp_path / "read.vec", damaged))
+            assert all(np.isfinite(vector).all() for vector in table.vectors.values()), damaged

@@ -105,7 +105,7 @@ class TestForward:
         emb = store.value(WORD_EMB)
 
         def naive(node, arcs_of):
-            x = emb[vocab.word_row(graph.token(node).form)]
+            x = emb[vocab.word_row(graph.forms[node])]
             arcs = arcs_of.get(node, ())
             if not arcs:
                 return np.concatenate([x, leaf])
