@@ -324,7 +324,8 @@ class Model:
               epochs: int | None = None) -> TrainReport:
         """Epochs of shuffled per-instance SGD. The shuffle stream continues
         across calls, so n calls of one epoch replay one call of n epochs.
-        Every instance is compiled once per call, before the first step."""
+        Every instance is compiled once per call, before the first step, and
+        every pending step is applied before it returns."""
         if not instances:
             raise EmptyDataset("training needs a non-empty dataset")
         compiled = [self.compile(inst) for inst in instances]
@@ -348,6 +349,7 @@ class Model:
             report.val_f1.append(val_f1)
             if progress is not None:
                 progress(epoch + 1, mean_loss, val_f1)
+        self.store.apply_pending()
         return report
 
     # --- persistence ---------------------------------------------------------

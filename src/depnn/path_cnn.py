@@ -24,16 +24,13 @@ from .subtree import PAD_WORD, REL_EMB
 CONV_W = "conv_w"
 CONV_B = "conv_b"
 
-# bytes of filter per block of the filter products and of conv_backward's
-# update: 32 rows of the 200-d filter (400 x 1300 float64), 128 rows of the
-# 50-d one (200 x 325). OpenBLAS (0.3.31 on an AVX-512 x86-64 CPU) runs a
-# product of at most 100^3 multiply-adds on its small-matrix kernels, which
-# read the filter in place; a larger one first copies (packs) the operands
-# into scratch buffers, on every call. A path's windows times one block stay
-# under that up to 24 windows, so the forward and the backward each read the
-# filter once: a 4-window product with the whole 200-d filter took 0.50 ms,
-# in blocks 0.25 ms. A block's update is one product's output, as large as
-# the block, so it stays in cache while it is scaled and applied.
+# bytes of filter per block of the forward's and the backward's products:
+# 32 rows of the 200-d filter (400 x 1300 float64), 128 rows of the 50-d one
+# (200 x 325). A path's windows times one block stay within
+# numerics.SMALL_PRODUCT up to 24 windows, on kernels that read the filter in
+# place, so the forward and the backward each read the filter once: a
+# 4-window product with the whole 200-d filter took 0.50 ms, in blocks
+# 0.25 ms. The filter's SGD step is held pending (ParameterStore.defer).
 CONV_W_BLOCK_BYTES = 32 * 1300 * 8
 
 
@@ -121,7 +118,7 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
     rel_rows are relation_rows' index of the path; word_vecs the encoded
     p_w vectors of the path words, one row each, in order.
     """
-    conv_w = store.value(CONV_W)
+    conv_w, left, right = store.factors(CONV_W)
     # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
     tables = (store.value(REL_EMB)[rel_rows], np.vstack([store.value(PAD_WORD), word_vecs]))
     inputs = np.concatenate([tables[word][slot] for word, slot
@@ -132,6 +129,8 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
     pre = np.empty((len(windows), len(conv_w)))
     for block in filter_blocks(conv_w):
         np.matmul(inputs, conv_w[block].T, out=pre[:, block])
+    if left is not None:        # the filter is conv_w - left @ right
+        pre -= (inputs @ right.T) @ left.T
     pre += store.value(CONV_B)
     feature_map = np.tanh(pre, out=pre) if use_tanh else pre
     pooled, argmax = max_over_time(feature_map)
@@ -146,18 +145,22 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     (returned, one row per path word in path order).
 
     Each goes through gradient.step, so a training step's Gradient updates
-    them here, in place, the relation rows in one step. Max-pooling routes each
-    unit to one window, so a filter block's gradient, one product of the
-    routed unit gradients and the windows, sums one nonzero term per entry."""
+    them here, in place, the relation rows in one step. The filter's
+    gradient is the product of the routed unit gradients and the windows,
+    of rank at most the window count: a training step's Gradient hands it
+    to the store as those two factors, to hold pending, once the window
+    vectors' gradient has read the filter with every earlier step."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
-    conv_w = store.value(CONV_W)
+    conv_w, left, right = store.factors(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
     gradient.step(CONV_B, ..., d_pre)       # spends d_pre, not upstream: read last above
     d_inputs = np.zeros_like(cache.inputs)
     for block in filter_blocks(conv_w):
-        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
-        gradient.step(CONV_W, block, d_features[:, block].T @ cache.inputs)
+        d_inputs += d_features[:, block] @ conv_w[block]
+    if left is not None:        # the filter is conv_w - left @ right
+        d_inputs -= (d_features @ left) @ right
+    gradient.step(CONV_W, ..., (d_features.T, cache.inputs))
 
     # the window vectors' slots, split back apart: word slots go to the path
     # words and the pad, relation slots to their relation-embedding rows

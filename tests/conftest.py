@@ -417,6 +417,37 @@ def gathered_conv_backward(cache, upstream, store, gradient):
     return d_words[1:]
 
 
+def sequential_conv_backward(cache, upstream, store, gradient):
+    """path_cnn.conv_backward with the filter's SGD step taken at once, block
+    by block, each block's share of the window-vector gradient formed before
+    that block's step: the step that the deferred low-rank one replaced.
+    Every write goes through gradient.step; the filter is read through
+    store.value, so nothing of it is left pending."""
+    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
+    conv_w = store.value(CONV_W)
+    d_features = np.zeros_like(cache.feature_map)
+    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
+    gradient.step(CONV_B, ..., d_pre)
+    d_inputs = np.zeros_like(cache.inputs)
+    for block in filter_blocks(conv_w):
+        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
+        gradient.step(CONV_W, block, d_features[:, block].T @ cache.inputs)
+
+    windows = cache.windows
+    is_word = word_slots(windows.shape[1])
+    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
+    d_word_slots, d_rel_slots, start = [], [], 0
+    for word in is_word.tolist():
+        width = word_dim if word else rel_dim
+        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
+        start += width
+    d_words = np.zeros((len(windows) + 1, word_dim))
+    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
+    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
+    gradient.step(PAD_WORD, ..., d_words[0])
+    return d_words[1:]
+
+
 def assert_bit_identical(actual, expected):
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()

@@ -279,8 +279,9 @@ class TestInPlaceOutputUpdate:
     after the subtree backward's walk, as it does every other tensor's,
     the embedding rows included; the step's Gradient holds no buffer after
     accumulate_gradients, and the result must be the buffered gradient's
-    dense update, bit for bit. Without a rate, the composition gradients of
-    several instances sum."""
+    dense update, within 1e-12, since conv_w's step is held as two factors,
+    scaled before their product. Without a rate, the composition gradients
+    of several instances sum."""
 
     @pytest.mark.parametrize("lexical", [True, False])
     def test_train_step_matches_buffered_update(self, monkeypatch, lexical):
@@ -307,7 +308,7 @@ class TestInPlaceOutputUpdate:
             fused.train_step(fused.compile(inst))
             assert len(made[-1]) == 0       # every tensor stepped in place
             for name, value in expected.items():
-                assert_bit_identical(fused.store.value(name), value)
+                assert np.abs(fused.store.value(name) - value).max() <= 1e-12, name
                 buffered.store.value(name)[...] = value
         assert composed > len(instances)
 

@@ -5,9 +5,10 @@ unchanged; a change that alters the numerics, however slightly, does not.
 The constants are tied to this numpy/BLAS build and to a CPU on which
 OpenBLAS runs small products on its small-matrix kernels (x86-64 with
 AVX-512). There each matrix product of a training step runs on one thread,
-since the path CNN multiplies by its filter in row blocks, so the bytes do
-not depend on the number of BLAS threads and every config trains in the
-test process.
+since the path CNN multiplies by its filter in row blocks and the store
+applies the filter's deferred steps in row blocks too, so the bytes do not
+depend on the number of BLAS threads and every config trains in the test
+process.
 
     python tests/test_fingerprint.py NAME
 
@@ -29,9 +30,9 @@ EPOCHS = 3
 SEED = 1
 
 FINGERPRINTS = {
-    "50d": "88cd6ad0c1356daab1c50fa114afe5469b4642222b30a1f855014f6d9c6e9812",
-    "50d-lexical": "e342f289138a3c6ddf4b05abe5c3aebaf2422ab168dbf8b8fed6fa6969be1456",
-    "200d": "16e6dc8906446ac89f36db3d728f249751b06ccf49ce7d070c5100151ab764e5",
+    "50d": "2ac5ca1ffa41f9de0bf281c7a38dbf5e80261cd9701871827cf4dabf30d5fc1c",
+    "50d-lexical": "7c9abe8ba846edcebc1596f828af05b97eaf35e2910cacedff3d2c577ff6b1ed",
+    "200d": "1501d9da9279ca32039ff3a832dba71cdc374b99869e9e7fbd1adc376763f6b6",
 }
 # name -> (embedding dim, TrainConfig overrides)
 CONFIGS = {
