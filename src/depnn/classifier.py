@@ -12,12 +12,12 @@ from . import corpus
 from .adp import shortest_path
 from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
-from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss,
-                       ParameterStore, init_uniform, load_store, save_store, softmax)
+from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss, ParameterStore,
+                       RowPlan, init_uniform, load_store, row_plan, save_store, softmax)
 from .path_cnn import (CONV_B, CONV_W, ConvCache, InvalidWindowSize, build_windows,
                        check_window_size, conv_backward, conv_forward, relation_rows,
-                       window_width)
-from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, WORD_EMB,
+                       window_width, word_slots)
+from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, ROW, WORD_EMB,
                       comp_names, compile_nodes, encode, encode_backward)
 
 NER_EMB = "ner_emb"
@@ -117,13 +117,19 @@ def cross_entropy(distribution: np.ndarray, gold_idx: int) -> float:
 @dataclass(frozen=True, slots=True)
 class CompiledInstance:
     """An instance as one model reads it, looked up once: integers only,
-    valid for the vocabulary and configuration it was compiled with."""
+    valid for the vocabulary and configuration it was compiled with. The
+    RowPlans sum a training step's embedding rows; prediction compiles the
+    two built per instance as None."""
     id: int
     gold: int | None          # label index; None when unlabeled
     schedule: np.ndarray      # subtree.compile_nodes' schedule of the path's nodes
     rel_rows: np.ndarray      # path_cnn.relation_rows, sentinels included
     windows: np.ndarray       # path_cnn.build_windows' index, shared by paths of one length
     lex_rows: np.ndarray      # per Model._lex_tables entry, the two entity heads' rows
+    word_rows: RowPlan | None         # of the schedule's word rows
+    rel_slots: RowPlan | None         # of the relation rows in the windows' relation slots
+    word_slots: RowPlan               # of the windows' word slots, shared with them
+    lex_plans: tuple[RowPlan, ...]    # per lexical table, of its rows; shared
 
 
 @dataclass
@@ -205,7 +211,9 @@ class Model:
         self.store = store
         self._rng = np.random.default_rng(config.seed)
         self._comp_names = comp_names(vocab)
-        self._windows: dict[int, np.ndarray] = {}      # per path length
+        # per path length: build_windows' index, the RowPlan of its word slots, its relation slots
+        self._windows: dict[int, tuple[np.ndarray, RowPlan, np.ndarray]] = {}
+        self._lex_plans: dict[tuple[int, ...], tuple[RowPlan, ...]] = {}   # per lex_rows
         # the lexical tables, each read at both entity heads
         self._lex_tables = (([NER_EMB] if config.use_ner else [])
                             + ([WN_EMB] if config.use_wordnet else []))
@@ -228,25 +236,35 @@ class Model:
 
     # --- compilation ----------------------------------------------------------
 
-    def compile(self, instance: Instance) -> CompiledInstance:
+    def compile(self, instance: Instance, plans: bool = True) -> CompiledInstance:
         """Look the instance up once: its path, the subtrees attached to it,
         the windows over it and the entity heads' lexical tags, as rows of
-        this model's tensors."""
+        this model's tensors, and the RowPlans of a training step. plans=False
+        leaves out the two built per instance, which prediction does not read
+        and which cost about as much as the rest."""
         graph = instance.graph
         tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
         rel_rows = relation_rows(labels, self.vocab)
         heads = (instance.e1.head_index, instance.e2.head_index)
-        lex_rows = [[self.vocab.ner_row(graph.ner_tags[head]) if table == NER_EMB
-                     else self.vocab.wn_row(graph.wn_tags[head]) for head in heads]
-                    for table in self._lex_tables]
-        windows = self._windows.get(len(tokens))
-        if windows is None:
-            windows = self._windows[len(tokens)] = build_windows(len(tokens), self.config.window)
-            windows.flags.writeable = False
+        lex_rows = tuple(self.vocab.ner_row(graph.ner_tags[head]) if table == NER_EMB
+                         else self.vocab.wn_row(graph.wn_tags[head])
+                         for table in self._lex_tables for head in heads)
+        if lex_rows not in self._lex_plans:
+            self._lex_plans[lex_rows] = tuple(map(row_plan, np.reshape(lex_rows, (-1, 2))))
+        if len(tokens) not in self._windows:
+            index = build_windows(len(tokens), self.config.window)
+            index.flags.writeable = False
+            is_word = word_slots(self.config.window)
+            self._windows[len(tokens)] = index, row_plan(index[:, is_word]), index[:, ~is_word]
+        windows, word_slot_plan, rel_slots = self._windows[len(tokens)]
         gold = None if instance.gold is None else label_index(instance.gold)
-        return CompiledInstance(instance.id, gold, schedule, rel_rows, windows,
-                                np.array(lex_rows, dtype=np.int32).reshape(-1, 2))
+        return CompiledInstance(
+            instance.id, gold, schedule, rel_rows, windows,
+            np.array(lex_rows, dtype=np.int32).reshape(-1, 2),
+            row_plan(schedule[ROW]) if plans else None,
+            row_plan(rel_rows[rel_slots]) if plans else None,
+            word_slot_plan, self._lex_plans[lex_rows])
 
     # --- forward -------------------------------------------------------------
 
@@ -267,11 +285,11 @@ class Model:
         return Prediction(LABELS[int(np.argmax(distribution))], distribution)
 
     def predict(self, instance: Instance) -> Prediction:
-        return self._predict(self.compile(instance))
+        return self._predict(self.compile(instance, plans=False))
 
     def path_repr(self, instance: Instance) -> np.ndarray:
         """The pooled convolution output of the instance's path."""
-        return self._forward(self.compile(instance)).conv.pooled
+        return self._forward(self.compile(instance, plans=False)).conv.pooled
 
     def evaluate_loss(self, compiled: CompiledInstance) -> float:
         """Forward-only cross-entropy on a labeled instance."""
@@ -296,12 +314,13 @@ class Model:
         hidden = cache.conv.pooled.size
         # one step per table: a row that both heads share sums both deltas first
         d_lex = d_combined[hidden:].reshape(-1, 2, self.config.lex_dim)
-        for name, rows, d_rows in zip(self._lex_tables, compiled.lex_rows, d_lex):
-            gradient.step(name, rows, d_rows)
+        for name, plan, d_rows in zip(self._lex_tables, compiled.lex_plans, d_lex):
+            gradient.step(name, plan, d_rows)
 
-        d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient)
-        encode_backward(compiled.schedule, cache.nodes, d_path, self.store, gradient,
-                        self._comp_names)
+        d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient,
+                               compiled.word_slots, compiled.rel_slots)
+        encode_backward(compiled.schedule, compiled.word_rows, cache.nodes, d_path, self.store,
+                        gradient, self._comp_names)
 
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward; returns the loss. The instance's gradient adds
@@ -329,7 +348,7 @@ class Model:
         if not instances:
             raise EmptyDataset("training needs a non-empty dataset")
         compiled = [self.compile(inst) for inst in instances]
-        held_out = [self.compile(inst) for inst in validation or ()]
+        held_out = [self.compile(inst, plans=False) for inst in validation or ()]
         report = TrainReport()
         n_epochs = self.config.epochs if epochs is None else epochs
         order = np.arange(len(instances))

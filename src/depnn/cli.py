@@ -25,8 +25,7 @@ class UnknownQuery(LookupError):
 
 
 _DATA_ERRORS = (corpus.FormatError, corpus.DimensionMismatch, corpus.VocabularyError,
-                classifier.EmptyDataset, classifier.InvalidConfig,
-                path_cnn.InvalidWindowSize, classifier.ModelFileMismatch,
+                classifier.InvalidConfig, path_cnn.InvalidWindowSize, classifier.ModelFileMismatch,
                 numerics.ModelFormatError, evaluation.LengthMismatch, UnknownQuery, OSError)
 _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
                    numerics.ShapeMismatch, evaluation.ZeroVector)
@@ -135,6 +134,8 @@ def cmd_convert(args) -> int:
 
 def _read_labeled(path, role: str) -> list:
     instances = corpus.read_parsed_instances(path)
+    if not instances:
+        raise corpus.FormatError(f"{role} file holds no instances", path=path)
     if any(inst.gold is None for inst in instances):
         raise corpus.FormatError(f"{role} file contains unlabeled instances", path=path)
     return instances
@@ -180,14 +181,10 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.instances:
-        instances = corpus.read_parsed_instances(args.instances)
-        if args.limit:
-            instances = instances[:args.limit]
+        instances = _read_labeled(args.instances, "gradient-check")[:args.limit]
     else:
-        instances = synth.make_gradcheck_instances(args.n, seed=args.seed or synth.GRADCHECK_SEED)
-    if any(inst.gold is None for inst in instances):
-        raise corpus.FormatError("gradient checking needs labeled instances",
-                                 path=args.instances)
+        seed = synth.GRADCHECK_SEED if args.seed is None else args.seed
+        instances = synth.make_gradcheck_instances(args.n, seed=seed)
     # entrywise central differences want compact tensors, so the defaults
     # here are diagnostic sizes rather than the training defaults
     base = {"dim": 8, "dim_c": 5, "hidden": 7, "window": 3, "lex_dim": 4,
@@ -258,6 +255,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """The argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depnn",
@@ -291,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of all analytic gradients")
     p.add_argument("--instances", help="defaults to a generated synthetic set")
-    p.add_argument("--n", type=int, default=5, help="synthetic instance count")
-    p.add_argument("--limit", type=int,
+    p.add_argument("--n", type=count, default=5, help="synthetic instance count")
+    p.add_argument("--limit", type=count,
                    help="check only the first N instances of the file")
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-5)
@@ -309,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--query-id", dest="query_id", type=int, required=True)
-    p.add_argument("--top-n", dest="top_n", type=int, default=3)
+    p.add_argument("--top-n", dest="top_n", type=count, default=3)
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("synth", help="write the deterministic synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=count, default=50)
     p.add_argument("--seed", type=int, default=synth.SEPARABLE_SEED)
     p.set_defaults(func=cmd_synth)
 

@@ -7,6 +7,7 @@ values are widened back to float64 on load.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -52,9 +53,9 @@ class ModelFormatError(ValueError):
     """A model file that is not a well-formed DEPNN1 file."""
 
 
-def tanh_backward(y, upstream):
+def tanh_backward(y, upstream, out=None):
     """Gradient through tanh, expressed in terms of the tanh output y."""
-    return upstream * (1.0 - y * y)
+    return np.multiply(upstream, 1.0 - y * y, out=out)
 
 
 def softmax(v):
@@ -192,12 +193,12 @@ class Gradient(dict):
         a rate, left is spent and the store holds the step pending (defer),
         which is not bit for bit the step taken at once.
 
-        An integer-array index, of any shape, names rows of a table, with
-        one delta per entry. A repeated row's deltas sum first, in call order, starting
-        from the first delta + 0.0 in a new array, as a zeroed buffer would;
-        then each row takes one add or one step. With a rate, each table
-        gets at most one row step per training step, so its update stays
-        bit for bit the dense one: two steps on one row would round twice."""
+        Rows of a table, repeated or not, are named by a RowPlan, with one
+        delta per entry of the index it was built from: the plan sums a
+        repeated row's deltas in call order (RowPlan.sums), then each row
+        takes one add or one step. With a rate, each table gets at most one
+        row step per training step, so its update stays bit for bit the
+        dense one: two steps on one row would round twice."""
         if isinstance(delta, tuple):
             left, right = delta
             if self.learning_rate is None:
@@ -206,8 +207,10 @@ class Gradient(dict):
                 left *= self.learning_rate
                 self._store.defer(name, left, right)
             return
-        if isinstance(index, np.ndarray):
-            index, delta = _row_sums(index, delta)
+        if isinstance(index, RowPlan):
+            index, delta = index.sums(delta)
+        elif isinstance(index, np.ndarray):
+            raise TypeError(f"rows of {name!r} are named by a RowPlan, not an index array")
         if self.learning_rate is None:
             self[name][index] += delta
         else:
@@ -215,18 +218,42 @@ class Gradient(dict):
             self._store.value(name)[index] -= delta
 
 
-def _row_sums(rows: np.ndarray, deltas) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, in first-seen order, and the sum of each one's
-    deltas in call order."""
-    sums: dict[int, np.ndarray] = {}
-    deltas = np.reshape(deltas, (rows.size,) + np.shape(deltas)[rows.ndim:])
-    for row, delta in zip(rows.ravel().tolist(), deltas):
-        total = sums.get(row)
-        if total is None:
-            sums[row] = delta + 0.0
-        else:
-            total += delta
-    return np.fromiter(sums, dtype=np.intp, count=len(sums)), np.array(list(sums.values()))
+class RowPlan(np.ndarray):
+    """A repeated-index sum compiled once (row_plan), as one int32 array:
+    [m, R, c_1 .. c_R, the m distinct rows, the entries in summing order].
+    The rows named most come first, ties in the order first seen, so the c_r
+    rows named more than r times lead; the entries are each row's first,
+    then per rank r the (r+1)-th of each of those c_r rows."""
+
+    __slots__ = ()
+
+    def sums(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows, and each one's deltas (one per entry, in the
+        index's row-major order) summed in call order from the first + 0.0."""
+        m, ranks = self[:2].tolist()
+        ordered = deltas.reshape(-1, deltas.shape[-1])[self[2 + ranks + m:]]
+        sums, end = ordered[:m], m
+        sums += 0.0
+        for count in self[2:2 + ranks].tolist():
+            sums[:count] += ordered[end:end + count]
+            end += count
+        return self[2 + ranks:2 + ranks + m], sums
+
+
+def row_plan(index: np.ndarray) -> RowPlan:
+    """The RowPlan of an integer index of any shape, read in row-major order."""
+    entries: dict[int, list[int]] = {}
+    for entry, row in enumerate(index.ravel().tolist()):
+        entries.setdefault(row, [row]).append(entry)    # the row, then its entries
+    # one tuple per rank, the rows named most first; None past a row's last entry
+    ranks = list(itertools.zip_longest(*sorted(entries.values(), key=len, reverse=True)))
+    counts = [rank.index(None) if rank[-1] is None else len(rank) for rank in ranks[2:]]
+    flat = [len(entries), len(counts), *counts, *ranks[0], *ranks[1]] if ranks else [0, 0]
+    for rank, count in zip(ranks[2:], counts):
+        flat += rank[:count]
+    plan = RowPlan(len(flat), np.int32)
+    plan[:] = flat
+    return plan
 
 
 # elements drawn per generator call in init_uniform: 256 KB of float64

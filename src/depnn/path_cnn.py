@@ -13,12 +13,13 @@ elementwise across windows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import PATH_END, PATH_START
-from .numerics import Gradient, ParameterStore, ShapeMismatch, tanh_backward
+from .numerics import Gradient, ParameterStore, RowPlan, ShapeMismatch, tanh_backward
 from .subtree import PAD_WORD, REL_EMB
 
 CONV_W = "conv_w"
@@ -49,11 +50,25 @@ def check_window_size(k: int) -> None:
         raise InvalidWindowSize(f"window size must be odd and >= 3, got {k}")
 
 
+@functools.cache
 def word_slots(k: int) -> np.ndarray:
     """Boolean mask over a window's k columns, True at the word slots: the
-    even offsets from the center."""
+    even offsets from the center. Read-only, made once per k."""
     check_window_size(k)
-    return (np.arange(k) - (k - 1) // 2) % 2 == 0
+    slots = (np.arange(k) - (k - 1) // 2) % 2 == 0
+    slots.flags.writeable = False
+    return slots
+
+
+@functools.cache
+def slot_columns(k: int, word_dim: int, rel_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a window vector that its word slots fill, and those
+    that its relation slots fill, each in slot order; read-only."""
+    is_word = np.repeat(word_slots(k), np.where(word_slots(k), word_dim, rel_dim))
+    columns = np.flatnonzero(is_word), np.flatnonzero(~is_word)
+    for cols in columns:
+        cols.flags.writeable = False
+    return columns
 
 
 def words_per_window(k: int) -> int:
@@ -120,7 +135,8 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
     """
     conv_w, left, right = store.factors(CONV_W)
     # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
-    tables = (store.value(REL_EMB)[rel_rows], np.vstack([store.value(PAD_WORD), word_vecs]))
+    tables = (store.value(REL_EMB)[rel_rows],
+              np.concatenate((store.value(PAD_WORD)[None], word_vecs)))
     inputs = np.concatenate([tables[word][slot] for word, slot
                              in zip(word_slots(windows.shape[1]).tolist(), windows.T)], axis=1)
     if inputs.shape[1] != conv_w.shape[1]:
@@ -138,18 +154,20 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
-                  gradient: Gradient) -> np.ndarray:
+                  gradient: Gradient, word_plan: RowPlan, rel_plan: RowPlan) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
     through the filter into the gradient of the filter, relation embeddings,
     the pad vector and the filter bias, and into the path-word vectors
     (returned, one row per path word in path order).
 
-    Each goes through gradient.step, so a training step's Gradient updates
-    them here, in place, the relation rows in one step. The filter's
-    gradient is the product of the routed unit gradients and the windows,
-    of rank at most the window count: a training step's Gradient hands it
-    to the store as those two factors, to hold pending, once the window
-    vectors' gradient has read the filter with every earlier step."""
+    word_plan is the RowPlan of the windows' word slots, rel_plan that of
+    the relation-embedding rows in their relation slots. Each goes through
+    gradient.step, so a training step's Gradient updates them here, in
+    place, the relation rows in one step. The filter's gradient is the
+    product of the routed unit gradients and the windows, of rank at most
+    the window count: a training step's Gradient hands it to the store as
+    those two factors, to hold pending, once the window vectors' gradient
+    has read the filter with every earlier step."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
     conv_w, left, right = store.factors(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
@@ -164,16 +182,11 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
 
     # the window vectors' slots, split back apart: word slots go to the path
     # words and the pad, relation slots to their relation-embedding rows
-    windows = cache.windows
-    is_word = word_slots(windows.shape[1])
     word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
-    d_word_slots, d_rel_slots, start = [], [], 0
-    for word in is_word.tolist():
-        width = word_dim if word else rel_dim
-        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
-        start += width
-    d_words = np.zeros((len(windows) + 1, word_dim))
-    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
+    word_cols, rel_cols = slot_columns(cache.windows.shape[1], word_dim, rel_dim)
+    rows, sums = word_plan.sums(d_inputs[:, word_cols].reshape(-1, word_dim))
+    d_words = np.zeros((len(cache.windows) + 1, word_dim))
+    d_words[rows] = sums
+    gradient.step(REL_EMB, rel_plan, d_inputs[:, rel_cols].reshape(-1, rel_dim))
     gradient.step(PAD_WORD, ..., d_words[0])
     return d_words[1:]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Gradient, ParameterStore, tanh_backward
+from .numerics import Gradient, ParameterStore, RowPlan, tanh_backward
 
 WORD_EMB = "word_emb"
 REL_EMB = "rel_emb"
@@ -55,14 +55,14 @@ def compile_nodes(graph, path_tokens, vocab, include_subtree: bool = True) -> np
         stack = [(word, PATH, PATH)]
         while stack:
             token, parent, comp = stack.pop()
-            rows.append(vocab.word_row(forms[token]))
-            parents.append(parent)
-            comps.append(comp)
-            if include_subtree:
-                slot = len(parents) - 1
+            if include_subtree and children[token]:
+                slot = len(rows)
                 # pushed in reverse, so the lowest child is popped first
                 stack += [(kid, slot, vocab.comp_id(relations[kid]))
                           for kid in reversed(children[token]) if kid not in on_path]
+            rows.append(vocab.word_row(forms[token]))
+            parents.append(parent)
+            comps.append(comp)
     return np.array([rows, parents, comps], dtype=np.int32)
 
 
@@ -82,21 +82,23 @@ def encode(schedule: np.ndarray, store: ParameterStore, names: list[str]) -> np.
     nodes[:, :dim] = word_emb[rows]
     nodes[:, dim:] = store.value(LEAF_VEC)      # internal nodes are overwritten below
     parents, comps = parents.tolist(), comps.tolist()
+    matrices = {comp: store.value(names[comp]) for comp in set(comps) if comp != PATH}
     children: dict[int, list[int]] = {}
     for slot in range(len(parents) - 1, -1, -1):
         below = children.pop(slot, None)
         if below is not None:
             pre = bias.copy()
             for kid in reversed(below):
-                pre += store.value(names[comps[kid]]) @ nodes[kid]
-            nodes[slot, dim:] = np.tanh(pre)
+                pre += matrices[comps[kid]] @ nodes[kid]
+            np.tanh(pre, out=nodes[slot, dim:])
         if parents[slot] != PATH:
             children.setdefault(parents[slot], []).append(slot)
     return nodes
 
 
-def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
-                    store: ParameterStore, gradient: Gradient, names: list[str]) -> None:
+def encode_backward(schedule: np.ndarray, word_rows: RowPlan, nodes: np.ndarray,
+                    d_path: np.ndarray, store: ParameterStore, gradient: Gradient,
+                    names: list[str]) -> None:
     """Propagate the gradient on the path words' p (one row each, in path
     order) back through the subtrees, into the gradient of word embeddings,
     composition matrices, the composition bias and the leaf vector.
@@ -105,8 +107,8 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
     parent (C.T @ d_pre), so the bias, leaf-vector and word rows accumulate
     in depth-first recursion order. After the walk, the bias and leaf sums,
     each matrix's one product (its parents' d_pre rows by its children's p
-    rows) and the word rows go through gradient.step: a training step
-    updates them in place.
+    rows) and the word rows, summed by word_rows (the RowPlan of the ROW
+    row), go through gradient.step: a training step updates them in place.
     """
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
@@ -114,16 +116,16 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
     d_nodes[parents == PATH] = d_path
     d_pre = np.empty((len(rows), nodes.shape[1] - dim))    # read on internal nodes only
     d_bias, d_leaf = np.zeros((2, nodes.shape[1] - dim))
-    parents, comps = parents.tolist(), comps.tolist()
+    parents, comps = parents.tolist() + [PATH], comps.tolist()    # PATH past the last slot
+    transposed = {comp: store.value(names[comp]).T for comp in set(comps) if comp != PATH}
     kids: dict[int, list[int]] = {}        # comp id -> the children it composes
-    last = len(parents) - 1
-    for slot, parent in enumerate(parents):
-        if parent != PATH:
-            kids.setdefault(comps[slot], []).append(slot)
-            d_nodes[slot] = store.value(names[comps[slot]]).T @ d_pre[parent]
+    for slot, comp in enumerate(comps):
+        if comp != PATH:
+            kids.setdefault(comp, []).append(slot)
+            np.matmul(transposed[comp], d_pre[parents[slot]], out=d_nodes[slot])
         d_c = d_nodes[slot, dim:]
-        if slot < last and parents[slot + 1] == slot:      # its first child is next
-            d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
+        if parents[slot + 1] == slot:       # its first child is next
+            tanh_backward(nodes[slot, dim:], d_c, out=d_pre[slot])
             d_bias += d_pre[slot]
         else:
             d_leaf += d_c
@@ -131,4 +133,4 @@ def encode_backward(schedule: np.ndarray, nodes: np.ndarray, d_path: np.ndarray,
     gradient.step(LEAF_VEC, ..., d_leaf)
     for comp, slots in kids.items():
         gradient.step(names[comp], ..., d_pre[schedule[PARENT, slots]].T @ nodes[slots])
-    gradient.step(WORD_EMB, rows, d_nodes[:, :dim])
+    gradient.step(WORD_EMB, word_rows, d_nodes[:, :dim])

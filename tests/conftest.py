@@ -10,7 +10,7 @@ from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
-from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
+from depnn.numerics import ParameterStore, load_store, row_plan, save_store, tanh_backward
 from depnn.path_cnn import CONV_B, CONV_W, filter_blocks, relation_rows, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
                            compile_nodes)
@@ -379,7 +379,7 @@ def twopass_conv_backward(cache, upstream, store, gradient, learning_rate=None):
     d_words = np.zeros((n_windows + 1, word_dim))
     np.add.at(d_words, windows[:, is_word],
               d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
-    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]],
+    gradient.step(REL_EMB, row_plan(cache.rel_rows[windows[:, ~is_word]]),
                   d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]
@@ -412,12 +412,13 @@ def gathered_conv_backward(cache, upstream, store, gradient):
         start += width
     d_words = np.zeros((len(windows) + 1, word_dim))
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
+    gradient.step(REL_EMB, row_plan(cache.rel_rows[windows[:, ~is_word]]),
+                  np.stack(d_rel_slots, axis=1))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]
 
 
-def sequential_conv_backward(cache, upstream, store, gradient):
+def sequential_conv_backward(cache, upstream, store, gradient, word_plan, rel_plan):
     """path_cnn.conv_backward with the filter's SGD step taken at once, block
     by block, each block's share of the window-vector gradient formed before
     that block's step: the step that the deferred low-rank one replaced.
@@ -443,9 +444,17 @@ def sequential_conv_backward(cache, upstream, store, gradient):
         start += width
     d_words = np.zeros((len(windows) + 1, word_dim))
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, cache.rel_rows[windows[:, ~is_word]], np.stack(d_rel_slots, axis=1))
+    gradient.step(REL_EMB, rel_plan, np.stack(d_rel_slots, axis=1))
     gradient.step(PAD_WORD, ..., d_words[0])
     return d_words[1:]
+
+
+def slot_plans(cache):
+    """The RowPlans that Model.compile makes for conv_backward: of the word
+    slots of cache.windows, and of the relation rows in its relation slots."""
+    is_word = word_slots(cache.windows.shape[1])
+    return (row_plan(cache.windows[:, is_word]),
+            row_plan(cache.rel_rows[cache.windows[:, ~is_word]]))
 
 
 def assert_bit_identical(actual, expected):
@@ -644,7 +653,7 @@ def per_edge_encode_backward(schedule, nodes, d_path, store, gradient, names):
             gradient[COMP_BIAS] += d_pre[slot]
         else:
             gradient[LEAF_VEC] += d_c
-    gradient.step(WORD_EMB, rows, d_nodes[:, :dim])
+    gradient.step(WORD_EMB, row_plan(rows), d_nodes[:, :dim])
 
 
 def preorder(cache):

@@ -395,7 +395,7 @@ class TestTrain:
         path = write_instance_file(tmp_path / "empty.inst")
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: training needs a non-empty dataset\n"
+        assert capsys.readouterr().err == f"error: {path}: training file holds no instances\n"
         assert not out.exists()
 
     def test_instance_without_a_path_fails_before_training(self, tmp_path, corpus_file,
@@ -519,6 +519,19 @@ class TestEvalPredict:
                      "--query-id", "1", "--top-n", "2"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_eval_on_an_empty_file_is_data_error(self, trained, tmp_path, capsys):
+        path = write_instance_file(tmp_path / "empty.inst")
+        assert main(["eval", "--model", str(trained), "--instances", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: evaluation file holds no instances\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("top_n", ["0", "-2"])
+    def test_neighbors_top_n_below_one_is_usage_error(self, corpus_file, capsys, top_n):
+        assert main(["neighbors", "--model", "m.model", "--instances", str(corpus_file),
+                     "--query-id", "1", "--top-n", top_n]) == 1
+        assert f"argument --top-n: must be at least 1, got {top_n}" in capsys.readouterr().err
+
     def test_neighbors_unknown_query_is_data_error(self, trained, corpus_file, capsys):
         assert main(["neighbors", "--model", str(trained), "--instances", str(corpus_file),
                      "--query-id", "9999"]) == 2
@@ -561,6 +574,31 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--instances", str(bundled), "--limit", "2"]) == 0
         worst = float(capsys.readouterr().out.strip().split("\n")[-1].split("\t")[1])
         assert worst < 1e-5
+
+
+    @pytest.mark.parametrize("command", ["gradcheck", "synth --out x.inst"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_usage_error(self, capsys, command, n):
+        assert main(command.split() + ["--n", n]) == 1
+        captured = capsys.readouterr()
+        assert f"argument --n: must be at least 1, got {n}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_usage_error(self, capsys, limit):
+        bundled = Path(__file__).resolve().parent.parent / "data" / "synthetic.inst"
+        assert main(["gradcheck", "--instances", str(bundled), "--limit", limit]) == 1
+        assert f"argument --limit: must be at least 1, got {limit}" in capsys.readouterr().err
+
+    def test_seed_zero_draws_from_seed_zero(self, capsys, monkeypatch):
+        seeds, draw = [], synth.make_gradcheck_instances
+        monkeypatch.setattr(synth, "make_gradcheck_instances",
+                            lambda n, seed: seeds.append(seed) or draw(n, seed=seed))
+        assert main(["gradcheck", "--n", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["gradcheck", "--n", "2", "--seed", "0"]) == 0
+        assert capsys.readouterr().out != default
+        assert seeds == [synth.GRADCHECK_SEED, 0]
 
 
 class TestSynthCommand:

@@ -12,8 +12,8 @@ from depnn.classifier import NER_EMB, WN_EMB, Model, TrainConfig
 from depnn.corpus import Vocabulary
 from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, Gradient, ModelFormatError,
                             NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
-                            NonFiniteValue, gradient_check, init_uniform,
-                            load_store, save_store, softmax, tanh_backward)
+                            NonFiniteValue, RowPlan, gradient_check, init_uniform,
+                            load_store, row_plan, save_store, softmax, tanh_backward)
 from depnn.subtree import REL_EMB, WORD_EMB
 
 from conftest import (RowSums, assert_bit_identical, dense_sgd_oracle, edit_manifest,
@@ -86,9 +86,9 @@ class TestRowRecordedUpdate:
         """One row step per table, with repeated rows in a 2-D and a 1-D
         index, and dense steps; the same seed writes the same deltas."""
         rng = np.random.default_rng(seed)
-        gradient.step("table", np.array([[4, 9], [4, 4], [9, 27], [0, 27]]),
+        gradient.step("table", row_plan(np.array([[4, 9], [4, 4], [9, 27], [0, 27]])),
                       rng.normal(size=(4, 2, 4)))
-        gradient.step("lex", np.array([2, 2]), rng.normal(size=(2, 3)))
+        gradient.step("lex", row_plan(np.array([2, 2])), rng.normal(size=(2, 3)))
         gradient.step("pad_word", ..., rng.normal(size=5))
         gradient.step("w", ..., rng.normal(size=(3, 4)))
 
@@ -123,7 +123,7 @@ class TestRowRecordedUpdate:
         gradient = Gradient(self.build(rng))
         deltas = rng.normal(size=(4, 4))
         given = deltas.copy()
-        gradient.step("table", np.array([7, 7, 7, 7]), deltas)
+        gradient.step("table", row_plan(np.array([7, 7, 7, 7])), deltas)
         expected = np.zeros(4)
         for delta in deltas:
             expected += delta
@@ -144,7 +144,7 @@ class TestRowRecordedUpdate:
             gradient = Gradient(store, lr)
             gradient.step("table", 5, deltas[0].copy())
             gradient.step("table", 11, np.ones(4))
-            gradient.step("table", np.array([5, 11]), deltas[1:])
+            gradient.step("table", row_plan(np.array([5, 11])), deltas[1:])
             if lr is None:
                 assert_bit_identical(gradient["table"], expected)
         # with the rate, the three steps reach the table one after the other
@@ -168,10 +168,10 @@ class TestRowRecordedUpdate:
 
 
 class TestRowStep:
-    """Gradient.step on an integer-array index against the route it
-    replaced, conftest.RowSums (add_rows, then apply at the step's end),
-    bit for bit: random row arrays with repeats, 1-D and 2-D indexes, with
-    and without a learning rate."""
+    """Gradient.step on the RowPlan of an integer-array index against the
+    route it replaced, conftest.RowSums (add_rows, then apply at the step's
+    end), bit for bit: random row arrays with repeats, 1-D and 2-D indexes,
+    with and without a learning rate."""
 
     @staticmethod
     def table(rng):
@@ -203,7 +203,7 @@ class TestRowStep:
             oracle = RowSums(copy)
             oracle.add_rows("table", rows, deltas)
             gradient = Gradient(store, learning_rate)
-            gradient.step("table", rows, deltas)
+            gradient.step("table", row_plan(rows), deltas)
             assert_bit_identical(deltas, given)
             if learning_rate is None:
                 assert_bit_identical(gradient["table"], oracle.full("table"))
@@ -226,9 +226,49 @@ class TestRowStep:
                 deltas = rng.normal(size=rows.shape + (width,))
                 oracle = RowSums(copy)
                 oracle.add_rows("table", rows, deltas)
-                gradient.step("table", rows, deltas)
+                gradient.step("table", row_plan(rows), deltas)
                 expected += oracle.full("table")
             assert_bit_identical(gradient["table"], expected)
+
+
+    def test_plan_sums_match_row_sums(self, rng):
+        """RowPlan.sums against RowSums' per-row sums, bit for bit, over 1 to
+        40 entries naming rows up to 6 times, in (n,) and (n, k) indexes,
+        with deltas that hold -0.0: a row's sum starts from its first
+        delta + 0.0, so a row of one -0.0 delta sums to +0.0."""
+        repeats = 0
+        for trial in range(400):
+            n_rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            named = rng.choice(n_rows, size=min(n_rows, int(rng.integers(1, 8))), replace=False)
+            rows = rng.permutation(np.repeat(named, rng.integers(1, 7, size=named.size)))[:40]
+            if trial % 2 and rows.size % 2 == 0:
+                rows = rows.reshape(-1, 2)
+            deltas = rng.normal(size=rows.shape + (width,))
+            deltas[rng.random(deltas.shape) < 0.3] = -0.0
+            repeats += np.bincount(rows.ravel()).max() > 1
+            store = ParameterStore()
+            store.register("table", (n_rows, width), EMBEDDING)
+            oracle = RowSums(store)
+            oracle.add_rows("table", rows, deltas)
+            given = deltas.copy()
+            distinct, sums = row_plan(rows).sums(deltas)
+            assert_bit_identical(deltas, given)     # the sums are a new array
+            assert sorted(distinct.tolist()) == sorted(oracle.rows["table"])
+            for row, total in zip(distinct.tolist(), sums):
+                assert_bit_identical(total, oracle.rows["table"][row])
+        assert repeats > 100
+
+    def test_plan_orders_rows_by_use_then_first_sight(self):
+        plan = row_plan(np.array([[3, 8], [5, 3], [8, 3], [1, 9]]))
+        assert isinstance(plan, RowPlan) and plan.dtype == np.int32
+        # 3 is named three times, 8 twice; then 5, 1, 9 in the order first seen
+        assert plan.tolist() == [5, 2, 2, 1, 3, 8, 5, 1, 9, 0, 1, 2, 6, 7, 3, 4, 5]
+
+    def test_an_index_array_is_refused(self, rng):
+        store = ParameterStore()
+        store.register("table", (4, 2), EMBEDDING)
+        with pytest.raises(TypeError, match="RowPlan"):
+            Gradient(store).step("table", np.array([1, 1]), np.ones((2, 2)))
 
 
 class TestInitUniform:

@@ -6,12 +6,12 @@ from depnn.adp import shortest_path
 from depnn.path_cnn import (CONV_B, CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, filter_blocks, max_over_time, relation_rows,
                             window_width, word_slots, words_per_window)
-from depnn.numerics import Gradient, ShapeMismatch
+from depnn.numerics import Gradient, ShapeMismatch, row_plan
 from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
                       gathered_conv_backward, graph_of, onecall_conv_forward,
-                      oracle_conv_backward, oracle_conv_forward, tiny_model,
+                      oracle_conv_backward, oracle_conv_forward, slot_plans, tiny_model,
                       twopass_conv_backward)
 from depnn.corpus import Instance, entity_mention
 
@@ -151,13 +151,31 @@ class TestConvForward:
             run_conv(model, 2, 5)   # filter was sized for k=3
 
 
+class TestWordSlotPlan:
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_matches_add_at(self, rng, k):
+        """The RowPlan of the windows' word slots sums their deltas onto
+        [pad, p_0 ..] as np.add.at does into a zeroed array, bit for bit."""
+        is_word = word_slots(k)
+        for n_words in range(1, 9):
+            windows = build_windows(n_words, k)
+            deltas = rng.normal(size=(n_words, int(is_word.sum()), 6))
+            deltas[rng.random(deltas.shape) < 0.2] = -0.0
+            expected = np.zeros((n_words + 1, 6))
+            np.add.at(expected, windows[:, is_word], deltas)
+            rows, sums = row_plan(windows[:, is_word]).sums(deltas)
+            summed = np.zeros((n_words + 1, 6))
+            summed[rows] = sums
+            assert_bit_identical(summed, expected)
+
+
 class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
         cache = run_conv(model, 3, 3)
         gradient = Gradient(model.store)
         d_words = conv_backward(cache, np.zeros(model.config.hidden),
-                                model.store, gradient)
+                                model.store, gradient, *slot_plans(cache))
         for name in model.store.names():
             assert not gradient[name].any()
         assert all(not d.any() for d in d_words)
@@ -169,7 +187,8 @@ class TestConvBackward:
         upstream = np.zeros(model.config.hidden)
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store))
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+                                *slot_plans(cache))
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
         assert not d_words[1 - winner].any()
@@ -179,7 +198,8 @@ class TestConvBackward:
         model, _ = harness(3, window=5)
         cache = run_conv(model, 3, 5)
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store))
+        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+                                *slot_plans(cache))
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
@@ -239,7 +259,7 @@ class TestOracleEquivalence:
 
             upstream = rng.normal(size=model.config.hidden)
             grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new)
+            d_new = conv_backward(new, upstream, store, grads_new, *slot_plans(new))
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
                 assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
@@ -283,7 +303,7 @@ class TestOracleEquivalence:
             upstream = rng.normal(size=hidden)
             grads = {kind: Gradient(store) for kind in ("new", "per-window", "two-pass")}
             d_words = {
-                "new": conv_backward(new, upstream, store, grads["new"]),
+                "new": conv_backward(new, upstream, store, grads["new"], *slot_plans(new)),
                 "per-window": oracle_conv_backward(per_window, upstream, store,
                                                    grads["per-window"]),
                 "two-pass": twopass_conv_backward(onecall, upstream, store,
@@ -300,7 +320,8 @@ class TestOracleEquivalence:
             # with a learning rate: the filter's step, both ways, from the same
             # store; conv_backward steps the bias and the pad vector too
             before = {name: store.value(name).copy() for name in (CONV_W, CONV_B, PAD_WORD)}
-            stepped_new = conv_backward(new, upstream, store, Gradient(store, 0.3))
+            stepped_new = conv_backward(new, upstream, store, Gradient(store, 0.3),
+                                        *slot_plans(new))
             after_new = store.value(CONV_W).copy()
             for name, value in before.items():
                 store.value(name)[...] = value
@@ -367,8 +388,9 @@ class TestProductFilterUpdate:
                                      list(vecs), store, use_tanh=use_tanh)
                 tied_cases += len(np.unique(cache.feature_map, axis=0)) < n_words
                 upstream = rng.normal(size=hidden)
-                d_new, new, held = self.outcome(conv_backward, cache, upstream, store,
-                                                learning_rate)
+                d_new, new, held = self.outcome(
+                    lambda *args: conv_backward(*args, *slot_plans(cache)), cache, upstream,
+                    store, learning_rate)
                 d_old, old, _ = self.outcome(gathered_conv_backward, cache, upstream, store,
                                              learning_rate)
                 assert_bit_identical(d_new, d_old)

@@ -5,7 +5,7 @@ from depnn.adp import shortest_path
 from depnn.classifier import TrainConfig, parameter_layout
 from depnn.corpus import (DEFAULT_RELATION, PATH_END, PATH_START, UNK, Instance,
                           Vocabulary, VocabularyError, entity_mention)
-from depnn.numerics import Gradient, ParameterStore, init_uniform
+from depnn.numerics import Gradient, ParameterStore, init_uniform, row_plan
 from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
                            comp_names, compile_nodes, encode, encode_backward)
 
@@ -32,7 +32,7 @@ def encoded(model, compiled):
 
 
 def backward(model, compiled, nodes, d_path, gradient):
-    encode_backward(compiled.schedule, nodes, d_path, model.store, gradient,
+    encode_backward(compiled.schedule, compiled.word_rows, nodes, d_path, model.store, gradient,
                     comp_names(model.vocab))
 
 
@@ -251,7 +251,7 @@ class TestRecursiveOracle:
 
             d_path = rng.normal(size=(len(path), nodes.shape[1]))
             flat, recursive = Gradient(store), Gradient(store)
-            encode_backward(schedule, nodes, d_path, store, flat, names)
+            encode_backward(schedule, row_plan(schedule[ROW]), nodes, d_path, store, flat, names)
             for cache, d_p in zip(caches, d_path):
                 encode_word_backward(cache, d_p, store, recursive, vocab)
             for name in store.names():
@@ -308,7 +308,8 @@ class TestGroupedBackward:
             shared += len(set(comps.tolist())) < len(comps)
 
             grouped, per_edge = Gradient(store), Gradient(store)
-            encode_backward(schedule, nodes, d_path, store, grouped, names)
+            word_rows = row_plan(schedule[ROW])
+            encode_backward(schedule, word_rows, nodes, d_path, store, grouped, names)
             per_edge_encode_backward(schedule, nodes, d_path, store, per_edge, names)
             for name in store.names():
                 if name.startswith("comp/"):
@@ -323,7 +324,7 @@ class TestGroupedBackward:
                 copy.register(name, store.value(name).shape,
                               store.kind(name))[...] = store.value(name)
             gradient = Gradient(copy, self.LEARNING_RATE)
-            encode_backward(schedule, nodes, d_path, copy, gradient, names)
+            encode_backward(schedule, word_rows, nodes, d_path, copy, gradient, names)
             assert not gradient     # every tensor, word rows too, stepped in place
             for name in store.names():
                 if name.startswith("comp/"):
