@@ -4,7 +4,7 @@ output, cross-entropy loss, and the per-instance SGD training loop."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class TrainConfig:
         merged = {"dim": dim, "dim_c": dim_c, "hidden": hidden}
         merged.update(overrides)
         return cls(**merged)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -291,9 +284,11 @@ class Model:
         """The pooled convolution output of the instance's path."""
         return self._forward(self.compile(instance, plans=False)).conv.pooled
 
-    def evaluate_loss(self, compiled: CompiledInstance) -> float:
-        """Forward-only cross-entropy on a labeled instance."""
-        return cross_entropy(self._forward(compiled).distribution, self._gold(compiled))
+    def evaluate_loss(self, compiled: CompiledInstance) -> tuple[float, np.ndarray]:
+        """Forward-only cross-entropy on a labeled instance, with the
+        max-pool winners it took, as numerics.gradient_check reads them."""
+        cache = self._forward(compiled)
+        return cross_entropy(cache.distribution, self._gold(compiled)), cache.conv.argmax
 
     @staticmethod
     def _gold(compiled: CompiledInstance) -> int:
@@ -377,7 +372,7 @@ class Model:
         self.store.validate_finite()
         meta = {
             "format": "depnn-model",
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab": self.vocab.to_dict(),
             "labels": list(LABELS),
         }
@@ -394,7 +389,7 @@ class Model:
         if tuple(meta["labels"]) != LABELS:
             raise ModelFileMismatch(f"{path}: label set does not match this build")
         try:
-            config = TrainConfig.from_dict(meta["config"])
+            config = TrainConfig(**meta["config"])
         except (InvalidConfig, InvalidWindowSize) as exc:
             raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
         try:

@@ -35,7 +35,8 @@ _CONFIG_KEYS = {f.name: _TYPES[f.type] for f in fields(classifier.TrainConfig)}
 
 
 def _read_config_file(path) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
+    """Plain key=value lines; '#' starts a comment. A value is checked as
+    it is read: each TrainConfig check is of one field."""
     values = {}
     with corpus.open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -58,26 +59,21 @@ def _read_config_file(path) -> dict:
                 except ValueError:
                     raise corpus.FormatError(
                         f"bad {typ.__name__} {raw!r} for {key}", line_no) from None
+            try:
+                classifier.TrainConfig(**{key: values[key]})
+            except (classifier.InvalidConfig, path_cnn.InvalidWindowSize) as exc:
+                raise corpus.FormatError(str(exc), line_no) from None
     return values
 
 
 def _resolve_config(args, embedding_dim: int | None,
                     base: dict | None = None) -> classifier.TrainConfig:
+    """base < the --config file < the flags given, whose dests are TrainConfig fields."""
     settings = dict(base or {})
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(_read_config_file(args.config))
-    flag_map = {
-        "dim": args.dim, "dim_c": args.dim_c, "hidden": args.hidden,
-        "window": args.window, "learning_rate": args.lr, "epochs": args.epochs,
-        "seed": args.seed, "lex_dim": args.lex_dim,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
-    for flag, key, value in (("no_subtrees", "use_subtrees", False), ("ner", "use_ner", True),
-                             ("wordnet", "use_wordnet", True), ("linear_conv", "conv_tanh", False)):
-        if getattr(args, flag):
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _CONFIG_KEYS and value is not None)
     if embedding_dim is not None:
         if settings.get("dim", embedding_dim) != embedding_dim:
             raise corpus.DimensionMismatch(
@@ -99,25 +95,23 @@ def _echo_config(config: classifier.TrainConfig) -> str:
             f"shuffle={flag(config.shuffle)}")
 
 
-def _add_train_flags(parser):
+def _add_model_flags(parser):
+    """train's and gradcheck's configuration flags; each left out reads None."""
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--embeddings", help="pretrained word vectors (text format)")
     parser.add_argument("--dim", type=int, help="word/relation embedding size")
-    parser.add_argument("--dim-c", dest="dim_c", type=int, help="subtree vector size")
+    parser.add_argument("--dim-c", type=int, help="subtree vector size")
     parser.add_argument("--hidden", type=int, help="convolution output size")
     parser.add_argument("--window", type=int, help="convolution window size (odd, >=3)")
-    parser.add_argument("--lr", type=float, help="SGD learning rate")
-    parser.add_argument("--epochs", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--lex-dim", dest="lex_dim", type=int,
-                        help="embedding size per lexical feature")
-    parser.add_argument("--no-subtrees", action="store_true",
-                        help="path-only ablation: drop attached subtrees")
-    parser.add_argument("--ner", action="store_true", help="use entity NER tags")
-    parser.add_argument("--wordnet", action="store_true",
+    parser.add_argument("--lex-dim", type=int, help="embedding size per lexical feature")
+    parser.add_argument("--no-subtrees", dest="use_subtrees", action="store_false",
+                        default=None, help="path-only ablation: drop attached subtrees")
+    parser.add_argument("--ner", dest="use_ner", action="store_true", default=None,
+                        help="use entity NER tags")
+    parser.add_argument("--wordnet", dest="use_wordnet", action="store_true", default=None,
                         help="use entity WordNet hypernym tags")
-    parser.add_argument("--linear-conv", action="store_true",
-                        help="ablation: no activation after the convolution")
+    parser.add_argument("--linear-conv", dest="conv_tanh", action="store_false",
+                        default=None, help="ablation: no activation after the convolution")
 
 
 def cmd_convert(args) -> int:
@@ -132,10 +126,15 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _read_labeled(path, role: str) -> list:
-    instances = corpus.read_parsed_instances(path)
-    if not instances:
+def _nonempty(items: list, path, role: str) -> list:
+    """The instances read from a file, unless it holds none."""
+    if not items:
         raise corpus.FormatError(f"{role} file holds no instances", path=path)
+    return items
+
+
+def _read_labeled(path, role: str) -> list:
+    instances = _nonempty(corpus.read_parsed_instances(path), path, role)
     if any(inst.gold is None for inst in instances):
         raise corpus.FormatError(f"{role} file contains unlabeled instances", path=path)
     return instances
@@ -172,7 +171,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = classifier.Model.load(args.model)
-    for inst in corpus.read_parsed_instances(args.instances):
+    for inst in _nonempty(corpus.read_parsed_instances(args.instances), args.instances,
+                          "prediction"):
         pred = model.predict(inst)
         probs = " ".join(f"{p:.6f}" for p in pred.distribution)
         print(f"{inst.id}\t{pred.label}\t{probs}")
@@ -194,18 +194,21 @@ def cmd_gradcheck(args) -> int:
     model = classifier.Model.build(config, vocab)
 
     worst: dict[str, float] = {name: 0.0 for name in model.store.names()}
+    skipped = 0
     for inst in instances:
         compiled = model.compile(inst)
         gradient = numerics.Gradient(model.store)
         model.accumulate_gradients(compiled, gradient)
-        errors = numerics.gradient_check(lambda: model.evaluate_loss(compiled), model.store,
-                                         gradient, epsilon=args.epsilon)
+        errors, kinks = numerics.gradient_check(lambda: model.evaluate_loss(compiled),
+                                                model.store, gradient, epsilon=args.epsilon)
+        skipped += kinks
         for name, err in errors.items():
             worst[name] = max(worst[name], err)
 
     print("tensor\tmax_rel_err")
     for name in sorted(worst):
         print(f"{name}\t{worst[name]:.3e}")
+    print(f"skipped\t{skipped} entries whose perturbed forwards pooled different windows")
     peak = max(worst.values())
     print(f"worst\t{peak:.3e}")
     if peak >= args.tolerance:
@@ -222,7 +225,7 @@ def cmd_stats(args) -> int:
         labels = [inst.gold for inst in corpus.read_parsed_instances(args.instances)]
     else:
         labels = [rec.label for rec in corpus.read_semeval_raw(args.instances)]
-    if any(label is None for label in labels):
+    if any(label is None for label in _nonempty(labels, args.instances, "statistics")):
         raise corpus.FormatError("stats need labeled data", path=args.instances)
     for line in corpus.dataset_stats(labels).lines():
         print(line)
@@ -280,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--val", help="validation instances, scored per epoch")
     p.add_argument("--precision", choices=("f8", "f4"), default="f8")
-    _add_train_flags(p)
+    p.add_argument("--embeddings", help="pretrained word vectors (text format)")
+    p.add_argument("--lr", dest="learning_rate", type=float, help="SGD learning rate")
+    p.add_argument("--epochs", type=int)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model on labeled instances")
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check only the first N instances of the file")
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    _add_train_flags(p)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("stats", help="per-relation counts and percentages")
@@ -313,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank paths by cosine similarity to a query instance")
     p.add_argument("--model", required=True)
     p.add_argument("--instances", required=True)
-    p.add_argument("--query-id", dest="query_id", type=int, required=True)
-    p.add_argument("--top-n", dest="top_n", type=count, default=3)
+    p.add_argument("--query-id", type=int, required=True)
+    p.add_argument("--top-n", type=count, default=3)
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("synth", help="write the deterministic synthetic corpus")

@@ -451,11 +451,11 @@ class EmbeddingTable:
         return self.unk if hit is None else hit
 
 
-def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
+def load_embeddings(path) -> EmbeddingTable:
     """Read 'word v1 .. vd' lines; a leading 'count dim' header is skipped.
     The UNK vector is the arithmetic mean of all loaded vectors."""
     vectors: dict[str, np.ndarray] = {}
-    dim = expected_dim
+    dim = None
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
@@ -467,8 +467,8 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
             if dim is None:
                 dim = len(values)
             if len(values) != dim:
-                raise DimensionMismatch(f"{path}: line {line_no}: expected {dim} values "
-                                        f"for {word!r}, got {len(values)}")
+                raise FormatError(f"expected {dim} values for {word!r}, got {len(values)}",
+                                  line_no)
             try:
                 vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
@@ -477,8 +477,8 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
                 raise FormatError(f"non-finite embedding value for {word!r}", line_no)
             vectors[word] = vector
     if dim is None:
-        raise FormatError("embedding file is empty and no dimension was given", path=path)
-    unk = np.mean(np.stack(list(vectors.values())), axis=0) if vectors else np.zeros(dim)
+        raise FormatError("embedding file holds no vectors", path=path)
+    unk = np.mean(np.stack(list(vectors.values())), axis=0)
     return EmbeddingTable(dim, vectors, unk)
 
 

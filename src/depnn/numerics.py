@@ -287,18 +287,26 @@ def init_uniform(store: ParameterStore, seed: int) -> None:
             block[...] = rng.uniform(-bound, bound, block.size)
 
 
+# the least denominator of gradient_check's relative error, so that rounding
+# noise on a near-zero entry does not register as disagreement
+GRADCHECK_FLOOR = 1e-4
+
+
 def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
-                   epsilon: float = 1e-5, *, guard: float = 1e-4) -> dict[str, float]:
+                   epsilon: float = 1e-5) -> tuple[dict[str, float], int]:
     """Compare the analytic gradient against central differences.
 
     `loss_fn` must be a deterministic, forward-only closure over the store's
-    current values, and `gradient` the analytic gradient of that loss at
-    those values. The reported figure per tensor is max over entries of
-    |analytic - numeric| / max(|analytic|, |numeric|, guard); the guard
-    floor keeps finite-difference rounding noise on near-zero entries from
-    registering as disagreement.
+    current values that returns the loss and an array of the branches its
+    forward took (DepNN's max-pool winners), and `gradient` the analytic
+    gradient of that loss at those values. An entry whose two perturbed
+    forwards take different branches straddles a kink, where the difference
+    measures no derivative: it is skipped and counted. Returns per tensor the
+    max over its other entries of |analytic - numeric| /
+    max(|analytic|, |numeric|, GRADCHECK_FLOOR), and the count skipped.
     """
     results: dict[str, float] = {}
+    skipped = 0
     for name in store.names():
         flat = store.value(name).reshape(-1)
         grad = gradient[name].reshape(-1)
@@ -306,19 +314,22 @@ def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + epsilon
-            loss_plus = float(loss_fn())
+            loss_plus, branches_plus = loss_fn()
             flat[i] = original - epsilon
-            loss_minus = float(loss_fn())
+            loss_minus, branches_minus = loss_fn()
             flat[i] = original
             if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
                 raise NonFiniteLoss(f"loss non-finite while perturbing {name}[{i}]")
+            if not np.array_equal(branches_plus, branches_minus):
+                skipped += 1
+                continue
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             analytic = grad[i]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), guard)
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRADCHECK_FLOOR)
             if err > worst:
                 worst = err
         results[name] = worst
-    return results
+    return results, skipped
 
 
 def _shape_csv(shape) -> str:

@@ -72,8 +72,8 @@ def test_criterion_1_gradient_correctness():
         compiled = model.compile(inst)
         gradient = Gradient(model.store)
         model.accumulate_gradients(compiled, gradient)
-        errors = gradient_check(lambda: model.evaluate_loss(compiled), model.store,
-                                gradient, epsilon=1e-5)
+        errors, _ = gradient_check(lambda: model.evaluate_loss(compiled), model.store,
+                                   gradient, epsilon=1e-5)
         for name, err in errors.items():
             worst[name] = max(worst[name], err)
     elapsed = time.monotonic() - started
@@ -143,10 +143,10 @@ def test_criterion_4_overfit_sanity():
     tiny = Model.build(TrainConfig(dim=10, dim_c=6, hidden=16, window=3,
                                    learning_rate=1e-6, seed=9), vocab)
     inst = tiny.compile(instances[0])
-    previous = tiny.evaluate_loss(inst)
+    previous, _ = tiny.evaluate_loss(inst)
     for _ in range(25):
         tiny.train_step(inst)
-        current = tiny.evaluate_loss(inst)
+        current, _ = tiny.evaluate_loss(inst)
         assert current <= previous + 1e-15, "loss rose under a 1e-6 step"
         previous = current
     passline(4, f"accuracy {accuracy:.3f} after {epochs_used} epochs; "
@@ -340,7 +340,8 @@ def test_criterion_10_stretch_full_corpus():
 
     train = read_parsed_instances(os.environ["DEPNN_SEMEVAL_TRAIN_INST"])
     test = read_parsed_instances(os.environ["DEPNN_SEMEVAL_TEST_INST"])
-    embeddings = load_embeddings(os.environ["DEPNN_EMB200"], expected_dim=200)
+    embeddings = load_embeddings(os.environ["DEPNN_EMB200"])
+    assert embeddings.dim == 200
     gold = [inst.gold for inst in test]
 
     results = {}

@@ -1,13 +1,15 @@
+import argparse
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import depnn
-from depnn import corpus, synth
+from depnn import cli, corpus, synth
 from depnn.classifier import Model, TrainConfig
 from depnn.cli import main
 from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary, read_parsed_instances,
@@ -354,13 +356,39 @@ class TestTrain:
         assert "k=3 lambda=0.01" in out
         assert "epochs=1" in out
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_every_config_flag_sets_the_field_it_is_named_for(self, command):
+        # a flag's dest is its TrainConfig field: the one name _resolve_config reads
+        subparsers, = (action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        parser = subparsers.choices[command]
+        options = [action for action in parser._actions if action.dest != "help"]
+        assert len(options) == {"train": 18, "gradcheck": 16}[command]
+        own = {"instances", "out", "val", "precision", "embeddings", "config",
+               "n", "limit", "epsilon", "tolerance"}
+        flags = [action for action in options if action.dest not in own]
+        assert len(flags) == {"train": 12, "gradcheck": 10}[command]
+        required = ["--instances", "a", "--out", "b"] if command == "train" else []
+        keys = {f.name for f in fields(TrainConfig)}
+        for action in flags:
+            assert action.dest in keys, action.option_strings
+            if action.nargs == 0:
+                argv, value = [action.option_strings[0]], action.const
+            else:
+                value = action.type(3)       # a valid value of every numeric field
+                argv = [action.option_strings[0], str(value)]
+            args = parser.parse_args(required + argv)
+            config = cli._resolve_config(args, None)
+            assert getattr(config, action.dest) == value, action.option_strings
+            assert config != cli._resolve_config(parser.parse_args(required), None)
+
     def test_every_config_field_is_accepted_in_the_config_file(self, tmp_path, corpus_file,
                                                               capsys):
         config = TrainConfig(dim=8, dim_c=4, hidden=6, window=3, learning_rate=0.01,
                              epochs=0, seed=3, use_subtrees=False, use_ner=True,
                              use_wordnet=True, lex_dim=5, conv_tanh=False, shuffle=False)
         cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.to_dict().items()),
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in asdict(config).items()),
                        encoding="utf-8")
         out = tmp_path / "m.model"
         assert main(["train", "--instances", str(corpus_file), "--out", str(out),
@@ -387,8 +415,23 @@ class TestTrain:
         assert main(["train", "--instances", str(corpus_file), "--out", str(out),
                      "--config", str(cfg)] + flags) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: learning rate must be finite")
+        where = f"{cfg}: line 2: " if config_line else ""
+        assert captured.err.startswith(f"error: {where}learning rate must be finite")
         assert "epoch=" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("window = 4", "window size must be odd and >= 3, got 4"),
+        ("learning_rate = -1", "learning rate must be finite and non-negative, got -1.0"),
+    ], ids=["window", "learning_rate"])
+    def test_bad_config_file_value_names_its_file_and_line(self, tmp_path, corpus_file,
+                                                           capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+        out = tmp_path / "m.model"
+        assert main(["train", "--instances", str(corpus_file), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: {message}\n"
         assert not out.exists()
 
     def test_empty_training_file_is_data_error(self, tmp_path, capsys):
@@ -526,6 +569,13 @@ class TestEvalPredict:
         assert captured.err == f"error: {path}: evaluation file holds no instances\n"
         assert captured.out == ""
 
+    def test_predict_on_an_empty_file_is_data_error(self, trained, tmp_path, capsys):
+        path = write_instance_file(tmp_path / "empty.inst")
+        assert main(["predict", "--model", str(trained), "--instances", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: prediction file holds no instances\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("top_n", ["0", "-2"])
     def test_neighbors_top_n_below_one_is_usage_error(self, corpus_file, capsys, top_n):
         assert main(["neighbors", "--model", "m.model", "--instances", str(corpus_file),
@@ -553,6 +603,16 @@ class TestStats:
         assert "Instrument-Agency" in out
         assert "(50.00%)" in out
 
+    @pytest.mark.parametrize("text", [INSTANCE_FORMAT_HEADER + "\n", ""],
+                             ids=["instance-file", "raw-file"])
+    def test_stats_on_an_empty_file_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["stats", "--instances", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: statistics file holds no instances\n"
+        assert captured.out == ""
+
     def test_stats_byte_stable(self, corpus_file, capsys):
         main(["stats", "--instances", str(corpus_file)])
         first = capsys.readouterr().out
@@ -575,6 +635,32 @@ class TestGradcheckCommand:
         worst = float(capsys.readouterr().out.strip().split("\n")[-1].split("\t")[1])
         assert worst < 1e-5
 
+    def test_passes_at_the_published_window(self, capsys):
+        # two entries sit within epsilon of a max-pool tie: their central
+        # differences straddle the kink and are skipped
+        assert main(["gradcheck", "--n", "2", "--window", "5"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[-2] == ("skipped\t2 entries whose perturbed forwards pooled "
+                             "different windows")
+        assert float(lines[-1].split("\t")[1]) < 1e-5
+
+    def test_a_wrong_gradient_fails_at_the_published_window(self, capsys, monkeypatch):
+        accumulate = Model.accumulate_gradients
+
+        def corrupted(model, compiled, gradient):
+            accumulate(model, compiled, gradient)
+            gradient["conv_b"] *= 1.01
+
+        monkeypatch.setattr(Model, "accumulate_gradients", corrupted)
+        assert main(["gradcheck", "--n", "2", "--window", "5"]) == 3
+        worst = capsys.readouterr().out.strip().split("\n")[-1]
+        assert float(worst.split("\t")[1]) > 1e-3
+
+    @pytest.mark.parametrize("flag", ["--embeddings x.vec", "--lr 0.1", "--epochs 2"])
+    def test_training_flags_are_usage_errors(self, capsys, flag):
+        # gradcheck trains nothing: it reads no vectors, rate or epoch count
+        assert main(["gradcheck"] + flag.split()) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gradcheck", "synth --out x.inst"])
     @pytest.mark.parametrize("n", ["0", "-2"])

@@ -12,7 +12,7 @@ from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
                           load_embeddings, read_parse_blocks,
                           read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
-from depnn.cli import _read_config_file
+from depnn.cli import _read_config_file, _resolve_config, build_parser
 from depnn.evaluation import describe_path
 
 from conftest import (MALFORMED_RECORDS, VALID_RECORD, graph_of, scheduled_subtrees,
@@ -299,7 +299,7 @@ class TestEmbeddings:
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = self.write(tmp_path, "dog 1 2 3\ncat 1 2\n")
-        with pytest.raises(DimensionMismatch) as err:
+        with pytest.raises(FormatError) as err:
             load_embeddings(path)
         assert str(err.value) == f"{path}: line 2: expected 3 values for 'cat', got 2"
 
@@ -311,9 +311,12 @@ class TestEmbeddings:
         assert str(err.value) == f"{path}: line 2: non-finite embedding value for 'cat'"
 
     def test_expected_dim_enforced(self, tmp_path):
+        # the dimension a command line expects is held against the table's
         path = self.write(tmp_path, "dog 1 2 3\n")
-        with pytest.raises(DimensionMismatch):
-            load_embeddings(path, expected_dim=5)
+        args = build_parser().parse_args(["train", "--instances", "a", "--out", "b",
+                                          "--dim", "5"])
+        with pytest.raises(DimensionMismatch, match="--dim 5 conflicts with 3-d embeddings"):
+            _resolve_config(args, load_embeddings(path).dim)
 
     def test_empty_without_dim_rejected(self, tmp_path):
         path = self.write(tmp_path, "")
@@ -413,7 +416,7 @@ class TestReaderErrorsNameTheFile:
         path.write_text("", encoding="utf-8")
         with pytest.raises(FormatError) as err:
             load_embeddings(path)
-        assert str(err.value) == f"{path}: embedding file is empty and no dimension was given"
+        assert str(err.value) == f"{path}: embedding file holds no vectors"
 
 
 class TestDatasetStats:

@@ -333,7 +333,7 @@ class TestGradientCheck:
 
         def loss():
             r = store.value("w") @ x - y
-            return float(r @ r)
+            return float(r @ r), ()     # smooth: no branches
 
         residual = store.value("w") @ x - y
         gradient = Gradient(store)
@@ -342,13 +342,14 @@ class TestGradientCheck:
 
     def test_linear_model_tight(self):
         store, gradient, loss = self.linear_setup()
-        errors = gradient_check(loss, store, gradient)
+        errors, skipped = gradient_check(loss, store, gradient)
         assert errors["w"] < 1e-9
+        assert skipped == 0
 
     def test_corrupted_gradient_detected(self):
         store, gradient, loss = self.linear_setup()
         gradient["w"] *= 2.0
-        errors = gradient_check(loss, store, gradient)
+        errors, _ = gradient_check(loss, store, gradient)
         assert errors["w"] > 0.3
 
     def test_non_finite_loss_raises(self):
@@ -356,7 +357,22 @@ class TestGradientCheck:
         store.register("w", (1,))
 
         with pytest.raises(NonFiniteLoss):
-            gradient_check(lambda: float("nan"), store, Gradient(store))
+            gradient_check(lambda: (float("nan"), ()), store, Gradient(store))
+
+    def test_entry_straddling_a_kink_is_skipped_and_counted(self):
+        # loss max(w): the first two entries lie within epsilon of a tie, so
+        # their two perturbed forwards pick different winners
+        store = ParameterStore()
+        store.register("w", (3,))[...] = [1.0, 1.0 + 5e-6, 0.0]
+        gradient = Gradient(store)
+        gradient["w"] += [0.0, 1.0, 0.5]      # the last entry's is wrong
+
+        def loss():
+            return float(store.value("w").max()), store.value("w").argmax()
+
+        errors, skipped = gradient_check(loss, store, gradient)
+        assert skipped == 2
+        assert errors["w"] == 1.0
 
 
 class TestSerialization:

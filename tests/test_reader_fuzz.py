@@ -23,9 +23,8 @@ import pytest
 
 from depnn import cli, synth
 from depnn.cli import main
-from depnn.corpus import (DimensionMismatch, FormatError, convert, load_embeddings,
-                          read_parse_blocks, read_parsed_instances, read_semeval_raw,
-                          write_parsed_instances)
+from depnn.corpus import (FormatError, convert, load_embeddings, read_parse_blocks,
+                          read_parsed_instances, read_semeval_raw, write_parsed_instances)
 
 from conftest import assert_same_graph, object_graph
 
@@ -132,7 +131,7 @@ READERS = {
     "raw": (read_semeval_raw, (FormatError,), lambda _: RAW.encode(),
             lambda bad, inst, raw, parses: ["convert", "--raw", bad, "--parses", parses,
                                             "--out", f"{bad}.out"]),
-    "embeddings": (load_embeddings, (FormatError, DimensionMismatch),
+    "embeddings": (load_embeddings, (FormatError,),
                    lambda _: EMBEDDINGS.encode(),
                    lambda bad, inst, raw, parses: ["train", "--instances", inst,
                                                    "--embeddings", bad, "--epochs", "0",
@@ -188,7 +187,7 @@ def test_damaged_files_fail_only_with_documented_types(outcomes):
     assert not wrong, "\n".join(wrong[:10])
     # a format error names the file, once
     unnamed = [f"{damaged[:200]!r}: {exc}" for damaged, exc in results
-               if isinstance(exc, (FormatError, DimensionMismatch))
+               if isinstance(exc, FormatError)
                and not (str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1)]
     assert not unnamed, "\n".join(unnamed[:10])
     # the mutations must reach the reader's checks, not only its happy path
