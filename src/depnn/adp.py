@@ -152,18 +152,6 @@ class DependencyGraph:
                      for head, below in enumerate(self.children) for dependent in below
                      if self.relations[dependent] is not None)
 
-    def _key(self) -> tuple:
-        return tuple(map(tuple, (self.forms, self.lemmas, self.ner_tags, self.wn_tags,
-                                 self.heads, self.relations)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DependencyGraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 @dataclass(frozen=True)
 class EntityMention:

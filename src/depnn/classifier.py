@@ -373,7 +373,8 @@ class Model:
         meta = {
             "format": "depnn-model",
             "config": asdict(self.config),
-            "vocab": self.vocab.to_dict(),
+            # each field's tuple as is: asdict would copy every entry
+            "vocab": {f.name: getattr(self.vocab, f.name) for f in fields(Vocabulary)},
             "labels": list(LABELS),
         }
         save_store(path, self.store, meta, precision=precision)
@@ -393,7 +394,8 @@ class Model:
         except (InvalidConfig, InvalidWindowSize) as exc:
             raise ModelFileMismatch(f"{path}: metadata field 'config': {exc}") from None
         try:
-            vocab = Vocabulary.from_dict(meta["vocab"])
+            vocab = Vocabulary(**{name: tuple(entries)
+                                  for name, entries in meta["vocab"].items()})
         except corpus.VocabularyError as exc:
             raise ModelFileMismatch(
                 f"{path}: metadata field 'vocab.{exc.field}': {exc}") from None

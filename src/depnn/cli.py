@@ -32,11 +32,15 @@ _NUMERIC_ERRORS = (numerics.NonFiniteLoss, numerics.NonFiniteValue,
 
 _TYPES = {"int": int, "float": float, "bool": bool}
 _CONFIG_KEYS = {f.name: _TYPES[f.type] for f in fields(classifier.TrainConfig)}
+# per command, the config keys it refuses: a gradient check takes no SGD
+# step, runs no epoch and shuffles nothing
+_UNREAD_KEYS = {"gradcheck": ("learning_rate", "epochs", "shuffle")}
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, command: str | None = None) -> dict:
     """Plain key=value lines; '#' starts a comment. A value is checked as
-    it is read: each TrainConfig check is of one field."""
+    it is read: each TrainConfig check is of one field. A key that the
+    command does not read is refused, as an unknown key is."""
     values = {}
     with corpus.open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -48,6 +52,9 @@ def _read_config_file(path) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise corpus.FormatError(f"unknown config key {key!r}", line_no)
+            if key in _UNREAD_KEYS.get(command, ()):
+                raise corpus.FormatError(f"config key {key!r} is not read by {command}",
+                                         line_no)
             typ = _CONFIG_KEYS[key]
             if typ is bool:
                 if raw.lower() not in ("true", "false", "on", "off", "1", "0"):
@@ -71,7 +78,7 @@ def _resolve_config(args, embedding_dim: int | None,
     """base < the --config file < the flags given, whose dests are TrainConfig fields."""
     settings = dict(base or {})
     if args.config:
-        settings.update(_read_config_file(args.config))
+        settings.update(_read_config_file(args.config, args.command))
     settings.update((key, value) for key, value in vars(args).items()
                     if key in _CONFIG_KEYS and value is not None)
     if embedding_dim is not None:

@@ -566,13 +566,6 @@ class Vocabulary:
     def wn_row(self, tag: str | None) -> int:
         return self._wn_index.get(tag, self._wn_index[UNK]) if tag else self._wn_index[UNK]
 
-    def to_dict(self) -> dict:
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(**{f.name: tuple(data[f.name]) for f in fields(cls)})
-
 
 # --- dataset statistics ------------------------------------------------------
 
@@ -582,28 +575,24 @@ class CorpusStats:
     by_type: dict[str, int]   # folded relation types plus Other
 
     def percent(self, rel_type: str) -> Decimal:
-        if self.total == 0:
-            return Decimal("0.00")
         return (Decimal(self.by_type.get(rel_type, 0) * 100) / Decimal(self.total)
                 ).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
     def lines(self) -> list[str]:
         order = sorted(self.by_type, key=lambda t: (-self.by_type[t], t))
         out = [f"{t:<20} {self.by_type[t]:>6} ({self.percent(t)}%)" for t in order]
-        out.append(f"{'Total':<20} {self.total:>6} (100.00%)" if self.total else
-                   f"{'Total':<20} {self.total:>6} (0.00%)")
+        out.append(f"{'Total':<20} {self.total:>6} (100.00%)")
         return out
 
 
 def dataset_stats(labels) -> CorpusStats:
     """Per-relation-type counts with directions folded, as reported for the
     dataset; percentages are half-up rounded to two decimals."""
+    labels = list(labels)
+    if not labels or None in labels:
+        raise ValueError("dataset_stats needs labeled data")
     by_type = {t: 0 for t in RELATION_TYPES}
     by_type[OTHER_LABEL] = 0
-    total = 0
     for label in labels:
-        if label is None:
-            raise ValueError("dataset_stats needs labeled data")
         by_type[label_type(label)] += 1
-        total += 1
-    return CorpusStats(total, by_type)
+    return CorpusStats(len(labels), by_type)

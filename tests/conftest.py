@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from depnn import numerics
 from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
@@ -312,7 +313,8 @@ def oracle_conv_backward(cache, upstream, store, gradient):
         if not d_out.any():
             continue
         d_pre = tanh_backward(cache.feature_map[i], d_out) if cache.use_tanh else d_out
-        gradient[CONV_W] += np.outer(d_pre, x)
+        won = np.flatnonzero(d_out)         # the filter rows with a nonzero gradient
+        gradient[CONV_W][won] += np.outer(d_pre[won], x)
         gradient[CONV_B] += d_pre
         d_x = conv_w.T @ d_pre
         offset = 0
@@ -329,60 +331,6 @@ def oracle_conv_backward(cache, upstream, store, gradient):
                 gradient[REL_EMB][row] += d_x[offset:offset + rel_dim]
                 offset += rel_dim
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
-
-
-def onecall_conv_forward(windows, word_vecs, rel_labels, store, vocab, use_tanh=True):
-    """The path CNN's forward as one product with the whole filter: the
-    window vectors are filled through boolean column masks, and the
-    feature map is formed by a single matrix product."""
-    conv_w = store.value(CONV_W)
-    rel_emb = store.value(REL_EMB)
-    pad = store.value(PAD_WORD)
-    is_word = word_slots(windows.shape[1])
-    word_cols = np.repeat(is_word, np.where(is_word, pad.size, rel_emb.shape[1]))
-    rel_rows = np.array([vocab.relation_row(PATH_START)]
-                        + [vocab.relation_row(label) for label in rel_labels]
-                        + [vocab.relation_row(PATH_END)])
-    n_windows = len(windows)
-    inputs = np.empty((n_windows, word_cols.size))
-    words = np.vstack([pad, *word_vecs])
-    inputs[:, word_cols] = words[windows[:, is_word]].reshape(n_windows, -1)
-    inputs[:, ~word_cols] = rel_emb[rel_rows[windows[:, ~is_word]]].reshape(n_windows, -1)
-    pre = inputs @ conv_w.T + store.value(CONV_B)
-    feature_map = np.tanh(pre) if use_tanh else pre
-    return SimpleNamespace(windows=windows, rel_rows=rel_rows, word_cols=word_cols,
-                           inputs=inputs, feature_map=feature_map,
-                           pooled=feature_map.max(axis=0),
-                           argmax=feature_map.argmax(axis=0), use_tanh=use_tanh)
-
-
-def twopass_conv_backward(cache, upstream, store, gradient, learning_rate=None):
-    """The path CNN's backward for onecall_conv_forward's cache in two passes
-    over the filter: the window-vector gradient as one product with the
-    whole filter, then the filter's gradient, or its SGD step with a
-    learning rate, row by row."""
-    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
-    conv_w = store.value(CONV_W)
-    d_features = np.zeros_like(cache.feature_map)
-    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
-    d_inputs = d_features @ conv_w      # before the filter's update below
-    gradient[CONV_B] += d_pre
-    step = cache.inputs[cache.argmax] * d_pre[:, None]
-    if learning_rate is None:
-        gradient[CONV_W] += step
-    else:
-        conv_w -= learning_rate * step
-
-    windows, word_cols = cache.windows, cache.word_cols
-    is_word = word_slots(windows.shape[1])
-    n_windows, word_dim = len(windows), store.value(PAD_WORD).size
-    d_words = np.zeros((n_windows + 1, word_dim))
-    np.add.at(d_words, windows[:, is_word],
-              d_inputs[:, word_cols].reshape(n_windows, -1, word_dim))
-    gradient.step(REL_EMB, row_plan(cache.rel_rows[windows[:, ~is_word]]),
-                  d_inputs[:, ~word_cols].reshape(n_windows, -1, store.value(REL_EMB).shape[1]))
-    gradient[PAD_WORD] += d_words[0]
-    return d_words[1:]
 
 
 def gathered_conv_backward(cache, upstream, store, gradient):
@@ -418,37 +366,6 @@ def gathered_conv_backward(cache, upstream, store, gradient):
     return d_words[1:]
 
 
-def sequential_conv_backward(cache, upstream, store, gradient, word_plan, rel_plan):
-    """path_cnn.conv_backward with the filter's SGD step taken at once, block
-    by block, each block's share of the window-vector gradient formed before
-    that block's step: the step that the deferred low-rank one replaced.
-    Every write goes through gradient.step; the filter is read through
-    store.value, so nothing of it is left pending."""
-    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
-    conv_w = store.value(CONV_W)
-    d_features = np.zeros_like(cache.feature_map)
-    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
-    gradient.step(CONV_B, ..., d_pre)
-    d_inputs = np.zeros_like(cache.inputs)
-    for block in filter_blocks(conv_w):
-        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
-        gradient.step(CONV_W, block, d_features[:, block].T @ cache.inputs)
-
-    windows = cache.windows
-    is_word = word_slots(windows.shape[1])
-    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
-    d_word_slots, d_rel_slots, start = [], [], 0
-    for word in is_word.tolist():
-        width = word_dim if word else rel_dim
-        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
-        start += width
-    d_words = np.zeros((len(windows) + 1, word_dim))
-    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, rel_plan, np.stack(d_rel_slots, axis=1))
-    gradient.step(PAD_WORD, ..., d_words[0])
-    return d_words[1:]
-
-
 def slot_plans(cache):
     """The RowPlans that Model.compile makes for conv_backward: of the word
     slots of cache.windows, and of the relation rows in its relation slots."""
@@ -457,9 +374,32 @@ def slot_plans(cache):
             row_plan(cache.rel_rows[cache.windows[:, ~is_word]]))
 
 
+def count_applies(monkeypatch) -> list[int]:
+    """The inner dimension of every product that applies deferred steps,
+    from now on, in order."""
+    applies = []
+    subtract = numerics._subtract_product
+
+    def counted(value, left, right):
+        applies.append(len(right))
+        subtract(value, left, right)
+
+    monkeypatch.setattr(numerics, "_subtract_product", counted)
+    return applies
+
+
 def assert_bit_identical(actual, expected):
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
+
+
+def copy_store(store):
+    """A new ParameterStore holding a copy of every tensor of `store`."""
+    copy = ParameterStore()
+    for name in store.names():
+        value = store.value(name)
+        copy.register(name, value.shape, store.kind(name))[...] = value
+    return copy
 
 
 def dense_sgd_oracle(store, gradient, learning_rate):
@@ -627,33 +567,6 @@ def _backward(node, d_p, dim, store, gradient, vocab):
         name = oracle_comp_name(vocab, relation)
         gradient[name] += np.outer(d_pre, kid.p)
         _backward(kid, store.value(name).T @ d_pre, dim, store, gradient, vocab)
-
-
-def per_edge_encode_backward(schedule, nodes, d_path, store, gradient, names):
-    """Per-edge oracle of subtree.encode_backward: each edge adds its outer
-    product into the dense buffer of its composition matrix during the
-    pre-order walk, in the order of the depth-first recursion, so only the
-    word rows of a training step, which go through gradient.step, update
-    the store."""
-    rows, parents, comps = schedule
-    dim = store.value(WORD_EMB).shape[1]
-    d_nodes = np.empty_like(nodes)
-    d_nodes[parents == PATH] = d_path
-    parents, comps = parents.tolist(), comps.tolist()
-    d_pre = {}
-    last = len(parents) - 1
-    for slot, parent in enumerate(parents):
-        if parent != PATH:
-            name = names[comps[slot]]
-            gradient[name] += d_pre[parent][:, None] * nodes[slot]
-            d_nodes[slot] = store.value(name).T @ d_pre[parent]
-        d_c = d_nodes[slot, dim:]
-        if slot < last and parents[slot + 1] == slot:
-            d_pre[slot] = tanh_backward(nodes[slot, dim:], d_c)
-            gradient[COMP_BIAS] += d_pre[slot]
-        else:
-            gradient[LEAF_VEC] += d_c
-    gradient.step(WORD_EMB, row_plan(rows), d_nodes[:, :dim])
 
 
 def preorder(cache):

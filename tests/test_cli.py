@@ -662,6 +662,18 @@ class TestGradcheckCommand:
         assert main(["gradcheck"] + flag.split()) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["learning_rate = 0.02", "epochs = 2", "shuffle = off"])
+    def test_training_config_keys_are_refused_at_their_line(self, tmp_path, capsys, line):
+        # a config file's keys for them are refused too, as data errors
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dim = 8\n{line}\n", encoding="utf-8")
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        key = line.split()[0]
+        assert captured.err == (f"error: {cfg}: line 2: config key {key!r} "
+                                "is not read by gradcheck\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["gradcheck", "synth --out x.inst"])
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_n_below_one_is_usage_error(self, capsys, command, n):

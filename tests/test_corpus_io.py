@@ -1,22 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from depnn import synth
 from depnn.adp import Arc, DependencyGraph, EntityMention, InvalidSpan, Token, shortest_path
-from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS,
-                          OTHER_LABEL, PATH_END, PATH_START, RELATION_TYPES,
-                          REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK, AlignmentError,
-                          DimensionMismatch, FormatError, Instance,
-                          UnknownLabel, Vocabulary, VocabularyError, convert,
-                          dataset_stats, entity_mention, label_index, label_type,
-                          load_embeddings, read_parse_blocks,
-                          read_parsed_instances, read_semeval_raw,
+from depnn.classifier import Model
+from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS, OTHER_LABEL,
+                          PATH_END, PATH_START, REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK,
+                          DimensionMismatch, FormatError, Instance, UnknownLabel, Vocabulary,
+                          VocabularyError, _instance_to_record, convert, dataset_stats,
+                          entity_mention, label_index, label_type, load_embeddings,
+                          read_parse_blocks, read_parsed_instances, read_semeval_raw,
                           write_parsed_instances)
 from depnn.cli import _read_config_file, _resolve_config, build_parser
 from depnn.evaluation import describe_path
 
 from conftest import (MALFORMED_RECORDS, VALID_RECORD, graph_of, scheduled_subtrees,
-                      write_instance_file)
+                      tiny_model, write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -106,7 +107,8 @@ class TestParsedInstances:
         instances = synth.make_separable_corpus(8)
         path = tmp_path / "a.inst"
         write_parsed_instances(path, instances)
-        assert read_parsed_instances(path) == instances
+        assert ([_instance_to_record(inst) for inst in read_parsed_instances(path)]
+                == [_instance_to_record(inst) for inst in instances])
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "a.inst"
@@ -351,19 +353,20 @@ class TestVocabulary:
         assert vocab.comp_relations[vocab.comp_id("advmod")] == "advmod"
         assert vocab.ner_row(None) == vocab.ner_row("unknown-tag")
 
-    def test_round_trip_dict(self):
-        vocab = Vocabulary.build(synth.make_separable_corpus(5))
-        assert Vocabulary.from_dict(vocab.to_dict()) == vocab
+    def test_round_trip_dict(self, tmp_path):
+        # a model file holds each field as a JSON list, read back as a tuple
+        model = tiny_model(synth.make_separable_corpus(5))
+        model.save(tmp_path / "m.depnn")
+        assert Model.load(tmp_path / "m.depnn").vocab == model.vocab
 
     @pytest.mark.parametrize("field", sorted(REQUIRED_ENTRIES))
     def test_entry_listed_twice_is_refused(self, field):
         # a fallback entry listed again after the data entries: the index
         # would map it, and every unseen key, to the later row
-        data = Vocabulary.build(synth.make_separable_corpus(5)).to_dict()
+        vocab = Vocabulary.build(synth.make_separable_corpus(5))
         entry = REQUIRED_ENTRIES[field][0]
-        data[field].append(entry)
         with pytest.raises(VocabularyError) as caught:
-            Vocabulary.from_dict(data)
+            replace(vocab, **{field: getattr(vocab, field) + (entry,)})
         assert caught.value.field == field
         assert str(caught.value) == f"vocabulary {field} lists {entry!r} twice"
 
@@ -462,11 +465,10 @@ class TestDatasetStats:
         assert str(stats.percent("Other")) == "16.71"
         assert str(stats.percent("Instrument-Agency")) == "5.74"
 
-    def test_empty_input_all_zero(self):
-        stats = dataset_stats([])
-        assert stats.total == 0
-        assert all(v == 0 for v in stats.by_type.values())
-        assert str(stats.percent("Cause-Effect")) == "0.00"
+    def test_empty_input_rejected(self):
+        # every command refuses an empty file first (cli._nonempty)
+        with pytest.raises(ValueError, match="needs labeled data"):
+            dataset_stats([])
 
     def test_direction_folding_sums(self):
         labels = ["Cause-Effect(e1,e2)"] * 3 + ["Cause-Effect(e2,e1)"] * 4

@@ -1,63 +1,21 @@
-"""The conv filter's deferred SGD step. A training step hands the filter's
-step to the store as two factors, held pending and applied in one product
-when the buffers are full; training so must match the step taken at once,
-block by block (conftest.sequential_conv_backward), within 1e-12 across
-several applies. Then the store's contract for pending steps."""
+"""The store's contract for the conv filter's deferred SGD step. A
+training step hands the filter's step to the store as two factors, held
+pending and applied in one product when the buffers are full. That
+training so matches steps taken at once, within 1e-12 across several
+applies, test_reference checks against the reference DepNN's whole runs."""
 
 import numpy as np
 import pytest
 
-from depnn import classifier, numerics, synth
+from depnn import classifier, synth
 from depnn.numerics import DEFERRED_ROWS, Gradient, NonFiniteValue, ParameterStore
 from depnn.path_cnn import CONV_W
 
-from conftest import assert_bit_identical, sequential_conv_backward, tiny_model
-
-
-def count_applies(monkeypatch) -> list[int]:
-    """The inner dimension of every product that applies deferred steps,
-    from now on, in order."""
-    applies = []
-    subtract = numerics._subtract_product
-
-    def counted(value, left, right):
-        applies.append(len(right))
-        subtract(value, left, right)
-
-    monkeypatch.setattr(numerics, "_subtract_product", counted)
-    return applies
+from conftest import assert_bit_identical, count_applies, gathered_conv_backward, tiny_model
 
 
 def max_gap(a, b):
     return np.abs(np.asarray(a) - np.asarray(b)).max()
-
-
-class TestSequentialOracle:
-    # (hidden, dim, dim_c) at k=5: the published 200-d and 50-d filters
-    SHAPES = {"200d": (400, 200, 100), "50d": (200, 50, 25)}
-
-    @pytest.mark.parametrize("conv_tanh", [True, False])
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_training_matches_sequential_steps(self, monkeypatch, shape, conv_tanh):
-        hidden, dim, dim_c = self.SHAPES[shape]
-        instances = synth.make_gradcheck_instances(40, seed=hidden)
-        settings = dict(hidden=hidden, dim=dim, dim_c=dim_c, window=5,
-                        conv_tanh=conv_tanh)
-        deferred, sequential = tiny_model(instances, **settings), tiny_model(instances, **settings)
-        steps = instances * 2
-
-        applies = count_applies(monkeypatch)
-        deferred_losses = [deferred.train_step(deferred.compile(inst)) for inst in steps]
-        assert len(applies) >= 2 and max(applies) <= DEFERRED_ROWS
-        assert deferred.store.factors(CONV_W)[1] is not None
-
-        monkeypatch.setattr(classifier, "conv_backward", sequential_conv_backward)
-        sequential_losses = [sequential.train_step(sequential.compile(inst)) for inst in steps]
-        assert len(applies) >= 2 and sequential.store.factors(CONV_W)[1] is None
-
-        assert max_gap(deferred_losses, sequential_losses) <= 1e-12
-        for name in sequential.store.names():
-            assert max_gap(deferred.store.value(name), sequential.store.value(name)) <= 1e-12, name
 
 
 class TestPendingSteps:
@@ -125,12 +83,13 @@ class TestPendingSteps:
         instances = synth.make_gradcheck_instances(6, seed=7)
         model = tiny_model(instances)
         gradients = {}
-        for backward in ("deferred", "sequential"):
-            if backward == "sequential":
-                monkeypatch.setattr(classifier, "conv_backward", sequential_conv_backward)
+        for backward in ("deferred", "gathered"):
+            if backward == "gathered":      # its filter gradient adds into a dense buffer
+                monkeypatch.setattr(classifier, "conv_backward",
+                                    lambda *args: gathered_conv_backward(*args[:4]))
             gradient = gradients[backward] = Gradient(model.store)
             for inst in instances:
                 model.accumulate_gradients(model.compile(inst), gradient)
             assert model.store.factors(CONV_W)[1] is None
         # each entry of one instance's filter gradient sums one nonzero term
-        assert_bit_identical(gradients["deferred"][CONV_W], gradients["sequential"][CONV_W])
+        assert_bit_identical(gradients["deferred"][CONV_W], gradients["gathered"][CONV_W])

@@ -3,16 +3,15 @@ import pytest
 
 from depnn import path_cnn, synth
 from depnn.adp import shortest_path
-from depnn.path_cnn import (CONV_B, CONV_W, InvalidWindowSize, build_windows, conv_backward,
+from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, filter_blocks, max_over_time, relation_rows,
                             window_width, word_slots, words_per_window)
 from depnn.numerics import Gradient, ShapeMismatch, row_plan
 from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
-                      gathered_conv_backward, graph_of, onecall_conv_forward,
-                      oracle_conv_backward, oracle_conv_forward, slot_plans, tiny_model,
-                      twopass_conv_backward)
+                      gathered_conv_backward, graph_of, oracle_conv_backward,
+                      oracle_conv_forward, slot_plans, tiny_model)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -242,18 +241,15 @@ class TestOracleEquivalence:
     """The vectorized conv against the per-window, per-slot oracle in
     conftest, on random subtree-encoded paths."""
 
-    @pytest.mark.parametrize("use_tanh", [True, False])
-    @pytest.mark.parametrize("k", [3, 5, 7, 9])
-    def test_matches_per_window_oracle(self, k, use_tanh, rng):
-        instances = synth.make_gradcheck_instances(12, seed=100 + k)
-        model = tiny_model(instances, window=k, conv_tanh=use_tanh)
-        store = model.store
+    @staticmethod
+    def assert_matches_per_window_oracle(model, instances, rng):
+        store, vocab, k = model.store, model.vocab, model.config.window
+        use_tanh = model.config.conv_tanh
         for vecs, labels in random_paths(model, instances):
             n = len(vecs)
-            new = conv_forward(build_windows(n, k), relation_rows(labels, model.vocab), vecs,
+            new = conv_forward(build_windows(n, k), relation_rows(labels, vocab), vecs,
                                store, use_tanh=use_tanh)
-            old = oracle_conv_forward(n, k, vecs, labels, store, model.vocab,
-                                      use_tanh=use_tanh)
+            old = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
             assert max_gap(new.pooled, old.pooled) <= 1e-12
 
@@ -267,6 +263,13 @@ class TestOracleEquivalence:
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
 
+    @pytest.mark.parametrize("use_tanh", [True, False])
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_matches_per_window_oracle(self, k, use_tanh, rng):
+        instances = synth.make_gradcheck_instances(12, seed=100 + k)
+        model = tiny_model(instances, window=k, conv_tanh=use_tanh)
+        self.assert_matches_per_window_oracle(model, instances, rng)
+
     # (hidden, dim, dim_c, k, rows per block or None for the byte budget's)
     BLOCKED_SHAPES = {
         "tiny-2-row-blocks": (5, 6, 4, 3, 2),
@@ -279,58 +282,16 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("shape", sorted(BLOCKED_SHAPES))
     def test_blocks_match_oracles(self, monkeypatch, shape, use_tanh, rng):
         """Across filter blocks the forward and backward match the
-        per-window oracle, and the one-call forward and two-pass backward
-        they replaced, to 1e-12; a training step's filter update too."""
+        per-window oracle to 1e-12. A training step's filter update across
+        blocks is TestFusedFilterUpdate's."""
         hidden, dim, dim_c, k, rows = self.BLOCKED_SHAPES[shape]
         instances = synth.make_gradcheck_instances(6, seed=hidden)
         model = tiny_model(instances, hidden=hidden, dim=dim, dim_c=dim_c, window=k,
                            conv_tanh=use_tanh)
-        store, vocab = model.store, model.vocab
         if rows is not None:
             limit_block_rows(monkeypatch, rows, window_width(k, dim, dim_c))
-        assert len(filter_blocks(store.value(CONV_W))) > 1
-        for vecs, labels in random_paths(model, instances):
-            n = len(vecs)
-            windows = build_windows(n, k)
-            new = conv_forward(windows, relation_rows(labels, vocab), vecs, store,
-                               use_tanh=use_tanh)
-            per_window = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh)
-            onecall = onecall_conv_forward(windows, vecs, labels, store, vocab, use_tanh)
-            for old in (per_window, onecall):
-                assert np.array_equal(new.argmax, old.argmax)
-                assert max_gap(new.pooled, old.pooled) <= 1e-12
-
-            upstream = rng.normal(size=hidden)
-            grads = {kind: Gradient(store) for kind in ("new", "per-window", "two-pass")}
-            d_words = {
-                "new": conv_backward(new, upstream, store, grads["new"], *slot_plans(new)),
-                "per-window": oracle_conv_backward(per_window, upstream, store,
-                                                   grads["per-window"]),
-                "two-pass": twopass_conv_backward(onecall, upstream, store,
-                                                  grads["two-pass"]),
-            }
-            for kind in ("per-window", "two-pass"):
-                for name in store.names():
-                    assert max_gap(grads["new"][name],
-                                   grads[kind][name]) <= 1e-12, (kind, name)
-                assert len(d_words[kind]) == n
-                for a, b in zip(d_words["new"], d_words[kind]):
-                    assert max_gap(a, b) <= 1e-12, kind
-
-            # with a learning rate: the filter's step, both ways, from the same
-            # store; conv_backward steps the bias and the pad vector too
-            before = {name: store.value(name).copy() for name in (CONV_W, CONV_B, PAD_WORD)}
-            stepped_new = conv_backward(new, upstream, store, Gradient(store, 0.3),
-                                        *slot_plans(new))
-            after_new = store.value(CONV_W).copy()
-            for name, value in before.items():
-                store.value(name)[...] = value
-            stepped_old = twopass_conv_backward(onecall, upstream, store, Gradient(store), 0.3)
-            assert max_gap(after_new, store.value(CONV_W)) <= 1e-12
-            for a, b in zip(stepped_new, stepped_old):
-                assert max_gap(a, b) <= 1e-12
-            for name, value in before.items():
-                store.value(name)[...] = value
+        assert len(filter_blocks(model.store.value(CONV_W))) > 1
+        self.assert_matches_per_window_oracle(model, instances, rng)
 
 
 class TestProductFilterUpdate:

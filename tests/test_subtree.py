@@ -9,9 +9,9 @@ from depnn.numerics import Gradient, ParameterStore, init_uniform, row_plan
 from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB,
                            comp_names, compile_nodes, encode, encode_backward)
 
-from conftest import (assert_bit_identical, attach_subtrees, dense_sgd_oracle, encode_word,
-                      encode_word_backward, graph_of, per_edge_encode_backward, preorder,
-                      random_tree, subtree_tokens, tiny_model)
+from conftest import (assert_bit_identical, attach_subtrees, copy_store, dense_sgd_oracle,
+                      encode_word, encode_word_backward, graph_of, preorder, random_tree,
+                      subtree_tokens, tiny_model)
 
 
 def worked_example(**overrides):
@@ -227,7 +227,12 @@ class TestRecursiveOracle:
     matrix takes outer products from several depths. Every node's p and
     every tensor of the gradient match bit for bit, except the composition
     matrices': each is one product over its edges, which sums in another
-    order than the recursion, so those match within 1e-12."""
+    order than the recursion, so those match within 1e-12. With a learning
+    rate the flat backward steps every tensor in place and leaves no
+    buffer, and the stepped store is the recursive gradient's dense update,
+    to the same tolerances."""
+
+    LEARNING_RATE = 0.3
 
     @pytest.mark.parametrize("include_subtree", [True, False])
     @pytest.mark.parametrize("comp_relations", COMP_RELATIONS)
@@ -261,6 +266,18 @@ class TestRecursiveOracle:
                 else:
                     assert_bit_identical(flat[name], recursive[name])
 
+            expected = dense_sgd_oracle(store, recursive, self.LEARNING_RATE)
+            copy = copy_store(store)
+            stepped = Gradient(copy, self.LEARNING_RATE)
+            encode_backward(schedule, row_plan(schedule[ROW]), nodes, d_path, copy, stepped,
+                            names)
+            assert not stepped      # every tensor, word rows too, stepped in place
+            for name in store.names():
+                if name.startswith("comp/"):
+                    assert np.allclose(copy.value(name), expected[name], rtol=0, atol=1e-12)
+                else:
+                    assert_bit_identical(copy.value(name), expected[name])
+
             comps = schedule[COMP].tolist()
             parents = schedule[PARENT].tolist()
             depth = []
@@ -281,54 +298,3 @@ class TestRecursiveOracle:
         with pytest.raises(VocabularyError) as caught:
             build_tree_model(graph, (DEFAULT_RELATION,), words=forms[1:])
         assert caught.value.field == "words"
-
-
-class TestGroupedBackward:
-    """encode_backward forms each composition matrix's gradient as one
-    product after the walk; the per-edge backward it replaced, kept in
-    conftest, adds one outer product per edge during the walk. Without a
-    learning rate the two gradients agree within 1e-12, and bit for bit off
-    the composition matrices. With one, the grouped backward steps every
-    tensor in place and leaves no buffer, and the stepped store is the
-    per-edge gradient's dense update, to the same tolerances."""
-
-    LEARNING_RATE = 0.3
-
-    @pytest.mark.parametrize("comp_relations", COMP_RELATIONS)
-    def test_matches_per_edge_backward(self, rng, comp_relations):
-        shared = 0      # instances where one matrix takes several edges
-        for _ in range(100):
-            graph = random_tree(rng, max_nodes=14, labels=RELATIONS)
-            vocab, store = build_tree_model(graph, comp_relations)
-            names = comp_names(vocab)
-            schedule = compile_nodes(graph, random_path(rng, graph), vocab)
-            nodes = encode(schedule, store, names)
-            d_path = rng.normal(size=(int((schedule[PARENT] == PATH).sum()), nodes.shape[1]))
-            comps = schedule[COMP][schedule[COMP] != PATH]
-            shared += len(set(comps.tolist())) < len(comps)
-
-            grouped, per_edge = Gradient(store), Gradient(store)
-            word_rows = row_plan(schedule[ROW])
-            encode_backward(schedule, word_rows, nodes, d_path, store, grouped, names)
-            per_edge_encode_backward(schedule, nodes, d_path, store, per_edge, names)
-            for name in store.names():
-                if name.startswith("comp/"):
-                    assert np.allclose(grouped[name], per_edge[name],
-                                       rtol=0, atol=1e-12)
-                else:
-                    assert_bit_identical(grouped[name], per_edge[name])
-
-            expected = dense_sgd_oracle(store, per_edge, self.LEARNING_RATE)
-            copy = ParameterStore()
-            for name in store.names():
-                copy.register(name, store.value(name).shape,
-                              store.kind(name))[...] = store.value(name)
-            gradient = Gradient(copy, self.LEARNING_RATE)
-            encode_backward(schedule, word_rows, nodes, d_path, copy, gradient, names)
-            assert not gradient     # every tensor, word rows too, stepped in place
-            for name in store.names():
-                if name.startswith("comp/"):
-                    assert np.allclose(copy.value(name), expected[name], rtol=0, atol=1e-12)
-                else:
-                    assert_bit_identical(copy.value(name), expected[name])
-        assert shared > 20
