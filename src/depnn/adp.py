@@ -54,8 +54,10 @@ class DependencyGraph:
     depths      its depth below the root; -1 out of the tree
 
     Tokens listed in `inactive` (e.g. prepositions folded into collapsed
-    relation labels) stay in the columns but take no part in arcs. Token
-    and Arc objects are made only when `tokens` or `arcs` is read.
+    relation labels) stay in the columns but take no part in arcs. Every
+    reader builds through from_columns; the object form (this constructor,
+    and Token and Arc objects made only when `tokens` or `arcs` is read)
+    is kept for bench/generate.py, which redraws word forms through it.
     """
 
     def __init__(self, tokens, arcs, inactive=()):
@@ -123,10 +125,10 @@ class DependencyGraph:
                                     f"{Arc(idx, dependent, relations[dependent])}")
         if len(children[0]) != 1:
             raise TreeViolation(f"expected exactly one root, found {children[0]}")
-        self.root: int = children[0][0]
+        root = children[0][0]
         depths = [-1] * (n + 1)
-        depths[self.root] = 0
-        reached = [self.root]
+        depths[root] = 0
+        reached = [root]
         for node in reached:        # the list grows as the walk goes down
             depth = depths[node] + 1
             for kid in children[node]:

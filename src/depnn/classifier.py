@@ -383,7 +383,7 @@ class Model:
     def load(cls, path) -> "Model":
         store, meta = load_store(path)
         if meta.get("format") != "depnn-model":
-            raise ModelFileMismatch(f"{path}: not a classifier model file")
+            raise ModelFileMismatch(f"{path}: metadata field 'format' should be 'depnn-model'")
         _check_fields(path, meta, _META_CHECKS)
         _check_fields(path, meta["config"], _CONFIG_CHECKS, "config.")
         _check_fields(path, meta["vocab"], _VOCAB_CHECKS, "vocab.")

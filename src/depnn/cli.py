@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import classifier, corpus, evaluation, numerics, path_cnn, synth
 
 
@@ -346,7 +348,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:           # argparse exits 2 on usage errors
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # the typed checks (NonFiniteLoss, validate_finite) report overflow, not numpy
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except BrokenPipeError:
         # the reader closed standard output, as `depnn predict ... | head`
         # does: stop quietly, as a process killed by SIGPIPE would, and point

@@ -310,7 +310,9 @@ def _graph(rows) -> DependencyGraph:
     return DependencyGraph.from_columns(forms, lemmas, ner_tags, wn_tags, heads, relations)
 
 
-def _instance_from_record(record, line_no: int) -> Instance:
+def instance_from_record(record, line_no: int | None) -> Instance:
+    """The instance of one DEPNN-INST record, or a FormatError naming
+    line_no, the record's line in its file (None for a record of no file)."""
     _check_record(record, line_no)
     rec_id = record["id"]
     try:
@@ -341,7 +343,7 @@ def read_parsed_instances(path) -> list[Instance]:
                 record = json.loads(line)
             except ValueError as exc:   # a JSONDecodeError, or an int too long to convert
                 raise FormatError(f"bad record: {exc}", line_no) from None
-            instances.append(_instance_from_record(record, line_no))
+            instances.append(instance_from_record(record, line_no))
     return instances
 
 

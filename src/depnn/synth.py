@@ -4,15 +4,15 @@ Two generators: a small separable training corpus whose gold label is
 recoverable from the relation labels on the path (used for overfitting
 sanity checks and as the bundled dataless CI corpus), and random-tree
 instances with controlled path lengths and subtree depths for gradient
-checking.
+checking. Both read their instances from DEPNN-INST token rows through
+corpus.instance_from_record, as the instance reader does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adp import Arc, DependencyGraph, Token, entity_mention
-from .corpus import LABELS, Instance
+from .corpus import LABELS, Instance, instance_from_record
 
 SEPARABLE_SEED = 20240
 GRADCHECK_SEED = 77
@@ -51,25 +51,18 @@ def make_separable_corpus(n: int = 50, seed: int = SEPARABLE_SEED) -> list[Insta
     instances = []
     for i in range(n):
         gold, head_rel, tail_rel = _CLASSES[i % len(_CLASSES)]
-        tokens = [
-            Token(1, _pick(rng, _NOUNS), ner_tag=_pick(rng, _NER),
-                  wn_hypernym=_pick(rng, _WN)),
-            Token(2, _pick(rng, _VERBS)),
-            Token(3, _pick(rng, _NOUNS), ner_tag=_pick(rng, _NER),
-                  wn_hypernym=_pick(rng, _WN)),
+        rows = [
+            [_pick(rng, _NOUNS), None, 2, head_rel, _pick(rng, _NER), _pick(rng, _WN)],
+            [_pick(rng, _VERBS), None, 0, "root", None, None],
+            [_pick(rng, _NOUNS), None, 2, tail_rel, _pick(rng, _NER), _pick(rng, _WN)],
         ]
-        arcs = [Arc(2, 1, head_rel), Arc(2, 3, tail_rel), Arc(0, 2, "root")]
         # hang a small modifier chain off the verb on ~2/3 of the instances
         if rng.random() < 0.65:
-            tokens.append(Token(4, _pick(rng, _MODS)))
-            arcs.append(Arc(2, 4, "advmod"))
+            rows.append([_pick(rng, _MODS), None, 2, "advmod", None, None])
             if rng.random() < 0.5:
-                tokens.append(Token(5, _pick(rng, _MODS)))
-                arcs.append(Arc(4, 5, "amod"))
-        graph = DependencyGraph(tokens, arcs)
-        instances.append(Instance(i + 1, graph,
-                                  entity_mention(graph, 1, 1),
-                                  entity_mention(graph, 3, 3), gold))
+                rows.append([_pick(rng, _MODS), None, 4, "amod", None, None])
+        instances.append(instance_from_record(
+            {"id": i + 1, "tokens": rows, "e1": [1, 1], "e2": [3, 3], "label": gold}, None))
     return instances
 
 
@@ -87,35 +80,25 @@ def make_gradcheck_instances(n: int = 20, seed: int = GRADCHECK_SEED,
     instances = []
     for i in range(n):
         path_len = 2 + int(rng.integers(max_path - 1))
-        tokens = [Token(j + 1, _pick(rng, words), ner_tag=_pick(rng, _NER),
-                        wn_hypernym=_pick(rng, _WN)) for j in range(path_len)]
-        arcs: list[Arc] = []
+        rows = [[_pick(rng, words), None, 0, "root", _pick(rng, _NER), _pick(rng, _WN)]
+                for _ in range(path_len)]
         # orient the chain to a single peak so every node keeps one head
         peak = 1 + int(rng.integers(path_len))
-        arcs.append(Arc(0, peak, "root"))
         for j in range(1, path_len):
-            if j < peak:
-                arcs.append(Arc(j + 1, j, _pick(rng, relations)))
-            else:
-                arcs.append(Arc(j, j + 1, _pick(rng, relations)))
+            dependent, head = (j, j + 1) if j < peak else (j + 1, j)
+            rows[dependent - 1][2:4] = head, _pick(rng, relations)
 
         def grow(parent: int, depth: int):
             if depth >= max_depth:
                 return
             for _ in range(int(rng.integers(3))):
-                idx = len(tokens) + 1
-                tag = _pick(rng, _NER)
-                hyp = _pick(rng, _WN)
-                tokens.append(Token(idx, _pick(rng, words), ner_tag=tag,
-                                    wn_hypernym=hyp))
-                arcs.append(Arc(parent, idx, _pick(rng, relations)))
-                grow(idx, depth + 1)
+                tag, hyp = _pick(rng, _NER), _pick(rng, _WN)
+                rows.append([_pick(rng, words), None, parent, _pick(rng, relations), tag, hyp])
+                grow(len(rows), depth + 1)
 
         for j in range(1, path_len + 1):
             grow(j, 0)
-        graph = DependencyGraph(tokens, arcs)
         gold = LABELS[int(rng.integers(len(LABELS)))]
-        instances.append(Instance(i + 1, graph,
-                                  entity_mention(graph, 1, 1),
-                                  entity_mention(graph, path_len, path_len), gold))
+        instances.append(instance_from_record({"id": i + 1, "tokens": rows, "e1": [1, 1],
+                                               "e2": [path_len, path_len], "label": gold}, None))
     return instances

@@ -123,7 +123,7 @@ def assert_same_graph(graph, oracle):
     root, and per token its depth, its children in order and its head arc."""
     assert graph.tokens == oracle.tokens
     assert graph.arcs == oracle.arcs
-    assert (graph.root, graph.inactive) == (oracle.root, oracle.inactive)
+    assert (graph.children[0], graph.inactive) == ([oracle.root], oracle.inactive)
     for tok in oracle.tokens:
         i = tok.index
         arc = oracle.root_arc.get(i)
@@ -618,6 +618,15 @@ MALFORMED_RECORDS = {
                        "instance 1: expected exactly one root"),
     "overlapping-spans": (VALID_RECORD.replace('"e2": [2, 2]', '"e2": [1, 2]'),
                           "instance 1: entity spans overlap"),
+    "no-tokens": ('{"id": 1, "tokens": [], "e1": [1, 1], "e2": [2, 2], "label": "Other"}',
+                  "instance 1: a sentence needs at least one token"),
+    # head -1 marks a token kept out of the tree; no other negative head is one
+    "head-99": (VALID_RECORD.replace('["b", null, 1,', '["b", null, 99,'),
+                "instance 1: arc head 99 has no token"),
+    "head-minus-2": (VALID_RECORD.replace('["b", null, 1,', '["b", null, -2,'),
+                     "instance 1: arc head -2 has no token"),
+    "span-from-zero": (VALID_RECORD.replace('"e1": [1, 1]', '"e1": [0, 1]'),
+                       r"instance 1: span \[0, 1\] leaves the sentence"),
 }
 
 
@@ -695,6 +704,7 @@ def _appended(field, entry):
 # ModelFileMismatch it must raise
 BAD_MODEL_META = {
     "format-only": (lambda meta: {"format": "depnn-model"}, "'config' is missing"),
+    "format-not-a-model": (_edited(format="depnn-embeddings"), "'format' should be 'depnn-model'"),
     "labels-missing": (_edited(labels=None), "'labels' is missing"),
     "labels-not-a-list": (_edited(labels="Other"), "'labels' should be a list of strings"),
     "unknown-field": (_edited(extra=1), "'extra' is unknown"),

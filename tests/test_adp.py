@@ -40,6 +40,12 @@ class TestGraphValidation:
         with pytest.raises(TreeViolation):
             DependencyGraph([Token(1, "a"), Token(1, "b")], [Arc(0, 1, "root")])
 
+    def test_arc_from_head_minus_one_rejected(self):
+        # in the columns head -1 marks a token kept out of the tree, so the
+        # constructor refuses it rather than silently deactivating token 2
+        with pytest.raises(TreeViolation, match="arc head -1 has no token"):
+            graph_of(2, [(0, 1, "root"), (-1, 2, "det")])
+
     def test_inactive_token_must_stay_out_of_arcs(self):
         with pytest.raises(TreeViolation):
             graph_of(2, [(0, 1, "root"), (1, 2, "det")], inactive={2})

@@ -1,7 +1,9 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -95,6 +97,18 @@ class TestExitCodes:
 
     def test_failed_tolerance_is_numeric_failure(self, capsys):
         assert main(["gradcheck", "--n", "1", "--tolerance", "1e-14"]) == 3
+
+    def test_non_finite_loss_is_one_numeric_failure_line(self, tmp_path, corpus_file, capsys):
+        # at this rate the weights overflow to inf and then NaN; the loss
+        # check reports it, and numpy warns of neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--instances", str(corpus_file), "--out",
+                         str(tmp_path / "m.model"), "--dim", "10", "--dim-c", "6",
+                         "--hidden", "16", "--window", "3", "--epochs", "2",
+                         "--lr", "1e300"]) == 3
+        assert capsys.readouterr().err == "numeric failure: instance 38: loss is nan\n"
+        assert not (tmp_path / "m.model").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_malformed_instance_record_is_data_error(self, tmp_path, capsys, case):
@@ -473,6 +487,17 @@ class TestTrain:
         assert "epoch=" not in captured.out
         assert not out.exists()
 
+    def test_validation_file_is_scored_every_epoch(self, tmp_path, corpus_file, capsys):
+        assert main(["train", "--instances", str(corpus_file), "--val", str(corpus_file),
+                     "--out", str(tmp_path / "m.model"), "--epochs", "2", "--dim", "8",
+                     "--dim-c", "4", "--hidden", "6"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("epoch=")]
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines, start=1):
+            assert re.fullmatch(rf"epoch={epoch} mean_loss=\d+\.\d{{6}} "
+                                r"val_macro_f1=\d\.\d{4}", line), line
+
     def test_zero_epochs_model_equals_initialization(self, tmp_path, corpus_file, capsys):
         model_path = tmp_path / "m.model"
         assert main(["train", "--instances", str(corpus_file),
@@ -603,14 +628,18 @@ class TestStats:
         assert "Instrument-Agency" in out
         assert "(50.00%)" in out
 
-    @pytest.mark.parametrize("text", [INSTANCE_FORMAT_HEADER + "\n", ""],
-                             ids=["instance-file", "raw-file"])
-    def test_stats_on_an_empty_file_is_data_error(self, tmp_path, capsys, text):
+    # and a file of unlabeled instances, which holds no label to count either
+    @pytest.mark.parametrize("text, message", [
+        (INSTANCE_FORMAT_HEADER + "\n", "statistics file holds no instances"),
+        ("", "statistics file holds no instances"),
+        (INSTANCE_FORMAT_HEADER + "\n" + VALID_RECORD.replace('"Other"', "null") + "\n",
+         "stats need labeled data")], ids=["instance-file", "raw-file", "unlabeled-instances"])
+    def test_stats_on_an_empty_file_is_data_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "empty.txt"
         path.write_text(text, encoding="utf-8")
         assert main(["stats", "--instances", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: statistics file holds no instances\n"
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
 
     def test_stats_byte_stable(self, corpus_file, capsys):

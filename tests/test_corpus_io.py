@@ -391,28 +391,33 @@ class TestVocabulary:
         assert vocab.word_row(UNK) == vocab.word_row("never-seen") == 0
 
 
-# per text reader: a file whose first line is malformed, and its message
-MALFORMED_FIRST_LINES = {
+# per text reader: a file whose last line is malformed, and its message
+MALFORMED_LAST_LINES = {
     "raw": (read_semeval_raw, "not a sentence\n", "expected '<id>\\t\"<sentence>\"'"),
+    "raw-marker-twice": (read_semeval_raw, '1\t"<e1>a</e1> <e1>b</e1> <e2>c</e2>"\n',
+                         "duplicate <e1> marker"),
     "instances": (read_parsed_instances, "{}\n",
                   f"expected header {INSTANCE_FORMAT_HEADER!r}, got '{{}}'"),
     "parse-blocks": (read_parse_blocks, "1\tOrphan\to\t0\troot\n",
                      "token row outside any '#id' block"),
+    "parse-blocks-id-twice": (read_parse_blocks, "#id 4\n1\tWort\tw\t0\troot\n\n#id 4\n",
+                              "duplicate #id 4"),
     "embeddings": (load_embeddings, "dog 1 x\n", "non-numeric embedding value for 'dog'"),
     "config": (_read_config_file, "nonsense\n", "expected key=value"),
 }
 
 
 class TestReaderErrorsNameTheFile:
-    @pytest.mark.parametrize("reader", sorted(MALFORMED_FIRST_LINES))
+    @pytest.mark.parametrize("reader", sorted(MALFORMED_LAST_LINES))
     def test_format_error_names_file_and_line(self, tmp_path, reader):
-        read, text, message = MALFORMED_FIRST_LINES[reader]
+        read, text, message = MALFORMED_LAST_LINES[reader]
         path = tmp_path / "input.txt"
         path.write_text(text, encoding="utf-8")
+        line = text.count("\n")
         with pytest.raises(FormatError) as err:
             read(path)
-        assert str(err.value) == f"{path}: line 1: {message}"
-        assert (err.value.path, err.value.line) == (path, 1)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+        assert (err.value.path, err.value.line) == (path, line)
 
     def test_empty_embedding_file_names_the_file(self, tmp_path):
         path = tmp_path / "vec.txt"

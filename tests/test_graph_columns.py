@@ -3,11 +3,15 @@
 instance reader used to build).
 
 On synthetic corpora at the shapes of the three bench workloads, the graph
-read from token rows, the graph the constructor builds from Token and Arc
-objects and the oracle's graph agree; compiling an instance gives the rows
-the oracle's objects give; and reading and compiling a file makes no Token
-and no Arc.
+read from token rows, the graph synth generates and the oracle's graph
+agree; the object form (the constructor from Token and Arc objects, and
+the tokens and arcs properties), which bench/generate.py redraws word forms
+through, gives the graph that the rows with those forms give; compiling an
+instance gives the rows the oracle's objects give; and generating, reading
+and compiling a corpus make no Token and no Arc.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ def test_graph_of_rows_matches_the_object_oracle(corpus_name):
         rows = _instance_to_record(instance)["tokens"]
         graph = _graph(rows)
         assert_same_graph(graph, object_graph(rows))
-        # the constructor's graph is the same graph
+        # the generator's graph, read from the same rows, is the same graph
         assert_same_graph(instance.graph, object_graph(rows))
 
 
@@ -49,6 +53,37 @@ def test_constructor_round_trips_its_tokens_and_arcs():
         again = DependencyGraph(reversed(graph.tokens), reversed(graph.arcs), graph.inactive)
         assert_same_graph(again, object_graph(_instance_to_record(instance)["tokens"]))
         assert (again.tokens, again.arcs) == (graph.tokens, graph.arcs)
+
+
+# a sentence whose token 6 is kept out of the tree (a collapsed preposition)
+INACTIVE_ROWS = [["The", None, 2, "det", None, None], ["thief", None, 3, "nsubj", "PER", None],
+                 ["broke", "break", 0, "root", None, None], ["the", None, 5, "det", None, None],
+                 ["lock", None, 3, "dobj", None, None], ["with", None, -1, None, None, None],
+                 ["screwdriver", None, 3, "prep_with", "OBJ", "artifact.n.01"]]
+
+
+def columns(graph):
+    """A graph's columns, each as a list, and its inactive tokens."""
+    return ([list(getattr(graph, name)) for name in ("forms", "lemmas", "ner_tags", "wn_tags",
+                                                    "heads", "relations", "children", "depths")]
+            + [graph.inactive])
+
+
+@pytest.mark.parametrize("corpus_name", sorted(WORKLOAD_SHAPES) + ["inactive-token"])
+def test_object_form_redraws_forms_as_the_rows_would(corpus_name):
+    # bench/generate.py gives a synthetic graph new word forms through the
+    # object form; the graph must be the one its rows with those forms read as
+    if corpus_name == "inactive-token":
+        graphs = [(_graph(INACTIVE_ROWS), INACTIVE_ROWS)]
+    else:
+        graphs = [(instance.graph, _instance_to_record(instance)["tokens"])
+                  for instance in workload_corpus(corpus_name, 60)]
+    for graph, rows in graphs:
+        forms = [f"w{(7 * i) % 5}" for i in range(len(graph.tokens))]
+        tokens = [replace(tok, form=form) for tok, form in zip(graph.tokens, forms)]
+        rebuilt = DependencyGraph(tokens, graph.arcs, graph.inactive)
+        assert columns(rebuilt) == columns(_graph([[form] + row[1:]
+                                                   for form, row in zip(forms, rows)]))
 
 
 def test_rows_and_objects_refuse_the_same_trees(rng):
@@ -93,7 +128,6 @@ def test_write_read_write_is_byte_identical(tmp_path, corpus_name):
 
 def test_reading_and_compiling_make_no_token_or_arc(tmp_path, monkeypatch):
     path = tmp_path / "corpus.inst"
-    write_parsed_instances(path, workload_corpus("train-50d-small", 80))
     made = {"Token": 0, "Arc": 0}
     token_init, arc_new = Token.__init__, Arc.__new__
 
@@ -107,6 +141,8 @@ def test_reading_and_compiling_make_no_token_or_arc(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Token, "__init__", counted_token)
     monkeypatch.setattr(Arc, "__new__", counted_arc)
+    write_parsed_instances(path, workload_corpus("train-50d-small", 80))
+    write_parsed_instances(tmp_path / "separable.inst", synth.make_separable_corpus(20))
     instances = read_parsed_instances(path)
     model = Model.build(TrainConfig(dim=6, dim_c=4, hidden=5, use_ner=True, use_wordnet=True),
                         Vocabulary.build(instances))

@@ -375,6 +375,14 @@ class TestGradientCheck:
         assert errors["w"] == 1.0
 
 
+def _edit_beta(path, edit):
+    """Rewrite the fields of tensor beta's line in a saved file's manifest."""
+    def edit_lines(lines):
+        lines[2] = edit(lines[2])
+        return lines
+    edit_manifest(path, edit_lines)
+
+
 class TestSerialization:
     def build_store(self):
         store = ParameterStore()
@@ -436,17 +444,27 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f"{path}: tensor 'beta' is listed twice"):
             load_store(path)
 
-    @pytest.mark.parametrize("edit_beta, phrase", [
-        (lambda f: f[:2] + ["f2"] + f[3:], "unknown dtype 'f2' for 'beta'"),
-        (lambda f: f[:1] + ["four"] + f[2:], "bad shape or offset for 'beta'"),
-        (lambda f: f[:3] + ["-8"], "negative shape or offset for 'beta'"),
-        (lambda f: f + ["0"], "manifest line for 'beta' has 5 fields"),
+    # each case damages the saved file at its path: beta's manifest line,
+    # the __meta__ line, or the __meta__ JSON (its "kinds" and "user" keys
+    # renamed in place, so its size is kept)
+    @pytest.mark.parametrize("damage, phrase", [
+        (lambda path: _edit_beta(path, lambda f: f[:2] + ["f2"] + f[3:]),
+         "unknown dtype 'f2' for 'beta'"),
+        (lambda path: _edit_beta(path, lambda f: f[:1] + ["four"] + f[2:]),
+         "bad shape or offset for 'beta'"),
+        (lambda path: _edit_beta(path, lambda f: f[:3] + ["-8"]),
+         "negative shape or offset for 'beta'"),
+        (lambda path: _edit_beta(path, lambda f: f + ["0"]),
+         "manifest line for 'beta' has 5 fields"),
+        (lambda path: edit_manifest(path, lambda lines: lines[1:]), "missing __meta__ entry"),
+        (lambda path: path.write_bytes(path.read_bytes().replace(b'"kinds"', b'"kindz"')),
+         "__meta__ lacks 'kinds' or 'user'"),
+        (lambda path: path.write_bytes(path.read_bytes().replace(b'"user"', b'"usex"')),
+         "__meta__ lacks 'kinds' or 'user'"),
     ])
-    def test_malformed_manifest_line(self, tmp_path, edit_beta, phrase):
-        def edit(lines):
-            lines[2] = edit_beta(lines[2])
-            return lines
-        path = self.saved(tmp_path, edit)
+    def test_malformed_manifest_line(self, tmp_path, damage, phrase):
+        path = self.saved(tmp_path)
+        damage(path)
         with pytest.raises(ModelFormatError, match=f"{path}: {phrase}"):
             load_store(path)
 
