@@ -159,21 +159,16 @@ def parameter_layout(config: TrainConfig, vocab: Vocabulary) -> dict[str, tuple]
     return layout
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # (description, check) of a model file's metadata values, per field
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _STRINGS = ("a list of strings",
             lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
 _TYPE_CHECKS = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "int": ("an integer", corpus._is_int),
+    "float": ("a number", lambda v: corpus._is_int(v) or isinstance(v, float)),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
 }
-_META_CHECKS = {"format": ("a string", lambda v: isinstance(v, str)),
-                "labels": _STRINGS, "config": _OBJECT, "vocab": _OBJECT}
+_META_CHECKS = {"labels": _STRINGS, "config": _OBJECT, "vocab": _OBJECT}  # Model.load pops "format"
 _CONFIG_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(TrainConfig)}
 _VOCAB_CHECKS = {f.name: _STRINGS for f in fields(Vocabulary)}
 
@@ -382,7 +377,7 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         store, meta = load_store(path)
-        if meta.get("format") != "depnn-model":
+        if meta.pop("format", None) != "depnn-model":
             raise ModelFileMismatch(f"{path}: metadata field 'format' should be 'depnn-model'")
         _check_fields(path, meta, _META_CHECKS)
         _check_fields(path, meta["config"], _CONFIG_CHECKS, "config.")

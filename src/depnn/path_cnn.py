@@ -19,26 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PATH_END, PATH_START
-from .numerics import Gradient, ParameterStore, RowPlan, ShapeMismatch, tanh_backward
+from .numerics import Gradient, ParameterStore, RowPlan, tanh_backward
 from .subtree import PAD_WORD, REL_EMB
 
 CONV_W = "conv_w"
 CONV_B = "conv_b"
-
-# bytes of filter per block of the forward's and the backward's products:
-# 32 rows of the 200-d filter (400 x 1300 float64), 128 rows of the 50-d one
-# (200 x 325). A path's windows times one block stay within
-# numerics.SMALL_PRODUCT up to 24 windows, on kernels that read the filter in
-# place, so the forward and the backward each read the filter once: a
-# 4-window product with the whole 200-d filter took 0.50 ms, in blocks
-# 0.25 ms. The filter's SGD step is held pending (ParameterStore.defer).
-CONV_W_BLOCK_BYTES = 32 * 1300 * 8
-
-
-def filter_blocks(conv_w: np.ndarray) -> list[slice]:
-    """The filter's row blocks of at most CONV_W_BLOCK_BYTES, in order."""
-    rows = max(1, CONV_W_BLOCK_BYTES // (conv_w.shape[1] * conv_w.itemsize))
-    return [slice(start, start + rows) for start in range(0, len(conv_w), rows)]
 
 
 class InvalidWindowSize(ValueError):
@@ -110,7 +95,6 @@ def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class ConvCache:
     windows: np.ndarray       # build_windows' index array
-    rel_rows: np.ndarray      # relation-embedding row of start, r_0 .. r_{n-2}, end
     inputs: np.ndarray        # concatenated window vectors, one row per window
     feature_map: np.ndarray   # post-activation, one row per window
     pooled: np.ndarray
@@ -133,24 +117,16 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
     rel_rows are relation_rows' index of the path; word_vecs the encoded
     p_w vectors of the path words, one row each, in order.
     """
-    conv_w, left, right = store.factors(CONV_W)
     # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
     tables = (store.value(REL_EMB)[rel_rows],
               np.concatenate((store.value(PAD_WORD)[None], word_vecs)))
     inputs = np.concatenate([tables[word][slot] for word, slot
                              in zip(word_slots(windows.shape[1]).tolist(), windows.T)], axis=1)
-    if inputs.shape[1] != conv_w.shape[1]:
-        raise ShapeMismatch(
-            f"window vector has length {inputs.shape[1]}, filter expects {conv_w.shape[1]}")
-    pre = np.empty((len(windows), len(conv_w)))
-    for block in filter_blocks(conv_w):
-        np.matmul(inputs, conv_w[block].T, out=pre[:, block])
-    if left is not None:        # the filter is conv_w - left @ right
-        pre -= (inputs @ right.T) @ left.T
+    pre = store.matmul_t(CONV_W, inputs)
     pre += store.value(CONV_B)
     feature_map = np.tanh(pre, out=pre) if use_tanh else pre
     pooled, argmax = max_over_time(feature_map)
-    return ConvCache(windows, rel_rows, inputs, feature_map, pooled, argmax, use_tanh)
+    return ConvCache(windows, inputs, feature_map, pooled, argmax, use_tanh)
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
@@ -169,15 +145,10 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     those two factors, to hold pending, once the window vectors' gradient
     has read the filter with every earlier step."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
-    conv_w, left, right = store.factors(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
     gradient.step(CONV_B, ..., d_pre)       # spends d_pre, not upstream: read last above
-    d_inputs = np.zeros_like(cache.inputs)
-    for block in filter_blocks(conv_w):
-        d_inputs += d_features[:, block] @ conv_w[block]
-    if left is not None:        # the filter is conv_w - left @ right
-        d_inputs -= (d_features @ left) @ right
+    d_inputs = store.matmul(CONV_W, d_features)
     gradient.step(CONV_W, ..., (d_features.T, cache.inputs))
 
     # the window vectors' slots, split back apart: word slots go to the path

@@ -12,7 +12,7 @@ from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
 from depnn.numerics import ParameterStore, load_store, row_plan, save_store, tanh_backward
-from depnn.path_cnn import CONV_B, CONV_W, filter_blocks, relation_rows, word_slots
+from depnn.path_cnn import CONV_B, CONV_W, relation_rows, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
                            compile_nodes)
 
@@ -333,11 +333,18 @@ def oracle_conv_backward(cache, upstream, store, gradient):
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
 
 
-def gathered_conv_backward(cache, upstream, store, gradient):
+def filter_blocks(conv_w):
+    """The row blocks that ParameterStore.matmul and matmul_t cut the
+    filter into."""
+    return numerics.row_blocks(len(conv_w), numerics.PRODUCT_ROWS * conv_w.shape[1])
+
+
+def gathered_conv_backward(cache, upstream, store, gradient, word_plan, rel_plan):
     """path_cnn.conv_backward with each filter block's step formed as a
     gathered copy: the block's winning windows, scaled by their units'
     gradients. The filter steps through gradient.step block by block; the
-    bias and pad-vector gradients add into dense buffers."""
+    bias and pad-vector gradients add into dense buffers. The word slots are
+    summed by np.add.at, so word_plan is not read."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
@@ -360,18 +367,17 @@ def gathered_conv_backward(cache, upstream, store, gradient):
         start += width
     d_words = np.zeros((len(windows) + 1, word_dim))
     np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, row_plan(cache.rel_rows[windows[:, ~is_word]]),
-                  np.stack(d_rel_slots, axis=1))
+    gradient.step(REL_EMB, rel_plan, np.stack(d_rel_slots, axis=1))
     gradient[PAD_WORD] += d_words[0]
     return d_words[1:]
 
 
-def slot_plans(cache):
+def slot_plans(cache, rel_rows):
     """The RowPlans that Model.compile makes for conv_backward: of the word
-    slots of cache.windows, and of the relation rows in its relation slots."""
+    slots of cache.windows, and of the rows of rel_rows (relation_rows' index
+    of the path) in its relation slots."""
     is_word = word_slots(cache.windows.shape[1])
-    return (row_plan(cache.windows[:, is_word]),
-            row_plan(cache.rel_rows[cache.windows[:, ~is_word]]))
+    return (row_plan(cache.windows[:, is_word]), row_plan(rel_rows[cache.windows[:, ~is_word]]))
 
 
 def count_applies(monkeypatch) -> list[int]:
@@ -705,6 +711,8 @@ def _appended(field, entry):
 BAD_MODEL_META = {
     "format-only": (lambda meta: {"format": "depnn-model"}, "'config' is missing"),
     "format-not-a-model": (_edited(format="depnn-embeddings"), "'format' should be 'depnn-model'"),
+    "format-before-config": (_edited(format="depnn-embeddings", config=None),
+                             "'format' should be 'depnn-model'"),
     "labels-missing": (_edited(labels=None), "'labels' is missing"),
     "labels-not-a-list": (_edited(labels="Other"), "'labels' should be a list of strings"),
     "unknown-field": (_edited(extra=1), "'extra' is unknown"),

@@ -85,8 +85,7 @@ class TestPendingSteps:
         gradients = {}
         for backward in ("deferred", "gathered"):
             if backward == "gathered":      # its filter gradient adds into a dense buffer
-                monkeypatch.setattr(classifier, "conv_backward",
-                                    lambda *args: gathered_conv_backward(*args[:4]))
+                monkeypatch.setattr(classifier, "conv_backward", gathered_conv_backward)
             gradient = gradients[backward] = Gradient(model.store)
             for inst in instances:
                 model.accumulate_gradients(model.compile(inst), gradient)

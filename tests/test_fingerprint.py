@@ -5,9 +5,9 @@ unchanged; a change that alters the numerics, however slightly, does not.
 The constants are tied to this numpy/BLAS build and to a CPU on which
 OpenBLAS runs small products on its small-matrix kernels (x86-64 with
 AVX-512). There each matrix product of a training step runs on one thread,
-since the path CNN multiplies by its filter in row blocks and the store
-applies the filter's deferred steps in row blocks too, so the bytes do not
-depend on the number of BLAS threads and every config trains in the test
+since the parameter store multiplies by the conv filter, and applies its
+deferred steps, in row blocks within numerics.SMALL_PRODUCT, so the bytes do
+not depend on the number of BLAS threads and every config trains in the test
 process.
 
     python tests/test_fingerprint.py NAME

@@ -10,14 +10,14 @@ from depnn import numerics, synth
 
 from depnn.classifier import NER_EMB, WN_EMB, Model, TrainConfig
 from depnn.corpus import Vocabulary
-from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, WEIGHT, Gradient, ModelFormatError,
-                            NonFiniteLoss, ParameterStore, ShapeMismatch, assert_finite,
-                            NonFiniteValue, RowPlan, gradient_check, init_uniform,
+from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, PRODUCT_ROWS, WEIGHT, Gradient,
+                            ModelFormatError, NonFiniteLoss, ParameterStore, ShapeMismatch,
+                            assert_finite, NonFiniteValue, RowPlan, gradient_check, init_uniform,
                             load_store, row_plan, save_store, softmax, tanh_backward)
 from depnn.subtree import REL_EMB, WORD_EMB
 
-from conftest import (RowSums, assert_bit_identical, dense_sgd_oracle, edit_manifest,
-                      tiny_model, truncate_model_file)
+from conftest import (RowSums, assert_bit_identical, count_applies, dense_sgd_oracle,
+                      edit_manifest, tiny_model, truncate_model_file)
 
 
 class TestKernels:
@@ -68,6 +68,48 @@ class TestParameterStore:
         assert store.value("w") is w
         with pytest.raises(ValueError):
             store.register("w", (2, 3))
+
+
+class TestStoreProducts:
+    """ParameterStore.matmul and matmul_t multiply by a tensor in row blocks
+    and subtract its pending steps from each product, applying nothing."""
+
+    @staticmethod
+    def pending_store(rng, shape):
+        """A store whose tensor "w", of filter-sized entries, holds three
+        pending steps."""
+        store = ParameterStore()
+        store.register("w", shape)[...] = 0.05 * rng.normal(size=shape)
+        for rank in (1, 2, 3):
+            store.defer("w", 0.05 * rng.normal(size=(shape[0], rank)),
+                        0.05 * rng.normal(size=(rank, shape[1])))
+        return store
+
+    # (shape, rows per block): the 200-d and 50-d filters in their own
+    # blocks, and a small tensor cut into blocks of 2 rows and a part block
+    @pytest.mark.parametrize("shape, rows", [((400, 1300), None), ((200, 325), None),
+                                             ((7, 5), 2)])
+    def test_products_match_value_and_apply_nothing(self, monkeypatch, rng, shape, rows):
+        if rows is not None:
+            monkeypatch.setattr(numerics, "SMALL_PRODUCT", rows * PRODUCT_ROWS * shape[1])
+        store = self.pending_store(rng, shape)
+        applies = count_applies(monkeypatch)
+        products = []
+        for windows in (1, 4, 24):
+            x = rng.uniform(-1, 1, size=(windows, shape[1]))
+            y = rng.uniform(-1, 1, size=(windows, shape[0]))
+            products.append((x, store.matmul_t("w", x), y, store.matmul("w", y)))
+        assert applies == []
+        assert store.factors("w")[1].shape == (shape[0], 6)
+        value = store.value("w")
+        for x, product_t, y, product in products:
+            assert np.abs(product_t - x @ value.T).max() <= 1e-12
+            assert np.abs(product - y @ value).max() <= 1e-12
+
+    def test_wrong_width_raises_shape_mismatch(self, rng):
+        store = self.pending_store(rng, (7, 5))
+        with pytest.raises(ShapeMismatch, match="'w' has rows of 5, not 6"):
+            store.matmul_t("w", np.ones((3, 6)))
 
 
 class TestRowRecordedUpdate:

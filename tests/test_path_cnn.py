@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from depnn import path_cnn, synth
+from depnn import numerics, synth
 from depnn.adp import shortest_path
 from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
-                            conv_forward, filter_blocks, max_over_time, relation_rows,
-                            window_width, word_slots, words_per_window)
-from depnn.numerics import Gradient, ShapeMismatch, row_plan
+                            conv_forward, max_over_time, relation_rows, window_width,
+                            word_slots, words_per_window)
+from depnn.numerics import PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, row_plan
 from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
-                      gathered_conv_backward, graph_of, oracle_conv_backward,
+                      filter_blocks, gathered_conv_backward, graph_of, oracle_conv_backward,
                       oracle_conv_forward, slot_plans, tiny_model)
 from depnn.corpus import Instance, entity_mention
 
@@ -25,14 +25,16 @@ def harness(n_words=3, **model_overrides):
     return model, instance
 
 
-def run_conv(model, n_words, k, word_vecs=None, rel_labels=None, use_tanh=True):
+def chain_relations(model, n_words):
+    """relation_rows of harness' chain path of n_words: r1 .. r{n_words-1}."""
+    return relation_rows([f"r{i}" for i in range(1, n_words)], model.vocab)
+
+
+def run_conv(model, n_words, k, word_vecs=None, use_tanh=True):
     width = model.config.dim + model.config.dim_c
     if word_vecs is None:
         word_vecs = [np.full(width, 0.1 * (i + 1)) for i in range(n_words)]
-    if rel_labels is None:
-        rel_labels = [f"r{i}" for i in range(1, n_words)]
-    windows = build_windows(n_words, k)
-    return conv_forward(windows, relation_rows(rel_labels, model.vocab), word_vecs,
+    return conv_forward(build_windows(n_words, k), chain_relations(model, n_words), word_vecs,
                         model.store, use_tanh=use_tanh)
 
 
@@ -112,7 +114,7 @@ class TestConvForward:
 
     def test_single_window_degenerate_pooling(self):
         model, _ = harness(2)
-        cache = run_conv(model, 1, 3, rel_labels=[])
+        cache = run_conv(model, 1, 3)
         assert np.array_equal(cache.pooled, cache.feature_map[0])
         assert not cache.argmax.any()
 
@@ -174,7 +176,8 @@ class TestConvBackward:
         cache = run_conv(model, 3, 3)
         gradient = Gradient(model.store)
         d_words = conv_backward(cache, np.zeros(model.config.hidden),
-                                model.store, gradient, *slot_plans(cache))
+                                model.store, gradient,
+                                *slot_plans(cache, chain_relations(model, 3)))
         for name in model.store.names():
             assert not gradient[name].any()
         assert all(not d.any() for d in d_words)
@@ -187,7 +190,7 @@ class TestConvBackward:
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
         d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                *slot_plans(cache))
+                                *slot_plans(cache, chain_relations(model, 2)))
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
         assert not d_words[1 - winner].any()
@@ -198,29 +201,35 @@ class TestConvBackward:
         cache = run_conv(model, 3, 5)
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
         d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                *slot_plans(cache))
+                                *slot_plans(cache, chain_relations(model, 3)))
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
 
 
 def limit_block_rows(monkeypatch, rows, width):
-    """Make filter_blocks cut a filter of this width into blocks of `rows`."""
-    monkeypatch.setattr(path_cnn, "CONV_W_BLOCK_BYTES", rows * width * 8)
+    """Make the store cut a filter of this width into blocks of `rows` in its
+    products (numerics.row_blocks); its applies are cut finer too."""
+    monkeypatch.setattr(numerics, "SMALL_PRODUCT", rows * PRODUCT_ROWS * width)
 
 
 class TestFilterBlocks:
-    def test_byte_budget_sets_rows_per_block(self):
-        # 32 rows of the 200-d filter, 128 of the 50-d one, in the budget
-        assert filter_blocks(np.empty((400, 1300)))[:2] == [slice(0, 32), slice(32, 64)]
-        assert len(filter_blocks(np.empty((400, 1300)))) == 13
-        assert filter_blocks(np.empty((200, 325))) == [slice(0, 128), slice(128, 256)]
+    """numerics.row_blocks as the store's products cut the filter: each
+    block within SMALL_PRODUCT for up to PRODUCT_ROWS windows."""
+
+    def test_small_product_sets_rows_per_block(self):
+        # 32 rows of the 200-d filter, 128 of the 50-d one, within SMALL_PRODUCT
+        assert row_blocks(400, PRODUCT_ROWS * 1300)[:2] == [slice(0, 32), slice(32, 64)]
+        assert len(row_blocks(400, PRODUCT_ROWS * 1300)) == 13
+        assert row_blocks(200, PRODUCT_ROWS * 325) == [slice(0, 128), slice(128, 256)]
+        # 98 rows of the 50-d filter at k=7 (width 425)
+        assert row_blocks(200, PRODUCT_ROWS * 425)[0] == slice(0, 98)
 
     def test_blocks_cover_every_row_once(self):
         for hidden in (1, 7, 32, 33, 200):
             for width in (22, 325, 1300, 10**6):
                 rows = np.arange(hidden)
-                covered = np.concatenate([rows[b] for b in filter_blocks(np.empty((hidden, width)))])
+                covered = np.concatenate([rows[b] for b in row_blocks(hidden, PRODUCT_ROWS * width)])
                 assert covered.tolist() == rows.tolist()
 
 
@@ -246,16 +255,15 @@ class TestOracleEquivalence:
         store, vocab, k = model.store, model.vocab, model.config.window
         use_tanh = model.config.conv_tanh
         for vecs, labels in random_paths(model, instances):
-            n = len(vecs)
-            new = conv_forward(build_windows(n, k), relation_rows(labels, vocab), vecs,
-                               store, use_tanh=use_tanh)
+            n, rel_rows = len(vecs), relation_rows(labels, vocab)
+            new = conv_forward(build_windows(n, k), rel_rows, vecs, store, use_tanh=use_tanh)
             old = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
             assert max_gap(new.pooled, old.pooled) <= 1e-12
 
             upstream = rng.normal(size=model.config.hidden)
             grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new, *slot_plans(new))
+            d_new = conv_backward(new, upstream, store, grads_new, *slot_plans(new, rel_rows))
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
                 assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
@@ -270,7 +278,7 @@ class TestOracleEquivalence:
         model = tiny_model(instances, window=k, conv_tanh=use_tanh)
         self.assert_matches_per_window_oracle(model, instances, rng)
 
-    # (hidden, dim, dim_c, k, rows per block or None for the byte budget's)
+    # (hidden, dim, dim_c, k, rows per block or None for PRODUCT_ROWS')
     BLOCKED_SHAPES = {
         "tiny-2-row-blocks": (5, 6, 4, 3, 2),
         "tiny-8-row-blocks": (33, 6, 4, 5, 8),
@@ -345,15 +353,18 @@ class TestProductFilterUpdate:
                 drawn = 1 if tied else n_words
                 vecs = np.resize(rng.normal(size=(drawn, dim + dim_c)), (n_words, dim + dim_c))
                 labels = np.resize(rng.choice(vocab.relations[3:], size=drawn), n_words - 1)
-                cache = conv_forward(build_windows(n_words, 5), relation_rows(labels, vocab),
-                                     list(vecs), store, use_tanh=use_tanh)
+                rel_rows = relation_rows(labels, vocab)
+                cache = conv_forward(build_windows(n_words, 5), rel_rows, list(vecs), store,
+                                     use_tanh=use_tanh)
                 tied_cases += len(np.unique(cache.feature_map, axis=0)) < n_words
                 upstream = rng.normal(size=hidden)
+                plans = slot_plans(cache, rel_rows)
                 d_new, new, held = self.outcome(
-                    lambda *args: conv_backward(*args, *slot_plans(cache)), cache, upstream,
+                    lambda *args: conv_backward(*args, *plans), cache, upstream, store,
+                    learning_rate)
+                d_old, old, _ = self.outcome(
+                    lambda *args: gathered_conv_backward(*args, *plans), cache, upstream,
                     store, learning_rate)
-                d_old, old, _ = self.outcome(gathered_conv_backward, cache, upstream, store,
-                                             learning_rate)
                 assert_bit_identical(d_new, d_old)
                 for name in store.names():
                     if name == CONV_W and learning_rate is not None:

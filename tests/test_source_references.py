@@ -35,3 +35,12 @@ def test_every_source_function_is_referenced_outside_the_tests():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert not unused, "defined in src/depnn but referenced only from tests:\n" + "\n".join(unused)
+
+
+def test_only_numerics_knows_how_the_store_holds_and_multiplies_a_tensor():
+    """A tensor's pending factors and the small-product limit that its row
+    blocks are cut by are named in src/depnn by numerics alone."""
+    for path in sorted((ROOT / "src" / "depnn").glob("*.py")):
+        if path.name != "numerics.py":
+            names = set(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+            assert not names & {"factors", "SMALL_PRODUCT"}, path.name
