@@ -116,6 +116,7 @@ class CompiledInstance:
     id: int
     gold: int | None          # label index; None when unlabeled
     schedule: np.ndarray      # subtree.compile_nodes' schedule of the path's nodes
+    path_slots: np.ndarray    # the schedule slots of the path words, in path order
     rel_rows: np.ndarray      # path_cnn.relation_rows, sentinels included
     windows: np.ndarray       # path_cnn.build_windows' index, shared by paths of one length
     lex_rows: np.ndarray      # per Model._lex_tables entry, the two entity heads' rows
@@ -233,6 +234,8 @@ class Model:
         graph = instance.graph
         tokens, labels = shortest_path(graph, instance.e1.head_index, instance.e2.head_index)
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
+        # one fresh intp array (np.flatnonzero's is a view of a second one)
+        path_slots = np.arange(schedule.shape[1])[schedule[PARENT] == PATH]
         rel_rows = relation_rows(labels, self.vocab)
         heads = (instance.e1.head_index, instance.e2.head_index)
         lex_rows = tuple(self.vocab.ner_row(graph.ner_tags[head]) if table == NER_EMB
@@ -248,7 +251,7 @@ class Model:
         windows, word_slot_plan, rel_slots = self._windows[len(tokens)]
         gold = None if instance.gold is None else label_index(instance.gold)
         return CompiledInstance(
-            instance.id, gold, schedule, rel_rows, windows,
+            instance.id, gold, schedule, path_slots, rel_rows, windows,
             np.array(lex_rows, dtype=np.int32).reshape(-1, 2),
             row_plan(schedule[ROW]) if plans else None,
             row_plan(rel_rows[rel_slots]) if plans else None,
@@ -257,11 +260,9 @@ class Model:
     # --- forward -------------------------------------------------------------
 
     def _forward(self, compiled: CompiledInstance) -> _ForwardCache:
-        schedule = compiled.schedule
-        nodes = encode(schedule, self.store, self._comp_names)
-        conv = conv_forward(compiled.windows, compiled.rel_rows,
-                            nodes[schedule[PARENT] == PATH], self.store,
-                            use_tanh=self.config.conv_tanh)
+        nodes = encode(compiled.schedule, self.store, self._comp_names)
+        conv = conv_forward(compiled.windows, compiled.rel_rows, nodes[compiled.path_slots],
+                            self.store, use_tanh=self.config.conv_tanh)
         pieces = [conv.pooled] + [self.store.value(name)[rows].ravel() for name, rows
                                   in zip(self._lex_tables, compiled.lex_rows)]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
@@ -309,8 +310,8 @@ class Model:
 
         d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient,
                                compiled.word_slots, compiled.rel_slots)
-        encode_backward(compiled.schedule, compiled.word_rows, cache.nodes, d_path, self.store,
-                        gradient, self._comp_names)
+        encode_backward(compiled.schedule, compiled.path_slots, compiled.word_rows, cache.nodes,
+                        d_path, self.store, gradient, self._comp_names)
 
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
         """Forward + backward; returns the loss. The instance's gradient adds

@@ -243,10 +243,11 @@ def cmd_stats(args) -> int:
 
 def cmd_neighbors(args) -> int:
     model = classifier.Model.load(args.model)
-    instances = corpus.read_parsed_instances(args.instances)
+    instances = _nonempty(corpus.read_parsed_instances(args.instances), args.instances,
+                          "neighbors")
     by_id = {inst.id: inst for inst in instances}
     if args.query_id not in by_id:
-        raise UnknownQuery(f"no instance with id {args.query_id}")
+        raise UnknownQuery(f"{args.instances}: no instance with id {args.query_id}")
     query = by_id[args.query_id]
     candidates = [inst for inst in instances if inst.id != args.query_id]
     ranked, skipped = evaluation.nearest_paths(query, candidates, model,

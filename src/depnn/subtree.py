@@ -96,12 +96,13 @@ def encode(schedule: np.ndarray, store: ParameterStore, names: list[str]) -> np.
     return nodes
 
 
-def encode_backward(schedule: np.ndarray, word_rows: RowPlan, nodes: np.ndarray,
-                    d_path: np.ndarray, store: ParameterStore, gradient: Gradient,
-                    names: list[str]) -> None:
+def encode_backward(schedule: np.ndarray, path_slots: np.ndarray, word_rows: RowPlan,
+                    nodes: np.ndarray, d_path: np.ndarray, store: ParameterStore,
+                    gradient: Gradient, names: list[str]) -> None:
     """Propagate the gradient on the path words' p (one row each, in path
-    order) back through the subtrees, into the gradient of word embeddings,
-    composition matrices, the composition bias and the leaf vector.
+    order, for their schedule slots path_slots) back through the subtrees,
+    into the gradient of word embeddings, composition matrices, the
+    composition bias and the leaf vector.
 
     The nodes are walked in pre-order, each taking its share from its
     parent (C.T @ d_pre), so the bias, leaf-vector and word rows accumulate
@@ -113,7 +114,7 @@ def encode_backward(schedule: np.ndarray, word_rows: RowPlan, nodes: np.ndarray,
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]
     d_nodes = np.empty_like(nodes)
-    d_nodes[parents == PATH] = d_path
+    d_nodes[path_slots] = d_path
     d_pre = np.empty((len(rows), nodes.shape[1] - dim))    # read on internal nodes only
     d_bias, d_leaf = np.zeros((2, nodes.shape[1] - dim))
     parents, comps = parents.tolist() + [PATH], comps.tolist()    # PATH past the last slot

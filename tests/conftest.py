@@ -333,45 +333,6 @@ def oracle_conv_backward(cache, upstream, store, gradient):
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
 
 
-def filter_blocks(conv_w):
-    """The row blocks that ParameterStore.matmul and matmul_t cut the
-    filter into."""
-    return numerics.row_blocks(len(conv_w), numerics.PRODUCT_ROWS * conv_w.shape[1])
-
-
-def gathered_conv_backward(cache, upstream, store, gradient, word_plan, rel_plan):
-    """path_cnn.conv_backward with each filter block's step formed as a
-    gathered copy: the block's winning windows, scaled by their units'
-    gradients. The filter steps through gradient.step block by block; the
-    bias and pad-vector gradients add into dense buffers. The word slots are
-    summed by np.add.at, so word_plan is not read."""
-    d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
-    conv_w = store.value(CONV_W)
-    d_features = np.zeros_like(cache.feature_map)
-    d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
-    d_inputs = np.zeros_like(cache.inputs)
-    gradient[CONV_B] += d_pre
-    for block in filter_blocks(conv_w):
-        d_inputs += d_features[:, block] @ conv_w[block]    # before the block's update
-        step = cache.inputs[cache.argmax[block]]
-        step *= d_pre[block, None]
-        gradient.step(CONV_W, block, step)
-
-    windows = cache.windows
-    is_word = word_slots(windows.shape[1])
-    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
-    d_word_slots, d_rel_slots, start = [], [], 0
-    for word in is_word.tolist():
-        width = word_dim if word else rel_dim
-        (d_word_slots if word else d_rel_slots).append(d_inputs[:, start:start + width])
-        start += width
-    d_words = np.zeros((len(windows) + 1, word_dim))
-    np.add.at(d_words, windows[:, is_word], np.stack(d_word_slots, axis=1))
-    gradient.step(REL_EMB, rel_plan, np.stack(d_rel_slots, axis=1))
-    gradient[PAD_WORD] += d_words[0]
-    return d_words[1:]
-
-
 def slot_plans(cache, rel_rows):
     """The RowPlans that Model.compile makes for conv_backward: of the word
     slots of cache.windows, and of the rows of rel_rows (relation_rows' index
@@ -414,47 +375,6 @@ def dense_sgd_oracle(store, gradient, learning_rate):
     computed on copies, per name."""
     return {name: store.value(name) - learning_rate * gradient[name]
             for name in store.names()}
-
-
-class RowSums:
-    """The embedding-row route that Gradient.step's row path replaced: per
-    table, per row, the sum of that row's deltas in call order, kept across
-    every call of a step, and stepped onto the table once, at the step's end."""
-
-    def __init__(self, store):
-        self.store = store
-        self.rows = {}
-
-    def add_rows(self, name, rows, delta):
-        """grad[rows] += delta, for an int row or an array of rows with one
-        delta each; a row's sum starts as its first delta + 0.0, in a new
-        array."""
-        sums = self.rows.setdefault(name, {})
-        if isinstance(rows, (int, np.integer)):
-            pairs = ((rows, delta),)
-        else:
-            pairs = zip(np.ravel(rows).tolist(),
-                        np.reshape(delta, (-1,) + self.store.value(name).shape[1:]))
-        for row, row_delta in pairs:
-            total = sums.get(row)
-            if total is None:
-                sums[row] = row_delta + 0.0
-            else:
-                total += row_delta
-
-    def full(self, name):
-        """The gradient of the whole table, zero where nothing was written."""
-        full = np.zeros(self.store.value(name).shape)
-        for row, total in self.rows.get(name, {}).items():
-            full[row] += total
-        return full
-
-    def apply(self, learning_rate):
-        """value -= learning_rate * grad on exactly the rows written."""
-        for name, sums in self.rows.items():
-            if sums:
-                rows = np.fromiter(sums, dtype=np.intp, count=len(sums))
-                self.store.value(name)[rows] -= learning_rate * np.array(list(sums.values()))
 
 
 @dataclass(frozen=True)

@@ -601,6 +601,14 @@ class TestEvalPredict:
         assert captured.err == f"error: {path}: prediction file holds no instances\n"
         assert captured.out == ""
 
+    def test_neighbors_on_an_empty_file_is_data_error(self, trained, tmp_path, capsys):
+        path = write_instance_file(tmp_path / "empty.inst")
+        assert main(["neighbors", "--model", str(trained), "--instances", str(path),
+                     "--query-id", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: neighbors file holds no instances\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("top_n", ["0", "-2"])
     def test_neighbors_top_n_below_one_is_usage_error(self, corpus_file, capsys, top_n):
         assert main(["neighbors", "--model", "m.model", "--instances", str(corpus_file),
@@ -610,7 +618,7 @@ class TestEvalPredict:
     def test_neighbors_unknown_query_is_data_error(self, trained, corpus_file, capsys):
         assert main(["neighbors", "--model", str(trained), "--instances", str(corpus_file),
                      "--query-id", "9999"]) == 2
-        assert capsys.readouterr().err == "error: no instance with id 9999\n"
+        assert capsys.readouterr().err == f"error: {corpus_file}: no instance with id 9999\n"
 
 
 class TestStats:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from depnn import classifier, synth
-from depnn.numerics import DEFERRED_ROWS, Gradient, NonFiniteValue, ParameterStore
-from depnn.path_cnn import CONV_W
+from depnn.numerics import DEFERRED_ROWS, Gradient, NonFiniteValue, ParameterStore, tanh_backward
+from depnn.path_cnn import CONV_W, conv_backward
 
-from conftest import assert_bit_identical, count_applies, gathered_conv_backward, tiny_model
+from conftest import assert_bit_identical, count_applies, tiny_model
 
 
 def max_gap(a, b):
@@ -80,15 +80,29 @@ class TestPendingSteps:
         assert_bit_identical(model.store.value(CONV_W), before)
 
     def test_gradient_without_rate_holds_dense_filter_gradient(self, monkeypatch):
+        """Without a rate the filter's gradient is its definition, bit for
+        bit: per instance, each unit's gradient times its winning window,
+        d_pre[:, None] * cache.inputs[cache.argmax], summed over the
+        instances in order. Each entry of one instance's product sums a
+        single nonzero term."""
         instances = synth.make_gradcheck_instances(6, seed=7)
-        model = tiny_model(instances)
-        gradients = {}
-        for backward in ("deferred", "gathered"):
-            if backward == "gathered":      # its filter gradient adds into a dense buffer
-                monkeypatch.setattr(classifier, "conv_backward", gathered_conv_backward)
-            gradient = gradients[backward] = Gradient(model.store)
+        calls = []
+
+        def recorded(cache, upstream, *args):
+            calls.append((cache, upstream.copy()))
+            return conv_backward(cache, upstream, *args)
+
+        monkeypatch.setattr(classifier, "conv_backward", recorded)
+        for conv_tanh in (True, False):
+            model = tiny_model(instances, conv_tanh=conv_tanh)
+            gradient = Gradient(model.store)
+            calls.clear()
             for inst in instances:
                 model.accumulate_gradients(model.compile(inst), gradient)
             assert model.store.factors(CONV_W)[1] is None
-        # each entry of one instance's filter gradient sums one nonzero term
-        assert_bit_identical(gradients["deferred"][CONV_W], gradients["gathered"][CONV_W])
+            expected = np.zeros(model.store.value(CONV_W).shape)
+            for cache, upstream in calls:
+                d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+                expected += d_pre[:, None] * cache.inputs[cache.argmax]
+            assert len(calls) == len(instances)
+            assert_bit_identical(gradient[CONV_W], expected)

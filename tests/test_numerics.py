@@ -14,10 +14,11 @@ from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, PRODUCT_ROWS, WEIGHT, G
                             ModelFormatError, NonFiniteLoss, ParameterStore, ShapeMismatch,
                             assert_finite, NonFiniteValue, RowPlan, gradient_check, init_uniform,
                             load_store, row_plan, save_store, softmax, tanh_backward)
+from depnn.path_cnn import build_windows, word_slots
 from depnn.subtree import REL_EMB, WORD_EMB
 
-from conftest import (RowSums, assert_bit_identical, count_applies, dense_sgd_oracle,
-                      edit_manifest, tiny_model, truncate_model_file)
+from conftest import (assert_bit_identical, count_applies, dense_sgd_oracle, edit_manifest,
+                      tiny_model, truncate_model_file)
 
 
 class TestKernels:
@@ -210,95 +211,73 @@ class TestRowRecordedUpdate:
 
 
 class TestRowStep:
-    """Gradient.step on the RowPlan of an integer-array index against the
-    route it replaced, conftest.RowSums (add_rows, then apply at the step's
-    end), bit for bit: random row arrays with repeats, 1-D and 2-D indexes,
-    with and without a learning rate."""
+    """RowPlan.sums, and Gradient.step through a RowPlan, against their
+    definition: each call's deltas summed by np.add.at into a zeroed table,
+    bit for bit. Without a rate the Gradient's buffer adds each call's sum;
+    with one the table becomes value - lr * that sum at each call, and the
+    Gradient holds nothing. np.add.at starts a row at 0.0 + its first delta
+    and RowPlan.sums at the first delta + 0.0, so both make +0.0 of a row
+    whose only delta is -0.0."""
 
     @staticmethod
-    def table(rng):
-        store = ParameterStore()
-        store.register("table", (int(rng.integers(1, 40)), int(rng.integers(1, 6))), EMBEDDING)
-        init_uniform(store, seed=int(rng.integers(1000)))
-        copy = ParameterStore()
-        copy.register("table", store.value("table").shape, EMBEDDING)[...] = store.value("table")
-        return store, copy
-
-    @staticmethod
-    def rows(rng, n_rows, ndim):
-        shape = ((int(rng.integers(1, 25)),) if ndim == 1
-                 else (int(rng.integers(1, 8)), int(rng.integers(1, 5))))
-        # a few distinct rows at most, so most draws repeat some
-        return rng.integers(0, min(n_rows, 1 + int(rng.integers(6))), size=shape)
-
-    @pytest.mark.parametrize("learning_rate", [None, 0.05, 1.0])
-    @pytest.mark.parametrize("ndim", [1, 2])
-    def test_matches_add_rows_and_apply(self, rng, ndim, learning_rate):
-        repeated = 0
-        for _ in range(200):
-            store, copy = self.table(rng)
-            n_rows, width = store.value("table").shape
-            rows = self.rows(rng, n_rows, ndim)
-            repeated += len(np.unique(rows)) < rows.size
-            deltas = rng.normal(size=rows.shape + (width,))
-            given = deltas.copy()
-            oracle = RowSums(copy)
-            oracle.add_rows("table", rows, deltas)
-            gradient = Gradient(store, learning_rate)
-            gradient.step("table", row_plan(rows), deltas)
-            assert_bit_identical(deltas, given)
-            if learning_rate is None:
-                assert_bit_identical(gradient["table"], oracle.full("table"))
-            else:
-                assert not gradient
-                oracle.apply(learning_rate)
-                assert_bit_identical(store.value("table"), copy.value("table"))
-        assert repeated > 100
-
-    def test_two_calls_without_a_rate_add_per_call_sums(self, rng):
-        """Each call sums its own rows and adds the sums to the buffer, so a
-        row that both calls write holds (0 + S1) + S2, where the route it
-        replaced kept one running sum across both."""
-        for ndim in (1, 2):
-            store, copy = self.table(rng)
-            n_rows, width = store.value("table").shape
-            gradient, expected = Gradient(store), np.zeros((n_rows, width))
-            for _ in range(2):
-                rows = self.rows(rng, n_rows, ndim)
-                deltas = rng.normal(size=rows.shape + (width,))
-                oracle = RowSums(copy)
-                oracle.add_rows("table", rows, deltas)
-                gradient.step("table", row_plan(rows), deltas)
-                expected += oracle.full("table")
-            assert_bit_identical(gradient["table"], expected)
-
-
-    def test_plan_sums_match_row_sums(self, rng):
-        """RowPlan.sums against RowSums' per-row sums, bit for bit, over 1 to
-        40 entries naming rows up to 6 times, in (n,) and (n, k) indexes,
-        with deltas that hold -0.0: a row's sum starts from its first
-        delta + 0.0, so a row of one -0.0 delta sums to +0.0."""
-        repeats = 0
-        for trial in range(400):
-            n_rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+    def random_calls(rng):
+        """(table shape, calls): one or two calls, each an index of up to 40
+        entries naming a few rows up to 6 times, (n,) or (n, 2), with
+        deltas that hold -0.0."""
+        n_rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        calls = []
+        for _ in range(1 + (rng.random() < 0.25)):
             named = rng.choice(n_rows, size=min(n_rows, int(rng.integers(1, 8))), replace=False)
             rows = rng.permutation(np.repeat(named, rng.integers(1, 7, size=named.size)))[:40]
-            if trial % 2 and rows.size % 2 == 0:
+            if rng.random() < 0.5 and rows.size % 2 == 0:
                 rows = rows.reshape(-1, 2)
-            deltas = rng.normal(size=rows.shape + (width,))
-            deltas[rng.random(deltas.shape) < 0.3] = -0.0
-            repeats += np.bincount(rows.ravel()).max() > 1
+            calls.append((rows, rng.normal(size=rows.shape + (width,))))
+        return (n_rows, width), calls
+
+    @staticmethod
+    def word_slot_calls(rng):
+        """Per window size and path of 1 to 8 words, the call conv_backward
+        makes: the windows' word slots onto [pad, p_0 ..]."""
+        for k in (3, 5, 7, 9):
+            is_word = word_slots(k)
+            for n_words in range(1, 9):
+                slots = build_windows(n_words, k)[:, is_word]
+                yield (n_words + 1, 6), [(slots, rng.normal(size=slots.shape + (6,)))]
+
+    @pytest.mark.parametrize("learning_rate", [None, 0.05, 1.0])
+    def test_matches_add_at_into_zeros(self, rng, learning_rate):
+        repeats = two_calls = 0
+        cases = [self.random_calls(rng) for _ in range(400)]
+        for shape, calls in cases + list(self.word_slot_calls(rng)):
             store = ParameterStore()
-            store.register("table", (n_rows, width), EMBEDDING)
-            oracle = RowSums(store)
-            oracle.add_rows("table", rows, deltas)
-            given = deltas.copy()
-            distinct, sums = row_plan(rows).sums(deltas)
-            assert_bit_identical(deltas, given)     # the sums are a new array
-            assert sorted(distinct.tolist()) == sorted(oracle.rows["table"])
-            for row, total in zip(distinct.tolist(), sums):
-                assert_bit_identical(total, oracle.rows["table"][row])
-        assert repeats > 100
+            store.register("table", shape, EMBEDDING)
+            init_uniform(store, seed=int(rng.integers(1000)))
+            expected = np.zeros(shape) if learning_rate is None else store.value("table").copy()
+            gradient = Gradient(store, learning_rate)
+            for index, deltas in calls:
+                deltas[rng.random(deltas.shape) < 0.3] = -0.0
+                repeats += np.bincount(index.ravel()).max() > 2
+                summed = np.zeros(shape)
+                np.add.at(summed, index, deltas)
+                given = deltas.copy()
+                rows, sums = row_plan(index).sums(deltas)
+                assert sorted(rows.tolist()) == np.unique(index).tolist()
+                table = np.zeros(shape)
+                table[rows] = sums
+                assert_bit_identical(table, summed)
+                gradient.step("table", row_plan(index), deltas)
+                assert_bit_identical(deltas, given)     # the sums are a new array
+                if learning_rate is None:
+                    expected += summed
+                else:
+                    expected = expected - learning_rate * summed
+            two_calls += len(calls) == 2
+            if learning_rate is None:
+                assert_bit_identical(gradient["table"], expected)
+            else:
+                assert not gradient
+                assert_bit_identical(store.value("table"), expected)
+        assert repeats > 200 and two_calls > 50
 
     def test_plan_orders_rows_by_use_then_first_sight(self):
         plan = row_plan(np.array([[3, 8], [5, 3], [8, 3], [1, 9]]))

@@ -6,12 +6,11 @@ from depnn.adp import shortest_path
 from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, max_over_time, relation_rows, window_width,
                             word_slots, words_per_window)
-from depnn.numerics import PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, row_plan
-from depnn.subtree import PAD_WORD, PARENT, PATH, REL_EMB, comp_names, encode
+from depnn.numerics import PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, tanh_backward
+from depnn.subtree import PAD_WORD, REL_EMB, comp_names, encode
 
-from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows,
-                      filter_blocks, gathered_conv_backward, graph_of, oracle_conv_backward,
-                      oracle_conv_forward, slot_plans, tiny_model)
+from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows, graph_of,
+                      oracle_conv_backward, oracle_conv_forward, slot_plans, tiny_model)
 from depnn.corpus import Instance, entity_mention
 
 
@@ -152,24 +151,6 @@ class TestConvForward:
             run_conv(model, 2, 5)   # filter was sized for k=3
 
 
-class TestWordSlotPlan:
-    @pytest.mark.parametrize("k", [3, 5, 7, 9])
-    def test_matches_add_at(self, rng, k):
-        """The RowPlan of the windows' word slots sums their deltas onto
-        [pad, p_0 ..] as np.add.at does into a zeroed array, bit for bit."""
-        is_word = word_slots(k)
-        for n_words in range(1, 9):
-            windows = build_windows(n_words, k)
-            deltas = rng.normal(size=(n_words, int(is_word.sum()), 6))
-            deltas[rng.random(deltas.shape) < 0.2] = -0.0
-            expected = np.zeros((n_words + 1, 6))
-            np.add.at(expected, windows[:, is_word], deltas)
-            rows, sums = row_plan(windows[:, is_word]).sums(deltas)
-            summed = np.zeros((n_words + 1, 6))
-            summed[rows] = sums
-            assert_bit_identical(summed, expected)
-
-
 class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
@@ -236,10 +217,21 @@ class TestFilterBlocks:
 def random_paths(model, instances):
     """Subtree-encoded path vectors and directed relation labels per instance."""
     for inst in instances:
-        schedule = model.compile(inst).schedule
-        nodes = encode(schedule, model.store, comp_names(model.vocab))
+        compiled = model.compile(inst)
+        nodes = encode(compiled.schedule, model.store, comp_names(model.vocab))
         _, labels = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
-        yield list(nodes[schedule[PARENT] == PATH]), labels
+        yield list(nodes[compiled.path_slots]), labels
+
+
+def chain_paths(model, rng):
+    """Paths of 1 to 24 words, each drawn untied and tied: a tied path has
+    one word vector and one relation throughout, so the windows inside it
+    are equal and pool to the lowest."""
+    width, relations = model.config.dim + model.config.dim_c, model.vocab.relations[3:]
+    for n_words in range(1, 25):
+        for drawn in (n_words, 1):
+            vecs = np.resize(rng.normal(size=(drawn, width)), (n_words, width))
+            yield list(vecs), list(np.resize(rng.choice(relations, size=drawn), n_words - 1))
 
 
 def max_gap(a, b):
@@ -248,35 +240,62 @@ def max_gap(a, b):
 
 class TestOracleEquivalence:
     """The vectorized conv against the per-window, per-slot oracle in
-    conftest, on random subtree-encoded paths."""
+    conftest, to 1e-12, on subtree-encoded paths and on chain_paths: the
+    forward, with the window each unit pools, and the backward without a
+    rate and with one. Without a rate the path-word gradients and every
+    tensor's gradient are compared; with one the path-word gradients, every
+    tensor the step leaves against the dense update of the oracle's
+    gradient, and the step's Gradient, which must hold nothing."""
 
-    @staticmethod
-    def assert_matches_per_window_oracle(model, instances, rng):
+    LEARNING_RATE = 0.3
+
+    @classmethod
+    def assert_matches_per_window_oracle(cls, model, paths, rng) -> int:
+        """Checks every path; returns how many held two equal windows."""
         store, vocab, k = model.store, model.vocab, model.config.window
         use_tanh = model.config.conv_tanh
-        for vecs, labels in random_paths(model, instances):
+        tied = 0
+        for vecs, labels in paths:
             n, rel_rows = len(vecs), relation_rows(labels, vocab)
             new = conv_forward(build_windows(n, k), rel_rows, vecs, store, use_tanh=use_tanh)
             old = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
             assert max_gap(new.pooled, old.pooled) <= 1e-12
+            tied += len(np.unique(new.feature_map, axis=0)) < n
 
             upstream = rng.normal(size=model.config.hidden)
+            plans = slot_plans(new, rel_rows)
             grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new, *slot_plans(new, rel_rows))
+            d_new = conv_backward(new, upstream, store, grads_new, *plans)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
                 assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
+            # the filter's, bit for bit: each unit's gradient times its
+            # winning window, added into a zeroed buffer (0.0 + makes -0.0 +0.0)
+            d_pre = tanh_backward(new.pooled, upstream) if use_tanh else upstream
+            assert_bit_identical(grads_new[CONV_W], 0.0 + d_pre[:, None] * new.inputs[new.argmax])
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
+
+            before = {name: store.value(name).copy() for name in store.names()}
+            expected = dense_sgd_oracle(store, grads_old, cls.LEARNING_RATE)
+            stepped = Gradient(store, cls.LEARNING_RATE)
+            d_new = conv_backward(new, upstream, store, stepped, *plans)
+            assert not stepped      # every tensor, relation rows too, stepped in place
+            for a, b in zip(d_new, d_old):
+                assert max_gap(a, b) <= 1e-12
+            for name in store.names():
+                assert max_gap(store.value(name), expected[name]) <= 1e-12, name
+                store.value(name)[...] = before[name]
+        return tied
 
     @pytest.mark.parametrize("use_tanh", [True, False])
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     def test_matches_per_window_oracle(self, k, use_tanh, rng):
         instances = synth.make_gradcheck_instances(12, seed=100 + k)
         model = tiny_model(instances, window=k, conv_tanh=use_tanh)
-        self.assert_matches_per_window_oracle(model, instances, rng)
+        self.assert_matches_per_window_oracle(model, random_paths(model, instances), rng)
 
     # (hidden, dim, dim_c, k, rows per block or None for PRODUCT_ROWS')
     BLOCKED_SHAPES = {
@@ -289,91 +308,21 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("use_tanh", [True, False])
     @pytest.mark.parametrize("shape", sorted(BLOCKED_SHAPES))
     def test_blocks_match_oracles(self, monkeypatch, shape, use_tanh, rng):
-        """Across filter blocks the forward and backward match the
-        per-window oracle to 1e-12. A training step's filter update across
-        blocks is TestFusedFilterUpdate's."""
+        """Across filter blocks, on the subtree-encoded paths, and on the
+        published filters on chain_paths' 1 to 24 windows, tied and untied.
+        The tiny filters' products do not always round equal windows alike,
+        so they are not given tied windows."""
         hidden, dim, dim_c, k, rows = self.BLOCKED_SHAPES[shape]
         instances = synth.make_gradcheck_instances(6, seed=hidden)
         model = tiny_model(instances, hidden=hidden, dim=dim, dim_c=dim_c, window=k,
                            conv_tanh=use_tanh)
+        width = window_width(k, dim, dim_c)
         if rows is not None:
-            limit_block_rows(monkeypatch, rows, window_width(k, dim, dim_c))
-        assert len(filter_blocks(model.store.value(CONV_W))) > 1
-        self.assert_matches_per_window_oracle(model, instances, rng)
-
-
-class TestProductFilterUpdate:
-    """conv_backward forms the filter's gradient as one product of the
-    routed unit gradients and the windows; the gathered copy it replaced is
-    kept in conftest. Every entry of the product sums a single nonzero
-    term, so the two agree bit for bit: the path-word gradients, the
-    relation rows, the pad vector and the bias, with a learning rate and
-    without one, and the filter's gradient without one, on the published
-    filter shapes, on 1 to 24 windows, with and without tied max-pooling
-    windows. With a rate the filter's step is held as its two factors,
-    scaled before their product, so the filter agrees within 1e-12."""
-
-    # (hidden, dim, dim_c) at k=5: 400 x 1300 in 13 blocks, the last of 16
-    # rows, and 200 x 325 in blocks of 128 and 72 rows
-    SHAPES = {"200d": (400, 200, 100), "50d": (200, 50, 25)}
-
-    @staticmethod
-    def outcome(backward_fn, cache, upstream, store, learning_rate):
-        """The path-word gradients; per tensor, its gradient, or with a rate
-        the value the step leaves; and the names of the buffers the
-        Gradient held. The store is put back after."""
-        before = {name: store.value(name).copy() for name in store.names()}
-        gradient = Gradient(store, learning_rate)
-        d_words = backward_fn(cache, upstream.copy(), store, gradient)
-        held = set(gradient)
-        if learning_rate is None:
-            tensors = {name: gradient[name] for name in store.names()}
-        else:       # what was stepped, with any buffer's dense update on top
-            tensors = dense_sgd_oracle(store, gradient, learning_rate)
-        for name, value in before.items():
-            store.value(name)[...] = value
-        return d_words, tensors, held
-
-    @pytest.mark.parametrize("learning_rate", [None, 0.3])
-    @pytest.mark.parametrize("use_tanh", [True, False])
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_matches_gathered_copy(self, shape, use_tanh, learning_rate, rng):
-        hidden, dim, dim_c = self.SHAPES[shape]
-        model, _ = harness(2, hidden=hidden, dim=dim, dim_c=dim_c, window=5,
-                           conv_tanh=use_tanh)
-        store, vocab = model.store, model.vocab
-        conv_w = store.value(CONV_W)
-        rows = [len(conv_w[block]) for block in filter_blocks(conv_w)]
-        assert rows == ([32] * 12 + [16] if shape == "200d" else [128, 72])
-        tied_cases = 0
-        for n_words in range(1, 25):
-            for tied in (False, True):
-                # tied: one word vector and one relation along the whole
-                # path, so the windows inside it are equal and pool to the lowest
-                drawn = 1 if tied else n_words
-                vecs = np.resize(rng.normal(size=(drawn, dim + dim_c)), (n_words, dim + dim_c))
-                labels = np.resize(rng.choice(vocab.relations[3:], size=drawn), n_words - 1)
-                rel_rows = relation_rows(labels, vocab)
-                cache = conv_forward(build_windows(n_words, 5), rel_rows, list(vecs), store,
-                                     use_tanh=use_tanh)
-                tied_cases += len(np.unique(cache.feature_map, axis=0)) < n_words
-                upstream = rng.normal(size=hidden)
-                plans = slot_plans(cache, rel_rows)
-                d_new, new, held = self.outcome(
-                    lambda *args: conv_backward(*args, *plans), cache, upstream, store,
-                    learning_rate)
-                d_old, old, _ = self.outcome(
-                    lambda *args: gathered_conv_backward(*args, *plans), cache, upstream,
-                    store, learning_rate)
-                assert_bit_identical(d_new, d_old)
-                for name in store.names():
-                    if name == CONV_W and learning_rate is not None:
-                        assert max_gap(new[name], old[name]) <= 1e-12
-                    else:
-                        assert_bit_identical(new[name], old[name])
-                if learning_rate is not None:
-                    assert not held     # every tensor, relation rows too, stepped in place
-        assert tied_cases >= 20
+            limit_block_rows(monkeypatch, rows, width)
+        assert len(row_blocks(hidden, PRODUCT_ROWS * width)) > 1
+        self.assert_matches_per_window_oracle(model, random_paths(model, instances), rng)
+        if rows is None:
+            assert self.assert_matches_per_window_oracle(model, chain_paths(model, rng), rng) >= 20
 
 
 class TestFusedFilterUpdate:

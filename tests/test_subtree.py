@@ -32,8 +32,8 @@ def encoded(model, compiled):
 
 
 def backward(model, compiled, nodes, d_path, gradient):
-    encode_backward(compiled.schedule, compiled.word_rows, nodes, d_path, model.store, gradient,
-                    comp_names(model.vocab))
+    encode_backward(compiled.schedule, compiled.path_slots, compiled.word_rows, nodes, d_path,
+                    model.store, gradient, comp_names(model.vocab))
 
 
 def zero_store(model):
@@ -255,8 +255,10 @@ class TestRecursiveOracle:
                 assert schedule[ROW, slot] == node.word_row
 
             d_path = rng.normal(size=(len(path), nodes.shape[1]))
+            path_slots = np.flatnonzero(schedule[PARENT] == PATH)
             flat, recursive = Gradient(store), Gradient(store)
-            encode_backward(schedule, row_plan(schedule[ROW]), nodes, d_path, store, flat, names)
+            encode_backward(schedule, path_slots, row_plan(schedule[ROW]), nodes, d_path, store,
+                            flat, names)
             for cache, d_p in zip(caches, d_path):
                 encode_word_backward(cache, d_p, store, recursive, vocab)
             for name in store.names():
@@ -269,8 +271,8 @@ class TestRecursiveOracle:
             expected = dense_sgd_oracle(store, recursive, self.LEARNING_RATE)
             copy = copy_store(store)
             stepped = Gradient(copy, self.LEARNING_RATE)
-            encode_backward(schedule, row_plan(schedule[ROW]), nodes, d_path, copy, stepped,
-                            names)
+            encode_backward(schedule, path_slots, row_plan(schedule[ROW]), nodes, d_path, copy,
+                            stepped, names)
             assert not stepped      # every tensor, word rows too, stepped in place
             for name in store.names():
                 if name.startswith("comp/"):
