@@ -14,7 +14,6 @@ from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, PRODUCT_ROWS, WEIGHT, G
                             ModelFormatError, NonFiniteLoss, ParameterStore, ShapeMismatch,
                             assert_finite, NonFiniteValue, RowPlan, gradient_check, init_uniform,
                             load_store, row_plan, save_store, softmax, tanh_backward)
-from depnn.path_cnn import build_windows, word_slots
 from depnn.subtree import REL_EMB, WORD_EMB
 
 from conftest import (assert_bit_identical, count_applies, dense_sgd_oracle, edit_manifest,
@@ -212,72 +211,98 @@ class TestRowRecordedUpdate:
 
 class TestRowStep:
     """RowPlan.sums, and Gradient.step through a RowPlan, against their
-    definition: each call's deltas summed by np.add.at into a zeroed table,
-    bit for bit. Without a rate the Gradient's buffer adds each call's sum;
-    with one the table becomes value - lr * that sum at each call, and the
+    definition: a call's deltas summed by np.add.at into a zeroed table, bit
+    for bit, on random row arrays with repeats, 1-D and 2-D indexes, and
+    deltas that hold -0.0. Without a rate the Gradient's buffer adds each
+    call's sum; with one the table becomes value - lr * that sum, and the
     Gradient holds nothing. np.add.at starts a row at 0.0 + its first delta
     and RowPlan.sums at the first delta + 0.0, so both make +0.0 of a row
     whose only delta is -0.0."""
 
     @staticmethod
-    def random_calls(rng):
-        """(table shape, calls): one or two calls, each an index of up to 40
-        entries naming a few rows up to 6 times, (n,) or (n, 2), with
-        deltas that hold -0.0."""
-        n_rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 6))
-        calls = []
-        for _ in range(1 + (rng.random() < 0.25)):
-            named = rng.choice(n_rows, size=min(n_rows, int(rng.integers(1, 8))), replace=False)
-            rows = rng.permutation(np.repeat(named, rng.integers(1, 7, size=named.size)))[:40]
-            if rng.random() < 0.5 and rows.size % 2 == 0:
-                rows = rows.reshape(-1, 2)
-            calls.append((rows, rng.normal(size=rows.shape + (width,))))
-        return (n_rows, width), calls
+    def table(rng):
+        store = ParameterStore()
+        store.register("table", (int(rng.integers(1, 40)), int(rng.integers(1, 6))), EMBEDDING)
+        init_uniform(store, seed=int(rng.integers(1000)))
+        return store
 
     @staticmethod
-    def word_slot_calls(rng):
-        """Per window size and path of 1 to 8 words, the call conv_backward
-        makes: the windows' word slots onto [pad, p_0 ..]."""
-        for k in (3, 5, 7, 9):
-            is_word = word_slots(k)
-            for n_words in range(1, 9):
-                slots = build_windows(n_words, k)[:, is_word]
-                yield (n_words + 1, 6), [(slots, rng.normal(size=slots.shape + (6,)))]
+    def rows(rng, n_rows, ndim):
+        shape = ((int(rng.integers(1, 25)),) if ndim == 1
+                 else (int(rng.integers(1, 8)), int(rng.integers(1, 5))))
+        # a few distinct rows at most, so most draws repeat some
+        return rng.integers(0, min(n_rows, 1 + int(rng.integers(6))), size=shape)
+
+    @staticmethod
+    def deltas(rng, rows, width):
+        deltas = rng.normal(size=rows.shape + (width,))
+        deltas[rng.random(deltas.shape) < 0.3] = -0.0
+        return deltas
+
+    @staticmethod
+    def add_at(shape, rows, deltas):
+        summed = np.zeros(shape)
+        np.add.at(summed, rows, deltas)
+        return summed
 
     @pytest.mark.parametrize("learning_rate", [None, 0.05, 1.0])
-    def test_matches_add_at_into_zeros(self, rng, learning_rate):
-        repeats = two_calls = 0
-        cases = [self.random_calls(rng) for _ in range(400)]
-        for shape, calls in cases + list(self.word_slot_calls(rng)):
-            store = ParameterStore()
-            store.register("table", shape, EMBEDDING)
-            init_uniform(store, seed=int(rng.integers(1000)))
-            expected = np.zeros(shape) if learning_rate is None else store.value("table").copy()
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_matches_add_rows_and_apply(self, rng, ndim, learning_rate):
+        repeated = 0
+        for _ in range(200):
+            store = self.table(rng)
+            shape = store.value("table").shape
+            rows = self.rows(rng, shape[0], ndim)
+            repeated += len(np.unique(rows)) < rows.size
+            deltas = self.deltas(rng, rows, shape[1])
+            given, before = deltas.copy(), store.value("table").copy()
             gradient = Gradient(store, learning_rate)
-            for index, deltas in calls:
-                deltas[rng.random(deltas.shape) < 0.3] = -0.0
-                repeats += np.bincount(index.ravel()).max() > 2
-                summed = np.zeros(shape)
-                np.add.at(summed, index, deltas)
-                given = deltas.copy()
-                rows, sums = row_plan(index).sums(deltas)
-                assert sorted(rows.tolist()) == np.unique(index).tolist()
-                table = np.zeros(shape)
-                table[rows] = sums
-                assert_bit_identical(table, summed)
-                gradient.step("table", row_plan(index), deltas)
-                assert_bit_identical(deltas, given)     # the sums are a new array
-                if learning_rate is None:
-                    expected += summed
-                else:
-                    expected = expected - learning_rate * summed
-            two_calls += len(calls) == 2
+            gradient.step("table", row_plan(rows), deltas)
+            assert_bit_identical(deltas, given)
+            summed = self.add_at(shape, rows, deltas)
             if learning_rate is None:
-                assert_bit_identical(gradient["table"], expected)
+                assert_bit_identical(gradient["table"], summed)
             else:
                 assert not gradient
-                assert_bit_identical(store.value("table"), expected)
-        assert repeats > 200 and two_calls > 50
+                assert_bit_identical(store.value("table"), before - learning_rate * summed)
+        assert repeated > 100
+
+    def test_two_calls_without_a_rate_add_per_call_sums(self, rng):
+        """Each call sums its own rows and adds the sums to the buffer, so a
+        row that both calls write holds (0 + S1) + S2."""
+        for _ in range(50):
+            for ndim in (1, 2):
+                store = self.table(rng)
+                shape = store.value("table").shape
+                gradient, expected = Gradient(store), np.zeros(shape)
+                for _ in range(2):
+                    rows = self.rows(rng, shape[0], ndim)
+                    deltas = self.deltas(rng, rows, shape[1])
+                    gradient.step("table", row_plan(rows), deltas)
+                    expected += self.add_at(shape, rows, deltas)
+                assert_bit_identical(gradient["table"], expected)
+
+    def test_plan_sums_match_row_sums(self, rng):
+        """RowPlan.sums against np.add.at into zeros, bit for bit, over 1 to
+        40 entries naming rows up to 6 times, in (n,) and (n, k) indexes:
+        each named row once, its sum a new array."""
+        repeats = 0
+        for trial in range(400):
+            n_rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            named = rng.choice(n_rows, size=min(n_rows, int(rng.integers(1, 8))), replace=False)
+            rows = rng.permutation(np.repeat(named, rng.integers(1, 7, size=named.size)))[:40]
+            if trial % 2 and rows.size % 2 == 0:
+                rows = rows.reshape(-1, 2)
+            deltas = self.deltas(rng, rows, width)
+            repeats += np.bincount(rows.ravel()).max() > 1
+            given = deltas.copy()
+            distinct, sums = row_plan(rows).sums(deltas)
+            assert_bit_identical(deltas, given)     # the sums are a new array
+            assert sorted(distinct.tolist()) == np.unique(rows).tolist()
+            summed = np.zeros((n_rows, width))
+            summed[distinct] = sums
+            assert_bit_identical(summed, self.add_at((n_rows, width), rows, deltas))
+        assert repeats > 100
 
     def test_plan_orders_rows_by_use_then_first_sight(self):
         plan = row_plan(np.array([[3, 8], [5, 3], [8, 3], [1, 9]]))

@@ -6,7 +6,8 @@ from depnn.adp import shortest_path
 from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
                             conv_forward, max_over_time, relation_rows, window_width,
                             word_slots, words_per_window)
-from depnn.numerics import PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, tanh_backward
+from depnn.numerics import (PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, row_plan,
+                            tanh_backward)
 from depnn.subtree import PAD_WORD, REL_EMB, comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows, graph_of,
@@ -151,6 +152,24 @@ class TestConvForward:
             run_conv(model, 2, 5)   # filter was sized for k=3
 
 
+class TestWordSlotPlan:
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_matches_add_at(self, rng, k):
+        """The RowPlan of the windows' word slots sums their deltas onto
+        [pad, p_0 ..] as np.add.at does into a zeroed array, bit for bit."""
+        is_word = word_slots(k)
+        for n_words in range(1, 9):
+            windows = build_windows(n_words, k)
+            deltas = rng.normal(size=(n_words, int(is_word.sum()), 6))
+            deltas[rng.random(deltas.shape) < 0.2] = -0.0
+            expected = np.zeros((n_words + 1, 6))
+            np.add.at(expected, windows[:, is_word], deltas)
+            rows, sums = row_plan(windows[:, is_word]).sums(deltas)
+            summed = np.zeros((n_words + 1, 6))
+            summed[rows] = sums
+            assert_bit_identical(summed, expected)
+
+
 class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
@@ -240,18 +259,20 @@ def max_gap(a, b):
 
 class TestOracleEquivalence:
     """The vectorized conv against the per-window, per-slot oracle in
-    conftest, to 1e-12, on subtree-encoded paths and on chain_paths: the
-    forward, with the window each unit pools, and the backward without a
-    rate and with one. Without a rate the path-word gradients and every
-    tensor's gradient are compared; with one the path-word gradients, every
-    tensor the step leaves against the dense update of the oracle's
-    gradient, and the step's Gradient, which must hold nothing."""
+    conftest, to 1e-12, on subtree-encoded paths: the forward, with the
+    window each unit pools, and the backward without a rate and with one.
+    Without a rate the path-word gradients and every tensor's gradient are
+    compared; with one the path-word gradients, every tensor the step
+    leaves against the dense update of the oracle's gradient, and the
+    step's Gradient, which must hold nothing."""
 
     LEARNING_RATE = 0.3
 
     @classmethod
-    def assert_matches_per_window_oracle(cls, model, paths, rng) -> int:
-        """Checks every path; returns how many held two equal windows."""
+    def assert_matches_per_window_oracle(cls, model, paths, rng,
+                                         learning_rate=LEARNING_RATE) -> int:
+        """Checks every path, the step only given a learning_rate; returns
+        how many paths held two equal windows."""
         store, vocab, k = model.store, model.vocab, model.config.window
         use_tanh = model.config.conv_tanh
         tied = 0
@@ -277,10 +298,12 @@ class TestOracleEquivalence:
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
+            if learning_rate is None:
+                continue
 
             before = {name: store.value(name).copy() for name in store.names()}
-            expected = dense_sgd_oracle(store, grads_old, cls.LEARNING_RATE)
-            stepped = Gradient(store, cls.LEARNING_RATE)
+            expected = dense_sgd_oracle(store, grads_old, learning_rate)
+            stepped = Gradient(store, learning_rate)
             d_new = conv_backward(new, upstream, store, stepped, *plans)
             assert not stepped      # every tensor, relation rows too, stepped in place
             for a, b in zip(d_new, d_old):
@@ -308,10 +331,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("use_tanh", [True, False])
     @pytest.mark.parametrize("shape", sorted(BLOCKED_SHAPES))
     def test_blocks_match_oracles(self, monkeypatch, shape, use_tanh, rng):
-        """Across filter blocks, on the subtree-encoded paths, and on the
-        published filters on chain_paths' 1 to 24 windows, tied and untied.
-        The tiny filters' products do not always round equal windows alike,
-        so they are not given tied windows."""
+        """Across filter blocks the forward and backward match the
+        per-window oracle to 1e-12. A training step's filter update across
+        blocks is TestFusedFilterUpdate's."""
         hidden, dim, dim_c, k, rows = self.BLOCKED_SHAPES[shape]
         instances = synth.make_gradcheck_instances(6, seed=hidden)
         model = tiny_model(instances, hidden=hidden, dim=dim, dim_c=dim_c, window=k,
@@ -321,8 +343,36 @@ class TestOracleEquivalence:
             limit_block_rows(monkeypatch, rows, width)
         assert len(row_blocks(hidden, PRODUCT_ROWS * width)) > 1
         self.assert_matches_per_window_oracle(model, random_paths(model, instances), rng)
-        if rows is None:
-            assert self.assert_matches_per_window_oracle(model, chain_paths(model, rng), rng) >= 20
+
+
+class TestProductFilterUpdate:
+    """conv_backward forms the filter's gradient as one product of the
+    routed unit gradients and the windows. On the published filter shapes,
+    on chain_paths' 1 to 24 windows, tied and untied, it matches the
+    per-window oracle as TestOracleEquivalence checks it, with a learning
+    rate and without one; without one the filter's gradient is bit for bit
+    the gathered copy of each unit's winning window scaled by the unit's
+    gradient, since every entry of the product sums a single nonzero term.
+    The tiny filters of TestOracleEquivalence do not always round equal
+    windows alike, so only these get tied windows."""
+
+    # (hidden, dim, dim_c) at k=5: 400 x 1300 in 13 blocks, the last of 16
+    # rows, and 200 x 325 in blocks of 128 and 72 rows
+    SHAPES = {"200d": (400, 200, 100), "50d": (200, 50, 25)}
+
+    @pytest.mark.parametrize("learning_rate", [None, 0.3])
+    @pytest.mark.parametrize("use_tanh", [True, False])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_gathered_copy(self, shape, use_tanh, learning_rate, rng):
+        hidden, dim, dim_c = self.SHAPES[shape]
+        model, _ = harness(2, hidden=hidden, dim=dim, dim_c=dim_c, window=5,
+                           conv_tanh=use_tanh)
+        blocks = row_blocks(hidden, PRODUCT_ROWS * window_width(5, dim, dim_c))
+        rows = [len(range(hidden)[block]) for block in blocks]
+        assert rows == ([32] * 12 + [16] if shape == "200d" else [128, 72])
+        tied = TestOracleEquivalence.assert_matches_per_window_oracle(
+            model, chain_paths(model, rng), rng, learning_rate)
+        assert tied >= 20
 
 
 class TestFusedFilterUpdate:
