@@ -26,6 +26,8 @@ class InvalidSpan(ValueError):
 
 # marks a relation traversed from the dependent up to its head
 INVERSE_SUFFIX = "_inv"
+# the inactive tokens of every graph that has none
+_NO_INACTIVE: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,13 @@ class DependencyGraph:
     forms, lemmas, ner_tags, wn_tags   the token's own fields
     heads       its head: 0 on the root, -1 on a token kept out of the tree
     relations   the relation of the arc from its head; None without an arc
-    children    its dependents in ascending index order; slot 0 holds the root
+    children    a tuple of its dependents in ascending index order; every
+                leaf shares the empty tuple, and slot 0 holds the root
     depths      its depth below the root; -1 out of the tree
 
     Tokens listed in `inactive` (e.g. prepositions folded into collapsed
-    relation labels) stay in the columns but take no part in arcs. Every
+    relation labels) stay in the columns but take no part in arcs; a graph
+    without one shares the module's one empty frozenset. Every
     reader builds through from_columns; the object form (this constructor,
     and Token and Arc objects made only when `tokens` or `arcs` is read)
     is kept for bench/generate.py, which redraws word forms through it.
@@ -108,14 +112,14 @@ class DependencyGraph:
         n = len(heads) - 1
         if n < 1:
             raise TreeViolation("a sentence needs at least one token")
-        children = [[] for _ in heads]
+        children = [()] * (n + 1)
         inactive = []
         for dependent in range(1, n + 1):
             head = heads[dependent]
             if head == -1:
                 inactive.append(dependent)
             elif 0 <= head <= n:
-                children[head].append(dependent)
+                children[head] += (dependent,)
             else:
                 raise TreeViolation(f"arc head {head} has no token")
         for idx in inactive:
@@ -124,7 +128,7 @@ class DependencyGraph:
                 raise TreeViolation(f"inactive token participates in arc "
                                     f"{Arc(idx, dependent, relations[dependent])}")
         if len(children[0]) != 1:
-            raise TreeViolation(f"expected exactly one root, found {children[0]}")
+            raise TreeViolation(f"expected exactly one root, found {list(children[0])}")
         root = children[0][0]
         depths = [-1] * (n + 1)
         depths[root] = 0
@@ -140,7 +144,7 @@ class DependencyGraph:
         self.forms, self.lemmas, self.ner_tags, self.wn_tags = forms, lemmas, ner_tags, wn_tags
         self.heads, self.relations = heads, relations
         self.children, self.depths = children, depths
-        self.inactive: frozenset[int] = frozenset(inactive)
+        self.inactive: frozenset[int] = frozenset(inactive) if inactive else _NO_INACTIVE
 
     @property
     def tokens(self) -> tuple[Token, ...]:

@@ -198,7 +198,8 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.store = store
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = None        # the shuffle generator, made by the first train that shuffles
+        self._order = np.arange(0)      # the epoch order the last train call ended with
         self._comp_names = comp_names(vocab)
         # per path length: build_windows' index, the RowPlan of its word slots, its relation slots
         self._windows: dict[int, tuple[np.ndarray, RowPlan, np.ndarray]] = {}
@@ -332,8 +333,11 @@ class Model:
 
     def train(self, instances, validation=None, progress=None,
               epochs: int | None = None) -> TrainReport:
-        """Epochs of shuffled per-instance SGD. The shuffle stream continues
-        across calls, so n calls of one epoch replay one call of n epochs.
+        """Epochs of shuffled per-instance SGD, each shuffling the order the
+        last one ended with. The generator is seeded from the config by the
+        first call that shuffles, so a model that only predicts never imports
+        numpy.random; it and the order carry across calls, so n calls of one
+        epoch replay one call of n epochs.
         Every instance is compiled once per call, before the first step, and
         every pending step is applied before it returns."""
         if not instances:
@@ -342,9 +346,12 @@ class Model:
         held_out = [self.compile(inst, plans=False) for inst in validation or ()]
         report = TrainReport()
         n_epochs = self.config.epochs if epochs is None else epochs
-        order = np.arange(len(instances))
+        order = self._order if len(self._order) == len(instances) else np.arange(len(instances))
+        self._order = order
         for epoch in range(n_epochs):
             if self.config.shuffle:
+                if self._rng is None:
+                    self._rng = np.random.default_rng(self.config.seed)
                 self._rng.shuffle(order)
             total = 0.0
             for idx in order:

@@ -380,10 +380,16 @@ def save_store(path, store: ParameterStore, meta: dict | None = None,
     travel in a reserved JSON byte tensor so the file is self-contained.
     The manifest is written first and each tensor's bytes after it in
     turn, so no copy of the whole payload is built; an f8 tensor is
-    written from its buffer, an f4 one through a copy of that tensor alone.
+    written from its buffer, an f4 one through a copy of that tensor alone;
+    a finite value beyond float32's range raises NonFiniteValue first.
     """
     if precision not in ("f8", "f4"):
         raise ValueError(f"precision must be 'f8' or 'f4', not {precision!r}")
+    for name in store.names() if precision == "f4" else ():
+        with np.errstate(over="ignore"):      # refused below, before the file is opened
+            narrowed = store.value(name).astype("<f4")
+        if np.isinf(narrowed).sum() != np.isinf(store.value(name)).sum():
+            raise NonFiniteValue(f"tensor {name!r} holds a value beyond float32's range")
     blob = {
         "kinds": {name: store.kind(name) for name in store.names()},
         "user": meta or {},

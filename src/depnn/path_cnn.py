@@ -86,7 +86,8 @@ def build_windows(n_words: int, k: int) -> np.ndarray:
 
 
 def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise max across windows; ties go to the lowest window index."""
+    """Elementwise max across windows; a tie between bit-equal features goes
+    to the lowest window index (equal windows can differ: see conv_forward)."""
     pooled = feature_map.max(axis=0)
     argmax = feature_map.argmax(axis=0)
     return pooled, argmax
@@ -115,7 +116,9 @@ def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
     """Run the filter over every window and max-pool the feature map.
 
     rel_rows are relation_rows' index of the path; word_vecs the encoded
-    p_w vectors of the path words, one row each, in order.
+    p_w vectors of the path words, one row each, in order. Equal windows can
+    get features up to 4.4e-16 apart, from their rows of the one product, at
+    the tests' small filter widths, and then pool to the higher window.
     """
     # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
     tables = (store.value(REL_EMB)[rel_rows],

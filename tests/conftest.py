@@ -123,7 +123,7 @@ def assert_same_graph(graph, oracle):
     root, and per token its depth, its children in order and its head arc."""
     assert graph.tokens == oracle.tokens
     assert graph.arcs == oracle.arcs
-    assert (graph.children[0], graph.inactive) == ([oracle.root], oracle.inactive)
+    assert (graph.children[0], graph.inactive) == ((oracle.root,), oracle.inactive)
     for tok in oracle.tokens:
         i = tok.index
         arc = oracle.root_arc.get(i)
@@ -131,10 +131,10 @@ def assert_same_graph(graph, oracle):
             (-1, None) if i in oracle.inactive else (0, None) if arc is None
             else (arc.head, arc.relation))
         if i in oracle.inactive:
-            assert (graph.depths[i], graph.children[i]) == (-1, [])
+            assert (graph.depths[i], graph.children[i]) == (-1, ())
             continue
         assert graph.depths[i] == oracle.depth(i)
-        assert graph.children[i] == [kid.dependent for kid in oracle.children(i)]
+        assert graph.children[i] == tuple(kid.dependent for kid in oracle.children(i))
         if oracle.head_arc(i) is not None:
             assert Arc(graph.heads[i], i, graph.relations[i]) == oracle.head_arc(i)
 

@@ -227,6 +227,33 @@ class TestTraining:
                 break
         assert accuracy(model, instances) >= 0.99
 
+    def test_calls_of_one_epoch_replay_one_call_of_many(self, monkeypatch):
+        # the shuffle stream continues across train calls: three one-epoch
+        # calls step the instances in the order of one three-epoch call
+        instances = synth.make_separable_corpus(12)
+        order = []
+        step = Model.train_step
+
+        def recorded(model, compiled):
+            order.append(compiled.id)
+            return step(model, compiled)
+        monkeypatch.setattr(Model, "train_step", recorded)
+        model = tiny_model(instances)
+        for _ in range(3):
+            model.train(instances, epochs=1)
+        calls, order[:] = list(order), []
+        twin = tiny_model(instances)
+        twin.train(instances, epochs=3)
+        assert calls == order
+        epochs = [order[i:i + 12] for i in range(0, 36, 12)]
+        assert all(sorted(epoch) == [inst.id for inst in instances] for epoch in epochs)
+        assert len({tuple(epoch) for epoch in epochs}) == 3
+        # the same steps; each call applies the conv filter's deferred steps
+        # when it returns, which can round a last bit differently
+        for name in model.store.names():
+            assert np.allclose(model.store.value(name), twin.store.value(name),
+                               rtol=1e-12, atol=1e-15)
+
     def test_validation_f1_reported(self):
         instances = synth.make_separable_corpus(12)
         model = tiny_model(instances)

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -109,6 +110,27 @@ class TestExitCodes:
                          "--lr", "1e300"]) == 3
         assert capsys.readouterr().err == "numeric failure: instance 38: loss is nan\n"
         assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier model\n"])
+    def test_float32_overflow_is_one_numeric_failure_line(self, tmp_path, corpus_file, capsys,
+                                                          earlier):
+        # a finite float64 embedding that float32 cannot hold: no model file
+        # is written, and one already at --out is left as it was
+        word = Vocabulary.build(read_parsed_instances(corpus_file)).words[-1]
+        embeddings = tmp_path / "big.vec"
+        embeddings.write_text(f"{word} 1e39" + " 0.5" * 9 + "\n", encoding="utf-8")
+        out = tmp_path / "m.model"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--instances", str(corpus_file), "--embeddings",
+                         str(embeddings), "--precision", "f4", "--out", str(out),
+                         "--dim-c", "6", "--hidden", "16", "--window", "3",
+                         "--epochs", "1"]) == 3
+        assert capsys.readouterr().err == ("numeric failure: tensor 'word_emb' holds a value "
+                                           "beyond float32's range\n")
+        assert (out.read_bytes() if out.exists() else None) == earlier
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_malformed_instance_record_is_data_error(self, tmp_path, capsys, case):
@@ -574,6 +596,22 @@ class TestEvalPredict:
         assert proc.wait(timeout=120) == 141
         assert first.startswith(b"1\t")
         assert err == b""
+
+    def test_prediction_never_imports_numpy_random(self, tmp_path, corpus_file):
+        # only training shuffles, so only training makes a random generator
+        model_path = tmp_path / "m.model"
+        tiny_model(read_parsed_instances(corpus_file)).save(model_path)
+        files = ["--model", str(model_path), "--instances", str(corpus_file)]
+        runs = [["predict"] + files, ["eval"] + files,
+                ["neighbors"] + files + ["--query-id", "1"]]
+        script = ("import json, sys\nfrom depnn import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(codes, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(depnn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
     def test_neighbors_output(self, trained, corpus_file, capsys):
         assert main(["neighbors", "--model", str(trained),

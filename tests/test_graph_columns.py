@@ -86,6 +86,17 @@ def test_object_form_redraws_forms_as_the_rows_would(corpus_name):
                                                    for form, row in zip(forms, rows)]))
 
 
+def test_graphs_share_their_empty_containers():
+    # every leaf holds the one empty tuple, and every graph without an
+    # inactive token the one empty frozenset, however the graph was built
+    graphs = [instance.graph for instance in workload_corpus("train-50d-small", 40)]
+    graphs += [DependencyGraph(graph.tokens, graph.arcs) for graph in graphs[:5]]
+    graphs += [_graph(INACTIVE_ROWS)]
+    assert len({id(kids) for graph in graphs for kids in graph.children if not kids}) == 1
+    assert len({id(graph.inactive) for graph in graphs if not graph.inactive}) == 1
+    assert graphs[-1].inactive == {6}
+
+
 def test_rows_and_objects_refuse_the_same_trees(rng):
     # random head columns over 1..4 tokens, one token sometimes kept out of
     # the tree: the column graph is refused exactly where the oracle is

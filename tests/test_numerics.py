@@ -9,7 +9,7 @@ import pytest
 from depnn import numerics, synth
 
 from depnn.classifier import NER_EMB, WN_EMB, Model, TrainConfig
-from depnn.corpus import Vocabulary
+from depnn.corpus import Vocabulary, read_parsed_instances, write_parsed_instances
 from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, PRODUCT_ROWS, WEIGHT, Gradient,
                             ModelFormatError, NonFiniteLoss, ParameterStore, ShapeMismatch,
                             assert_finite, NonFiniteValue, RowPlan, gradient_check, init_uniform,
@@ -464,6 +464,30 @@ class TestSerialization:
             assert loaded.value(name).dtype == np.float64
             assert np.allclose(loaded.value(name), store.value(name), atol=1e-6)
 
+    @pytest.mark.parametrize("big", [1e39, -1e39])
+    def test_single_precision_refuses_a_finite_value_it_cannot_hold(self, tmp_path, big):
+        path = tmp_path / "m.model"
+        save_store(path, self.build_store(), {})
+        before = path.read_bytes()
+        store = self.build_store()
+        store.value("table")[4, 1] = big
+        with pytest.raises(NonFiniteValue, match="tensor 'table' holds a value beyond "
+                                                 "float32's range"):
+            save_store(path, store, {}, precision="f4")
+        assert path.read_bytes() == before
+        save_store(path, store, {})         # float64 holds it
+        assert load_store(path)[0].value("table")[4, 1] == big
+
+    def test_single_precision_holds_values_up_to_its_largest(self, tmp_path):
+        store = self.build_store()
+        store.value("table")[0, 0], store.value("alpha")[2, 1] = 3.4e38, -3.4e38
+        path = tmp_path / "m.model"
+        save_store(path, store, {}, precision="f4")
+        loaded, _ = load_store(path)
+        for name in store.names():
+            assert_bit_identical(loaded.value(name),
+                                 store.value(name).astype(np.float32).astype(np.float64))
+
     def test_identical_stores_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
         save_store(p1, self.build_store(), {"k": [1, 2]})
@@ -672,6 +696,17 @@ class TestMemoryBounds:
         compiled, peak = traced_peak(lambda: [model.compile(inst) for inst in instances])
         assert sum(c.schedule.shape[1] for c in compiled) > 20 * len(instances)
         assert peak / len(instances) <= 2048
+
+    def test_read_instances_are_compact(self, tmp_path):
+        # the same corpus read back from its file: a leaf's children and a
+        # graph's missing inactive tokens are shared, not one container each
+        path = tmp_path / "corpus.inst"
+        write_parsed_instances(path, synth.make_gradcheck_instances(600, max_path=8,
+                                                                    max_depth=4))
+        read_parsed_instances(path)             # first use sets up the reader's caches
+        instances, peak = traced_peak(lambda: read_parsed_instances(path))
+        assert len(instances) == 600
+        assert peak / len(instances) <= 9000
 
     def test_model_load_holds_each_tensor_once(self, tmp_path):
         instances = synth.make_gradcheck_instances(3)
