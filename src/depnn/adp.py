@@ -64,6 +64,9 @@ class DependencyGraph:
     is kept for bench/generate.py, which redraws word forms through it.
     """
 
+    __slots__ = ("forms", "lemmas", "ner_tags", "wn_tags", "heads", "relations", "children",
+                 "depths", "inactive")
+
     def __init__(self, tokens, arcs, inactive=()):
         tokens = sorted(tokens, key=attrgetter("index"))
         for pos, tok in enumerate(tokens, start=1):
@@ -159,7 +162,7 @@ class DependencyGraph:
                      if self.relations[dependent] is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     """Inclusive token span plus the span token anchoring paths."""
     start: int

@@ -81,7 +81,7 @@ class TrainConfig:
         return cls(**merged)
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     label: str
     distribution: np.ndarray      # over the 19 labels, sums to 1

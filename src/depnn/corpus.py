@@ -115,7 +115,7 @@ def label_type(label: str) -> str:
     return base
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One classification problem: a parsed sentence, two entity mentions,
     and (in training data) the gold relation label."""
@@ -241,11 +241,15 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def _check_arc(head: int, relation: str | None, pos: int, line_no: int) -> None:
+def _check_arc(head: int, relation: str | None, pos: int, line_no: int,
+               checked: set[str]) -> None:
     """An arc from a head other than the root needs a relation. A relation
     names its composition matrix in the model file's ASCII manifest, whose
     fields are TAB-separated lines; named like a reserved entry or a
-    directed label (INVERSE_SUFFIX), it would share their row."""
+    directed label (INVERSE_SUFFIX), it would share their row. `checked`
+    holds the relations of this read that passed: a relation's checks
+    depend on its string alone, so a reader calls this only for a relation
+    not in it, and a missing relation's head rule runs per token."""
     if relation is None:
         if head not in (0, -1):
             raise FormatError(f"token {pos}: an arc from head {head} needs a relation", line_no)
@@ -253,17 +257,16 @@ def _check_arc(head: int, relation: str | None, pos: int, line_no: int) -> None:
     if not (relation.isascii() and "\t" not in relation and "\n" not in relation):
         raise FormatError(f"token {pos}: relation {relation!r} must be ASCII without "
                           "TAB or newline", line_no)
-    # this runs once per token read: the substring tests keep the common case cheap
-    if ("<" in relation or INVERSE_SUFFIX in relation) and (
-            relation in RESERVED_RELATIONS or relation.endswith(INVERSE_SUFFIX)):
+    if relation in RESERVED_RELATIONS or relation.endswith(INVERSE_SUFFIX):
         raise FormatError(f"token {pos}: relation {relation!r} is reserved: no relation ends "
                           f"in {INVERSE_SUFFIX!r} or is {', '.join(RESERVED_RELATIONS)}", line_no)
+    checked.add(relation)
 
 
-def _check_record(record, line_no: int) -> None:
+def _check_record(record, line_no: int, checked: set[str]) -> None:
     """Raise FormatError unless the record has the fields, the field types
     and the token rows that _instance_to_record writes, and a label of the
-    label set or none."""
+    label set or none; `checked` is _check_arc's."""
     if not isinstance(record, dict):
         raise FormatError("record must be a JSON object", line_no)
     for key in ("id", "tokens", "e1", "e2"):
@@ -292,31 +295,41 @@ def _check_record(record, line_no: int) -> None:
                 or type(rel) not in _TEXT or type(ner) not in _TEXT or type(wn) not in _TEXT):
             raise FormatError(f"token {pos}: form must be a string, head an integer, "
                               "and lemma, relation, ner and wordnet strings or null", line_no)
-        _check_arc(head, rel, pos, line_no)
+        if rel not in checked:
+            _check_arc(head, rel, pos, line_no, checked)
 
 
 # the row that stands at slot 0 of the graph's columns, the root's virtual head
 _HEAD_SLOT = (None, None, -1, None, None, None)
 
 
-def _graph(rows) -> DependencyGraph:
+def _graph(rows, strings: dict | None = None) -> DependencyGraph:
     """The dependency graph of checked token rows [form, lemma, head,
     relation, ner, wordnet]: head 0 marks the root, whose relation may be
     absent, and head -1 a token kept out of the tree, whose relation is
-    ignored. The rows' columns are the graph's."""
+    ignored. The rows' columns are the graph's, each string replaced by
+    the first equal one in `strings`, the one table of a read, so that the
+    graphs of a read share each distinct string."""
+    share = ({} if strings is None else strings).setdefault
     forms, lemmas, heads, rels, ner_tags, wn_tags = zip(_HEAD_SLOT, *rows)
     relations = [None if head == -1 else (rel or "root") if head == 0 else rel
-                 for head, rel in zip(heads, rels)]
-    return DependencyGraph.from_columns(forms, lemmas, ner_tags, wn_tags, heads, relations)
+                 for head, rel in zip(heads, map(share, rels, rels))]
+    return DependencyGraph.from_columns(
+        tuple(map(share, forms, forms)), tuple(map(share, lemmas, lemmas)),
+        tuple(map(share, ner_tags, ner_tags)), tuple(map(share, wn_tags, wn_tags)), heads,
+        relations)
 
 
-def instance_from_record(record, line_no: int | None) -> Instance:
+def instance_from_record(record, line_no: int | None, strings: dict | None = None,
+                         checked: set[str] | None = None) -> Instance:
     """The instance of one DEPNN-INST record, or a FormatError naming
-    line_no, the record's line in its file (None for a record of no file)."""
-    _check_record(record, line_no)
+    line_no, the record's line in its file (None for a record of no file).
+    A reader passes the one string table (_graph's) and the one set of
+    checked relations (_check_arc's) of its read to every record."""
+    _check_record(record, line_no, set() if checked is None else checked)
     rec_id = record["id"]
     try:
-        graph = _graph(record["tokens"])
+        graph = _graph(record["tokens"], strings)
         return Instance(rec_id, graph, entity_mention(graph, *record["e1"]),
                         entity_mention(graph, *record["e2"]), record.get("label"))
     except (TreeViolation, InvalidSpan) as exc:
@@ -336,6 +349,8 @@ def read_parsed_instances(path) -> list[Instance]:
         if header != INSTANCE_FORMAT_HEADER:
             raise FormatError(f"expected header {INSTANCE_FORMAT_HEADER!r}, got {header!r}", 1)
         instances = []
+        strings: dict = {}
+        checked: set[str] = set()
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -343,7 +358,7 @@ def read_parsed_instances(path) -> list[Instance]:
                 record = json.loads(line)
             except ValueError as exc:   # a JSONDecodeError, or an int too long to convert
                 raise FormatError(f"bad record: {exc}", line_no) from None
-            instances.append(instance_from_record(record, line_no))
+            instances.append(instance_from_record(record, line_no, strings, checked))
     return instances
 
 
@@ -359,6 +374,7 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
     """
     blocks: dict[int, list[list]] = {}
     current: list[list] | None = None
+    checked: set[str] = set()
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -389,15 +405,17 @@ def read_parse_blocks(path) -> dict[int, list[list]]:
                 raise FormatError("index and head must be integers", line_no) from None
             if index != len(current) + 1:
                 raise FormatError(f"token index {index} out of order", line_no)
-            _check_arc(head, cols[4], index, line_no)
+            if cols[4] not in checked:
+                _check_arc(head, cols[4], index, line_no, checked)
             current.append([cols[1], cols[2], head, cols[4], cols[5], cols[6]])
     return blocks
 
 
-def align_instance(raw: RawRecord, token_rows: list[list]) -> Instance:
+def align_instance(raw: RawRecord, token_rows: list[list], strings: dict) -> Instance:
     """Map the raw record's entity character spans onto token spans by
     locating each token form in the marker-free sentence, and build the
-    instance from the token rows that read_parse_blocks checked."""
+    instance from the token rows that read_parse_blocks checked, sharing
+    strings through `strings` as _graph does."""
     spans = []
     cursor = 0
     for row in token_rows:
@@ -416,23 +434,25 @@ def align_instance(raw: RawRecord, token_rows: list[list]) -> Instance:
         return min(touched), max(touched)
 
     e1, e2 = covering(raw.e1_span), covering(raw.e2_span)
-    graph = _graph(token_rows)
+    graph = _graph(token_rows, strings)
     return Instance(raw.id, graph, entity_mention(graph, *e1), entity_mention(graph, *e2),
                     raw.label)
 
 
 def convert(raw_records, parse_blocks) -> tuple[list[Instance], list[tuple[int, str]]]:
     """Join raw records with parse blocks by id; unalignable instances are
-    reported rather than guessed at."""
+    reported rather than guessed at. The instances share each distinct
+    string through one table, dropped on return."""
     instances = []
     failures = []
+    strings: dict = {}
     for raw in raw_records:
         rows = parse_blocks.get(raw.id)
         if rows is None:
             failures.append((raw.id, "no parse block with this id"))
             continue
         try:
-            instances.append(align_instance(raw, rows))
+            instances.append(align_instance(raw, rows, strings))
         except (AlignmentError, InvalidSpan, TreeViolation) as exc:
             failures.append((raw.id, str(exc)))
     return instances, failures

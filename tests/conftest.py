@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from depnn import numerics
+from depnn import numerics, synth
 from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
@@ -15,6 +15,15 @@ from depnn.numerics import ParameterStore, load_store, row_plan, save_store, tan
 from depnn.path_cnn import CONV_B, CONV_W, relation_rows, word_slots
 from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
                            compile_nodes)
+
+
+# make_gradcheck_instances' (max_path, max_depth) of each bench workload
+WORKLOAD_SHAPES = {"train-200d": (6, 3), "train-50d-small": (8, 4), "eval-200d": (6, 3)}
+
+
+def workload_corpus(name, n=120):
+    max_path, max_depth = WORKLOAD_SHAPES[name]
+    return synth.make_gradcheck_instances(n, seed=5, max_path=max_path, max_depth=max_depth)
 
 
 def graph_of(n_tokens, arcs, forms=None, inactive=(), **token_fields):
@@ -553,6 +562,14 @@ MALFORMED_RECORDS = {
                      "instance 1: arc head -2 has no token"),
     "span-from-zero": (VALID_RECORD.replace('"e1": [1, 1]', '"e1": [0, 1]'),
                        r"instance 1: span \[0, 1\] leaves the sentence"),
+    # a reader shares each string it has read, but a name read as a form,
+    # lemma or tag on an earlier line is still refused as a relation, on the
+    # relation's own line, the case's last
+    **{f"relation-{name.strip('<>')}-after-form": (
+        VALID_RECORD.replace('"a", null, 0, "root", null, null',
+                             f'"{name}", "{name}", 0, "root", "{name}", "{name}"')
+        + "\n" + VALID_RECORD.replace('"x"', f'"{name}"'), f"relation '{name}' is reserved")
+       for name in (UNK, "w" + INVERSE_SUFFIX)},
 }
 
 

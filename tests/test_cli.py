@@ -134,11 +134,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_malformed_instance_record_is_data_error(self, tmp_path, capsys, case):
-        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD,
-                                   MALFORMED_RECORDS[case][0])
+        record = MALFORMED_RECORDS[case][0]
+        path = write_instance_file(tmp_path / "a.inst", VALID_RECORD, record)
         assert main(["stats", "--instances", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line 3: ")
+        last_line = 3 + record.count("\n")
+        assert err.startswith(f"error: {path}: line {last_line}: ")
         assert "Traceback" not in err
 
     def test_truncated_model_file_is_data_error(self, tmp_path, corpus_file, capsys):

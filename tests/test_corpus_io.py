@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,16 +10,16 @@ from depnn.adp import Arc, DependencyGraph, EntityMention, InvalidSpan, Token, s
 from depnn.classifier import Model
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, LABELS, OTHER_LABEL,
                           PATH_END, PATH_START, REQUIRED_ENTRIES, RESERVED_RELATIONS, UNK,
-                          DimensionMismatch, FormatError, Instance, UnknownLabel, Vocabulary,
-                          VocabularyError, _instance_to_record, convert, dataset_stats,
-                          entity_mention, label_index, label_type, load_embeddings,
-                          read_parse_blocks, read_parsed_instances, read_semeval_raw,
-                          write_parsed_instances)
+                          DimensionMismatch, FormatError, Instance, RawRecord, UnknownLabel,
+                          Vocabulary, VocabularyError, _instance_to_record, convert,
+                          dataset_stats, entity_mention, label_index, label_type,
+                          load_embeddings, read_parse_blocks, read_parsed_instances,
+                          read_semeval_raw, write_parsed_instances)
 from depnn.cli import _read_config_file, _resolve_config, build_parser
 from depnn.evaluation import describe_path
 
-from conftest import (MALFORMED_RECORDS, VALID_RECORD, graph_of, scheduled_subtrees,
-                      tiny_model, write_instance_file)
+from conftest import (MALFORMED_RECORDS, VALID_RECORD, WORKLOAD_SHAPES, graph_of,
+                      scheduled_subtrees, tiny_model, workload_corpus, write_instance_file)
 
 RAW_SAMPLE = '''1\t"The <e1>thief</e1> broke the lock with a <e2>screwdriver</e2>."
 Instrument-Agency(e2,e1)
@@ -102,13 +104,44 @@ class TestSemevalRaw:
         assert err.value.line == 2
 
 
+def lemmatized_records(instances):
+    """The DEPNN-INST records of instances, each token's lemma its form
+    lowercased, so that every string column holds strings."""
+    records = [_instance_to_record(inst) for inst in instances]
+    for record in records:
+        for row in record["tokens"]:
+            row[1] = row[0].lower()
+    return records
+
+
+def assert_one_object_per_string(instances):
+    """Equal strings in the instances' forms, lemmas, relations, NER tags
+    and WordNet tags are one object, and each column repeats a string."""
+    first = {}
+    for column in ("forms", "lemmas", "relations", "ner_tags", "wn_tags"):
+        values = [value for inst in instances for value in getattr(inst.graph, column)
+                  if value is not None]
+        assert len(set(values)) < len(values)
+        for value in values:
+            assert first.setdefault(value, value) is value
+
+
 class TestParsedInstances:
-    def test_round_trip_identity(self, tmp_path):
-        instances = synth.make_separable_corpus(8)
-        path = tmp_path / "a.inst"
-        write_parsed_instances(path, instances)
-        assert ([_instance_to_record(inst) for inst in read_parsed_instances(path)]
-                == [_instance_to_record(inst) for inst in instances])
+    @pytest.mark.parametrize("shape", sorted(WORKLOAD_SHAPES))
+    def test_round_trip_identity(self, tmp_path, shape):
+        # written, read and written again, a corpus keeps every byte
+        first, second = tmp_path / "a.inst", tmp_path / "b.inst"
+        write_parsed_instances(first, workload_corpus(shape))
+        write_parsed_instances(second, read_parsed_instances(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_read_holds_each_string_once(self, tmp_path):
+        records = lemmatized_records(workload_corpus("train-50d-small"))
+        path = write_instance_file(tmp_path / "a.inst",
+                                   *(json.dumps(record) for record in records))
+        instances = read_parsed_instances(path)
+        assert [_instance_to_record(inst) for inst in instances] == records
+        assert_one_object_per_string(instances)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "a.inst"
@@ -143,7 +176,7 @@ class TestParsedInstances:
         path = write_instance_file(tmp_path / "a.inst", VALID_RECORD, "", record)
         with pytest.raises(FormatError, match=phrase) as err:
             read_parsed_instances(path)
-        assert err.value.line == 4
+        assert err.value.line == 4 + record.count("\n")
 
     def test_figure_sentence_record_through_pipeline(self, tmp_path):
         # hand-written 7-token record with a collapsed (inactive) preposition
@@ -233,6 +266,28 @@ class TestConverter:
         assert (inst.e2.start, inst.e2.end) == (8, 8)
         assert inst.gold == "Instrument-Agency(e2,e1)"
         assert inst.graph.ner_tags[2] == "PER"
+
+    def test_converted_instances_hold_each_string_once(self, tmp_path):
+        records = lemmatized_records(workload_corpus("train-50d-small"))
+        raws, blocks = [], []
+        for record in records:
+            forms = [row[0] for row in record["tokens"]]
+            # one space after each form: a token starts where its predecessors end
+            starts = list(accumulate((len(form) + 1 for form in forms), initial=0))
+            (s1, e1), (s2, e2) = ((starts[a - 1], starts[b] - 1)
+                                  for a, b in (record["e1"], record["e2"]))
+            raws.append(RawRecord(record["id"], " ".join(forms), (s1, e1), (s2, e2),
+                                  record["label"]))
+            blocks.append(f"#id {record['id']}")
+            blocks += ["\t".join(["_" if value is None else str(value) for value in row])
+                       for row in ([pos] + row for pos, row in enumerate(record["tokens"], 1))]
+            blocks.append("")
+        path = tmp_path / "parses.txt"
+        path.write_text("\n".join(blocks), encoding="utf-8")
+        instances, failures = convert(raws, read_parse_blocks(path))
+        assert failures == []
+        assert [_instance_to_record(inst) for inst in instances] == records
+        assert_one_object_per_string(instances)
 
     def test_missing_parse_block_reported(self, tmp_path):
         raws = self.raw_records(tmp_path)

@@ -22,16 +22,8 @@ from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (Vocabulary, _graph, _instance_to_record, read_parsed_instances,
                           write_parsed_instances)
 
-from conftest import assert_same_graph, object_compile, object_graph
-
-# make_gradcheck_instances' (max_path, max_depth) of each bench workload
-WORKLOAD_SHAPES = {"train-200d": (6, 3), "train-50d-small": (8, 4), "eval-200d": (6, 3)}
-
-
-def workload_corpus(name, n=120):
-    max_path, max_depth = WORKLOAD_SHAPES[name]
-    return synth.make_gradcheck_instances(n, seed=5, max_path=max_path, max_depth=max_depth)
-
+from conftest import (WORKLOAD_SHAPES, assert_same_graph, object_compile, object_graph,
+                      workload_corpus)
 
 CORPORA = {**{name: (lambda name=name: workload_corpus(name)) for name in WORKLOAD_SHAPES},
            "separable": lambda: synth.make_separable_corpus(60)}

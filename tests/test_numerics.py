@@ -698,15 +698,16 @@ class TestMemoryBounds:
         assert peak / len(instances) <= 2048
 
     def test_read_instances_are_compact(self, tmp_path):
-        # the same corpus read back from its file: a leaf's children and a
-        # graph's missing inactive tokens are shared, not one container each
+        # the same corpus read back from its file: a leaf's children, a
+        # graph's missing inactive tokens and each distinct string of the read
+        # are shared, not one object each
         path = tmp_path / "corpus.inst"
         write_parsed_instances(path, synth.make_gradcheck_instances(600, max_path=8,
                                                                     max_depth=4))
         read_parsed_instances(path)             # first use sets up the reader's caches
         instances, peak = traced_peak(lambda: read_parsed_instances(path))
         assert len(instances) == 600
-        assert peak / len(instances) <= 9000
+        assert peak / len(instances) <= 4500
 
     def test_model_load_holds_each_tensor_once(self, tmp_path):
         instances = synth.make_gradcheck_instances(3)
