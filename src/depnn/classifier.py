@@ -14,11 +14,11 @@ from .corpus import LABELS, Instance, UnknownLabel, Vocabulary, label_index
 from .evaluation import score
 from .numerics import (BIAS, EMBEDDING, WEIGHT, Gradient, NonFiniteLoss, ParameterStore,
                        RowPlan, init_uniform, load_store, row_plan, save_store, softmax)
-from .path_cnn import (CONV_B, CONV_W, ConvCache, InvalidWindowSize, build_windows,
+from .path_cnn import (CONV_B, CONV_W, PAD_WORD, REL_EMB, ConvCache, InvalidWindowSize,
                        check_window_size, conv_backward, conv_forward, relation_rows,
-                       window_width, word_slots)
-from .subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PARENT, PATH, REL_EMB, ROW, WORD_EMB,
-                      comp_names, compile_nodes, encode, encode_backward)
+                       window_width)
+from .subtree import (COMP_BIAS, LEAF_VEC, PARENT, PATH, ROW, WORD_EMB, comp_names,
+                      compile_nodes, encode, encode_backward)
 
 NER_EMB = "ner_emb"
 WN_EMB = "wn_emb"
@@ -117,12 +117,10 @@ class CompiledInstance:
     gold: int | None          # label index; None when unlabeled
     schedule: np.ndarray      # subtree.compile_nodes' schedule of the path's nodes
     path_slots: np.ndarray    # the schedule slots of the path words, in path order
-    rel_rows: np.ndarray      # path_cnn.relation_rows, sentinels included
-    windows: np.ndarray       # path_cnn.build_windows' index, shared by paths of one length
+    rel_rows: np.ndarray      # path_cnn.relation_rows: the relation row of each block
     lex_rows: np.ndarray      # per Model._lex_tables entry, the two entity heads' rows
     word_rows: RowPlan | None         # of the schedule's word rows
-    rel_slots: RowPlan | None         # of the relation rows in the windows' relation slots
-    word_slots: RowPlan               # of the windows' word slots, shared with them
+    rel_plan: RowPlan | None          # of rel_rows
     lex_plans: tuple[RowPlan, ...]    # per lexical table, of its rows; shared
 
 
@@ -201,8 +199,6 @@ class Model:
         self._rng = None        # the shuffle generator, made by the first train that shuffles
         self._order = np.arange(0)      # the epoch order the last train call ended with
         self._comp_names = comp_names(vocab)
-        # per path length: build_windows' index, the RowPlan of its word slots, its relation slots
-        self._windows: dict[int, tuple[np.ndarray, RowPlan, np.ndarray]] = {}
         self._lex_plans: dict[tuple[int, ...], tuple[RowPlan, ...]] = {}   # per lex_rows
         # the lexical tables, each read at both entity heads
         self._lex_tables = (([NER_EMB] if config.use_ner else [])
@@ -228,7 +224,7 @@ class Model:
 
     def compile(self, instance: Instance, plans: bool = True) -> CompiledInstance:
         """Look the instance up once: its path, the subtrees attached to it,
-        the windows over it and the entity heads' lexical tags, as rows of
+        its blocks' relations and the entity heads' lexical tags, as rows of
         this model's tensors, and the RowPlans of a training step. plans=False
         leaves out the two built per instance, which prediction does not read
         and which cost about as much as the rest."""
@@ -237,33 +233,26 @@ class Model:
         schedule = compile_nodes(graph, tokens, self.vocab, self.config.use_subtrees)
         # one fresh intp array (np.flatnonzero's is a view of a second one)
         path_slots = np.arange(schedule.shape[1])[schedule[PARENT] == PATH]
-        rel_rows = relation_rows(labels, self.vocab)
+        rel_rows = relation_rows(labels, self.vocab, self.config.window)
         heads = (instance.e1.head_index, instance.e2.head_index)
         lex_rows = tuple(self.vocab.ner_row(graph.ner_tags[head]) if table == NER_EMB
                          else self.vocab.wn_row(graph.wn_tags[head])
                          for table in self._lex_tables for head in heads)
         if lex_rows not in self._lex_plans:
             self._lex_plans[lex_rows] = tuple(map(row_plan, np.reshape(lex_rows, (-1, 2))))
-        if len(tokens) not in self._windows:
-            index = build_windows(len(tokens), self.config.window)
-            index.flags.writeable = False
-            is_word = word_slots(self.config.window)
-            self._windows[len(tokens)] = index, row_plan(index[:, is_word]), index[:, ~is_word]
-        windows, word_slot_plan, rel_slots = self._windows[len(tokens)]
         gold = None if instance.gold is None else label_index(instance.gold)
         return CompiledInstance(
-            instance.id, gold, schedule, path_slots, rel_rows, windows,
+            instance.id, gold, schedule, path_slots, rel_rows,
             np.array(lex_rows, dtype=np.int32).reshape(-1, 2),
             row_plan(schedule[ROW]) if plans else None,
-            row_plan(rel_rows[rel_slots]) if plans else None,
-            word_slot_plan, self._lex_plans[lex_rows])
+            row_plan(rel_rows) if plans else None, self._lex_plans[lex_rows])
 
     # --- forward -------------------------------------------------------------
 
     def _forward(self, compiled: CompiledInstance) -> _ForwardCache:
         nodes = encode(compiled.schedule, self.store, self._comp_names)
-        conv = conv_forward(compiled.windows, compiled.rel_rows, nodes[compiled.path_slots],
-                            self.store, use_tanh=self.config.conv_tanh)
+        conv = conv_forward(compiled.rel_rows, nodes[compiled.path_slots], self.store,
+                            use_tanh=self.config.conv_tanh)
         pieces = [conv.pooled] + [self.store.value(name)[rows].ravel() for name, rows
                                   in zip(self._lex_tables, compiled.lex_rows)]
         combined = np.concatenate(pieces) if len(pieces) > 1 else conv.pooled
@@ -310,7 +299,7 @@ class Model:
             gradient.step(name, plan, d_rows)
 
         d_path = conv_backward(cache.conv, d_combined[:hidden], self.store, gradient,
-                               compiled.word_slots, compiled.rel_slots)
+                               compiled.rel_plan)
         encode_backward(compiled.schedule, compiled.path_slots, compiled.word_rows, cache.nodes,
                         d_path, self.store, gradient, self._comp_names)
 

@@ -474,13 +474,14 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read 'word v1 .. vd' lines; a leading 'count dim' header is skipped.
-    The UNK vector is the arithmetic mean of all loaded vectors."""
+    """Read 'word v1 .. vd' lines split on ASCII spaces only (a word may hold
+    U+00A0); a leading 'count dim' header is skipped. The UNK vector is the
+    arithmetic mean of all loaded vectors."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
+            parts = [part for part in line.rstrip("\n").split(" ") if part]
             if not parts:
                 continue
             if line_no == 1 and len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):

@@ -2,13 +2,20 @@
 path, with max-over-time pooling.
 
 The path is viewed as an alternating sequence bounded by learned start/end
-sentinel relation vectors. One window is taken per path word, centered on
-it and spanning k consecutive items of the alternating sequence (stride 2
-between windows). Word slots falling outside the sequence are filled with
-a learned pad vector; relation slots outside take the nearer sentinel's
-vector. Window vectors are concatenated, pushed through the filter matrix
-(plus bias and tanh by default), and the feature map is max-pooled
-elementwise across windows.
+sentinel relation vectors: start, p_0, r_0, p_1, ..., r_{n-2}, p_{n-1}, end.
+One window is taken per path word, centered on it and spanning k
+consecutive items of that sequence (stride 2 between windows). Word items
+outside the sequence are the learned pad vector; relation items outside
+are the nearer sentinel's vector.
+
+A path of n words is laid out as n + h blocks [R_j | p_j], for k = 2h + 1,
+j counting from -((k - 1) // 4): R_j is the relation row before path word
+j (start for j <= 0, r_{j-1} inside, end for j >= n), and p_j the word, or
+the pad past either end. Read row by row, the blocks are the sequence, so
+window i is one contiguous run of them starting in block i, which
+window_pieces gives as column ranges of successive blocks. The window
+vectors are pushed through the filter matrix (plus bias and tanh by
+default), and the feature map is max-pooled elementwise across windows.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ import numpy as np
 
 from .corpus import PATH_END, PATH_START
 from .numerics import Gradient, ParameterStore, RowPlan, tanh_backward
-from .subtree import PAD_WORD, REL_EMB
 
+REL_EMB = "rel_emb"
+PAD_WORD = "pad_word"
 CONV_W = "conv_w"
 CONV_B = "conv_b"
 
@@ -35,54 +43,29 @@ def check_window_size(k: int) -> None:
         raise InvalidWindowSize(f"window size must be odd and >= 3, got {k}")
 
 
-@functools.cache
-def word_slots(k: int) -> np.ndarray:
-    """Boolean mask over a window's k columns, True at the word slots: the
-    even offsets from the center. Read-only, made once per k."""
-    check_window_size(k)
-    slots = (np.arange(k) - (k - 1) // 2) % 2 == 0
-    slots.flags.writeable = False
-    return slots
-
-
-@functools.cache
-def slot_columns(k: int, word_dim: int, rel_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of a window vector that its word slots fill, and those
-    that its relation slots fill, each in slot order; read-only."""
-    is_word = np.repeat(word_slots(k), np.where(word_slots(k), word_dim, rel_dim))
-    columns = np.flatnonzero(is_word), np.flatnonzero(~is_word)
-    for cols in columns:
-        cols.flags.writeable = False
-    return columns
-
-
 def words_per_window(k: int) -> int:
-    """Number of word slots in one window: 1 for k=3, 3 for k=5 and k=7,
+    """Number of word items in one window: 1 for k=3, 3 for k=5 and k=7,
     5 for k=9, ..."""
-    return int(word_slots(k).sum())
+    return 2 * ((k - 1) // 4) + 1
 
 
 def window_width(k: int, dim: int, dim_c: int) -> int:
     """Length of a concatenated window vector: dim per item plus dim_c per
-    word slot."""
+    word item."""
     return dim * k + dim_c * words_per_window(k)
 
 
-def build_windows(n_words: int, k: int) -> np.ndarray:
-    """One window per path word, as an (n_words, k) integer array.
-
-    A word slot indexes [pad, p_0 .. p_{n-1}] and a relation slot indexes
-    [start, r_0 .. r_{n-2}, end], where r_i joins p_i to p_{i+1}.
-    """
+@functools.cache
+def window_pieces(k: int, rel_dim: int, word_dim: int) -> tuple[tuple[int, int, int], ...]:
+    """Window i's vector as pieces (t, a, b) in order, each the columns a:b
+    of block i + t. A window of k = 4m + 3 opens on a block's relation row,
+    one of k = 4m + 1 on its word."""
     check_window_size(k)
-    if n_words < 1:
-        raise ValueError("a path has at least one word")
-    half = (k - 1) // 2
-    # offset o of window w holds item w + 1 + floor(o / 2) of its list; words
-    # past either end are the pad (0), relations clamp to the sentinels
-    index = np.arange(n_words)[:, None] + np.arange(2 - half, half + 3) // 2
-    clamped = np.minimum(np.maximum(index, 0), n_words)
-    return np.where(word_slots(k) & (index > n_words), 0, clamped)
+    width = rel_dim + word_dim
+    start = 0 if k % 4 == 3 else rel_dim
+    stop = start + window_width(k, rel_dim, word_dim - rel_dim)
+    return tuple((t, max(start - t * width, 0), min(stop - t * width, width))
+                 for t in range(-(-stop // width)))
 
 
 def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +78,7 @@ def max_over_time(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ConvCache:
-    windows: np.ndarray       # build_windows' index array
+    window: int               # k
     inputs: np.ndarray        # concatenated window vectors, one row per window
     feature_map: np.ndarray   # post-activation, one row per window
     pooled: np.ndarray
@@ -103,50 +86,55 @@ class ConvCache:
     use_tanh: bool
 
 
-def relation_rows(rel_labels, vocab) -> np.ndarray:
-    """Relation-embedding rows of [start, r_0 .. r_{n-2}, end], from the
-    directed labels of the relations between a path's n words."""
-    return np.array([vocab.relation_row(PATH_START)]
+def relation_rows(rel_labels, vocab, k: int) -> np.ndarray:
+    """Relation-embedding rows R_j of the n + h blocks of a path at window
+    k, from the directed labels of the relations between its n words."""
+    lead = (k - 1) // 4
+    return np.array([vocab.relation_row(PATH_START)] * (lead + 1)
                     + [vocab.relation_row(label) for label in rel_labels]
-                    + [vocab.relation_row(PATH_END)], dtype=np.int32)
+                    + [vocab.relation_row(PATH_END)] * ((k - 1) // 2 - lead), dtype=np.int32)
 
 
-def conv_forward(windows, rel_rows, word_vecs, store: ParameterStore,
-                 use_tanh: bool = True) -> ConvCache:
+def conv_forward(rel_rows, word_vecs, store: ParameterStore, use_tanh: bool = True) -> ConvCache:
     """Run the filter over every window and max-pool the feature map.
 
-    rel_rows are relation_rows' index of the path; word_vecs the encoded
-    p_w vectors of the path words, one row each, in order. Equal windows can
-    get features up to 4.4e-16 apart, from their rows of the one product, at
-    the tests' small filter widths, and then pool to the higher window.
+    rel_rows are relation_rows of the path, whose n + h entries set the
+    window k = 2h + 1; word_vecs the encoded p_w vectors of the path's n
+    words, one row each, in order. Equal windows can get features up to
+    4.4e-16 apart, from their rows of the one product, at the tests' small
+    filter widths, and then pool to the higher window.
     """
-    # slot by slot, the window's items from [pad, p_0 ..] or [start, r_0 .. end]
-    tables = (store.value(REL_EMB)[rel_rows],
-              np.concatenate((store.value(PAD_WORD)[None], word_vecs)))
-    inputs = np.concatenate([tables[word][slot] for word, slot
-                             in zip(word_slots(windows.shape[1]).tolist(), windows.T)], axis=1)
+    n, h = len(word_vecs), len(rel_rows) - len(word_vecs)
+    rel_emb, pad = store.value(REL_EMB), store.value(PAD_WORD)
+    rel_dim, lead = rel_emb.shape[1], h // 2        # lead: the blocks before p_0
+    blocks = np.empty((n + h, rel_dim + pad.size))
+    blocks[:, :rel_dim] = rel_emb[rel_rows]
+    blocks[:, rel_dim:] = pad
+    blocks[lead:lead + n, rel_dim:] = word_vecs
+    inputs = np.concatenate([blocks[t:t + n, a:b] for t, a, b
+                             in window_pieces(2 * h + 1, rel_dim, pad.size)], axis=1)
     pre = store.matmul_t(CONV_W, inputs)
     pre += store.value(CONV_B)
     feature_map = np.tanh(pre, out=pre) if use_tanh else pre
     pooled, argmax = max_over_time(feature_map)
-    return ConvCache(windows, inputs, feature_map, pooled, argmax, use_tanh)
+    return ConvCache(2 * h + 1, inputs, feature_map, pooled, argmax, use_tanh)
 
 
 def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
-                  gradient: Gradient, word_plan: RowPlan, rel_plan: RowPlan) -> np.ndarray:
+                  gradient: Gradient, rel_plan: RowPlan) -> np.ndarray:
     """Route each pooled coordinate's gradient into its argmax window, then
     through the filter into the gradient of the filter, relation embeddings,
     the pad vector and the filter bias, and into the path-word vectors
     (returned, one row per path word in path order).
 
-    word_plan is the RowPlan of the windows' word slots, rel_plan that of
-    the relation-embedding rows in their relation slots. Each goes through
-    gradient.step, so a training step's Gradient updates them here, in
-    place, the relation rows in one step. The filter's gradient is the
-    product of the routed unit gradients and the windows, of rank at most
-    the window count: a training step's Gradient hands it to the store as
-    those two factors, to hold pending, once the window vectors' gradient
-    has read the filter with every earlier step."""
+    The window vectors' gradient is added back onto the blocks, each
+    block's windows in ascending order. rel_plan is the RowPlan of the
+    blocks' relation rows, and goes through gradient.step, so a training
+    step's Gradient updates them here, in place, in one step. The filter's
+    gradient is the product of the routed unit gradients and the windows,
+    of rank at most the window count: a training step's Gradient hands it
+    to the store as those two factors, to hold pending, once the window
+    vectors' gradient has read the filter with every earlier step."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre
@@ -154,13 +142,16 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
     d_inputs = store.matmul(CONV_W, d_features)
     gradient.step(CONV_W, ..., (d_features.T, cache.inputs))
 
-    # the window vectors' slots, split back apart: word slots go to the path
-    # words and the pad, relation slots to their relation-embedding rows
-    word_dim, rel_dim = store.value(PAD_WORD).size, store.value(REL_EMB).shape[1]
-    word_cols, rel_cols = slot_columns(cache.windows.shape[1], word_dim, rel_dim)
-    rows, sums = word_plan.sums(d_inputs[:, word_cols].reshape(-1, word_dim))
-    d_words = np.zeros((len(cache.windows) + 1, word_dim))
-    d_words[rows] = sums
-    gradient.step(REL_EMB, rel_plan, d_inputs[:, rel_cols].reshape(-1, rel_dim))
-    gradient.step(PAD_WORD, ..., d_words[0])
-    return d_words[1:]
+    n, k = len(d_inputs), cache.window
+    rel_dim, word_dim = store.value(REL_EMB).shape[1], store.value(PAD_WORD).size
+    d_blocks = np.zeros((n + (k - 1) // 2, rel_dim + word_dim))
+    end = d_inputs.shape[1]
+    # block i + t takes window i's piece t: each block's windows in ascending order
+    for t, a, b in reversed(window_pieces(k, rel_dim, word_dim)):
+        d_blocks[t:t + n, a:b] += d_inputs[:, end - (b - a):end]
+        end -= b - a
+    gradient.step(REL_EMB, rel_plan, d_blocks[:, :rel_dim])
+    lead = (k - 1) // 4
+    pad_blocks = [*range(lead), *range(lead + n, len(d_blocks))]
+    gradient.step(PAD_WORD, ..., d_blocks[pad_blocks, rel_dim:].sum(axis=0))
+    return d_blocks[lead:lead + n, rel_dim:]

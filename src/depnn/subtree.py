@@ -20,10 +20,8 @@ import numpy as np
 from .numerics import Gradient, ParameterStore, RowPlan, tanh_backward
 
 WORD_EMB = "word_emb"
-REL_EMB = "rel_emb"
 COMP_BIAS = "comp_bias"
 LEAF_VEC = "leaf_vec"
-PAD_WORD = "pad_word"
 
 # the rows of a schedule; a path word's parent slot and comp id are PATH
 ROW, PARENT, COMP = range(3)

@@ -11,10 +11,9 @@ from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
-from depnn.numerics import ParameterStore, load_store, row_plan, save_store, tanh_backward
-from depnn.path_cnn import CONV_B, CONV_W, relation_rows, word_slots
-from depnn.subtree import (COMP_BIAS, LEAF_VEC, PAD_WORD, PATH, REL_EMB, WORD_EMB,
-                           compile_nodes)
+from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
+from depnn.path_cnn import CONV_B, CONV_W, PAD_WORD, REL_EMB, relation_rows
+from depnn.subtree import COMP_BIAS, LEAF_VEC, PATH, WORD_EMB, compile_nodes
 
 
 # make_gradcheck_instances' (max_path, max_depth) of each bench workload
@@ -36,7 +35,10 @@ def graph_of(n_tokens, arcs, forms=None, inactive=(), **token_fields):
     return DependencyGraph(tokens, [Arc(*a) for a in arcs], inactive)
 
 
-def random_tree(rng, max_nodes=12, labels=("nsubj", "dobj", "det", "amod", "prep_with")):
+RANDOM_TREE_LABELS = ("nsubj", "dobj", "det", "amod", "prep_with")
+
+
+def random_tree(rng, max_nodes=12, labels=RANDOM_TREE_LABELS):
     """Random recursive tree rooted at token 1."""
     n = 1 + int(rng.integers(max_nodes))
     tokens = [Token(i, f"w{i}") for i in range(1, n + 1)]
@@ -191,7 +193,8 @@ def object_compile(model, instance, graph):
     heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
     lex_rows = [[vocab.ner_row(tok.ner_tag) if table == "ner_emb" else vocab.wn_row(tok.wn_hypernym)
                  for tok in heads] for table in model._lex_tables]
-    return (np.array([rows, parents, comps], dtype=np.int32), relation_rows(labels, vocab),
+    return (np.array([rows, parents, comps], dtype=np.int32),
+            relation_rows(labels, vocab, model.config.window),
             np.array(lex_rows, dtype=np.int32).reshape(-1, 2))
 
 
@@ -340,14 +343,6 @@ def oracle_conv_backward(cache, upstream, store, gradient):
                 gradient[REL_EMB][row] += d_x[offset:offset + rel_dim]
                 offset += rel_dim
     return [d_words.get(i, np.zeros(word_dim)) for i in range(len(cache.windows))]
-
-
-def slot_plans(cache, rel_rows):
-    """The RowPlans that Model.compile makes for conv_backward: of the word
-    slots of cache.windows, and of the rows of rel_rows (relation_rows' index
-    of the path) in its relation slots."""
-    is_word = word_slots(cache.windows.shape[1])
-    return (row_plan(cache.windows[:, is_word]), row_plan(rel_rows[cache.windows[:, ~is_word]]))
 
 
 def count_applies(monkeypatch) -> list[int]:
@@ -587,6 +582,14 @@ def tiny_model(instances, **overrides):
     settings.update(overrides)
     config = TrainConfig(**settings)
     return Model.build(config, Vocabulary.build(instances))
+
+
+def window_model(k, relations):
+    """A tiny model at window k whose vocabulary holds these path relations
+    besides its required entries, each with a row of its own."""
+    vocab = Vocabulary(words=(UNK,), relations=(UNK, PATH_START, PATH_END, *relations),
+                       comp_relations=(DEFAULT_RELATION,), ner_tags=(UNK,), wn_tags=(UNK,))
+    return Model.build(TrainConfig(**{**TINY_CONFIG, "window": k}), vocab)
 
 
 def rewrite_model_file(path, drop=None, narrow=None):

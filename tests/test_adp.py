@@ -1,11 +1,18 @@
+import numpy as np
 import pytest
 
 from depnn.adp import (INVERSE_SUFFIX, Arc, DependencyGraph, InvalidSpan, Token,
                        TreeViolation, find_entity_head, shortest_path)
-from depnn.path_cnn import build_windows, word_slots
+from depnn.corpus import PATH_END, PATH_START
+from depnn.path_cnn import PAD_WORD, REL_EMB, conv_forward, relation_rows
 
-from conftest import (enumerate_tree_path, graph_of, offpath_descendants, random_tree,
-                      scheduled_subtrees)
+from conftest import (RANDOM_TREE_LABELS, assert_bit_identical, enumerate_tree_path, graph_of,
+                      offpath_descendants, oracle_conv_forward, random_tree, scheduled_subtrees,
+                      window_model)
+
+# random_tree's relations, each in both directions
+DIRECTED_LABELS = RANDOM_TREE_LABELS + tuple(label + INVERSE_SUFFIX
+                                             for label in RANDOM_TREE_LABELS)
 
 
 def toggle_inverse(label):
@@ -179,33 +186,35 @@ class TestAttachSubtrees:
                 seen |= tokens
 
     def test_elements_alternate_with_sentinels(self, rng):
-        # reading each window's center word and the relation before it, plus
-        # the last window's closing relation, spells the alternating sequence
-        # start p_0 r_0 p_1 ... p_{n-1} end: relation slots index
-        # [start, r_0 .. r_{n-2}, end], word slots [pad, p_0 .. p_{n-1}]
-        for _ in range(50):
-            g = random_tree(rng)
-            n_tokens = len(g.tokens)
-            a, b = 1 + int(rng.integers(n_tokens)), 1 + int(rng.integers(n_tokens))
-            n = len(shortest_path(g, a, b)[0])
-            for k in (3, 5, 7, 9):
-                windows = build_windows(n, k)
-                half = (k - 1) // 2
-                sequence = []
-                for window in windows:
-                    sequence += [("rel", window[half - 1]), ("word", window[half])]
-                sequence.append(("rel", windows[-1][half + 1]))
-                assert sequence == [("word", (i + 1) // 2) if i % 2 else ("rel", i // 2)
-                                    for i in range(2 * n + 1)]
-
-    def test_single_word_path_elements(self):
-        g = graph_of(2, [(0, 1, "root"), (1, 2, "det")])
-        n = len(shortest_path(g, 1, 1)[0])
+        # each window vector is the run of start p_0 r_0 p_1 ... p_{n-1} end
+        # centered on its word, padded past the ends with the pad and the
+        # nearer sentinel, as the per-window oracle concatenates it: on
+        # random trees' paths, every word, relation and pad vector distinct
         for k in (3, 5, 7, 9):
-            [window] = build_windows(n, k).tolist()
-            half = (k - 1) // 2
+            model = window_model(k, DIRECTED_LABELS)
+            for _ in range(20):
+                g = random_tree(rng)
+                n_tokens = len(g.tokens)
+                a, b = 1 + int(rng.integers(n_tokens)), 1 + int(rng.integers(n_tokens))
+                tokens, labels = shortest_path(g, a, b)
+                vecs = list(rng.normal(size=(len(tokens), model.store.value(PAD_WORD).size)))
+                cache = conv_forward(relation_rows(labels, model.vocab, k), vecs, model.store)
+                oracle = oracle_conv_forward(len(tokens), k, vecs, labels, model.store,
+                                             model.vocab)
+                assert_bit_identical(cache.inputs, np.stack(oracle.inputs))
+
+    def test_single_word_path_elements(self, rng):
+        g = graph_of(2, [(0, 1, "root"), (1, 2, "det")])
+        _, labels = shortest_path(g, 1, 1)
+        for k in (3, 5, 7, 9):
+            model = window_model(k, ())
+            rel, pad = model.store.value(REL_EMB), model.store.value(PAD_WORD)
+            start, end = (rel[model.vocab.relation_row(name)] for name in (PATH_START, PATH_END))
+            word = rng.normal(size=pad.size)
+            cache = conv_forward(relation_rows(labels, model.vocab, k), [word], model.store)
             # the word between the start and end sentinels, padded outside
-            expected = [int(i == half) if is_word else int(i > half)
-                        for i, is_word in enumerate(word_slots(k))]
-            assert window == expected
+            half = (k - 1) // 2
+            expected = [word if o == 0 else pad if o % 2 == 0 else start if o < 0 else end
+                        for o in range(-half, half + 1)]
+            assert_bit_identical(cache.inputs, np.concatenate(expected)[None])
 

@@ -354,6 +354,15 @@ class TestEmbeddings:
         assert np.array_equal(table.lookup("Dog"), [1, 2])
         assert np.array_equal(table.lookup("Cat"), [3, 4])
 
+    def test_fields_split_on_ascii_space_only(self, tmp_path):
+        # a word holding U+00A0 is one word; trailing spaces and CRLF still read
+        path = tmp_path / "vec.txt"
+        path.write_bytes("the 1 2 3  \r\nnew\xa0york 4 5 6\r\n".encode("utf-8"))
+        table = load_embeddings(path)
+        assert table.dim == 3
+        assert list(table.vectors) == ["the", "new\xa0york"]
+        assert np.array_equal(table.vectors["new\xa0york"], [4, 5, 6])
+
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = self.write(tmp_path, "dog 1 2 3\ncat 1 2\n")
         with pytest.raises(FormatError) as err:

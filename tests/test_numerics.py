@@ -14,7 +14,8 @@ from depnn.numerics import (BIAS, EMBEDDING, INIT_BLOCK, PRODUCT_ROWS, WEIGHT, G
                             ModelFormatError, NonFiniteLoss, ParameterStore, ShapeMismatch,
                             assert_finite, NonFiniteValue, RowPlan, gradient_check, init_uniform,
                             load_store, row_plan, save_store, softmax, tanh_backward)
-from depnn.subtree import REL_EMB, WORD_EMB
+from depnn.path_cnn import REL_EMB
+from depnn.subtree import WORD_EMB
 
 from conftest import (assert_bit_identical, count_applies, dense_sgd_oracle, edit_manifest,
                       tiny_model, truncate_model_file)

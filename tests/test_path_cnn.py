@@ -3,16 +3,16 @@ import pytest
 
 from depnn import numerics, synth
 from depnn.adp import shortest_path
-from depnn.path_cnn import (CONV_W, InvalidWindowSize, build_windows, conv_backward,
-                            conv_forward, max_over_time, relation_rows, window_width,
-                            word_slots, words_per_window)
+from depnn.path_cnn import (CONV_B, CONV_W, PAD_WORD, REL_EMB, InvalidWindowSize,
+                            conv_backward, conv_forward, max_over_time, relation_rows,
+                            window_pieces, window_width, words_per_window)
 from depnn.numerics import (PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, row_plan,
                             tanh_backward)
-from depnn.subtree import PAD_WORD, REL_EMB, comp_names, encode
+from depnn.subtree import comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows, graph_of,
-                      oracle_conv_backward, oracle_conv_forward, slot_plans, tiny_model)
-from depnn.corpus import Instance, entity_mention
+                      oracle_conv_backward, oracle_conv_forward, tiny_model)
+from depnn.corpus import PATH_END, PATH_START, Instance, entity_mention
 
 
 def harness(n_words=3, **model_overrides):
@@ -25,44 +25,116 @@ def harness(n_words=3, **model_overrides):
     return model, instance
 
 
+def chain_labels(n_words):
+    """The directed labels of harness' chain path of n_words."""
+    return [f"r{i}" for i in range(1, n_words)]
+
+
 def chain_relations(model, n_words):
-    """relation_rows of harness' chain path of n_words: r1 .. r{n_words-1}."""
-    return relation_rows([f"r{i}" for i in range(1, n_words)], model.vocab)
+    """relation_rows of harness' chain path of n_words at the model's window."""
+    return relation_rows(chain_labels(n_words), model.vocab, model.config.window)
 
 
-def run_conv(model, n_words, k, word_vecs=None, use_tanh=True):
+def run_conv(model, n_words, word_vecs=None, use_tanh=True):
     width = model.config.dim + model.config.dim_c
     if word_vecs is None:
         word_vecs = [np.full(width, 0.1 * (i + 1)) for i in range(n_words)]
-    return conv_forward(build_windows(n_words, k), chain_relations(model, n_words), word_vecs,
-                        model.store, use_tanh=use_tanh)
+    return conv_forward(chain_relations(model, n_words), word_vecs, model.store,
+                        use_tanh=use_tanh)
+
+
+def distinct_chain(k, n_words, rng):
+    """harness' model at window k over a chain of 8 words, and n_words
+    random word vectors: every word, relation, sentinel and pad vector
+    differs from every other."""
+    model, _ = harness(8, window=k)
+    vecs = list(rng.normal(size=(n_words, model.config.dim + model.config.dim_c)))
+    return model, vecs
+
+
+def hand_windows(*windows):
+    """Window vectors from their items, one tuple of vectors per window."""
+    return np.stack([np.concatenate(items) for items in windows])
 
 
 class TestWindows:
-    # word slots index [pad, p_0 .. p_{n-1}], relation slots
-    # [start, r_0 .. r_{n-2}, end]
-    def test_three_word_path_k3(self):
-        # (start p_0 r_0) (r_0 p_1 r_1) (r_1 p_2 end)
-        assert build_windows(3, 3).tolist() == [[0, 1, 1], [1, 2, 2], [2, 3, 3]]
+    """A window is a run of the path's blocks: conv_forward's window vectors
+    are, bit for bit, the concatenation of each window's items, slot by
+    slot, as the per-window oracle or a hand enumeration makes them."""
 
-    def test_one_word_path_k3(self):
-        # (start p_0 end)
-        assert build_windows(1, 3).tolist() == [[0, 1, 1]]
+    @staticmethod
+    def items(model, rng, n_words):
+        """The pad, the start, r1 .. r{n_words-1} and end vectors of the
+        model, and n_words random word vectors."""
+        rel = model.store.value(REL_EMB)
+        names = [PATH_START] + chain_labels(n_words) + [PATH_END]
+        relations = [rel[model.vocab.relation_row(name)] for name in names]
+        pad = model.store.value(PAD_WORD)
+        return pad, relations, list(rng.normal(size=(n_words, pad.size)))
 
-    def test_two_word_path_k5_hand_enumerated(self):
-        # (pad start p_0 r_0 p_1) (p_0 r_0 p_1 end pad)
-        assert build_windows(2, 5).tolist() == [[0, 0, 1, 1, 2], [1, 1, 2, 2, 0]]
-        assert word_slots(5).tolist() == [True, False, True, False, True]
+    def test_three_word_path_k3(self, rng):
+        model, _ = harness(8, window=3)
+        _, (start, r1, r2, end), (p0, p1, p2) = self.items(model, rng, 3)
+        cache = conv_forward(chain_relations(model, 3), [p0, p1, p2], model.store)
+        assert_bit_identical(cache.inputs, hand_windows((start, p0, r1), (r1, p1, r2),
+                                                        (r2, p2, end)))
+
+    def test_one_word_path_k3(self, rng):
+        model, _ = harness(8, window=3)
+        _, (start, end), (p0,) = self.items(model, rng, 1)
+        cache = conv_forward(chain_relations(model, 1), [p0], model.store)
+        assert_bit_identical(cache.inputs, hand_windows((start, p0, end)))
+
+    def test_two_word_path_k5_hand_enumerated(self, rng):
+        model, _ = harness(8, window=5)
+        pad, (start, r1, end), (p0, p1) = self.items(model, rng, 2)
+        cache = conv_forward(chain_relations(model, 2), [p0, p1], model.store)
+        assert_bit_identical(cache.inputs, hand_windows((pad, start, p0, r1, p1),
+                                                        (p0, r1, p1, end, pad)))
+
+    def test_every_window_has_declared_slot_counts(self, rng):
+        # slot by slot against the (kind, ref) windows of the conftest
+        # oracle, every word, relation, sentinel and pad vector distinct
+        for k in (3, 5, 7, 9):
+            for n in range(1, 9):
+                model, vecs = distinct_chain(k, n, rng)
+                cache = conv_forward(chain_relations(model, n), vecs, model.store)
+                oracle = oracle_conv_forward(n, k, vecs, chain_labels(n), model.store,
+                                             model.vocab)
+                assert cache.window == k
+                assert_bit_identical(cache.inputs, np.stack(oracle.inputs))
+                assert all(sum(kind == "word" for kind, _ in window) == words_per_window(k)
+                           for window in oracle.windows)
+
+    def test_blocks_relation_rows(self):
+        model, _ = harness(3, window=9)
+        start, r1, r2, end = (model.vocab.relation_row(name)
+                              for name in (PATH_START, "r1", "r2", PATH_END))
+        # R_j from j = -(k - 1) // 4, one per block: n + (k - 1) / 2 blocks
+        expected = {3: [start, r1, r2, end], 5: [start, start, r1, r2, end],
+                    7: [start, start, r1, r2, end, end],
+                    9: [start, start, start, r1, r2, end, end]}
+        for k, rows in expected.items():
+            assert relation_rows(["r1", "r2"], model.vocab, k).tolist() == rows
+
+    def test_window_pieces(self):
+        # rel_dim 2, word_dim 3: a block is 5 columns
+        assert window_pieces(3, 2, 3) == ((0, 0, 5), (1, 0, 2))
+        assert window_pieces(5, 2, 3) == ((0, 2, 5), (1, 0, 5), (2, 0, 5))
+        assert window_pieces(7, 2, 3) == ((0, 0, 5), (1, 0, 5), (2, 0, 5), (3, 0, 2))
+        assert window_pieces(9, 2, 3) == ((0, 2, 5), (1, 0, 5), (2, 0, 5), (3, 0, 5),
+                                          (4, 0, 5))
 
     def test_invalid_window_sizes(self):
         for k in (1, 2, 4, 0, -3):
             with pytest.raises(InvalidWindowSize):
-                build_windows(3, k)
+                window_pieces(k, 2, 3)
 
     def test_window_count_equals_word_count(self):
         for k in (3, 5, 7):
+            model, _ = harness(5, window=k)
             for n in range(1, 6):
-                assert len(build_windows(n, k)) == n
+                assert len(run_conv(model, n).inputs) == n
 
     def test_words_per_window(self):
         assert words_per_window(3) == 1
@@ -70,27 +142,12 @@ class TestWindows:
         assert words_per_window(7) == 3
         assert words_per_window(9) == 5
 
-    def test_every_window_has_declared_slot_counts(self):
-        # slot by slot against the (kind, ref) windows of the conftest oracle
-        def oracle_index(ref, n):
-            if ref is None or ref == "start":
-                return 0
-            return n if ref == "end" else ref + 1
-
-        for k in (3, 5, 7, 9):
-            for n in range(1, 5):
-                windows = build_windows(n, k)
-                assert windows.shape == (n, k)
-                for window, slots in zip(windows.tolist(), enumerate_windows(n, k)):
-                    kinds = [kind == "word" for kind, _ in slots]
-                    assert kinds == word_slots(k).tolist()
-                    assert sum(kinds) == words_per_window(k)
-                    assert window == [oracle_index(ref, n) for _, ref in slots]
-
     def test_window_width_matches_filter_and_slots(self):
         dim, dim_c = 7, 3
         for k in (3, 5, 7):
             assert window_width(k, dim, dim_c) == dim * k + dim_c * words_per_window(k)
+            assert sum(b - a for _, a, b in window_pieces(k, dim, dim + dim_c)) == \
+                window_width(k, dim, dim_c)
 
 
 class TestPooling:
@@ -109,18 +166,18 @@ class TestConvForward:
         model, _ = harness(3)
         for name in model.store.names():
             model.store.value(name).fill(0.0)
-        cache = run_conv(model, 3, 3)
+        cache = run_conv(model, 3)
         assert not cache.pooled.any()
 
     def test_single_window_degenerate_pooling(self):
         model, _ = harness(2)
-        cache = run_conv(model, 1, 3)
+        cache = run_conv(model, 1)
         assert np.array_equal(cache.pooled, cache.feature_map[0])
         assert not cache.argmax.any()
 
     def test_pooled_equals_elementwise_max(self):
         model, _ = harness(4)
-        cache = run_conv(model, 4, 3)
+        cache = run_conv(model, 4)
         assert np.array_equal(cache.pooled, cache.feature_map.max(axis=0))
 
     def test_dominant_window_wins_exactly(self):
@@ -130,67 +187,81 @@ class TestConvForward:
         model.store.value(REL_EMB).fill(0.0)
         model.store.value(PAD_WORD).fill(0.0)
         strong = [np.full(width, 0.5), np.full(width, 0.5)]
-        cache = run_conv(model, 2, 3,
-                         word_vecs=[strong[0], np.full(width, -0.5)])
+        cache = run_conv(model, 2, word_vecs=[strong[0], np.full(width, -0.5)])
         assert np.array_equal(cache.pooled, cache.feature_map[0])
         assert not cache.argmax.any()
 
-    def test_permuting_windows_leaves_pooled_unchanged(self):
-        model, _ = harness(3)
-        windows = build_windows(3, 3)
-        width = model.config.dim + model.config.dim_c
-        vecs = [np.full(width, 0.1 * (i + 1)) for i in range(3)]
-        labels = ["r1", "r2"]
-        rel_rows = relation_rows(labels, model.vocab)
-        direct = conv_forward(windows, rel_rows, vecs, model.store)
-        permuted = conv_forward(windows[[2, 0, 1]], rel_rows, vecs, model.store)
-        assert np.allclose(direct.pooled, permuted.pooled, atol=0)
+    def test_permuting_windows_leaves_pooled_unchanged(self, rng):
+        # the oracle's windows, filtered as conv_forward filters its own in
+        # another order, pool to the same vector
+        model, vecs = distinct_chain(3, 3, rng)
+        direct = conv_forward(chain_relations(model, 3), vecs, model.store)
+        oracle = oracle_conv_forward(3, 3, vecs, chain_labels(3), model.store, model.vocab)
+        assert_bit_identical(direct.inputs, np.stack(oracle.inputs))
+        pre = model.store.matmul_t(CONV_W, np.stack(oracle.inputs)[[2, 0, 1]])
+        pre += model.store.value(CONV_B)
+        permuted, _ = max_over_time(np.tanh(pre))
+        assert np.allclose(direct.pooled, permuted, atol=0)
 
     def test_shape_mismatch_on_wrong_filter(self):
         model, _ = harness(2)
         with pytest.raises(ShapeMismatch):
-            run_conv(model, 2, 5)   # filter was sized for k=3
+            conv_forward(relation_rows(["r1"], model.vocab, 5), [np.zeros(10)] * 2,
+                         model.store)    # filter was sized for k=3
 
 
 class TestWordSlotPlan:
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     def test_matches_add_at(self, rng, k):
-        """The RowPlan of the windows' word slots sums their deltas onto
-        [pad, p_0 ..] as np.add.at does into a zeroed array, bit for bit."""
-        is_word = word_slots(k)
+        """conv_backward sums the window vectors' word segments onto the
+        path words as np.add.at does, in window-major order, into zeros,
+        bit for bit."""
         for n_words in range(1, 9):
-            windows = build_windows(n_words, k)
-            deltas = rng.normal(size=(n_words, int(is_word.sum()), 6))
-            deltas[rng.random(deltas.shape) < 0.2] = -0.0
-            expected = np.zeros((n_words + 1, 6))
-            np.add.at(expected, windows[:, is_word], deltas)
-            rows, sums = row_plan(windows[:, is_word]).sums(deltas)
-            summed = np.zeros((n_words + 1, 6))
-            summed[rows] = sums
-            assert_bit_identical(summed, expected)
+            model, vecs = distinct_chain(k, n_words, rng)
+            cache = conv_forward(chain_relations(model, n_words), vecs, model.store)
+            upstream = rng.normal(size=model.config.hidden)
+            d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+                                    row_plan(chain_relations(model, n_words)))
+            # the window vectors' gradient, as conv_backward forms it
+            d_features = np.zeros_like(cache.feature_map)
+            d_features[cache.argmax, np.arange(upstream.size)] = tanh_backward(cache.pooled,
+                                                                               upstream)
+            d_inputs = model.store.matmul(CONV_W, d_features)
+            word_dim, rel_dim = len(vecs[0]), model.config.dim
+            rows, segments = [], []
+            for d_x, window in zip(d_inputs, enumerate_windows(n_words, k)):
+                offset = 0
+                for kind, ref in window:
+                    size = word_dim if kind == "word" else rel_dim
+                    if kind == "word" and ref is not None:
+                        rows.append(ref)
+                        segments.append(d_x[offset:offset + size])
+                    offset += size
+            expected = np.zeros((n_words, word_dim))
+            np.add.at(expected, rows, segments)
+            assert_bit_identical(np.ascontiguousarray(d_words), expected)
 
 
 class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
-        cache = run_conv(model, 3, 3)
+        cache = run_conv(model, 3)
         gradient = Gradient(model.store)
-        d_words = conv_backward(cache, np.zeros(model.config.hidden),
-                                model.store, gradient,
-                                *slot_plans(cache, chain_relations(model, 3)))
+        d_words = conv_backward(cache, np.zeros(model.config.hidden), model.store, gradient,
+                                row_plan(chain_relations(model, 3)))
         for name in model.store.names():
             assert not gradient[name].any()
         assert all(not d.any() for d in d_words)
 
     def test_non_argmax_window_gets_exactly_zero(self):
         model, _ = harness(2)
-        cache = run_conv(model, 2, 3)
+        cache = run_conv(model, 2)
         coord = 0
         upstream = np.zeros(model.config.hidden)
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
         d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                *slot_plans(cache, chain_relations(model, 2)))
+                                row_plan(chain_relations(model, 2)))
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
         assert not d_words[1 - winner].any()
@@ -198,10 +269,10 @@ class TestConvBackward:
     def test_word_gradients_accumulate_across_windows(self):
         # with k=5 the middle word of a 3-word path sits in all 3 windows
         model, _ = harness(3, window=5)
-        cache = run_conv(model, 3, 5)
+        cache = run_conv(model, 3)
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
         d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
-                                *slot_plans(cache, chain_relations(model, 3)))
+                                row_plan(chain_relations(model, 3)))
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
                    for d in d_words)
@@ -277,17 +348,17 @@ class TestOracleEquivalence:
         use_tanh = model.config.conv_tanh
         tied = 0
         for vecs, labels in paths:
-            n, rel_rows = len(vecs), relation_rows(labels, vocab)
-            new = conv_forward(build_windows(n, k), rel_rows, vecs, store, use_tanh=use_tanh)
+            n, rel_rows = len(vecs), relation_rows(labels, vocab, k)
+            new = conv_forward(rel_rows, vecs, store, use_tanh=use_tanh)
             old = oracle_conv_forward(n, k, vecs, labels, store, vocab, use_tanh=use_tanh)
             assert np.array_equal(new.argmax, old.argmax)
             assert max_gap(new.pooled, old.pooled) <= 1e-12
             tied += len(np.unique(new.feature_map, axis=0)) < n
 
             upstream = rng.normal(size=model.config.hidden)
-            plans = slot_plans(new, rel_rows)
+            rel_plan = row_plan(rel_rows)
             grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new, *plans)
+            d_new = conv_backward(new, upstream, store, grads_new, rel_plan)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
                 assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
@@ -304,7 +375,7 @@ class TestOracleEquivalence:
             before = {name: store.value(name).copy() for name in store.names()}
             expected = dense_sgd_oracle(store, grads_old, learning_rate)
             stepped = Gradient(store, learning_rate)
-            d_new = conv_backward(new, upstream, store, stepped, *plans)
+            d_new = conv_backward(new, upstream, store, stepped, rel_plan)
             assert not stepped      # every tensor, relation rows too, stepped in place
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
