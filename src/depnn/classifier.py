@@ -4,6 +4,7 @@ output, cross-entropy loss, and the per-instance SGD training loop."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -210,8 +211,14 @@ class Model:
         if embeddings is not None and embeddings.dim != config.dim:
             raise corpus.DimensionMismatch(
                 f"embeddings are {embeddings.dim}-d but the model wants {config.dim}-d")
+        layout = parameter_layout(config, vocab)
+        for name, (shape, _) in layout.items():
+            # numpy refuses an array of more bytes than sys.maxsize (float64: 8 each)
+            if 8 * math.prod(shape) > sys.maxsize:
+                raise InvalidConfig(f"tensor {name!r} of shape {shape} holds more bytes "
+                                    "than an array can")
         store = ParameterStore()
-        for name, (shape, kind) in parameter_layout(config, vocab).items():
+        for name, (shape, kind) in layout.items():
             store.register(name, shape, kind)
         init_uniform(store, config.seed)
         if embeddings is not None:

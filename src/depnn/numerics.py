@@ -290,17 +290,13 @@ def row_plan(index: np.ndarray) -> RowPlan:
     return plan
 
 
-# elements drawn per generator call in init_uniform: 256 KB of float64
-INIT_BLOCK = 32768
-
-
 def init_uniform(store: ParameterStore, seed: int) -> None:
     """Fill a store deterministically: Xavier-uniform weight matrices,
     zero biases, and small uniform embeddings in +/-0.01.
 
-    Each tensor is drawn in row-major blocks of INIT_BLOCK elements
-    straight into its buffer. The generator yields one double per element
-    in sequence, so the blocks equal one full-size draw bit for bit, without
+    Each tensor is drawn straight into its buffer, one double per element
+    in sequence, and scaled in place by numpy's own uniform arithmetic,
+    low + (high - low) * r: bit for bit one full-size uniform draw, without
     its full-size temporary."""
     rng = np.random.default_rng(seed)
     for name in store.names():
@@ -316,9 +312,9 @@ def init_uniform(store: ParameterStore, seed: int) -> None:
             fan_out, fan_in = value.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
         flat = value.reshape(-1)
-        for start in range(0, flat.size, INIT_BLOCK):
-            block = flat[start:start + INIT_BLOCK]
-            block[...] = rng.uniform(-bound, bound, block.size)
+        rng.random(out=flat)
+        flat *= bound - -bound
+        flat += -bound
 
 
 # the least denominator of gradient_check's relative error, so that rounding
@@ -467,6 +463,10 @@ def _read_manifest_lines(path, fh) -> list[str]:
         except UnicodeDecodeError:
             raise ModelFormatError(f"{path}: manifest is not ASCII") from None
     return lines
+
+
+# elements read per call in _read_tensor: 256 KB of float64
+INIT_BLOCK = 32768
 
 
 def _read_tensor(path, fh, name: str, value: np.ndarray, stored: np.dtype) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from depnn import numerics, synth
-from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token, TreeViolation
+from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
@@ -49,152 +49,80 @@ def random_tree(rng, max_nodes=12, labels=RANDOM_TREE_LABELS):
     return DependencyGraph(tokens, arcs)
 
 
-class ObjectGraph:
-    """The graph as one Token per token and one Arc per arc, checked by a
-    head-chain walk per token: the object-building oracle of
-    DependencyGraph's columns."""
+def row_columns(rows):
+    """The graph a reader must make of DEPNN-INST token rows [form, lemma,
+    head, relation, ner, wordnet], by definition: DependencyGraph's columns
+    and inactive tokens, `tokens` and `arcs` made from the same rows, and
+    `tree`, whether the rows form one tree.
 
-    def __init__(self, tokens, arcs, inactive=()):
-        self.tokens = tuple(tokens)
-        self.inactive = frozenset(inactive)
-        if not self.tokens:
-            raise TreeViolation("a sentence needs at least one token")
-        self._by_index = {}
-        for tok in self.tokens:
-            if tok.index < 1:
-                raise TreeViolation(f"token index {tok.index} below 1")
-            if tok.index in self._by_index:
-                raise TreeViolation(f"duplicate token index {tok.index}")
-            self._by_index[tok.index] = tok
-        for idx in self.inactive:
-            if idx not in self._by_index:
-                raise TreeViolation(f"inactive index {idx} has no token")
-        self.arcs = tuple(sorted((Arc(*a) for a in arcs), key=lambda a: (a.head, a.dependent)))
-        self.root_arc = {}            # every token's arc from its head, the root's included
-        self._children = {}
-        for arc in self.arcs:
-            if arc.dependent not in self._by_index:
-                raise TreeViolation(f"arc dependent {arc.dependent} has no token")
-            if arc.head != 0 and arc.head not in self._by_index:
-                raise TreeViolation(f"arc head {arc.head} has no token")
-            if arc.dependent in self.inactive or arc.head in self.inactive:
-                raise TreeViolation(f"inactive token participates in arc {arc}")
-            if arc.dependent in self.root_arc:
-                raise TreeViolation(f"token {arc.dependent} has more than one head")
-            self.root_arc[arc.dependent] = arc
-            if arc.head != 0:
-                self._children.setdefault(arc.head, []).append(arc)
-        active = [t.index for t in self.tokens if t.index not in self.inactive]
-        roots = [i for i in active if i not in self.root_arc or self.root_arc[i].head == 0]
-        if len(roots) != 1:
-            raise TreeViolation(f"expected exactly one root, found {sorted(roots)}")
-        self.root = roots[0]
-        self._depth = {self.root: 0}
-        for idx in active:
-            chain = []
-            node = idx
-            while node not in self._depth:
-                chain.append(node)
-                arc = self.root_arc.get(node)
-                node = arc.head if arc is not None else 0
-                if node in chain or len(chain) > len(self.tokens):
-                    raise TreeViolation(f"cycle through token {idx}")
-            for offset, member in enumerate(reversed(chain), start=1):
-                self._depth[member] = self._depth[node] + offset
+    Slot 0 is the root's virtual head, with head -1. A root row's missing
+    relation reads "root", and a head -1 row has no relation. children[i]
+    is the dependents whose head is i, in ascending order. A depth is the
+    count of head hops to the root, and -1 outside the tree. The rows form
+    one tree when every head is in -1..n, exactly one head is 0, no head
+    names a token kept out of the tree, and every tree token reaches 0
+    within n hops (its depth is not None)."""
+    n = len(rows)
+    forms, lemmas, heads, rels, ner_tags, wn_tags = zip((None, None, -1, None, None, None), *rows)
+    relations = tuple(None if head == -1 else (rel or "root") if head == 0 else rel
+                      for head, rel in zip(heads, rels))
 
-    def token(self, index):
-        return self._by_index[index]
+    def depth(i):
+        for hops in range(n):
+            if heads[i] < 1:
+                return hops if heads[i] == 0 else -1
+            i = heads[i]
+        return None
 
-    def children(self, index):
-        return tuple(self._children.get(index, ()))
-
-    def head_arc(self, index):
-        arc = self.root_arc.get(index)
-        return None if arc is None or arc.head == 0 else arc
-
-    def depth(self, index):
-        return self._depth[index]
+    in_range = all(-1 <= head <= n for head in heads)
+    depths = tuple(map(depth, range(n + 1))) if in_range else None
+    return SimpleNamespace(
+        forms=forms, lemmas=lemmas, ner_tags=ner_tags, wn_tags=wn_tags, heads=heads,
+        relations=relations, depths=depths,
+        children=tuple(tuple(d for d in range(1, n + 1) if heads[d] == i) for i in range(n + 1)),
+        tree=(in_range and heads.count(0) == 1 and None not in depths
+              and all(head < 1 or heads[head] != -1 for head in heads)),
+        inactive=frozenset(i for i in range(1, n + 1) if heads[i] == -1),
+        tokens=tuple(Token(i, form, lemma, ner, wn)
+                     for i, (form, lemma, _, _, ner, wn) in enumerate(rows, start=1)),
+        arcs=tuple(sorted(Arc(head, i, relations[i]) for i, head in enumerate(heads)
+                          if i and head != -1)))
 
 
-def object_graph(rows):
-    """The ObjectGraph of checked DEPNN-INST token rows, one Token and one
-    Arc made per row, as the instance reader built its graphs."""
-    tokens, arcs, inactive = [], [], []
-    for pos, (form, lemma, head, rel, ner, wn) in enumerate(rows, start=1):
-        tokens.append(Token(pos, form, lemma, ner, wn))
-        if head == -1:
-            inactive.append(pos)
-        else:
-            arcs.append(Arc(head, pos, rel or "root") if head == 0 else Arc(head, pos, rel))
-    return ObjectGraph(tokens, arcs, inactive)
+def assert_graph_of_rows(graph, rows):
+    """A DependencyGraph against row_columns of the rows it stands for:
+    every column, the inactive tokens, the tokens and the arcs."""
+    want = row_columns(rows)
+    assert want.tree and graph.inactive == want.inactive
+    for name in ("forms", "lemmas", "ner_tags", "wn_tags", "heads", "relations", "children",
+                 "depths", "tokens", "arcs"):
+        assert tuple(getattr(graph, name)) == getattr(want, name), name
 
 
-def assert_same_graph(graph, oracle):
-    """A DependencyGraph against its ObjectGraph: the tokens, the arcs, the
-    root, and per token its depth, its children in order and its head arc."""
-    assert graph.tokens == oracle.tokens
-    assert graph.arcs == oracle.arcs
-    assert (graph.children[0], graph.inactive) == ((oracle.root,), oracle.inactive)
-    for tok in oracle.tokens:
-        i = tok.index
-        arc = oracle.root_arc.get(i)
-        assert (graph.heads[i], graph.relations[i]) == (
-            (-1, None) if i in oracle.inactive else (0, None) if arc is None
-            else (arc.head, arc.relation))
-        if i in oracle.inactive:
-            assert (graph.depths[i], graph.children[i]) == (-1, ())
-            continue
-        assert graph.depths[i] == oracle.depth(i)
-        assert graph.children[i] == tuple(kid.dependent for kid in oracle.children(i))
-        if oracle.head_arc(i) is not None:
-            assert Arc(graph.heads[i], i, graph.relations[i]) == oracle.head_arc(i)
-
-
-def object_shortest_path(graph, a, b):
-    """adp.shortest_path climbing an ObjectGraph's Arc objects."""
-    tokens, labels, down = [a], [], []
-    while a != b:
-        if graph.depth(a) >= graph.depth(b):
-            arc = graph.head_arc(a)
-            tokens.append(arc.head)
-            labels.append(arc.relation + INVERSE_SUFFIX)
-            a = arc.head
-        else:
-            arc = graph.head_arc(b)
-            down.append(arc)
-            b = arc.head
-    for arc in reversed(down):
-        tokens.append(arc.dependent)
-        labels.append(arc.relation)
-    return tokens, labels
-
-
-def object_compile(model, instance, graph):
-    """What Model.compile made of an instance by way of its ObjectGraph: the
-    subtree schedule, the relation rows and the lexical rows, each node's
-    form and children read off Token and Arc objects."""
-    vocab = model.vocab
-    tokens, labels = object_shortest_path(graph, instance.e1.head_index,
-                                          instance.e2.head_index)
+def schedule_of_rows(rows, heads, vocab, config):
+    """What Model.compile must make of an instance's token rows and its two
+    entity heads, by definition: (schedule, rel_rows, lex_rows). Each path
+    word of enumerate_tree_path is followed by its off-path subtree in
+    pre-order, children ascending. A node's word row, parent slot and comp
+    id are read off its row, PATH on a path word. lex_rows are the entity
+    heads' NER rows, then their WordNet rows, as far as config uses each."""
+    tokens, labels = enumerate_tree_path(row_columns(rows), *heads)
     on_path = set(tokens)
-    rows, parents, comps = [], [], []
+    nodes = []
+
+    def visit(token, parent, comp):
+        nodes.append((vocab.word_row(rows[token - 1][0]), parent, comp))
+        slot = len(nodes) - 1
+        for kid, (_, _, head, relation, _, _) in enumerate(rows, start=1):
+            if config.use_subtrees and head == token and kid not in on_path:
+                visit(kid, slot, vocab.comp_id(relation))
+
     for word in tokens:
-        stack = [(word, PATH, PATH)]
-        while stack:
-            token, parent, comp = stack.pop()
-            rows.append(vocab.word_row(graph.token(token).form))
-            parents.append(parent)
-            comps.append(comp)
-            if model.config.use_subtrees:
-                slot = len(parents) - 1
-                stack += [(arc.dependent, slot, vocab.comp_id(arc.relation))
-                          for arc in reversed(graph.children(token))
-                          if arc.dependent not in on_path]
-    heads = (graph.token(instance.e1.head_index), graph.token(instance.e2.head_index))
-    lex_rows = [[vocab.ner_row(tok.ner_tag) if table == "ner_emb" else vocab.wn_row(tok.wn_hypernym)
-                 for tok in heads] for table in model._lex_tables]
-    return (np.array([rows, parents, comps], dtype=np.int32),
-            relation_rows(labels, vocab, model.config.window),
+        visit(word, PATH, PATH)
+    lex_rows = [[lookup(rows[head - 1][column]) for head in heads]
+                for used, lookup, column in ((config.use_ner, vocab.ner_row, 4),
+                                             (config.use_wordnet, vocab.wn_row, 5)) if used]
+    return (np.array(nodes, dtype=np.int32).T, relation_rows(labels, vocab, config.window),
             np.array(lex_rows, dtype=np.int32).reshape(-1, 2))
 
 

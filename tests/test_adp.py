@@ -57,6 +57,21 @@ class TestGraphValidation:
         with pytest.raises(TreeViolation):
             graph_of(2, [(0, 1, "root"), (1, 2, "det")], inactive={2})
 
+    # the object form, which bench/generate.py builds every graph through,
+    # refuses an index that names no token
+    @pytest.mark.parametrize("tokens, arcs, inactive, message", [
+        ([Token(0, "a")], [Arc(0, 0, "root")], (), "token index 0 below 1"),
+        ([Token(1, "a"), Token(3, "c")], [Arc(0, 1, "root"), Arc(1, 3, "x")], (),
+         "no token with index 2"),
+        ([Token(1, "a")], [Arc(0, 1, "root")], (2,), "inactive index 2 has no token"),
+        ([Token(1, "a"), Token(2, "b")], [Arc(0, 1, "root"), Arc(1, 3, "x")], (),
+         "arc dependent 3 has no token"),
+    ], ids=["index-below-1", "missing-index", "inactive-without-token",
+            "dependent-without-token"])
+    def test_index_that_names_no_token_rejected(self, tokens, arcs, inactive, message):
+        with pytest.raises(TreeViolation, match=f"^{message}$"):
+            DependencyGraph(tokens, arcs, inactive)
+
 
 class TestFindEntityHead:
     def test_singleton_span(self):

@@ -12,7 +12,8 @@ from depnn import classifier
 from depnn.classifier import (EmptyDataset, InvalidConfig, Model,
                               ModelFileMismatch, OUT_W, TrainConfig, cross_entropy)
 from depnn.adp import DependencyGraph, InvalidSpan
-from depnn.corpus import LABELS, UNK, EmbeddingTable, Instance, Vocabulary, entity_mention
+from depnn.corpus import (LABELS, UNK, DimensionMismatch, EmbeddingTable, Instance, Vocabulary,
+                          entity_mention)
 from depnn.evaluation import score
 from depnn.numerics import Gradient, NonFiniteLoss, gradient_check
 from depnn.path_cnn import CONV_B, InvalidWindowSize
@@ -63,6 +64,24 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = TrainConfig(dim=10, use_ner=True)
         assert TrainConfig(**asdict(cfg)) == cfg
+
+    def test_embeddings_of_another_dimension_are_refused(self):
+        embeddings = EmbeddingTable(3, {}, np.zeros(3))
+        with pytest.raises(DimensionMismatch,
+                           match="^embeddings are 3-d but the model wants 6-d$"):
+            Model.build(TrainConfig(**TINY_CONFIG), Vocabulary.build([one_instance()]),
+                        embeddings)
+
+    def test_tensor_beyond_an_array_is_refused_before_any_is_made(self, monkeypatch):
+        # 2**61 float64 rows are 2**64 bytes, past sys.maxsize: numpy would
+        # refuse the filter outright, and the tensors before it are not made
+        made = []
+        monkeypatch.setattr(classifier.ParameterStore, "register", lambda *args: made.append(args))
+        with pytest.raises(InvalidConfig, match=rf"^tensor 'conv_w' of shape \({2 ** 61}, \d+\) "
+                                                "holds more bytes than an array can$"):
+            Model.build(TrainConfig(**{**TINY_CONFIG, "hidden": 2 ** 61}),
+                        Vocabulary.build([one_instance()]))
+        assert made == []
 
 
 class TestForward:

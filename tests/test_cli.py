@@ -750,6 +750,18 @@ class TestGradcheckCommand:
                                 "is not read by gradcheck\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, tensor", [
+        ("--dim 10000000000000000000", "word_emb"), ("--hidden 10000000000000000000", "conv_w"),
+        ("--lex-dim 10000000000000000000", "ner_emb"),
+        ("--window 10000000000000000001", "conv_w")])
+    def test_dimension_beyond_an_array_is_a_data_error(self, capsys, flag, tensor):
+        # numpy refuses such a tensor outright, so the run allocates none of it
+        assert main(["gradcheck"] + flag.split()) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: tensor '{tensor}' of shape \(\d+, \d+\) holds more "
+                            r"bytes than an array can\n", captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["gradcheck", "synth --out x.inst"])
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_n_below_one_is_usage_error(self, capsys, command, n):

@@ -201,6 +201,15 @@ class TestParsedInstances:
 
 
 class TestInstance:
+    @pytest.mark.parametrize("e2, message", [
+        ((3, 4, 3), "span index 4 has no token"),
+        ((3, 3, 2), r"head outside span EntityMention\(start=3, end=3, head_index=2\)")],
+        ids=["index-past-the-sentence", "head-outside-its-span"])
+    def test_mention_built_directly_is_checked(self, e2, message):
+        graph = graph_of(3, [(0, 1, "root"), (1, 2, "x"), (2, 3, "y")])
+        with pytest.raises(InvalidSpan, match=f"^{message}$"):
+            Instance(1, graph, EntityMention(1, 1, 1), EntityMention(*e2))
+
     def test_head_outside_the_tree_is_refused(self):
         graph = graph_of(3, [(0, 1, "root"), (1, 3, "dobj")], inactive={2})
         # entity 1 is headed by a token kept out of the tree, so no path

@@ -1,14 +1,17 @@
-"""DependencyGraph's columns against the object-building oracle
-(conftest.ObjectGraph and object_graph, the Token-and-Arc graph the
-instance reader used to build).
+"""DependencyGraph's columns and compiled schedules against definitions
+written straight from DEPNN-INST token rows (conftest.row_columns: the
+columns, tokens and arcs a reader must make, and when rows form one tree;
+conftest.schedule_of_rows: what compiling an instance must make).
 
 On synthetic corpora at the shapes of the three bench workloads, the graph
-read from token rows, the graph synth generates and the oracle's graph
-agree; the object form (the constructor from Token and Arc objects, and
-the tokens and arcs properties), which bench/generate.py redraws word forms
-through, gives the graph that the rows with those forms give; compiling an
-instance gives the rows the oracle's objects give; and generating, reading
-and compiling a corpus make no Token and no Arc.
+read from token rows and the graph synth generates have the columns their
+rows define; the object form (the constructor from Token and Arc objects,
+and the tokens and arcs properties), which bench/generate.py redraws word
+forms through, gives the graph that the rows with those forms give; the
+reader and the object form refuse exactly the rows that are not one tree;
+compiling an instance gives the schedule, relation rows and lexical rows
+its rows define; and generating, reading and compiling a corpus make no
+Token and no Arc.
 """
 
 from dataclasses import replace
@@ -22,7 +25,7 @@ from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (Vocabulary, _graph, _instance_to_record, read_parsed_instances,
                           write_parsed_instances)
 
-from conftest import (WORKLOAD_SHAPES, assert_same_graph, object_compile, object_graph,
+from conftest import (WORKLOAD_SHAPES, assert_graph_of_rows, row_columns, schedule_of_rows,
                       workload_corpus)
 
 CORPORA = {**{name: (lambda name=name: workload_corpus(name)) for name in WORKLOAD_SHAPES},
@@ -33,18 +36,16 @@ CORPORA = {**{name: (lambda name=name: workload_corpus(name)) for name in WORKLO
 def test_graph_of_rows_matches_the_object_oracle(corpus_name):
     for instance in CORPORA[corpus_name]():
         rows = _instance_to_record(instance)["tokens"]
-        graph = _graph(rows)
-        assert_same_graph(graph, object_graph(rows))
+        assert_graph_of_rows(_graph(rows), rows)
         # the generator's graph, read from the same rows, is the same graph
-        assert_same_graph(instance.graph, object_graph(rows))
+        assert_graph_of_rows(instance.graph, rows)
 
 
 def test_constructor_round_trips_its_tokens_and_arcs():
     for instance in workload_corpus("train-50d-small", 40):
         graph = instance.graph
         again = DependencyGraph(reversed(graph.tokens), reversed(graph.arcs), graph.inactive)
-        assert_same_graph(again, object_graph(_instance_to_record(instance)["tokens"]))
-        assert (again.tokens, again.arcs) == (graph.tokens, graph.arcs)
+        assert_graph_of_rows(again, _instance_to_record(instance)["tokens"])
 
 
 # a sentence whose token 6 is kept out of the tree (a collapsed preposition)
@@ -52,13 +53,6 @@ INACTIVE_ROWS = [["The", None, 2, "det", None, None], ["thief", None, 3, "nsubj"
                  ["broke", "break", 0, "root", None, None], ["the", None, 5, "det", None, None],
                  ["lock", None, 3, "dobj", None, None], ["with", None, -1, None, None, None],
                  ["screwdriver", None, 3, "prep_with", "OBJ", "artifact.n.01"]]
-
-
-def columns(graph):
-    """A graph's columns, each as a list, and its inactive tokens."""
-    return ([list(getattr(graph, name)) for name in ("forms", "lemmas", "ner_tags", "wn_tags",
-                                                    "heads", "relations", "children", "depths")]
-            + [graph.inactive])
 
 
 @pytest.mark.parametrize("corpus_name", sorted(WORKLOAD_SHAPES) + ["inactive-token"])
@@ -74,8 +68,7 @@ def test_object_form_redraws_forms_as_the_rows_would(corpus_name):
         forms = [f"w{(7 * i) % 5}" for i in range(len(graph.tokens))]
         tokens = [replace(tok, form=form) for tok, form in zip(graph.tokens, forms)]
         rebuilt = DependencyGraph(tokens, graph.arcs, graph.inactive)
-        assert columns(rebuilt) == columns(_graph([[form] + row[1:]
-                                                   for form, row in zip(forms, rows)]))
+        assert_graph_of_rows(rebuilt, [[form] + row[1:] for form, row in zip(forms, rows)])
 
 
 def test_graphs_share_their_empty_containers():
@@ -91,18 +84,24 @@ def test_graphs_share_their_empty_containers():
 
 def test_rows_and_objects_refuse_the_same_trees(rng):
     # random head columns over 1..4 tokens, one token sometimes kept out of
-    # the tree: the column graph is refused exactly where the oracle is
+    # the tree: the reader, and the object form given the rows' tokens and
+    # arcs, refuse exactly the rows that are not one tree
     for _ in range(2000):
         n = 1 + int(rng.integers(4))
         rows = [[f"w{i}", None, int(rng.integers(-1, n + 1)), "x", None, None]
                 for i in range(1, n + 1)]
-        try:
-            oracle = object_graph(rows)
-        except TreeViolation:
-            with pytest.raises(TreeViolation):
-                _graph(rows)
-        else:
-            assert_same_graph(_graph(rows), oracle)
+        for row in rows[::2]:
+            # a root row, or a row kept out of the tree, may leave out its relation
+            if row[2] < 1:
+                row[3] = None
+        want = row_columns(rows)
+        for build in (lambda: _graph(rows),
+                      lambda: DependencyGraph(want.tokens, want.arcs, want.inactive)):
+            if want.tree:
+                assert_graph_of_rows(build(), rows)
+            else:
+                with pytest.raises(TreeViolation):
+                    build()
 
 
 @pytest.mark.parametrize("corpus_name", sorted(WORKLOAD_SHAPES))
@@ -113,12 +112,12 @@ def test_compile_matches_the_object_oracle(corpus_name, lexical):
                                     use_ner=lexical, use_wordnet=lexical),
                         Vocabulary.build(instances))
     for instance in instances:
-        rows = _instance_to_record(instance)["tokens"]
         compiled = model.compile(instance)
-        schedule, rel_rows, lex_rows = object_compile(model, instance, object_graph(rows))
-        for got, want in ((compiled.schedule, schedule), (compiled.rel_rows, rel_rows),
-                          (compiled.lex_rows, lex_rows)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = schedule_of_rows(_instance_to_record(instance)["tokens"],
+                                (instance.e1.head_index, instance.e2.head_index),
+                                model.vocab, model.config)
+        for got, expected in zip((compiled.schedule, compiled.rel_rows, compiled.lex_rows), want):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("corpus_name", sorted(CORPORA))

@@ -70,6 +70,13 @@ class TestParameterStore:
         with pytest.raises(ValueError):
             store.register("w", (2, 3))
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb"])
+    def test_name_with_a_manifest_separator_is_refused(self, name):
+        with pytest.raises(ValueError) as info:
+            ParameterStore().register(name, (2,))
+        assert (info.type, str(info.value)) == (
+            ValueError, f"parameter name {name!r} contains manifest separators")
+
 
 class TestStoreProducts:
     """ParameterStore.matmul and matmul_t multiply by a tensor in row blocks
@@ -440,6 +447,14 @@ class TestSerialization:
         store.value("beta")[...] = [0.1, -0.2, 0.3, -0.4]
         return store
 
+    def test_precision_other_than_f8_or_f4_is_refused(self, tmp_path):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError) as info:
+            save_store(path, self.build_store(), {}, precision="f2")
+        assert (info.type, str(info.value)) == (ValueError,
+                                                "precision must be 'f8' or 'f4', not 'f2'")
+        assert not path.exists()
+
     def test_round_trip_double_precision(self, tmp_path):
         store = self.build_store()
         path = tmp_path / "m.model"
@@ -669,7 +684,7 @@ class TestMemoryBounds:
             init_uniform(store, seed=2)
             return store
         _, peak = traced_peak(build_and_init)
-        assert peak <= stored + INIT_BLOCK * 8 + self.SLACK
+        assert peak <= stored + self.SLACK
 
     @pytest.mark.parametrize("precision", ["f8", "f4"])
     def test_load_store_holds_each_tensor_once(self, tmp_path, precision):

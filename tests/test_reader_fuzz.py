@@ -10,8 +10,8 @@ that instance. The mutations replace, insert and delete bytes, copy
 a run of bytes elsewhere, rename a word, write '_' (an absent value) over a
 TAB-separated field, or over an embedding file's space-separated field '_',
 'nan', 'inf' or '-inf', and cut the file, 1 to 3 of them per mutant.
-Every instance of a file that reads has the graph that the object-building
-oracle makes of its token rows.
+Every instance of a file that reads has the graph that its token rows
+define (conftest.row_columns).
 """
 
 import json
@@ -26,7 +26,7 @@ from depnn.cli import main
 from depnn.corpus import (FormatError, convert, load_embeddings, read_parse_blocks,
                           read_parsed_instances, read_semeval_raw, write_parsed_instances)
 
-from conftest import assert_same_graph, object_graph
+from conftest import assert_graph_of_rows
 
 SEED = 31337
 MUTANTS = 300
@@ -240,7 +240,7 @@ def test_instance_files_that_read_have_the_oracle_graphs(outcomes, tmp_path):
             instances = read_parsed_instances(path)
             assert len(instances) == len(records), damaged
             for instance, record in zip(instances, records):
-                assert_same_graph(instance.graph, object_graph(record["tokens"]))
+                assert_graph_of_rows(instance.graph, record["tokens"])
             read += 1
     assert read >= MUTANTS // 20     # most mutants break the JSON
 
