@@ -296,7 +296,7 @@ class Model:
         d_logits = cache.distribution.copy()
         d_logits[compiled.gold] -= 1.0
         d_combined = self.store.value(OUT_W).T @ d_logits
-        # a training step's Gradient updates out_w here, once d_combined is formed
+        # out_w takes its step here, once d_combined is formed
         gradient.step(OUT_W, ..., d_logits[:, None] * cache.combined)
 
         hidden = cache.conv.pooled.size
@@ -311,9 +311,10 @@ class Model:
                         d_path, self.store, gradient, self._comp_names)
 
     def accumulate_gradients(self, compiled: CompiledInstance, gradient: Gradient) -> float:
-        """Forward + backward; returns the loss. The instance's gradient adds
-        onto what `gradient` holds, or, with a learning rate, steps every
-        tensor during the backward pass."""
+        """Forward + backward; returns the loss. Every tensor takes its step
+        through `gradient` during the backward pass: at the learning rate on
+        the model's store, or at rate -1 on a zeroed store, which then sums
+        the instance's gradient onto what it holds."""
         cache = self._forward(compiled)
         loss = cross_entropy(cache.distribution, self._gold(compiled))
         if not np.isfinite(loss):

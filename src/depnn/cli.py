@@ -206,8 +206,8 @@ def cmd_gradcheck(args) -> int:
     skipped = 0
     for inst in instances:
         compiled = model.compile(inst)
-        gradient = numerics.Gradient(model.store)
-        model.accumulate_gradients(compiled, gradient)
+        gradient = model.store.zeros_like()
+        model.accumulate_gradients(compiled, numerics.Gradient(gradient, -1.0))
         errors, kinks = numerics.gradient_check(lambda: model.evaluate_loss(compiled),
                                                 model.store, gradient, epsilon=args.epsilon)
         skipped += kinks
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
         return 3
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # an array numpy can make but the machine cannot hold
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 2
 
 

@@ -80,11 +80,11 @@ def assert_finite(arr, name="tensor"):
 class ParameterStore:
     """Named float64 tensors, each with a kind: weight, bias or embedding.
 
-    The store holds values, not gradients. A step's gradient lives in a
-    Gradient made for that step, which takes each tensor's SGD step as the
-    backward pass writes it. A low-rank step, value -= left @ right, may be
-    held pending (defer); value() applies what is pending first, and
-    matmul() and matmul_t() subtract it from their products.
+    It holds a model's values or, made by zeros_like and stepped at rate
+    -1, a gradient of them; every write is a Gradient's step. A low-rank
+    step, value -= left @ right, may be held pending (defer); value()
+    applies what is pending first, and matmul() and matmul_t() subtract it
+    from their products.
 
     Single-writer: forward passes are safe from any number of threads while
     nothing is pending, but updates must be serialized externally.
@@ -106,6 +106,13 @@ class ParameterStore:
         value = self._values[name] = np.zeros(shape, dtype=np.float64)
         self._kinds[name] = kind
         return value
+
+    def zeros_like(self) -> ParameterStore:
+        """A new store of the same names, shapes and kinds, every value zero."""
+        zeros = ParameterStore()
+        for name in self.names():
+            zeros.register(name, self._values[name].shape, self._kinds[name])
+        return zeros
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -195,61 +202,40 @@ def row_blocks(length: int, row_cost: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, length, rows)]
 
 
-class Gradient(dict):
-    """The gradient one step wrote into a store's tensors, held only where
-    it was written.
+class Gradient:
+    """A store and a rate: the one write into the store's tensors. A
+    training step's steps the model's store at the learning rate; a
+    gradient is what a zeroed store of the same layout (zeros_like) holds
+    after a backward at rate -1, as 0 - (-delta) is delta exactly."""
 
-    A Gradient made with a learning rate belongs to a training step: step()
-    updates the store, or hands it a low-rank step to hold pending, and
-    holds nothing. Without a rate, step() adds into gradient[name], a dense
-    buffer for the tensor that is allocated at zero on first use, so a
-    tensor nothing wrote reads zero.
-    """
+    __slots__ = ("_store", "rate")
 
-    __slots__ = ("_store", "learning_rate")
-
-    def __init__(self, store: ParameterStore, learning_rate: float | None = None):
-        super().__init__()
+    def __init__(self, store: ParameterStore, rate: float):
         self._store = store
-        self.learning_rate = learning_rate
-
-    def __missing__(self, name: str) -> np.ndarray:
-        grad = self[name] = np.zeros(self._store.value(name).shape)
-        return grad
+        self.rate = rate
 
     def step(self, name: str, index, delta) -> None:
-        """grad[index] += delta without a learning rate. With one, the
-        tensor takes its step now: value[index] -= rate * delta, bit for
-        bit the dense update of what a zeroed buffer would have summed.
-        A dense delta is spent: it is scaled in place.
-
-        A pair (left, right), with index ..., is the delta left @ right. With
-        a rate, left is spent and the store holds the step pending (defer),
+        """value[index] -= rate * delta, spending a dense delta: it is scaled
+        in place. A pair (left, right), with index ..., is the delta left @
+        right: left is spent, and the store holds the step pending (defer),
         which is not bit for bit the step taken at once.
 
         Rows of a table, repeated or not, are named by a RowPlan, with one
         delta per entry of the index it was built from: the plan sums a
         repeated row's deltas in call order (RowPlan.sums), then each row
-        takes one add or one step. With a rate, each table gets at most one
-        row step per training step, so its update stays bit for bit the
-        dense one: two steps on one row would round twice."""
+        takes one step, so a table's update is bit for bit the dense one of
+        what a zeroed buffer would have summed: two steps on one row would
+        round twice."""
         if isinstance(delta, tuple):
             left, right = delta
-            if self.learning_rate is None:
-                _subtract_product(self[name], -left, right)     # adds left @ right
-            else:
-                left *= self.learning_rate
-                self._store.defer(name, left, right)
-            return
+            left *= self.rate
+            return self._store.defer(name, left, right)
         if isinstance(index, RowPlan):
             index, delta = index.sums(delta)
         elif isinstance(index, np.ndarray):
             raise TypeError(f"rows of {name!r} are named by a RowPlan, not an index array")
-        if self.learning_rate is None:
-            self[name][index] += delta
-        else:
-            delta *= self.learning_rate
-            self._store.value(name)[index] -= delta
+        delta *= self.rate
+        self._store.value(name)[index] -= delta
 
 
 class RowPlan(np.ndarray):
@@ -322,14 +308,14 @@ def init_uniform(store: ParameterStore, seed: int) -> None:
 GRADCHECK_FLOOR = 1e-4
 
 
-def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
+def gradient_check(loss_fn, store: ParameterStore, gradient: ParameterStore,
                    epsilon: float = 1e-5) -> tuple[dict[str, float], int]:
     """Compare the analytic gradient against central differences.
 
     `loss_fn` must be a deterministic, forward-only closure over the store's
     current values that returns the loss and an array of the branches its
-    forward took (DepNN's max-pool winners), and `gradient` the analytic
-    gradient of that loss at those values. An entry whose two perturbed
+    forward took (DepNN's max-pool winners), and `gradient` a store of the
+    same layout holding the analytic gradient of that loss at those values. An entry whose two perturbed
     forwards take different branches straddles a kink, where the difference
     measures no derivative: it is skipped and counted. Returns per tensor the
     max over its other entries of |analytic - numeric| /
@@ -339,7 +325,7 @@ def gradient_check(loss_fn, store: ParameterStore, gradient: Gradient,
     skipped = 0
     for name in store.names():
         flat = store.value(name).reshape(-1)
-        grad = gradient[name].reshape(-1)
+        grad = gradient.value(name).reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             original = flat[i]

@@ -129,12 +129,12 @@ def conv_backward(cache: ConvCache, upstream: np.ndarray, store: ParameterStore,
 
     The window vectors' gradient is added back onto the blocks, each
     block's windows in ascending order. rel_plan is the RowPlan of the
-    blocks' relation rows, and goes through gradient.step, so a training
-    step's Gradient updates them here, in place, in one step. The filter's
-    gradient is the product of the routed unit gradients and the windows,
-    of rank at most the window count: a training step's Gradient hands it
-    to the store as those two factors, to hold pending, once the window
-    vectors' gradient has read the filter with every earlier step."""
+    blocks' relation rows, and goes through gradient.step, so each row
+    takes its one step here, in place. The filter's gradient is the
+    product of the routed unit gradients and the windows, of rank at most
+    the window count: the Gradient hands it to its store as those two
+    factors, to hold pending, once the window vectors' gradient has read
+    the filter with every earlier step."""
     d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream.copy()
     d_features = np.zeros_like(cache.feature_map)
     d_features[cache.argmax, np.arange(d_pre.size)] = d_pre

@@ -107,7 +107,7 @@ def encode_backward(schedule: np.ndarray, path_slots: np.ndarray, word_rows: Row
     in depth-first recursion order. After the walk, the bias and leaf sums,
     each matrix's one product (its parents' d_pre rows by its children's p
     rows) and the word rows, summed by word_rows (the RowPlan of the ROW
-    row), go through gradient.step: a training step updates them in place.
+    row), go through gradient.step, each taking its step in place.
     """
     rows, parents, comps = schedule
     dim = store.value(WORD_EMB).shape[1]

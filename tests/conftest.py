@@ -11,7 +11,7 @@ from depnn.adp import INVERSE_SUFFIX, Arc, DependencyGraph, Token
 from depnn.classifier import Model, TrainConfig
 from depnn.corpus import (DEFAULT_RELATION, INSTANCE_FORMAT_HEADER, PATH_END, PATH_START,
                           RESERVED_RELATIONS, UNK, Vocabulary)
-from depnn.numerics import ParameterStore, load_store, save_store, tanh_backward
+from depnn.numerics import Gradient, ParameterStore, load_store, save_store, tanh_backward
 from depnn.path_cnn import CONV_B, CONV_W, PAD_WORD, REL_EMB, relation_rows
 from depnn.subtree import COMP_BIAS, LEAF_VEC, PATH, WORD_EMB, compile_nodes
 
@@ -238,7 +238,7 @@ def oracle_conv_forward(n_words, k, word_vecs, rel_labels, store, vocab,
 
 def oracle_conv_backward(cache, upstream, store, gradient):
     """Per-window, per-slot backward oracle for oracle_conv_forward's cache;
-    accumulates into a Gradient's dense buffers and returns the path-word
+    accumulates into dense buffers (zero_buffers) and returns the path-word
     gradients."""
     conv_w = store.value(CONV_W)
     d_features = np.zeros_like(cache.feature_map)
@@ -299,6 +299,22 @@ def copy_store(store):
         value = store.value(name)
         copy.register(name, value.shape, store.kind(name))[...] = value
     return copy
+
+
+def zero_buffers(store):
+    """One zeroed dense buffer per tensor of `store`, the oracles' gradient,
+    which they write by += alone."""
+    return {name: np.zeros(store.value(name).shape) for name in store.names()}
+
+
+def model_gradient(model, *instances):
+    """The instances' summed gradient, one array per tensor: what a zeroed
+    store of the model's layout holds after each instance's backward has
+    stepped it at rate -1."""
+    gradient = model.store.zeros_like()
+    for inst in instances:
+        model.accumulate_gradients(model.compile(inst), Gradient(gradient, -1.0))
+    return {name: gradient.value(name) for name in gradient.names()}
 
 
 def dense_sgd_oracle(store, gradient, learning_rate):
@@ -414,7 +430,7 @@ def encode_word_backward(cache, upstream, store, gradient, vocab):
 
 
 def _backward(node, d_p, dim, store, gradient, vocab):
-    gradient.step(WORD_EMB, node.word_row, d_p[:dim])
+    gradient[WORD_EMB][node.word_row] += d_p[:dim]
     d_c = d_p[dim:]
     if node.is_leaf:
         gradient[LEAF_VEC] += d_c

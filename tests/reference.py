@@ -11,18 +11,19 @@ Model.train shuffles.
 
 It shares no code path with what it checks: it reads the graph's columns
 and arcs, and calls no function of classifier, subtree, path_cnn or adp,
-nor numerics.softmax. Its gradient is a rate-less numerics.Gradient used as
-dense buffers, written by += alone, with no RowPlan and no factor pair.
+nor numerics.softmax. Its gradient is one zeroed numpy buffer per tensor
+(conftest.zero_buffers), written by += alone, with no RowPlan and no factor
+pair.
 """
 
 import numpy as np
 
 from depnn.classifier import NER_EMB, OUT_W, WN_EMB
 from depnn.corpus import label_index
-from depnn.numerics import Gradient
 
 from conftest import (attach_subtrees, copy_store, encode_word, encode_word_backward,
-                      enumerate_tree_path, oracle_conv_backward, oracle_conv_forward)
+                      enumerate_tree_path, oracle_conv_backward, oracle_conv_forward,
+                      zero_buffers)
 
 
 class ReferenceDepNN:
@@ -42,7 +43,7 @@ class ReferenceDepNN:
 
     def loss_and_gradient(self, instance):
         """The instance's cross-entropy and its gradient, one dense buffer
-        per tensor written."""
+        per tensor."""
         config, store, vocab, graph = self.config, self.store, self.vocab, instance.graph
         heads = (instance.e1.head_index, instance.e2.head_index)
         tokens, labels = enumerate_tree_path(graph, *heads)
@@ -59,7 +60,7 @@ class ReferenceDepNN:
         distribution = exp / exp.sum()
         gold = label_index(instance.gold)
 
-        gradient = Gradient(store)
+        gradient = zero_buffers(store)
         d_logits = distribution.copy()
         d_logits[gold] -= 1.0
         gradient[OUT_W] += np.outer(d_logits, combined)
@@ -75,7 +76,7 @@ class ReferenceDepNN:
 
     def train(self, instances, epochs):
         """Shuffled per-instance SGD, each step value -= rate * gradient on
-        every tensor the instance wrote; returns the epochs' mean losses."""
+        every tensor; returns the epochs' mean losses."""
         order = np.arange(len(instances))
         losses = []
         for _ in range(epochs):

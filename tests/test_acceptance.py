@@ -70,8 +70,8 @@ def test_criterion_1_gradient_correctness():
         tokens, _ = shortest_path(inst.graph, inst.e1.head_index, inst.e2.head_index)
         path_lengths.add(len(tokens))
         compiled = model.compile(inst)
-        gradient = Gradient(model.store)
-        model.accumulate_gradients(compiled, gradient)
+        gradient = model.store.zeros_like()
+        model.accumulate_gradients(compiled, Gradient(gradient, -1.0))
         errors, _ = gradient_check(lambda: model.evaluate_loss(compiled), model.store,
                                    gradient, epsilon=1e-5)
         for name, err in errors.items():

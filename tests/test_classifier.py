@@ -20,7 +20,8 @@ from depnn.path_cnn import CONV_B, InvalidWindowSize
 from depnn.subtree import comp_names
 
 from conftest import (BAD_MODEL_META, TINY_CONFIG, assert_bit_identical, dense_sgd_oracle,
-                      graph_of, rewrite_model_file, rewrite_model_meta, tiny_model)
+                      graph_of, model_gradient, rewrite_model_file, rewrite_model_meta,
+                      tiny_model)
 
 
 def one_instance():
@@ -220,9 +221,9 @@ class TestTraining:
     def test_gradients_pass_finite_difference_check(self):
         instances = synth.make_gradcheck_instances(2, seed=5)
         model = tiny_model(instances, use_ner=True, use_wordnet=True)
-        gradient = Gradient(model.store)
+        gradient = model.store.zeros_like()
         compiled = model.compile(instances[0])
-        model.accumulate_gradients(compiled, gradient)
+        model.accumulate_gradients(compiled, Gradient(gradient, -1.0))
         errors, _ = gradient_check(lambda: model.evaluate_loss(compiled),
                                    model.store, gradient)
         assert max(errors.values()) < 1e-5
@@ -280,6 +281,21 @@ class TestTraining:
         assert len(report.val_f1) == 2
         assert all(f is not None for f in report.val_f1)
 
+    def test_validation_f1_scores_the_validation_instances(self):
+        # validated on instances other than the training ones: each epoch's
+        # F1 is score() of the model's predictions of them as the epoch ends
+        instances = synth.make_separable_corpus(12)
+        held_out = synth.make_gradcheck_instances(10, seed=6)
+        model = tiny_model(instances + held_out)
+        gold = [inst.gold for inst in held_out]
+        expected = []
+
+        def progress(epoch, mean_loss, val_f1):
+            expected.append(score(gold, [model.predict(inst).label for inst in held_out]).macro_f1)
+
+        report = model.train(instances, validation=held_out, progress=progress, epochs=3)
+        assert report.val_f1 == expected
+
     def test_store_freed_without_cycle_collection(self):
         # a model dropped after training or predicting must not wait for the
         # cyclic garbage collector to release its parameters
@@ -323,11 +339,11 @@ class TestInPlaceOutputUpdate:
     """train_step applies out_w's update in the backward pass, once the
     gradient on the layer below is formed, and each composition matrix's
     after the subtree backward's walk, as it does every other tensor's,
-    the embedding rows included; the step's Gradient holds no buffer after
-    accumulate_gradients, and the result must be the buffered gradient's
-    dense update, within 1e-12, since conv_w's step is held as two factors,
-    scaled before their product. Without a rate, the composition gradients
-    of several instances sum."""
+    the embedding rows included, through one Gradient at the learning rate;
+    the result must be the dense update of the gradient a zeroed store
+    sums, within 1e-12, since conv_w's step is held as two factors, scaled
+    before their product. Summed in one zeroed store, the composition
+    gradients of several instances add."""
 
     @pytest.mark.parametrize("lexical", [True, False])
     def test_train_step_matches_buffered_update(self, monkeypatch, lexical):
@@ -345,14 +361,13 @@ class TestInPlaceOutputUpdate:
         monkeypatch.setattr(classifier, "Gradient", SpyGradient)
         comps = set(comp_names(fused.vocab))
         composed = 0
-        for inst in instances:
-            gradient = Gradient(buffered.store)
-            buffered.accumulate_gradients(buffered.compile(inst), gradient)
-            assert OUT_W in gradient
-            composed += len(comps & gradient.keys())
+        for step, inst in enumerate(instances, start=1):
+            gradient = model_gradient(buffered, inst)
+            assert gradient[OUT_W].any()
+            composed += sum(gradient[name].any() for name in comps)
             expected = dense_sgd_oracle(buffered.store, gradient, 0.3)
             fused.train_step(fused.compile(inst))
-            assert len(made[-1]) == 0       # every tensor stepped in place
+            assert len(made) == step and made[-1].rate == 0.3   # one Gradient a step
             for name, value in expected.items():
                 assert np.abs(fused.store.value(name) - value).max() <= 1e-12, name
                 buffered.store.value(name)[...] = value
@@ -364,16 +379,11 @@ class TestInPlaceOutputUpdate:
         comps = comp_names(model.vocab)
         shared = 0
         for first, second in zip(instances[::2], instances[1::2]):
-            alone = []
-            for inst in (first, second):
-                alone.append(Gradient(model.store))
-                model.accumulate_gradients(model.compile(inst), alone[-1])
-            both = Gradient(model.store)
-            model.accumulate_gradients(model.compile(first), both)
-            model.accumulate_gradients(model.compile(second), both)
+            alone = [model_gradient(model, inst) for inst in (first, second)]
+            both = model_gradient(model, first, second)
             for name in comps:
                 assert_bit_identical(both[name], alone[0][name] + alone[1][name])
-            shared += len(alone[0].keys() & alone[1].keys() & set(comps))
+            shared += sum(alone[0][name].any() and alone[1][name].any() for name in comps)
         assert shared
 
 

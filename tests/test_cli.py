@@ -17,6 +17,9 @@ from depnn.classifier import Model, TrainConfig
 from depnn.cli import main
 from depnn.corpus import (INSTANCE_FORMAT_HEADER, Vocabulary, read_parsed_instances,
                           write_parsed_instances)
+from depnn.evaluation import score
+from depnn.numerics import WEIGHT, Gradient, ParameterStore
+from depnn.path_cnn import CONV_B
 
 from conftest import (BAD_MODEL_META, MALFORMED_RECORDS, VALID_RECORD, rewrite_model_file,
                       rewrite_model_meta, tiny_model, truncate_model_file,
@@ -521,6 +524,20 @@ class TestTrain:
             assert re.fullmatch(rf"epoch={epoch} mean_loss=\d+\.\d{{6}} "
                                 r"val_macro_f1=\d\.\d{4}", line), line
 
+    def test_validation_file_other_than_the_training_file(self, tmp_path, corpus_file, capsys):
+        # the epoch line scores the --val file's predictions, not the training file's
+        val, out = tmp_path / "val.inst", tmp_path / "m.model"
+        write_parsed_instances(val, synth.make_gradcheck_instances(12, seed=4))
+        assert main(["train", "--instances", str(corpus_file), "--val", str(val),
+                     "--out", str(out), "--epochs", "1", "--dim", "8", "--dim-c", "4",
+                     "--hidden", "6"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("epoch=")]
+        model, held_out = Model.load(out), read_parsed_instances(val)
+        f1 = score([inst.gold for inst in held_out],
+                   [model.predict(inst).label for inst in held_out]).macro_f1
+        assert len(lines) == 1 and lines[0].endswith(f" val_macro_f1={f1:.4f}")
+
     def test_zero_epochs_model_equals_initialization(self, tmp_path, corpus_file, capsys):
         model_path = tmp_path / "m.model"
         assert main(["train", "--instances", str(corpus_file),
@@ -721,13 +738,14 @@ class TestGradcheckCommand:
         assert float(lines[-1].split("\t")[1]) < 1e-5
 
     def test_a_wrong_gradient_fails_at_the_published_window(self, capsys, monkeypatch):
-        accumulate = Model.accumulate_gradients
+        step = Gradient.step
 
-        def corrupted(model, compiled, gradient):
-            accumulate(model, compiled, gradient)
-            gradient["conv_b"] *= 1.01
+        def corrupted(gradient, name, index, delta):
+            if name == CONV_B:
+                delta *= 1.01
+            step(gradient, name, index, delta)
 
-        monkeypatch.setattr(Model, "accumulate_gradients", corrupted)
+        monkeypatch.setattr(Gradient, "step", corrupted)
         assert main(["gradcheck", "--n", "2", "--window", "5"]) == 3
         worst = capsys.readouterr().out.strip().split("\n")[-1]
         assert float(worst.split("\t")[1]) > 1e-3
@@ -760,6 +778,21 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert re.fullmatch(rf"error: tensor '{tensor}' of shape \(\d+, \d+\) holds more "
                             r"bytes than an array can\n", captured.err)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+        ("", "an allocation was refused")], ids=["numpy-message", "bare"])
+    def test_allocation_the_machine_refuses_is_a_data_error(self, capsys, monkeypatch,
+                                                           message, shown):
+        # stands in for the machine refusing --dim 1000000000000, which fits an array
+        def refused(store, name, shape, kind=WEIGHT):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ParameterStore, "register", refused)
+        assert main(["gradcheck", "--dim", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {shown}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["gradcheck", "synth --out x.inst"])

@@ -80,11 +80,13 @@ class TestPendingSteps:
         assert_bit_identical(model.store.value(CONV_W), before)
 
     def test_gradient_without_rate_holds_dense_filter_gradient(self, monkeypatch):
-        """Without a rate the filter's gradient is its definition, bit for
-        bit: per instance, each unit's gradient times its winning window,
-        d_pre[:, None] * cache.inputs[cache.argmax], summed over the
-        instances in order. Each entry of one instance's product sums a
-        single nonzero term."""
+        """Without a rate, in a zeroed store stepped at rate -1, the filter's
+        gradient is its definition, bit for bit: per instance, each unit's
+        gradient times its winning window, d_pre[:, None] *
+        cache.inputs[cache.argmax]. Each entry of one instance's product sums
+        a single nonzero term. One store summing the instances applies their
+        pending factors as one product, which is within 1e-12 of the sum of
+        the definitions."""
         instances = synth.make_gradcheck_instances(6, seed=7)
         calls = []
 
@@ -95,14 +97,19 @@ class TestPendingSteps:
         monkeypatch.setattr(classifier, "conv_backward", recorded)
         for conv_tanh in (True, False):
             model = tiny_model(instances, conv_tanh=conv_tanh)
-            gradient = Gradient(model.store)
+            summed = model.store.zeros_like()
+            total = np.zeros(summed.value(CONV_W).shape)
             calls.clear()
             for inst in instances:
-                model.accumulate_gradients(model.compile(inst), gradient)
-            assert model.store.factors(CONV_W)[1] is None
-            expected = np.zeros(model.store.value(CONV_W).shape)
-            for cache, upstream in calls:
+                alone = model.store.zeros_like()
+                model.accumulate_gradients(model.compile(inst), Gradient(alone, -1.0))
+                model.accumulate_gradients(model.compile(inst), Gradient(summed, -1.0))
+                cache, upstream = calls[-1]
                 d_pre = tanh_backward(cache.pooled, upstream) if cache.use_tanh else upstream
+                expected = np.zeros(total.shape)
                 expected += d_pre[:, None] * cache.inputs[cache.argmax]
-            assert len(calls) == len(instances)
-            assert_bit_identical(gradient[CONV_W], expected)
+                assert_bit_identical(alone.value(CONV_W), expected)
+                total += expected
+            assert model.store.factors(CONV_W)[1] is None
+            assert len(calls) == 2 * len(instances)
+            assert np.abs(summed.value(CONV_W) - total).max() <= 1e-12

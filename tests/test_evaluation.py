@@ -191,9 +191,11 @@ class TestNearestPaths:
 
     def test_deterministic_tie_break_by_id(self):
         v = np.array([1.0, 1.0])
-        model = FakeReprModel({1: v, 5: 2 * v, 4: 3 * v})
+        # 5 and 4 are bit-equal, listed against id order: only the id decides
+        model = FakeReprModel({1: v, 5: 2 * v, 4: 2 * v})
         ranked, _ = nearest_paths(self.stub(1), [self.stub(5), self.stub(4)],
                                   model, top_n=2)
+        assert ranked[0][1] == ranked[1][1]
         assert [r[0].id for r in ranked] == [4, 5]
 
     def test_trained_model_groups_same_relation_paths(self):

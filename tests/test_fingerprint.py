@@ -33,12 +33,16 @@ FINGERPRINTS = {
     "50d": "2ac5ca1ffa41f9de0bf281c7a38dbf5e80261cd9701871827cf4dabf30d5fc1c",
     "50d-lexical": "7c9abe8ba846edcebc1596f828af05b97eaf35e2910cacedff3d2c577ff6b1ed",
     "200d": "1501d9da9279ca32039ff3a832dba71cdc374b99869e9e7fbd1adc376763f6b6",
+    "50d-k7": "d9248d57e5ea9415172cf56c573c292067ac6086c26c50174d5aea37238815a8",
+    "50d-k9": "fc1837186e090ce9d169eee751cb34327a6cbf41f4bcb9195cc8ff86973eef35",
 }
 # name -> (embedding dim, TrainConfig overrides)
 CONFIGS = {
     "50d": (50, {}),
     "50d-lexical": (50, {"use_ner": True, "use_wordnet": True}),
     "200d": (200, {}),
+    "50d-k7": (50, {"window": 7}),
+    "50d-k9": (50, {"window": 9}),
 }
 
 

@@ -18,7 +18,7 @@ from depnn.path_cnn import REL_EMB
 from depnn.subtree import WORD_EMB
 
 from conftest import (assert_bit_identical, count_applies, dense_sgd_oracle, edit_manifest,
-                      tiny_model, truncate_model_file)
+                      model_gradient, tiny_model, truncate_model_file, zero_buffers)
 
 
 class TestKernels:
@@ -132,53 +132,66 @@ class TestRowRecordedUpdate:
         store.value("b")[...] = rng.normal(size=3)
         return store
 
-    def write(self, gradient, seed):
-        """One row step per table, with repeated rows in a 2-D and a 1-D
-        index, and dense steps; the same seed writes the same deltas."""
+    # the rows each table's step names, repeated in a 2-D and a 1-D index
+    ROWS = {"table": np.array([[4, 9], [4, 4], [9, 27], [0, 27]]), "lex": np.array([2, 2])}
+
+    @staticmethod
+    def deltas(seed):
+        """One delta per table entry, and dense ones; the same seed draws
+        the same deltas."""
         rng = np.random.default_rng(seed)
-        gradient.step("table", row_plan(np.array([[4, 9], [4, 4], [9, 27], [0, 27]])),
-                      rng.normal(size=(4, 2, 4)))
-        gradient.step("lex", row_plan(np.array([2, 2])), rng.normal(size=(2, 3)))
-        gradient.step("pad_word", ..., rng.normal(size=5))
-        gradient.step("w", ..., rng.normal(size=(3, 4)))
+        return {"table": rng.normal(size=(4, 2, 4)), "lex": rng.normal(size=(2, 3)),
+                "pad_word": rng.normal(size=5), "w": rng.normal(size=(3, 4))}
+
+    def write(self, gradient, deltas):
+        """One step per tensor, through a RowPlan for the tables."""
+        for name, delta in deltas.items():
+            gradient.step(name, row_plan(self.ROWS[name]) if name in self.ROWS else ...,
+                          delta.copy())
+
+    def buffers(self, store, deltas):
+        """The dense gradient the deltas sum to: np.add.at into zeros."""
+        summed = zero_buffers(store)
+        for name, delta in deltas.items():
+            np.add.at(summed[name], self.ROWS.get(name, ...), delta)
+        return summed
 
     def test_matches_dense_oracle_bit_for_bit(self, rng):
         store = self.build(rng)
         for seed, lr in enumerate((0.05, 0.3, 1.0)):
-            summed = Gradient(store)
-            self.write(summed, seed)
-            expected = dense_sgd_oracle(store, summed, lr)
-            gradient = Gradient(store, lr)
-            self.write(gradient, seed)
-            assert not gradient     # every step reached the store, not a buffer
+            deltas = self.deltas(seed)
+            buffers = self.buffers(store, deltas)
+            summed = store.zeros_like()
+            self.write(Gradient(summed, -1.0), deltas)
+            expected = dense_sgd_oracle(store, buffers, lr)
+            self.write(Gradient(store, lr), deltas)
             for name in store.names():
+                assert_bit_identical(summed.value(name), buffers[name])
                 assert_bit_identical(store.value(name), expected[name])
 
     def test_step_adds_without_a_rate_and_steps_with_one(self, rng):
         store = self.build(rng)
         deltas = rng.normal(size=(2, 3, 4))
-        summed = Gradient(store)
-        for delta in deltas:
-            summed.step("w", slice(1, 3), delta[1:].copy())
-        assert_bit_identical(summed["w"][1:], deltas[0, 1:] + deltas[1, 1:])
-        assert not summed["w"][0].any()
+        summed = store.zeros_like()
+        for delta in deltas:        # at rate -1 a zeroed store adds each delta
+            Gradient(summed, -1.0).step("w", slice(1, 3), delta[1:].copy())
+        assert_bit_identical(summed.value("w")[1:], deltas[0, 1:] + deltas[1, 1:])
+        assert not summed.value("w")[0].any()
         for lr in (0.3, 0.0):       # a rate of zero steps too, by nothing
             expected = store.value("w") - lr * deltas[0]
-            stepped = Gradient(store, lr)
-            stepped.step("w", ..., deltas[0].copy())
-            assert "w" not in stepped       # the step reached the store, not a buffer
+            Gradient(store, lr).step("w", ..., deltas[0].copy())
             assert_bit_identical(store.value("w"), expected)
 
     def test_row_step_sums_duplicates_in_order(self, rng):
-        gradient = Gradient(self.build(rng))
+        gradient = self.build(rng).zeros_like()
         deltas = rng.normal(size=(4, 4))
         given = deltas.copy()
-        gradient.step("table", row_plan(np.array([7, 7, 7, 7])), deltas)
+        Gradient(gradient, -1.0).step("table", row_plan(np.array([7, 7, 7, 7])), deltas)
         expected = np.zeros(4)
         for delta in deltas:
             expected += delta
-        assert_bit_identical(gradient["table"][7], expected)
-        assert not np.delete(gradient["table"], 7, axis=0).any()
+        assert_bit_identical(gradient.value("table")[7], expected)
+        assert not np.delete(gradient.value("table"), 7, axis=0).any()
         assert_bit_identical(deltas, given)     # the sums are not the caller's array
 
     def test_dense_and_row_writes_on_one_tensor_sum(self, rng):
@@ -190,13 +203,14 @@ class TestRowRecordedUpdate:
         expected[5] += deltas[1]
         expected[11] += deltas[2]
         updated = store.value("table") - 0.5 * expected
-        for lr in (None, 0.5):
-            gradient = Gradient(store, lr)
+        for lr in (None, 0.5):      # None: the gradient, in a zeroed store at rate -1
+            target = store.zeros_like() if lr is None else store
+            gradient = Gradient(target, -1.0 if lr is None else lr)
             gradient.step("table", 5, deltas[0].copy())
             gradient.step("table", 11, np.ones(4))
             gradient.step("table", row_plan(np.array([5, 11])), deltas[1:])
             if lr is None:
-                assert_bit_identical(gradient["table"], expected)
+                assert_bit_identical(target.value("table"), expected)
         # with the rate, the three steps reach the table one after the other
         assert np.allclose(store.value("table"), updated, rtol=0, atol=1e-15)
 
@@ -205,14 +219,12 @@ class TestRowRecordedUpdate:
         model = tiny_model(instances, use_ner=True, use_wordnet=True)
         learning_rate = model.config.learning_rate
         for first, second in zip(instances[::2], instances[1::2]):
-            gradient = Gradient(model.store)    # each update sums two instances
-            model.accumulate_gradients(model.compile(first), gradient)
-            model.accumulate_gradients(model.compile(second), gradient)
-            assert {WORD_EMB, REL_EMB, NER_EMB, WN_EMB} <= gradient.keys()
+            gradient = model_gradient(model, first, second)     # each update sums two
+            assert all(gradient[name].any() for name in (WORD_EMB, REL_EMB, NER_EMB, WN_EMB))
             expected = dense_sgd_oracle(model.store, gradient, learning_rate)
-            gradient.learning_rate = learning_rate      # summed without a rate, then stepped
-            for name in list(gradient):     # the sums step as a training step's would
-                gradient.step(name, ..., gradient.pop(name))
+            step = Gradient(model.store, learning_rate)
+            for name, summed in gradient.items():   # the sums step as a training step's would
+                step.step(name, ..., summed)
             for name in model.store.names():
                 assert_bit_identical(model.store.value(name), expected[name])
 
@@ -221,9 +233,9 @@ class TestRowStep:
     """RowPlan.sums, and Gradient.step through a RowPlan, against their
     definition: a call's deltas summed by np.add.at into a zeroed table, bit
     for bit, on random row arrays with repeats, 1-D and 2-D indexes, and
-    deltas that hold -0.0. Without a rate the Gradient's buffer adds each
-    call's sum; with one the table becomes value - lr * that sum, and the
-    Gradient holds nothing. np.add.at starts a row at 0.0 + its first delta
+    deltas that hold -0.0. Without a rate (None) the Gradient steps a zeroed
+    store at rate -1, which adds each call's sum; with one the table becomes
+    value - lr * that sum. np.add.at starts a row at 0.0 + its first delta
     and RowPlan.sums at the first delta + 0.0, so both make +0.0 of a row
     whose only delta is -0.0."""
 
@@ -264,31 +276,31 @@ class TestRowStep:
             repeated += len(np.unique(rows)) < rows.size
             deltas = self.deltas(rng, rows, shape[1])
             given, before = deltas.copy(), store.value("table").copy()
-            gradient = Gradient(store, learning_rate)
-            gradient.step("table", row_plan(rows), deltas)
+            target = store.zeros_like() if learning_rate is None else store
+            Gradient(target, -1.0 if learning_rate is None else learning_rate).step(
+                "table", row_plan(rows), deltas)
             assert_bit_identical(deltas, given)
             summed = self.add_at(shape, rows, deltas)
             if learning_rate is None:
-                assert_bit_identical(gradient["table"], summed)
+                assert_bit_identical(target.value("table"), summed)
             else:
-                assert not gradient
                 assert_bit_identical(store.value("table"), before - learning_rate * summed)
         assert repeated > 100
 
     def test_two_calls_without_a_rate_add_per_call_sums(self, rng):
-        """Each call sums its own rows and adds the sums to the buffer, so a
-        row that both calls write holds (0 + S1) + S2."""
+        """Each call sums its own rows and steps a zeroed store by them at
+        rate -1, so a row that both calls write holds (0 + S1) + S2."""
         for _ in range(50):
             for ndim in (1, 2):
                 store = self.table(rng)
                 shape = store.value("table").shape
-                gradient, expected = Gradient(store), np.zeros(shape)
+                gradient, expected = store.zeros_like(), np.zeros(shape)
                 for _ in range(2):
                     rows = self.rows(rng, shape[0], ndim)
                     deltas = self.deltas(rng, rows, shape[1])
-                    gradient.step("table", row_plan(rows), deltas)
+                    Gradient(gradient, -1.0).step("table", row_plan(rows), deltas)
                     expected += self.add_at(shape, rows, deltas)
-                assert_bit_identical(gradient["table"], expected)
+                assert_bit_identical(gradient.value("table"), expected)
 
     def test_plan_sums_match_row_sums(self, rng):
         """RowPlan.sums against np.add.at into zeros, bit for bit, over 1 to
@@ -322,7 +334,7 @@ class TestRowStep:
         store = ParameterStore()
         store.register("table", (4, 2), EMBEDDING)
         with pytest.raises(TypeError, match="RowPlan"):
-            Gradient(store).step("table", np.array([1, 1]), np.ones((2, 2)))
+            Gradient(store, 1.0).step("table", np.array([1, 1]), np.ones((2, 2)))
 
 
 class TestInitUniform:
@@ -390,8 +402,8 @@ class TestGradientCheck:
             return float(r @ r), ()     # smooth: no branches
 
         residual = store.value("w") @ x - y
-        gradient = Gradient(store)
-        gradient["w"] += 2.0 * np.outer(residual, x)
+        gradient = store.zeros_like()
+        gradient.value("w")[...] = 2.0 * np.outer(residual, x)
         return store, gradient, loss
 
     def test_linear_model_tight(self):
@@ -402,24 +414,38 @@ class TestGradientCheck:
 
     def test_corrupted_gradient_detected(self):
         store, gradient, loss = self.linear_setup()
-        gradient["w"] *= 2.0
+        gradient.value("w")[...] *= 2.0
         errors, _ = gradient_check(loss, store, gradient)
         assert errors["w"] > 0.3
+
+    def test_floor_does_not_hide_an_error_on_a_small_entry(self):
+        # an entry whose derivative is 1e-3, its analytic value off by a
+        # relative 5e-4: divided by the entry, not by a floor above it
+        store = ParameterStore()
+        store.register("w", (1,))[...] = 0.5
+        gradient = store.zeros_like()
+        gradient.value("w")[...] = 1e-3 * (1.0 + 5e-4)
+
+        def loss():
+            return 1e-3 * float(store.value("w")[0]), ()
+
+        errors, _ = gradient_check(loss, store, gradient)
+        assert 4e-4 < errors["w"] < 6e-4
 
     def test_non_finite_loss_raises(self):
         store = ParameterStore()
         store.register("w", (1,))
 
         with pytest.raises(NonFiniteLoss):
-            gradient_check(lambda: (float("nan"), ()), store, Gradient(store))
+            gradient_check(lambda: (float("nan"), ()), store, store.zeros_like())
 
     def test_entry_straddling_a_kink_is_skipped_and_counted(self):
         # loss max(w): the first two entries lie within epsilon of a tie, so
         # their two perturbed forwards pick different winners
         store = ParameterStore()
         store.register("w", (3,))[...] = [1.0, 1.0 + 5e-6, 0.0]
-        gradient = Gradient(store)
-        gradient["w"] += [0.0, 1.0, 0.5]      # the last entry's is wrong
+        gradient = store.zeros_like()
+        gradient.value("w")[...] = [0.0, 1.0, 0.5]      # the last entry's is wrong
 
         def loss():
             return float(store.value("w").max()), store.value("w").argmax()

@@ -11,7 +11,8 @@ from depnn.numerics import (PRODUCT_ROWS, Gradient, ShapeMismatch, row_blocks, r
 from depnn.subtree import comp_names, encode
 
 from conftest import (assert_bit_identical, dense_sgd_oracle, enumerate_windows, graph_of,
-                      oracle_conv_backward, oracle_conv_forward, tiny_model)
+                      model_gradient, oracle_conv_backward, oracle_conv_forward, tiny_model,
+                      zero_buffers)
 from depnn.corpus import PATH_END, PATH_START, Instance, entity_mention
 
 
@@ -220,7 +221,8 @@ class TestWordSlotPlan:
             model, vecs = distinct_chain(k, n_words, rng)
             cache = conv_forward(chain_relations(model, n_words), vecs, model.store)
             upstream = rng.normal(size=model.config.hidden)
-            d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+            d_words = conv_backward(cache, upstream, model.store,
+                                    Gradient(model.store.zeros_like(), -1.0),
                                     row_plan(chain_relations(model, n_words)))
             # the window vectors' gradient, as conv_backward forms it
             d_features = np.zeros_like(cache.feature_map)
@@ -246,11 +248,11 @@ class TestConvBackward:
     def test_zero_upstream_zero_gradients(self):
         model, _ = harness(3)
         cache = run_conv(model, 3)
-        gradient = Gradient(model.store)
-        d_words = conv_backward(cache, np.zeros(model.config.hidden), model.store, gradient,
-                                row_plan(chain_relations(model, 3)))
+        gradient = model.store.zeros_like()
+        d_words = conv_backward(cache, np.zeros(model.config.hidden), model.store,
+                                Gradient(gradient, -1.0), row_plan(chain_relations(model, 3)))
         for name in model.store.names():
-            assert not gradient[name].any()
+            assert not gradient.value(name).any()
         assert all(not d.any() for d in d_words)
 
     def test_non_argmax_window_gets_exactly_zero(self):
@@ -260,7 +262,8 @@ class TestConvBackward:
         upstream = np.zeros(model.config.hidden)
         upstream[coord] = 1.0
         winner = int(cache.argmax[coord])
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+        d_words = conv_backward(cache, upstream, model.store,
+                                Gradient(model.store.zeros_like(), -1.0),
                                 row_plan(chain_relations(model, 2)))
         # with k=3 each path word appears in exactly one window
         assert d_words[winner].any()
@@ -271,7 +274,8 @@ class TestConvBackward:
         model, _ = harness(3, window=5)
         cache = run_conv(model, 3)
         upstream = np.linspace(0.5, 1.5, model.config.hidden)
-        d_words = conv_backward(cache, upstream, model.store, Gradient(model.store),
+        d_words = conv_backward(cache, upstream, model.store,
+                                Gradient(model.store.zeros_like(), -1.0),
                                 row_plan(chain_relations(model, 3)))
         assert len(d_words) == 3
         assert all(d.shape == (model.config.dim + model.config.dim_c,)
@@ -332,10 +336,10 @@ class TestOracleEquivalence:
     """The vectorized conv against the per-window, per-slot oracle in
     conftest, to 1e-12, on subtree-encoded paths: the forward, with the
     window each unit pools, and the backward without a rate and with one.
-    Without a rate the path-word gradients and every tensor's gradient are
-    compared; with one the path-word gradients, every tensor the step
-    leaves against the dense update of the oracle's gradient, and the
-    step's Gradient, which must hold nothing."""
+    Without a rate, the backward stepping a zeroed store at rate -1, the
+    path-word gradients and every tensor's gradient are compared; with one
+    the path-word gradients, and every tensor the step leaves against the
+    dense update of the oracle's gradient."""
 
     LEARNING_RATE = 0.3
 
@@ -357,15 +361,16 @@ class TestOracleEquivalence:
 
             upstream = rng.normal(size=model.config.hidden)
             rel_plan = row_plan(rel_rows)
-            grads_new, grads_old = Gradient(store), Gradient(store)
-            d_new = conv_backward(new, upstream, store, grads_new, rel_plan)
+            grads_new, grads_old = store.zeros_like(), zero_buffers(store)
+            d_new = conv_backward(new, upstream, store, Gradient(grads_new, -1.0), rel_plan)
             d_old = oracle_conv_backward(old, upstream, store, grads_old)
             for name in store.names():
-                assert max_gap(grads_new[name], grads_old[name]) <= 1e-12, name
+                assert max_gap(grads_new.value(name), grads_old[name]) <= 1e-12, name
             # the filter's, bit for bit: each unit's gradient times its
             # winning window, added into a zeroed buffer (0.0 + makes -0.0 +0.0)
             d_pre = tanh_backward(new.pooled, upstream) if use_tanh else upstream
-            assert_bit_identical(grads_new[CONV_W], 0.0 + d_pre[:, None] * new.inputs[new.argmax])
+            assert_bit_identical(grads_new.value(CONV_W),
+                                 0.0 + d_pre[:, None] * new.inputs[new.argmax])
             assert len(d_new) == len(d_old) == n
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
@@ -374,9 +379,7 @@ class TestOracleEquivalence:
 
             before = {name: store.value(name).copy() for name in store.names()}
             expected = dense_sgd_oracle(store, grads_old, learning_rate)
-            stepped = Gradient(store, learning_rate)
-            d_new = conv_backward(new, upstream, store, stepped, rel_plan)
-            assert not stepped      # every tensor, relation rows too, stepped in place
+            d_new = conv_backward(new, upstream, store, Gradient(store, learning_rate), rel_plan)
             for a, b in zip(d_new, d_old):
                 assert max_gap(a, b) <= 1e-12
             for name in store.names():
@@ -447,9 +450,9 @@ class TestProductFilterUpdate:
 
 
 class TestFusedFilterUpdate:
-    """train_step hands conv_w's step to the store inside conv_backward, and
-    the step's Gradient never holds conv_w; every tensor must be what the
-    gradient formed with the same blocks and a dense update give, within
+    """train_step hands conv_w's step to the store inside conv_backward, to
+    hold pending; every tensor must be what the gradient formed with the
+    same blocks and a dense update give, within
     1e-12, since the deferred step scales its factors before their product.
     The budget is cut to 4 rows a block, so hidden 7, 33 and 200 end on a
     part block and 32 on a whole one."""
@@ -467,8 +470,7 @@ class TestFusedFilterUpdate:
         learning_rate = fused.config.learning_rate
         limit_block_rows(monkeypatch, 4, fused.store.value(CONV_W).shape[1])
         for inst in instances:
-            gradient = Gradient(buffered.store)
-            buffered.accumulate_gradients(buffered.compile(inst), gradient)
+            gradient = model_gradient(buffered, inst)
             expected = dense_sgd_oracle(buffered.store, gradient, learning_rate)
             fused.train_step(fused.compile(inst))
             assert fused.store.factors(CONV_W)[1] is not None

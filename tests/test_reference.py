@@ -57,12 +57,12 @@ def test_instance_gradient_matches_reference(corpus, config):
     instances = CORPORA[corpus]()
     model, reference = model_and_reference(instances, *INSTANCE_CONFIGS[config])
     for inst in instances:
-        gradient = Gradient(model.store)
-        loss = model.accumulate_gradients(model.compile(inst), gradient)
+        gradient = model.store.zeros_like()
+        loss = model.accumulate_gradients(model.compile(inst), Gradient(gradient, -1.0))
         expected_loss, expected = reference.loss_and_gradient(inst)
         assert_close(loss, expected_loss, (inst.id, "loss"))
         for name in model.store.names():
-            assert_close(gradient[name], expected[name], (inst.id, name))
+            assert_close(gradient.value(name), expected[name], (inst.id, name))
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))

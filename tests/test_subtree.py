@@ -11,7 +11,7 @@ from depnn.subtree import (COMP_BIAS, COMP, LEAF_VEC, PARENT, PATH, ROW, WORD_EM
 
 from conftest import (assert_bit_identical, attach_subtrees, copy_store, dense_sgd_oracle,
                       encode_word, encode_word_backward, graph_of, preorder, random_tree,
-                      subtree_tokens, tiny_model)
+                      subtree_tokens, tiny_model, zero_buffers)
 
 
 def worked_example(**overrides):
@@ -155,28 +155,28 @@ class TestBackward:
     def test_zero_upstream_accumulates_nothing(self):
         _, model, compiled = worked_example()
         nodes = encoded(model, compiled)
-        gradient = Gradient(model.store)
-        backward(model, compiled, nodes, np.zeros((3, nodes.shape[1])), gradient)
+        gradient = model.store.zeros_like()
+        backward(model, compiled, nodes, np.zeros((3, nodes.shape[1])), Gradient(gradient, -1.0))
         for name in model.store.names():
-            assert not gradient[name].any()
+            assert not gradient.value(name).any()
 
     def test_repeated_structure_doubles_gradients(self):
         _, model, compiled = worked_example()
         nodes = encoded(model, compiled)
         upstream = np.linspace(-1.0, 1.0, 3 * nodes.shape[1]).reshape(3, -1)
 
-        once = Gradient(model.store)
-        backward(model, compiled, nodes, upstream, once)
-        single = {name: once[name] for name in model.store.names()}
+        once = model.store.zeros_like()
+        backward(model, compiled, nodes, upstream, Gradient(once, -1.0))
+        single = {name: once.value(name) for name in model.store.names()}
 
-        twice = Gradient(model.store)
-        backward(model, compiled, nodes, upstream, twice)
-        backward(model, compiled, nodes, upstream, twice)
+        twice = model.store.zeros_like()
+        backward(model, compiled, nodes, upstream, Gradient(twice, -1.0))
+        backward(model, compiled, nodes, upstream, Gradient(twice, -1.0))
         # each composition matrix takes one accumulation per pass (det, dobj,
         # prep_on each appear once), so doubling is bitwise exact there;
         # multi-contribution buffers like the bias double up to reassociation
         for name, grad in single.items():
-            doubled = twice[name]
+            doubled = twice.value(name)
             if name.startswith("comp/") and grad.any():
                 assert np.array_equal(doubled, 2.0 * grad)
             else:
@@ -185,14 +185,14 @@ class TestBackward:
     def test_leaf_routes_into_leaf_vector(self):
         _, model, compiled = worked_example()
         nodes = encoded(model, compiled)
-        gradient = Gradient(model.store)
+        gradient = model.store.zeros_like()
         d_path = np.zeros((3, nodes.shape[1]))
         d_path[0] = np.arange(nodes.shape[1], dtype=float)     # priests, a leaf
-        backward(model, compiled, nodes, d_path, gradient)
+        backward(model, compiled, nodes, d_path, Gradient(gradient, -1.0))
         dim = model.config.dim
         row = model.vocab.word_row("priests")
-        assert np.array_equal(gradient[WORD_EMB][row], d_path[0, :dim])
-        assert np.array_equal(gradient[LEAF_VEC], d_path[0, dim:])
+        assert np.array_equal(gradient.value(WORD_EMB)[row], d_path[0, :dim])
+        assert np.array_equal(gradient.value(LEAF_VEC), d_path[0, dim:])
 
 
 RELATIONS = ("nsubj", "dobj", "det")
@@ -227,10 +227,11 @@ class TestRecursiveOracle:
     matrix takes outer products from several depths. Every node's p and
     every tensor of the gradient match bit for bit, except the composition
     matrices': each is one product over its edges, which sums in another
-    order than the recursion, so those match within 1e-12. With a learning
-    rate the flat backward steps every tensor in place and leaves no
-    buffer, and the stepped store is the recursive gradient's dense update,
-    to the same tolerances."""
+    order than the recursion, so those match within 1e-12. The flat
+    gradient is a zeroed store stepped at rate -1, the recursive one the
+    oracle's dense buffers. At a learning rate the flat backward steps a
+    copy of the store in place, which then is the recursive gradient's
+    dense update, to the same tolerances."""
 
     LEARNING_RATE = 0.3
 
@@ -256,24 +257,22 @@ class TestRecursiveOracle:
 
             d_path = rng.normal(size=(len(path), nodes.shape[1]))
             path_slots = np.flatnonzero(schedule[PARENT] == PATH)
-            flat, recursive = Gradient(store), Gradient(store)
+            flat, recursive = store.zeros_like(), zero_buffers(store)
             encode_backward(schedule, path_slots, row_plan(schedule[ROW]), nodes, d_path, store,
-                            flat, names)
+                            Gradient(flat, -1.0), names)
             for cache, d_p in zip(caches, d_path):
                 encode_word_backward(cache, d_p, store, recursive, vocab)
             for name in store.names():
                 if name.startswith("comp/"):
-                    assert np.allclose(flat[name], recursive[name],
+                    assert np.allclose(flat.value(name), recursive[name],
                                        rtol=0, atol=1e-12)
                 else:
-                    assert_bit_identical(flat[name], recursive[name])
+                    assert_bit_identical(flat.value(name), recursive[name])
 
             expected = dense_sgd_oracle(store, recursive, self.LEARNING_RATE)
             copy = copy_store(store)
-            stepped = Gradient(copy, self.LEARNING_RATE)
             encode_backward(schedule, path_slots, row_plan(schedule[ROW]), nodes, d_path, copy,
-                            stepped, names)
-            assert not stepped      # every tensor, word rows too, stepped in place
+                            Gradient(copy, self.LEARNING_RATE), names)
             for name in store.names():
                 if name.startswith("comp/"):
                     assert np.allclose(copy.value(name), expected[name], rtol=0, atol=1e-12)
